@@ -60,6 +60,7 @@ from .posttrain import (
     effective_features,
     post_train,
     posttrain_objective,
+    with_effective_last_weights,
 )
 from .train import (
     MetricPoint,
@@ -131,4 +132,5 @@ __all__ = [
     "split",
     "sq_frobenius",
     "standardize",
+    "with_effective_last_weights",
 ]

@@ -22,13 +22,13 @@ from .experiment import (
     config_from_dict,
     config_to_dict,
     convexity_statistics,
+    prepare_run,
     rows_to_csv,
     run_experiment,
 )
 from .kernel import krr_solve, save_solution
-from .network import build_network, load_network, replace_last_layer, save_network
-from .posttrain import effective_features, post_train
-from .rng import derive
+from .network import load_network, save_network
+from .posttrain import effective_features, post_train, with_effective_last_weights
 from .train import sgd_train
 
 
@@ -49,14 +49,6 @@ def _ensure_out(path: str) -> str:
     return path
 
 
-def _prepare_run(cfg, run_seed: int):
-    from .experiment import _materialize_data
-
-    train_ds, test_ds = _materialize_data(cfg, run_seed)
-    net = build_network(cfg.layer_specs, derive(cfg.init_seed, "run", run_seed))
-    return train_ds, test_ds, net
-
-
 def cmd_gen_data(args) -> int:
     ds = gen_synthetic(args.n, args.seed)
     if args.out.endswith(".csv"):
@@ -70,9 +62,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     out = _ensure_out(args.out)
-    run_seed = cfg.seeds[0]
-    train_ds, test_ds, net = _prepare_run(cfg, run_seed)
-    train_cfg = replace(cfg.train, seed=derive(cfg.train.seed, "run", run_seed))
+    train_ds, test_ds, net, train_cfg, _ = prepare_run(cfg, cfg.seeds[0])
     net, metrics = sgd_train(net, train_ds, train_cfg, cfg.loss, eval_data=test_ds)
     save_network(net, os.path.join(out, "network.json"))
     metrics.write_jsonl(os.path.join(out, "metrics.jsonl"))
@@ -85,10 +75,8 @@ def cmd_train(args) -> int:
 def cmd_post_train(args) -> int:
     cfg = _load_config(args)
     out = _ensure_out(args.out)
-    run_seed = cfg.seeds[0]
-    train_ds, test_ds, _ = _prepare_run(cfg, run_seed)
+    train_ds, test_ds, _, _, pt_cfg = prepare_run(cfg, cfg.seeds[0])
     net = load_network(args.network)
-    pt_cfg = replace(cfg.posttrain, seed=derive(cfg.posttrain.seed, "run", run_seed))
     tuned, metrics = post_train(net, train_ds, pt_cfg, cfg.loss, eval_data=test_ds)
     save_network(tuned, os.path.join(out, "network_posttrained.json"))
     metrics.write_jsonl(os.path.join(out, "posttrain_metrics.jsonl"))
@@ -101,8 +89,7 @@ def cmd_post_train(args) -> int:
 def cmd_krr(args) -> int:
     cfg = _load_config(args)
     out = _ensure_out(args.out)
-    run_seed = cfg.seeds[0]
-    train_ds, _, _ = _prepare_run(cfg, run_seed)
+    train_ds, *_ = prepare_run(cfg, cfg.seeds[0])
     net = load_network(args.network)
     feats = effective_features(net, train_ds.x)
     solution = krr_solve(feats, train_ds.y, cfg.posttrain.lam, cfg.krr_convention)
@@ -111,11 +98,7 @@ def cmd_krr(args) -> int:
         os.path.join(out, "krr_solution.json"),
         activation=net.layers[-1].spec.activation,
     )
-    w_eff = solution.weights.T
-    if net.layers[-1].spec.has_bias:
-        best = replace_last_layer(net, w_eff[:, :-1], w_eff[:, -1])
-    else:
-        best = replace_last_layer(net, w_eff)
+    best = with_effective_last_weights(net, solution.weights.T)
     save_network(best, os.path.join(out, "network_optimal.json"))
     jsonio.dump(config_to_dict(cfg), os.path.join(out, "resolved_config.json"))
     print(f"closed-form solve done (N={train_ds.n}); outputs in {out}")

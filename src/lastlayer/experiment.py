@@ -18,8 +18,8 @@ a machine-readable report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,7 +37,13 @@ from .network import (
     loss_eval,
     replace_last_layer,
 )
-from .posttrain import PostTrainConfig, effective_features, post_train, posttrain_objective
+from .posttrain import (
+    PostTrainConfig,
+    effective_features,
+    post_train,
+    posttrain_objective,
+    with_effective_last_weights,
+)
 from .rng import derive
 from .train import TrainConfig, classification_error, sgd_train
 
@@ -67,21 +73,25 @@ class DatasetSpec:
             raise ValueError("csv dataset requires a path")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
+    """Fields are declared in the order of the config document, which
+    ``config_to_dict`` follows; keyword-only so that defaulted fields can
+    sit among required ones."""
+
     dataset: DatasetSpec
     split_fraction: float
     split_seed: int
-    layer_specs: list
-    init_seed: int
+    standardize: bool = True
+    init_seed: int = 0
+    layer_specs: list[LayerSpec]
     loss: str
     train: TrainConfig
     posttrain: PostTrainConfig
-    checkpoints: list
+    checkpoints: list[int]
     metric: str = "rmse"
-    seeds: list = field(default_factory=lambda: [0])
+    seeds: list[int] = field(default_factory=lambda: [0])
     krr_convention: str = "objective_consistent"
-    standardize: bool = True
 
     def __post_init__(self):
         if self.metric not in METRICS:
@@ -101,114 +111,67 @@ class ExperimentConfig:
             raise ValueError("classification_error metric requires cross_entropy loss")
 
 
+# The config document spells every field of ExperimentConfig and of the
+# dataclasses it holds by the field's name, except these; a dotted key puts
+# the value in a section of its own.
+_DOC_KEYS = {
+    "lam": "lambda",
+    "split_fraction": "split.fraction",
+    "split_seed": "split.seed",
+    "init_seed": "network.init_seed",
+    "layer_specs": "network.layers",
+}
+
+
+def _from_doc(cls, doc: dict):
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        section, _, key = _DOC_KEYS.get(f.name, f.name).rpartition(".")
+        source = doc[section] if section else doc
+        if key in source:
+            kwargs[f.name] = _value_from_doc(hints[f.name], source[key])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise KeyError(key)
+    return cls(**kwargs)
+
+
+def _value_from_doc(kind, value):
+    if is_dataclass(kind):
+        return _from_doc(kind, value)
+    if get_origin(kind) is list:
+        (item,) = get_args(kind)
+        return [_value_from_doc(item, v) for v in value]
+    if kind in (int, float, bool):
+        return kind(value)
+    return value
+
+
+def _to_doc(obj) -> dict:
+    doc = {}
+    for f in fields(obj):
+        section, _, key = _DOC_KEYS.get(f.name, f.name).rpartition(".")
+        target = doc.setdefault(section, {}) if section else doc
+        target[key] = _value_to_doc(getattr(obj, f.name))
+    return doc
+
+
+def _value_to_doc(value):
+    if is_dataclass(value):
+        return _to_doc(value)
+    if isinstance(value, list):
+        return [_value_to_doc(v) for v in value]
+    return value
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    ds = doc["dataset"]
-    dataset = DatasetSpec(
-        kind=ds["kind"],
-        n=int(ds.get("n", 10000)),
-        seed=int(ds.get("seed", 0)),
-        path=ds.get("path"),
-        feature_columns=ds.get("feature_columns"),
-        target_columns=ds.get("target_columns"),
-        has_header=bool(ds.get("has_header", True)),
-    )
-    layer_specs = [
-        LayerSpec(
-            input_dim=int(item["input_dim"]),
-            output_dim=int(item["output_dim"]),
-            activation=item["activation"],
-            has_bias=bool(item["has_bias"]),
-        )
-        for item in doc["network"]["layers"]
-    ]
-    tr = doc["train"]
-    train_cfg = TrainConfig(
-        iterations=int(tr["iterations"]),
-        batch_size=int(tr["batch_size"]),
-        lr0=float(tr["lr0"]),
-        lr_decay=float(tr.get("lr_decay", 1.0)),
-        dropout_keep=tr.get("dropout_keep"),
-        weight_decay=float(tr.get("weight_decay", 0.0)),
-        seed=int(tr.get("seed", 0)),
-        eval_every=int(tr.get("eval_every", 100)),
-    )
-    pt = doc["posttrain"]
-    posttrain_cfg = PostTrainConfig(
-        lam=float(pt["lambda"]),
-        iterations=int(pt.get("iterations", 200)),
-        mode=pt.get("mode", "full_batch_backtracking"),
-        batch_size=int(pt.get("batch_size", 128)),
-        lr=float(pt.get("lr", 0.05)),
-        seed=int(pt.get("seed", 0)),
-    )
-    return ExperimentConfig(
-        dataset=dataset,
-        split_fraction=float(doc["split"]["fraction"]),
-        split_seed=int(doc["split"]["seed"]),
-        layer_specs=layer_specs,
-        init_seed=int(doc["network"].get("init_seed", 0)),
-        loss=doc["loss"],
-        train=train_cfg,
-        posttrain=posttrain_cfg,
-        checkpoints=[int(c) for c in doc["checkpoints"]],
-        metric=doc.get("metric", "rmse"),
-        seeds=[int(s) for s in doc.get("seeds", [0])],
-        krr_convention=doc.get("krr_convention", "objective_consistent"),
-        standardize=bool(doc.get("standardize", True)),
-    )
+    """Config from its JSON document; absent keys take the dataclass defaults."""
+    return _from_doc(ExperimentConfig, doc)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Fully resolved config document, written alongside every run."""
-    return {
-        "format_version": CONFIG_FORMAT_VERSION,
-        "dataset": {
-            "kind": cfg.dataset.kind,
-            "n": cfg.dataset.n,
-            "seed": cfg.dataset.seed,
-            "path": cfg.dataset.path,
-            "feature_columns": cfg.dataset.feature_columns,
-            "target_columns": cfg.dataset.target_columns,
-            "has_header": cfg.dataset.has_header,
-        },
-        "split": {"fraction": cfg.split_fraction, "seed": cfg.split_seed},
-        "standardize": cfg.standardize,
-        "network": {
-            "init_seed": cfg.init_seed,
-            "layers": [
-                {
-                    "input_dim": s.input_dim,
-                    "output_dim": s.output_dim,
-                    "activation": s.activation,
-                    "has_bias": s.has_bias,
-                }
-                for s in cfg.layer_specs
-            ],
-        },
-        "loss": cfg.loss,
-        "train": {
-            "iterations": cfg.train.iterations,
-            "batch_size": cfg.train.batch_size,
-            "lr0": cfg.train.lr0,
-            "lr_decay": cfg.train.lr_decay,
-            "dropout_keep": cfg.train.dropout_keep,
-            "weight_decay": cfg.train.weight_decay,
-            "seed": cfg.train.seed,
-            "eval_every": cfg.train.eval_every,
-        },
-        "posttrain": {
-            "lambda": cfg.posttrain.lam,
-            "iterations": cfg.posttrain.iterations,
-            "mode": cfg.posttrain.mode,
-            "batch_size": cfg.posttrain.batch_size,
-            "lr": cfg.posttrain.lr,
-            "seed": cfg.posttrain.seed,
-        },
-        "checkpoints": list(cfg.checkpoints),
-        "metric": cfg.metric,
-        "seeds": list(cfg.seeds),
-        "krr_convention": cfg.krr_convention,
-    }
+    return {"format_version": CONFIG_FORMAT_VERSION, **_to_doc(cfg)}
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +228,21 @@ def _materialize_data(cfg: ExperimentConfig, run_seed: int):
     return train_ds, test_ds
 
 
+def prepare_run(cfg: ExperimentConfig, run_seed: int):
+    """Everything one run seed starts from: ``(train, test, net, train_cfg,
+    posttrain_cfg)``, with the initial network and both configs' seeds
+    derived from ``run_seed``."""
+    train_ds, test_ds = _materialize_data(cfg, run_seed)
+    net = build_network(cfg.layer_specs, derive(cfg.init_seed, "run", run_seed))
+    train_cfg = replace(cfg.train, seed=derive(cfg.train.seed, "run", run_seed))
+    pt_cfg = replace(cfg.posttrain, seed=derive(cfg.posttrain.seed, "run", run_seed))
+    return train_ds, test_ds, net, train_cfg, pt_cfg
+
+
 def _optimal_last_layer(cfg: ExperimentConfig, net: Network, train_ds: Dataset) -> Network:
     feats = effective_features(net, train_ds.x)
     solution = krr_solve(feats, train_ds.y, cfg.posttrain.lam, cfg.krr_convention)
-    w_eff = solution.weights.T
-    if net.layers[-1].spec.has_bias:
-        return replace_last_layer(net, w_eff[:, :-1], w_eff[:, -1])
-    return replace_last_layer(net, w_eff)
+    return with_effective_last_weights(net, solution.weights.T)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
@@ -279,10 +250,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     test metrics, emitted seed-major in checkpoint order."""
     rows = []
     for run_seed in cfg.seeds:
-        train_ds, test_ds = _materialize_data(cfg, run_seed)
-        net = build_network(cfg.layer_specs, derive(cfg.init_seed, "run", run_seed))
-        train_cfg = replace(cfg.train, seed=derive(cfg.train.seed, "run", run_seed))
-        pt_cfg = replace(cfg.posttrain, seed=derive(cfg.posttrain.seed, "run", run_seed))
+        train_ds, test_ds, net, train_cfg, pt_cfg = prepare_run(cfg, run_seed)
         completed = 0
         for checkpoint in cfg.checkpoints:
             chunk = replace(train_cfg, iterations=checkpoint - completed)

@@ -7,9 +7,9 @@ dimension, so its output is bit-identical to a naive triple loop and
 therefore reproducible run to run regardless of BLAS threading.  Seeded
 experiments depend on that stability.
 
-``solve_spd`` delegates the factorization to LAPACK (scipy's Cholesky),
-which is deterministic for fixed inputs on a given build; everything else
-is implemented here.
+``solve_spd`` and ``min_eigenvalue_symmetric`` delegate to LAPACK (scipy's
+Cholesky and symmetric eigensolver), which is deterministic for fixed
+inputs on a given build; everything else is implemented here.
 """
 
 from __future__ import annotations
@@ -39,16 +39,6 @@ class NotPositiveDefiniteError(ValueError):
         super().__init__(
             f"matrix is not positive definite: non-positive pivot at index {pivot_index}"
         )
-
-
-def as_matrix(values) -> Matrix:
-    """Coerce to a 2-D float64 array, validating dimensionality."""
-    a = np.asarray(values, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise DimensionMismatchError(f"matrix dimensions must be >= 1, got {a.shape}")
-    return a
 
 
 def _check_2d(a: Matrix, name: str) -> Matrix:
@@ -149,10 +139,11 @@ def solve_spd(a: Matrix, b: Matrix) -> Matrix:
 def min_eigenvalue_symmetric(a: Matrix, tol: float = 1e-10) -> float:
     """Smallest eigenvalue of a symmetric matrix, accurate to ``tol``.
 
-    Cyclic Jacobi rotations; sweeps run until the off-diagonal Frobenius
-    norm drops below tol (which bounds the eigenvalue error) or machine
-    precision is reached.  Guarded to n <= 200: this supports verification
-    work, not large-scale spectra.
+    LAPACK's symmetric eigensolver (scipy.linalg.eigvalsh) computes only the
+    smallest eigenvalue; its error is a small multiple of machine precision
+    times the matrix norm, well inside any ``tol`` the package asks for.
+    Guarded to n <= 200: this supports verification work, not large-scale
+    spectra.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -162,35 +153,4 @@ def min_eigenvalue_symmetric(a: Matrix, tol: float = 1e-10) -> float:
         raise DimensionMismatchError(
             f"min_eigenvalue_symmetric supports n <= {_EIG_MAX_DIM}, got n = {n}"
         )
-    if n == 1:
-        return float(a[0, 0])
-
-    work = 0.5 * (a + a.T)  # fold roundoff-level asymmetry before rotating
-    scale = max(max_abs(work), 1.0)
-    floor = max(tol, 1e-15 * scale)
-    for _ in range(60):
-        off = work.copy()
-        np.fill_diagonal(off, 0.0)
-        if np.sqrt(np.sum(off * off)) <= floor:
-            break
-        threshold = max_abs(off) * 1e-3
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) <= threshold:
-                    continue
-                theta = (work[q, q] - work[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s * col_q
-                work[:, q] = s * col_p + c * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - s * row_q
-                work[q, :] = s * row_p + c * row_q
-    return float(np.min(np.diag(work)))
+    return float(scipy.linalg.eigvalsh(a, subset_by_index=[0, 0])[0])

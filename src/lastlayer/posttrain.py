@@ -37,12 +37,11 @@ from .network import (
 )
 from .rng import derive
 from .train import (
-    ARMIJO_SLOPE,
-    MAX_HALVINGS,
     MetricPoint,
     MetricsSeries,
-    TrainingDivergedError,
     _BatchStream,
+    armijo_step,
+    check_finite,
     classification_error,
 )
 
@@ -54,7 +53,7 @@ RECOMMENDED_LAMBDA = (1e-5, 1e-2)
 @dataclass
 class PostTrainConfig:
     lam: float
-    iterations: int
+    iterations: int = 200
     mode: str = "full_batch_backtracking"
     batch_size: int = 128  # minibatch mode only
     lr: float = 0.05  # minibatch mode only
@@ -101,10 +100,12 @@ def effective_last_weights(net: Network) -> Matrix:
     return np.hstack([last.weights, last.bias[:, None]])
 
 
-def _split_effective(net: Network, w_eff: Matrix):
+def with_effective_last_weights(net: Network, w_eff: Matrix) -> Network:
+    """Network with a new last layer read from ``w_eff``; the inverse of
+    ``effective_last_weights``, so a trailing column becomes the bias."""
     if net.layers[-1].spec.has_bias:
-        return w_eff[:, :-1], w_eff[:, -1]
-    return w_eff, None
+        return replace_last_layer(net, w_eff[:, :-1], w_eff[:, -1])
+    return replace_last_layer(net, w_eff)
 
 
 def _last_activation(net: Network, z: Matrix) -> Matrix:
@@ -226,9 +227,7 @@ def post_train(
     metrics = MetricsSeries()
 
     if cfg.mode == "full_batch_backtracking":
-        objective = problem.objective(w_eff)
-        if math.isnan(objective):
-            raise TrainingDivergedError(0)
+        objective = check_finite(problem.objective(w_eff), 0)
         metrics.append(problem.metric_point(w_eff, 0))
         step = 1.0
         stop_tol = max(cfg.grad_tol, 1e-14)
@@ -238,22 +237,16 @@ def post_train(
             if math.sqrt(grad_sq) <= stop_tol * (1.0 + math.sqrt(sq_frobenius(w_eff))):
                 metrics.termination = "converged"
                 break
-            step *= 2.0
-            accepted = False
-            for _ in range(MAX_HALVINGS + 1):
-                trial = w_eff - step * grad
-                trial_objective = problem.objective(trial)
-                if trial_objective <= objective - ARMIJO_SLOPE * step * grad_sq:
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
+
+            def trial(s: float):
+                w_s = w_eff - s * grad
+                return w_s, problem.objective(w_s)
+
+            accepted = armijo_step(trial, objective, grad_sq, step)
+            if accepted is None:
                 metrics.termination = "stalled"
                 break
-            w_eff = trial
-            objective = trial_objective
-            if math.isnan(objective):
-                raise TrainingDivergedError(it)
+            w_eff, objective, step = accepted
             metrics.append(problem.metric_point(w_eff, it))
     else:
         if cfg.batch_size > data.n:
@@ -266,9 +259,8 @@ def post_train(
             idx = stream.batch(it)
             grad = problem.minibatch_gradient(w_eff, idx)
             w_eff = w_eff - cfg.lr * grad
-            if not np.all(np.isfinite(w_eff)):
-                raise TrainingDivergedError(it)
-            metrics.append(problem.metric_point(w_eff, it + 1))
+            point = problem.metric_point(w_eff, it + 1)
+            check_finite(point.train_loss, it + 1)
+            metrics.append(point)
 
-    weights, bias = _split_effective(net, w_eff)
-    return replace_last_layer(net, weights, bias), metrics
+    return with_effective_last_weights(net, w_eff), metrics

@@ -37,11 +37,39 @@ MAX_HALVINGS = 50
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became NaN; carries the iteration at which it happened."""
+    """Loss became NaN or infinite; carries the iteration at which it happened."""
 
     def __init__(self, iteration: int):
         self.iteration = iteration
-        super().__init__(f"training diverged: NaN loss at iteration {iteration}")
+        super().__init__(f"training diverged: non-finite loss at iteration {iteration}")
+
+
+def check_finite(value: float, iteration: int) -> float:
+    """Return a loss or objective, raising TrainingDivergedError(iteration)
+    when it is NaN or infinite."""
+    if not math.isfinite(value):
+        raise TrainingDivergedError(iteration)
+    return value
+
+
+def armijo_step(trial, objective: float, grad_sq: float, step: float):
+    """Backtracking line search with the Armijo condition (Nocedal & Wright,
+    *Numerical Optimization*, Ch. 3).
+
+    ``trial(s)`` returns ``(point, objective)`` after a step of size s along
+    the negative gradient.  The search starts from twice ``step`` and halves
+    at most MAX_HALVINGS times until the objective falls by at least
+    ARMIJO_SLOPE * s * grad_sq.  Returns ``(point, objective, s)`` of the
+    accepted step, or None when no step is accepted.  A NaN trial objective
+    never satisfies the condition.
+    """
+    step *= 2.0
+    for _ in range(MAX_HALVINGS + 1):
+        point, value = trial(step)
+        if value <= objective - ARMIJO_SLOPE * step * grad_sq:
+            return point, value, step
+        step *= 0.5
+    return None
 
 
 @dataclass
@@ -232,8 +260,7 @@ def sgd_train(
         yb = data.y[idx]
         masks = _dropout_masks(current, cfg, t, cfg.batch_size)
         batch_loss, grads = loss_and_gradients(current, xb, yb, loss, dropout_masks=masks)
-        if math.isnan(batch_loss):
-            raise TrainingDivergedError(t)
+        check_finite(batch_loss, t)
         lr_t = cfg.lr0 * cfg.lr_decay**t
         for layer, gw, gb in zip(current.layers, grads.weights, grads.biases):
             if cfg.weight_decay > 0.0:
@@ -270,7 +297,9 @@ def full_batch_gd(
     until f(w - s g) <= f(w) - 1e-4 s |g|^2.  The recorded objective is then
     non-increasing by construction; if no step is accepted the run stops
     and metrics.termination reports "stalled".  The recorded train metric
-    is the full objective including the weight-decay term.
+    is the full objective including the weight-decay term.  A non-finite
+    objective (at the start, or after a fixed-lr step) raises
+    TrainingDivergedError.
     """
     check_loss_pairing(net, loss)
     if iterations < 0:
@@ -288,7 +317,7 @@ def full_batch_gd(
         point.train_loss = objective
         metrics.append(point)
 
-    objective = _decayed_objective(current, data, loss, weight_decay)
+    objective = check_finite(_decayed_objective(current, data, loss, weight_decay), 0)
     record(0, objective)
     step = 1.0
     for it in range(1, iterations + 1):
@@ -302,34 +331,23 @@ def full_batch_gd(
         grad_sq = sum(sq_frobenius(g) for g in gw)
         grad_sq += sum(float(np.sum(g * g)) for g in gb if g is not None)
 
-        def candidate(s: float) -> Network:
-            trial = current.copy()
-            for layer, g_w, g_b in zip(trial.layers, gw, gb):
+        def trial(s: float):
+            net_s = current.copy()
+            for layer, g_w, g_b in zip(net_s.layers, gw, gb):
                 layer.weights -= s * g_w
                 if g_b is not None:
                     layer.bias -= s * g_b
-            return trial
+            return net_s, _decayed_objective(net_s, data, loss, weight_decay)
 
         if lr is not None:
-            trial = candidate(lr)
-            current = trial
-            objective = _decayed_objective(current, data, loss, weight_decay)
-            record(it, objective)
+            current, objective = trial(lr)
+            record(it, check_finite(objective, it))
             continue
 
-        step *= 2.0
-        accepted = False
-        for _ in range(MAX_HALVINGS + 1):
-            trial = candidate(step)
-            trial_objective = _decayed_objective(trial, data, loss, weight_decay)
-            if trial_objective <= objective - ARMIJO_SLOPE * step * grad_sq:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+        accepted = armijo_step(trial, objective, grad_sq, step)
+        if accepted is None:
             metrics.termination = "stalled"
             break
-        current = trial
-        objective = trial_objective
+        current, objective, step = accepted
         record(it, objective)
     return current, metrics

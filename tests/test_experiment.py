@@ -4,8 +4,11 @@ protocol, output determinism, and the self-check suite's sensitivity."""
 import numpy as np
 import pytest
 
+from lastlayer import jsonio
 from lastlayer.experiment import (
     ComparisonRow,
+    DatasetSpec,
+    ExperimentConfig,
     check_suite,
     config_from_dict,
     config_to_dict,
@@ -14,7 +17,9 @@ from lastlayer.experiment import (
     rows_to_csv,
     run_experiment,
 )
-from lastlayer.posttrain import posttrain_objective
+from lastlayer.network import LayerSpec
+from lastlayer.posttrain import PostTrainConfig, posttrain_objective
+from lastlayer.train import TrainConfig
 
 
 def tiny_config_doc(**overrides):
@@ -62,6 +67,62 @@ class TestConfig:
         cfg = config_from_dict(tiny_config_doc())
         again = config_from_dict(config_to_dict(cfg))
         assert config_to_dict(cfg) == config_to_dict(again)
+
+    def test_round_trip_every_field_through_json(self):
+        # every field differs from its default, so a key that is not read
+        # back or not written out shows as a difference
+        cfg = ExperimentConfig(
+            dataset=DatasetSpec(
+                kind="csv", n=123, seed=7, path="data.csv", feature_columns=["a", "b"],
+                target_columns=["c", "d"], has_header=False,
+            ),
+            split_fraction=0.6,
+            split_seed=3,
+            standardize=False,
+            init_seed=9,
+            layer_specs=[
+                LayerSpec(2, 3, "relu", has_bias=False),
+                LayerSpec(3, 2, "softmax", has_bias=False),
+            ],
+            loss="cross_entropy",
+            train=TrainConfig(
+                iterations=30, batch_size=5, lr0=0.3, lr_decay=0.9, dropout_keep=[0.8],
+                weight_decay=0.01, seed=4, eval_every=10,
+            ),
+            posttrain=PostTrainConfig(
+                lam=2e-3, iterations=17, mode="minibatch", batch_size=9, lr=0.2, seed=6,
+                grad_tol=1e-9,
+            ),
+            checkpoints=[10, 30],
+            metric="classification_error",
+            seeds=[5, 8],
+            krr_convention="paper_literal",
+        )
+        doc = jsonio.loads(jsonio.dumps(config_to_dict(cfg)))
+        assert doc["posttrain"]["grad_tol"] == 1e-9
+        assert config_from_dict(doc) == cfg
+
+    def test_document_defaults(self):
+        doc = tiny_config_doc()
+        for key in ("standardize", "metric", "krr_convention", "seeds"):
+            del doc[key]
+        del doc["network"]["init_seed"]
+        del doc["network"]["layers"][0]["has_bias"]
+        doc["dataset"] = {"kind": "synthetic"}
+        doc["train"] = {"iterations": 40, "batch_size": 20, "lr0": 0.02}
+        doc["posttrain"] = {"lambda": 0.001}
+        cfg = config_from_dict(doc)
+        assert (cfg.standardize, cfg.metric, cfg.krr_convention, cfg.seeds, cfg.init_seed) == (
+            True, "rmse", "objective_consistent", [0], 0
+        )
+        assert cfg.layer_specs[0].has_bias
+        assert cfg.dataset == DatasetSpec(kind="synthetic", n=10000, seed=0, has_header=True)
+        assert cfg.train == TrainConfig(iterations=40, batch_size=20, lr0=0.02, lr_decay=1.0,
+                                        weight_decay=0.0, seed=0, eval_every=100)
+        assert cfg.posttrain == PostTrainConfig(
+            lam=0.001, iterations=200, mode="full_batch_backtracking", batch_size=128, lr=0.05,
+            seed=0, grad_tol=0.0,
+        )
 
     def test_checkpoints_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):

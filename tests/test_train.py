@@ -210,6 +210,18 @@ class TestFullBatchGd:
         _, metrics = full_batch_gd(net, ds, 7, "squared_error", lr=0.05)
         assert [p.iteration for p in metrics.points] == list(range(8))
 
+    def test_fixed_lr_divergence_raises_with_iteration(self):
+        rng = np.random.default_rng(37)
+        net = build_network(
+            [LayerSpec(3, 4, "tanh"), LayerSpec(4, 1, "identity", has_bias=False)], 38
+        )
+        x = rng.normal(size=(20, 3))
+        ds = Dataset(x, rng.normal(size=(20, 1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError, match="non-finite") as err:
+                full_batch_gd(net, ds, 100, "squared_error", lr=50.0)
+        assert 0 < err.value.iteration < 100
+
     def test_trains_biases_too(self):
         rng = np.random.default_rng(35)
         net = build_network([LayerSpec(3, 2, "identity", has_bias=True)], 36)
