@@ -106,8 +106,8 @@ def gen_synthetic(n: int = 10000, seed: int = 0) -> Dataset:
     w2 = rng.uniform_matrix(SYNTHETIC_HIDDEN_DIM, 1, -1.0, 1.0)
     y = np.tanh(x @ w1) @ w2
     teacher = {
-        "w1": [[float(v) for v in row] for row in w1],
-        "w2": [[float(v) for v in row] for row in w2],
+        "w1": w1.tolist(),
+        "w2": w2.tolist(),
     }
     provenance = (
         f"synthetic tanh teacher: n={n} seed={seed} "
@@ -273,8 +273,8 @@ def dataset_to_dict(ds: Dataset) -> dict:
         "provenance": ds.provenance,
         "feature_names": ds.feature_names,
         "target_names": ds.target_names,
-        "x": [[float(v) for v in row] for row in ds.x],
-        "y": [[float(v) for v in row] for row in ds.y],
+        "x": ds.x.tolist(),
+        "y": ds.y.tolist(),
     }
 
 

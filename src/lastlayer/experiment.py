@@ -123,25 +123,33 @@ _DOC_KEYS = {
 }
 
 
-def _from_doc(cls, doc: dict):
+def _from_doc(cls, doc: dict, prefix: str = ""):
+    """``cls`` read from ``doc``, whose keys have the dotted path ``prefix`` +
+    key; a key that no field reads raises ValueError naming that path."""
     hints = get_type_hints(cls)
+    paths = {f.name: _DOC_KEYS.get(f.name, f.name) for f in fields(cls)}
+    sections = {path.split(".")[0] for path in paths.values() if "." in path}
+    for key, value in doc.items():
+        for path in [f"{key}.{sub}" for sub in value] if key in sections else [key]:
+            if path not in paths.values():
+                raise ValueError(f"unknown config key {prefix + path!r}")
     kwargs = {}
     for f in fields(cls):
-        section, _, key = _DOC_KEYS.get(f.name, f.name).rpartition(".")
+        section, _, key = paths[f.name].rpartition(".")
         source = doc[section] if section else doc
         if key in source:
-            kwargs[f.name] = _value_from_doc(hints[f.name], source[key])
+            kwargs[f.name] = _value_from_doc(hints[f.name], source[key], prefix + paths[f.name])
         elif f.default is MISSING and f.default_factory is MISSING:
             raise KeyError(key)
     return cls(**kwargs)
 
 
-def _value_from_doc(kind, value):
+def _value_from_doc(kind, value, where: str):
     if is_dataclass(kind):
-        return _from_doc(kind, value)
+        return _from_doc(kind, value, where + ".")
     if get_origin(kind) is list:
         (item,) = get_args(kind)
-        return [_value_from_doc(item, v) for v in value]
+        return [_value_from_doc(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
     if kind in (int, float, bool):
         return kind(value)
     return value
@@ -165,8 +173,10 @@ def _value_to_doc(value):
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Config from its JSON document; absent keys take the dataclass defaults."""
-    return _from_doc(ExperimentConfig, doc)
+    """Config from its JSON document; absent keys take the dataclass defaults.
+    Besides ``format_version``, a key that names no field raises ValueError,
+    so a misspelt key cannot silently leave a default in place."""
+    return _from_doc(ExperimentConfig, {k: v for k, v in doc.items() if k != "format_version"})
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -345,8 +355,12 @@ def _flatten_params(net: Network):
 
 def _fd_loss_gradient(net: Network, x, y, loss: str, step: float = 1e-5):
     """Central finite differences of the batch-mean loss over every
-    parameter; independent of the backward pass."""
+    parameter; independent of the backward pass.  Also returns whether a
+    difference moved a relu pre-activation across zero, where it is no
+    oracle for the derivative."""
+    relu = [i for i, layer in enumerate(net.layers) if layer.spec.activation == "relu"]
     grads = []
+    crossed = False
     for array in _flatten_params(net):
         g = np.zeros_like(array)
         flat = array.reshape(-1)
@@ -354,13 +368,14 @@ def _fd_loss_gradient(net: Network, x, y, loss: str, step: float = 1e-5):
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + step
-            up = loss_eval(loss, forward(net, x).output, y)
+            up = forward(net, x)
             flat[i] = keep - step
-            down = loss_eval(loss, forward(net, x).output, y)
+            down = forward(net, x)
             flat[i] = keep
-            gf[i] = (up - down) / (2.0 * step)
+            gf[i] = (loss_eval(loss, up.output, y) - loss_eval(loss, down.output, y)) / (2.0 * step)
+            crossed = crossed or any(np.any((up.pre[j] > 0) != (down.pre[j] > 0)) for j in relu)
         grads.append(g)
-    return grads
+    return grads, crossed
 
 
 def _random_net(rng: np.random.Generator, loss: str) -> Network:
@@ -399,10 +414,16 @@ def _random_batch(rng: np.random.Generator, net: Network, loss: str):
 def _check_gradients(seed: int, perturbation: float) -> CheckResult:
     rng = np.random.default_rng(derive(seed, "gradcheck"))
     worst = 0.0
+    redrawn = 0
     for trial in range(20):
         loss = "squared_error" if trial % 2 == 0 else "cross_entropy"
-        net = _random_net(rng, loss)
-        x, y = _random_batch(rng, net, loss)
+        while True:
+            net = _random_net(rng, loss)
+            x, y = _random_batch(rng, net, loss)
+            reference, crossed = _fd_loss_gradient(net, x, y, loss)
+            if not crossed:
+                break
+            redrawn += 1
         _, grads = loss_and_gradients(net, x, y, loss)
         ordered = []
         for index, layer in enumerate(net.layers):
@@ -411,13 +432,13 @@ def _check_gradients(seed: int, perturbation: float) -> CheckResult:
                 ordered.append(grads.biases[index].copy())
         if perturbation:
             ordered[0].reshape(-1)[0] += perturbation
-        reference = _fd_loss_gradient(net, x, y, loss)
         scale = max(1.0, max(float(np.max(np.abs(r))) for r in reference))
         err = max(
             float(np.max(np.abs(a - b))) for a, b in zip(ordered, reference)
         ) / scale
         worst = max(worst, err)
-    return CheckResult("gradient_vs_finite_differences", worst <= 1e-5, worst, 1e-5)
+    detail = f"{redrawn} draw(s) replaced: a difference crossed a relu kink" if redrawn else ""
+    return CheckResult("gradient_vs_finite_differences", worst <= 1e-5, worst, 1e-5, detail)
 
 
 def _fd_ce_hessian(inst: SoftmaxInstance, step: float = 1e-4):

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import jsonio
 from .linalg import DimensionMismatchError, Matrix, matmul, solve_spd, sq_frobenius
+from .network import Layer, LayerSpec, layer_to_dict
 
 CONVENTIONS = ("paper_literal", "objective_consistent")
 
@@ -142,20 +143,14 @@ def solution_to_dict(sol: KrrSolution, activation: str = "identity") -> dict:
     """Serialize with the last layer in the network layer format, so the
     solved weights can be substituted directly into a saved network."""
     d_feat, d_out = sol.weights.shape
+    last = Layer(LayerSpec(d_feat, d_out, activation, has_bias=False), sol.weights.T)
     return {
         "format_version": KRR_FORMAT_VERSION,
         "kind": "krr_solution",
         "lambda": float(sol.lam),
         "convention": sol.convention,
-        "last_layer": {
-            "input_dim": d_feat,
-            "output_dim": d_out,
-            "activation": activation,
-            "has_bias": False,
-            "weights": [[float(v) for v in row] for row in sol.weights.T],
-            "bias": None,
-        },
-        "dual_coef": [[float(v) for v in row] for row in sol.dual_coef],
+        "last_layer": layer_to_dict(last),
+        "dual_coef": sol.dual_coef.tolist(),
     }
 
 

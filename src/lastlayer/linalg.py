@@ -98,24 +98,6 @@ def check_symmetric(a: Matrix, name: str = "matrix") -> Matrix:
     return a
 
 
-def _failing_pivot_index(a: Matrix) -> int:
-    """First 0-based column where a Cholesky pivot is non-positive.
-
-    Left-looking factorization; only runs on the error path after LAPACK
-    has already rejected the matrix.
-    """
-    n = a.shape[0]
-    low = np.zeros_like(a)
-    for j in range(n):
-        col = a[j:, j] - low[j:, :j] @ low[j, :j]
-        pivot = col[0]
-        if pivot <= 0.0 or not np.isfinite(pivot):
-            return j
-        root = np.sqrt(pivot)
-        low[j:, j] = col / root
-    return n - 1
-
-
 def solve_spd(a: Matrix, b: Matrix) -> Matrix:
     """Solve a @ x = b for symmetric positive-definite a.
 
@@ -129,11 +111,12 @@ def solve_spd(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatchError(
             f"solve_spd: a is {a.shape[0]}x{a.shape[1]} but b has {b.shape[0]} rows"
         )
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(_failing_pivot_index(a)) from None
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+    # cho_factor's own LAPACK call, made directly to read the failing pivot
+    (potrf,) = scipy.linalg.get_lapack_funcs(("potrf",), (a,))
+    factor, info = potrf(a, lower=True, clean=False)
+    if info > 0:
+        raise NotPositiveDefiniteError(info - 1)
+    return scipy.linalg.cho_solve((factor, True), b, check_finite=False)
 
 
 def min_eigenvalue_symmetric(a: Matrix, tol: float = 1e-10) -> float:

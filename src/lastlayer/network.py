@@ -233,6 +233,21 @@ def _check_masks(net: Network, dropout_masks) -> list:
     return list(dropout_masks)
 
 
+def _layer_passes(layers, x: Matrix, masks=()):
+    """Yield ``(pre, post)`` activations of each layer in turn, starting
+    from ``x``; ``masks[i]``, when given and not None, multiplies the
+    post-activations of layer i."""
+    current = x
+    for index, layer in enumerate(layers):
+        z = matmul(current, layer.weights.T)
+        if layer.bias is not None:
+            z = z + layer.bias[None, :]
+        current = _apply_activation(layer.spec.activation, z)
+        if index < len(masks) and masks[index] is not None:
+            current = current * masks[index]
+        yield z, current
+
+
 def forward(net: Network, x: Matrix, dropout_masks=None) -> ForwardTrace:
     """Run the batch through every layer, recording pre/post activations.
 
@@ -243,17 +258,9 @@ def forward(net: Network, x: Matrix, dropout_masks=None) -> ForwardTrace:
     x = _check_input(net, x)
     masks = _check_masks(net, dropout_masks)
     pre, post = [], []
-    current = x
-    for index, layer in enumerate(net.layers):
-        z = matmul(current, layer.weights.T)
-        if layer.bias is not None:
-            z = z + layer.bias[None, :]
-        a = _apply_activation(layer.spec.activation, z)
-        if index < net.depth - 1 and masks[index] is not None:
-            a = a * masks[index]
+    for z, a in _layer_passes(net.layers, x, masks):
         pre.append(z)
         post.append(a)
-        current = a
     _tally_lower_products(net.depth - 1)
     return ForwardTrace(pre, post)
 
@@ -268,12 +275,8 @@ def feature_map(net: Network, x: Matrix) -> Matrix:
     x = _check_input(net, x)
     if net.depth == 1:
         return x.copy()
-    current = x
-    for layer in net.layers[:-1]:
-        z = matmul(current, layer.weights.T)
-        if layer.bias is not None:
-            z = z + layer.bias[None, :]
-        current = _apply_activation(layer.spec.activation, z)
+    for _, current in _layer_passes(net.layers[:-1], x):
+        pass
     _tally_lower_products(net.depth - 1)
     return current
 
@@ -398,18 +401,14 @@ def replace_last_layer(net: Network, weights: Matrix, bias=None) -> Network:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _matrix_to_lists(a: Matrix) -> list:
-    return [[float(v) for v in row] for row in np.asarray(a, dtype=np.float64)]
-
-
 def layer_to_dict(layer: Layer) -> dict:
     return {
         "input_dim": layer.spec.input_dim,
         "output_dim": layer.spec.output_dim,
         "activation": layer.spec.activation,
         "has_bias": layer.spec.has_bias,
-        "weights": _matrix_to_lists(layer.weights),
-        "bias": None if layer.bias is None else [float(v) for v in layer.bias],
+        "weights": layer.weights.tolist(),
+        "bias": None if layer.bias is None else layer.bias.tolist(),
     }
 
 
@@ -436,7 +435,11 @@ def network_from_dict(doc: dict) -> Network:
     version = doc.get("format_version")
     if version != NETWORK_FORMAT_VERSION:
         raise ValueError(f"unsupported network format_version {version!r}")
-    return Network([layer_from_dict(item) for item in doc["layers"]])
+    layers = [layer_from_dict(item) for item in doc["layers"]]
+    for index, layer in enumerate(layers):
+        if not all(np.all(np.isfinite(a)) for a in (layer.weights, layer.bias) if a is not None):
+            raise ValueError(f"layer {index} has non-finite weights or bias")
+    return Network(layers)
 
 
 def save_network(net: Network, path: str) -> None:

@@ -8,8 +8,10 @@ error with an identity output the problem is a ridge-regularized least
 squares, and the full-batch path exploits that: it precomputes the
 feature Gram and cross terms and evaluates objective and gradient in the
 feature dimension, never touching the sample axis again.  The general
-path (softmax/cross-entropy, or minibatch mode) keeps per-sample
-computations but still only over cached features.
+path (softmax/cross-entropy, or minibatch mode) treats the last layer as a
+bias-free one-layer ``Network`` whose input is the cached features, so
+predictions, batch gradients and metrics come from the network engine
+(``forward``, ``loss_and_gradients``) and from training's own scoring.
 
 The optimized objective is  mean_i loss(act(f_i @ W.T), y_i) + lam * |W|^2
 with |.| the Frobenius norm over the whole last-layer matrix.  When the
@@ -22,27 +24,31 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset
 from .linalg import Matrix, matmul, sq_frobenius
 from .network import (
+    Layer,
+    LayerSpec,
     Network,
     check_loss_pairing,
     feature_map,
+    forward,
+    loss_and_gradients,
     loss_eval,
     replace_last_layer,
-    softmax_rows,
 )
 from .rng import derive
 from .train import (
     MetricPoint,
     MetricsSeries,
     _BatchStream,
+    _evaluate,
     armijo_step,
     check_finite,
-    classification_error,
 )
 
 MODES = ("full_batch_backtracking", "minibatch")
@@ -108,13 +114,11 @@ def with_effective_last_weights(net: Network, w_eff: Matrix) -> Network:
     return replace_last_layer(net, w_eff)
 
 
-def _last_activation(net: Network, z: Matrix) -> Matrix:
-    kind = net.layers[-1].spec.activation
-    if kind == "identity":
-        return z
-    if kind == "softmax":
-        return softmax_rows(z)
-    raise ValueError(f"fine-tuning supports identity or softmax outputs, got {kind!r}")
+def _last_layer_net(net: Network, w_eff: Matrix) -> Network:
+    """The last layer as a bias-free one-layer network over the effective
+    features, with weights ``w_eff``."""
+    spec = LayerSpec(w_eff.shape[1], w_eff.shape[0], net.layers[-1].spec.activation, has_bias=False)
+    return Network([Layer(spec, w_eff)])
 
 
 def posttrain_objective(net: Network, data: Dataset, lam: float, loss: str) -> float:
@@ -128,8 +132,16 @@ def posttrain_objective(net: Network, data: Dataset, lam: float, loss: str) -> f
     check_loss_pairing(net, loss)
     feats = effective_features(net, data.x)
     w_eff = effective_last_weights(net)
-    out = _last_activation(net, matmul(feats, w_eff.T))
+    out = forward(_last_layer_net(net, w_eff), feats).output
     return loss_eval(loss, out, data.y) + lam * sq_frobenius(w_eff)
+
+
+class _Samples(NamedTuple):
+    """Cached features and targets; not a ``Dataset``, so that non-finite
+    features raise TrainingDivergedError through the objective."""
+
+    x: Matrix
+    y: Matrix
 
 
 class _CachedProblem:
@@ -137,28 +149,22 @@ class _CachedProblem:
 
     def __init__(self, net: Network, data: Dataset, lam: float, loss: str,
                  eval_data: Dataset | None):
+        self.net = net
         self.loss = loss
         self.lam = lam
-        self.last_activation = net.layers[-1].spec.activation
-        self.features = effective_features(net, data.x)
-        self.targets = data.y
         self.n = data.n
-        self.eval_features = None
-        self.eval_targets = None
-        if eval_data is not None:
-            self.eval_features = effective_features(net, eval_data.x)
-            self.eval_targets = eval_data.y
-        self.quadratic = loss == "squared_error" and self.last_activation == "identity"
+        self.train = _Samples(effective_features(net, data.x), data.y)
+        self.eval = None if eval_data is None else _Samples(
+            effective_features(net, eval_data.x), eval_data.y
+        )
+        self.quadratic = loss == "squared_error"
         if self.quadratic:
             # d x d precomputation: objective and gradient never touch the
             # sample axis again
-            self.gram_feat = matmul(self.features.T, self.features)
-            self.cross = matmul(self.features.T, self.targets)
-            self.targets_sq = sq_frobenius(self.targets)
-
-    def predictions(self, w_eff: Matrix, feats: Matrix) -> Matrix:
-        z = matmul(feats, w_eff.T)
-        return softmax_rows(z) if self.last_activation == "softmax" else z
+            feats = self.train.x
+            self.gram_feat = matmul(feats.T, feats)
+            self.cross = matmul(feats.T, self.train.y)
+            self.targets_sq = sq_frobenius(self.train.y)
 
     def objective(self, w_eff: Matrix) -> float:
         if self.quadratic:
@@ -168,41 +174,23 @@ class _CachedProblem:
                 + self.targets_sq
             )
             return fit / self.n + self.lam * sq_frobenius(w_eff)
-        out = self.predictions(w_eff, self.features)
-        return loss_eval(self.loss, out, self.targets) + self.lam * sq_frobenius(w_eff)
+        out = forward(_last_layer_net(self.net, w_eff), self.train.x).output
+        return loss_eval(self.loss, out, self.train.y) + self.lam * sq_frobenius(w_eff)
 
-    def gradient(self, w_eff: Matrix) -> Matrix:
-        if self.quadratic:
+    def gradient(self, w_eff: Matrix, idx: np.ndarray | None = None) -> Matrix:
+        """Gradient of the objective, on the batch ``idx`` when given."""
+        if self.quadratic and idx is None:
             return (2.0 / self.n) * (
                 matmul(w_eff, self.gram_feat) - self.cross.T
             ) + 2.0 * self.lam * w_eff
-        return self._batch_gradient(w_eff, self.features, self.targets) + 2.0 * self.lam * w_eff
+        feats, targets = self.train if idx is None else (self.train.x[idx], self.train.y[idx])
+        _, grads = loss_and_gradients(_last_layer_net(self.net, w_eff), feats, targets, self.loss)
+        return grads.weights[0] + 2.0 * self.lam * w_eff
 
-    def _batch_gradient(self, w_eff: Matrix, feats: Matrix, targets: Matrix) -> Matrix:
-        out = self.predictions(w_eff, feats)
-        batch = feats.shape[0]
-        if self.loss == "squared_error":
-            delta = (2.0 / batch) * (out - targets)
-        else:
-            delta = (out - targets) / batch
-        return matmul(delta.T, feats)
-
-    def minibatch_gradient(self, w_eff: Matrix, idx: np.ndarray) -> Matrix:
-        return self._batch_gradient(
-            w_eff, self.features[idx], self.targets[idx]
-        ) + 2.0 * self.lam * w_eff
-
-    def metric_point(self, w_eff: Matrix, iteration: int) -> MetricPoint:
-        point = MetricPoint(iteration=iteration, train_loss=self.objective(w_eff))
-        if self.loss == "cross_entropy":
-            out = self.predictions(w_eff, self.features)
-            point.train_error = classification_error(out, self.targets)
-        if self.eval_features is not None:
-            eval_out = self.predictions(w_eff, self.eval_features)
-            point.test_loss = loss_eval(self.loss, eval_out, self.eval_targets)
-            if self.loss == "cross_entropy":
-                point.test_error = classification_error(eval_out, self.eval_targets)
-        return point
+    def metric_point(self, w_eff: Matrix, iteration: int, objective: float) -> MetricPoint:
+        return _evaluate(
+            _last_layer_net(self.net, w_eff), self.loss, self.train, self.eval, iteration, objective
+        )
 
 
 def post_train(
@@ -228,7 +216,7 @@ def post_train(
 
     if cfg.mode == "full_batch_backtracking":
         objective = check_finite(problem.objective(w_eff), 0)
-        metrics.append(problem.metric_point(w_eff, 0))
+        metrics.append(problem.metric_point(w_eff, 0, objective))
         step = 1.0
         stop_tol = max(cfg.grad_tol, 1e-14)
         for it in range(1, cfg.iterations + 1):
@@ -247,20 +235,17 @@ def post_train(
                 metrics.termination = "stalled"
                 break
             w_eff, objective, step = accepted
-            metrics.append(problem.metric_point(w_eff, it))
+            metrics.append(problem.metric_point(w_eff, it, objective))
     else:
         if cfg.batch_size > data.n:
             raise ValueError(
                 f"batch_size {cfg.batch_size} exceeds dataset size {data.n}"
             )
         stream = _BatchStream(data.n, cfg.batch_size, derive(cfg.seed, "posttrain"))
-        metrics.append(problem.metric_point(w_eff, 0))
+        metrics.append(problem.metric_point(w_eff, 0, problem.objective(w_eff)))
         for it in range(cfg.iterations):
-            idx = stream.batch(it)
-            grad = problem.minibatch_gradient(w_eff, idx)
-            w_eff = w_eff - cfg.lr * grad
-            point = problem.metric_point(w_eff, it + 1)
-            check_finite(point.train_loss, it + 1)
-            metrics.append(point)
+            w_eff = w_eff - cfg.lr * problem.gradient(w_eff, stream.batch(it))
+            objective = check_finite(problem.objective(w_eff), it + 1)
+            metrics.append(problem.metric_point(w_eff, it + 1, objective))
 
     return with_effective_last_weights(net, w_eff), metrics

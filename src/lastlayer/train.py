@@ -7,9 +7,9 @@ with per-iteration dropout streams this makes a training run a pure
 function of (network, data, config), so a run resumed from iteration t is
 bit-identical to an uninterrupted one.
 
-``full_batch_gd`` is the deterministic workhorse used by tests and by the
-last-layer fine-tuning step: plain gradient descent with an Armijo
-backtracking line search, which guarantees a non-increasing objective.
+``full_batch_gd`` is deterministic gradient descent over every layer with
+the Armijo backtracking line search ``armijo_step``, which guarantees a
+non-increasing objective; last-layer fine-tuning uses that search too.
 """
 
 from __future__ import annotations
@@ -169,11 +169,17 @@ def classification_error(output: Matrix, targets: Matrix) -> float:
     return float(np.mean(pred != true))
 
 
-def _evaluate(net: Network, loss: str, data: Dataset, eval_data: Optional[Dataset], iteration: int) -> MetricPoint:
-    out = forward(net, data.x).output
-    point = MetricPoint(iteration=iteration, train_loss=loss_eval(loss, out, data.y))
-    if loss == "cross_entropy":
-        point.train_error = classification_error(out, data.y)
+def _evaluate(net: Network, loss: str, data, eval_data, iteration: int, train_loss=None) -> MetricPoint:
+    """Metrics of ``net`` on ``data`` and, when given, ``eval_data`` (anything
+    with ``x`` and ``y`` matrices).  A ``train_loss`` the caller already has,
+    such as a regularized objective, is recorded in place of the loss on ``data``."""
+    point = MetricPoint(iteration=iteration, train_loss=train_loss)
+    if train_loss is None or loss == "cross_entropy":
+        out = forward(net, data.x).output
+        if train_loss is None:
+            point.train_loss = loss_eval(loss, out, data.y)
+        if loss == "cross_entropy":
+            point.train_error = classification_error(out, data.y)
     if eval_data is not None:
         test_out = forward(net, eval_data.x).output
         point.test_loss = loss_eval(loss, test_out, eval_data.y)
@@ -313,9 +319,7 @@ def full_batch_gd(
     metrics = MetricsSeries()
 
     def record(iteration: int, objective: float) -> None:
-        point = _evaluate(current, loss, data, eval_data, iteration)
-        point.train_loss = objective
-        metrics.append(point)
+        metrics.append(_evaluate(current, loss, data, eval_data, iteration, objective))
 
     objective = check_finite(_decayed_objective(current, data, loss, weight_decay), 0)
     record(0, objective)

@@ -1,6 +1,11 @@
 """Experiment harness: config validation, the three-way comparison
 protocol, output determinism, and the self-check suite's sensitivity."""
 
+import importlib.util
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -124,6 +129,30 @@ class TestConfig:
             seed=0, grad_tol=0.0,
         )
 
+    def test_misspelt_keys_raise_naming_the_key(self):
+        misspellings = {
+            "trian": lambda doc: doc.update(trian={}),
+            "posttrain.grad_tl": lambda doc: doc["posttrain"].update(grad_tl=1e-6),
+            "split.frac": lambda doc: doc["split"].update(frac=0.5),
+            "network.layers[0].has_bais": lambda doc: doc["network"]["layers"][0].update(
+                has_bais=True
+            ),
+        }
+        for path, misspell in misspellings.items():
+            doc = tiny_config_doc()
+            misspell(doc)
+            with pytest.raises(ValueError, match=re.escape(repr(path))):
+                config_from_dict(doc)
+
+    def test_benchmark_classification_config_loads(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "perfbench" / "classdata.py"
+        spec = importlib.util.spec_from_file_location("classdata", script)
+        classdata = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(classdata)
+        classdata.write_classification_input(7, str(tmp_path))
+        doc = json.loads((tmp_path / "classification.json").read_text())
+        assert config_from_dict(doc).loss == "cross_entropy"
+
     def test_checkpoints_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
             config_from_dict(tiny_config_doc(checkpoints=[20, 20]))
@@ -235,6 +264,15 @@ class TestCheckSuite:
         failing = {c.name for c in report.checks if not c.passed}
         assert "gradient_vs_finite_differences" in failing
         assert not report.passed
+
+    @pytest.mark.parametrize("seed", [47, 137])
+    def test_gradient_check_redraws_differences_across_a_relu_kink(self, seed):
+        # these seeds each draw one trial whose central difference moves a
+        # relu pre-activation across zero
+        (gradient,) = [c for c in check_suite(seed=seed).checks
+                       if c.name == "gradient_vs_finite_differences"]
+        assert gradient.passed, gradient
+        assert "relu kink" in gradient.detail
 
     def test_report_is_machine_readable(self):
         report = check_suite(seed=1)

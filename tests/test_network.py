@@ -5,6 +5,7 @@ gradient oracle is central finite differences, implemented here and
 nowhere else in the test.
 """
 
+import json
 import math
 
 import numpy as np
@@ -342,3 +343,16 @@ class TestSerialization:
         doc["format_version"] = 99
         with pytest.raises(ValueError, match="format_version"):
             network_from_dict(doc)
+
+    @pytest.mark.parametrize("layer, field, value", [(1, "weights", "NaN"), (0, "bias", "Infinity")])
+    def test_load_rejects_non_finite_parameters(self, tmp_path, layer, field, value):
+        doc = network_to_dict(small_regression_net(seed=30))
+        entries = doc["layers"][layer][field]
+        if field == "weights":
+            entries = entries[0]
+        entries[0] = float(value)
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        assert value in path.read_text()
+        with pytest.raises(ValueError, match=f"layer {layer} "):
+            load_network(str(path))
