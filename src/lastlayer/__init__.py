@@ -3,8 +3,10 @@
 The package trains a network normally, then freezes everything below the
 output layer and solves the resulting convex problem over the last weight
 matrix, either iteratively (`post_train`) or in closed form through the
-feature-map kernel (`krr_solve`).  An experiment harness compares the two
-against continued training on held-out data.
+feature-map kernel.  The closed form is solved in the d x d primal
+(`ridge_solve`, used by `compare` and `lastlayer krr`); the N x N dual
+(`krr_solve`) is its independent cross-check.  An experiment harness
+compares both against continued training on held-out data.
 """
 
 from .convexity import SoftmaxInstance, ce_hessian, ce_value, class_probs, p_matrix
@@ -29,7 +31,7 @@ from .experiment import (
     rows_to_csv,
     run_experiment,
 )
-from .kernel import KrrSolution, gram, krr_solve, primal_ridge, rkhs_norm_bound
+from .kernel import KrrSolution, gram, krr_solve, primal_ridge, ridge_solve, rkhs_norm_bound
 from .linalg import (
     DimensionMismatchError,
     Matrix,
@@ -120,6 +122,7 @@ __all__ = [
     "posttrain_objective",
     "primal_ridge",
     "replace_last_layer",
+    "ridge_solve",
     "rkhs_norm_bound",
     "rmse",
     "rows_to_csv",

@@ -26,7 +26,7 @@ from .experiment import (
     rows_to_csv,
     run_experiment,
 )
-from .kernel import krr_solve, save_solution
+from .kernel import ridge_solve, save_solution
 from .network import load_network, save_network
 from .posttrain import effective_features, post_train, with_effective_last_weights
 from .train import sgd_train
@@ -92,7 +92,7 @@ def cmd_krr(args) -> int:
     train_ds, *_ = prepare_run(cfg, cfg.seeds[0])
     net = load_network(args.network)
     feats = effective_features(net, train_ds.x)
-    solution = krr_solve(feats, train_ds.y, cfg.posttrain.lam, cfg.krr_convention)
+    solution = ridge_solve(feats, train_ds.y, cfg.posttrain.lam, cfg.krr_convention)
     save_solution(
         solution,
         os.path.join(out, "krr_solution.json"),

@@ -26,7 +26,7 @@ import numpy as np
 from . import jsonio
 from .convexity import SoftmaxInstance, ce_hessian, ce_value, p_matrix
 from .data import Dataset, apply_standardization, gen_synthetic, load_csv, split, standardize
-from .kernel import gram, krr_solve, primal_ridge, rkhs_norm_bound
+from .kernel import gram, krr_solve, primal_ridge, ridge_solve, rkhs_norm_bound
 from .linalg import matmul, min_eigenvalue_symmetric, solve_spd
 from .network import (
     LayerSpec,
@@ -251,7 +251,7 @@ def prepare_run(cfg: ExperimentConfig, run_seed: int):
 
 def _optimal_last_layer(cfg: ExperimentConfig, net: Network, train_ds: Dataset) -> Network:
     feats = effective_features(net, train_ds.x)
-    solution = krr_solve(feats, train_ds.y, cfg.posttrain.lam, cfg.krr_convention)
+    solution = ridge_solve(feats, train_ds.y, cfg.posttrain.lam, cfg.krr_convention)
     return with_effective_last_weights(net, solution.weights.T)
 
 

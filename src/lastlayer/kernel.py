@@ -12,9 +12,13 @@ shift conventions are supported:
   the mean-loss-plus-penalty objective used by the fine-tuning step
   exactly (the mean over N samples scales the effective ridge by N).
 
-``primal_ridge`` solves the d x d normal-equation form and serves as the
-independent route for cross-checking the dual solution through the
-push-through identity.
+By the push-through identity the same weights solve the d x d primal
+system (F.T F + s I) W = F.T Y, and alpha = (Y - F W) / s.  ``ridge_solve``
+takes that route, whose cost is linear in N, and is what ``compare`` and
+``lastlayer krr`` use.  ``krr_solve`` factorizes the N x N dual and is
+kept as the independent oracle that cross-checks it at small N;
+``primal_ridge`` is the d x d solve both ``ridge_solve`` and those checks
+share.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ _RANK_RTOL = 1e-10
 class KrrSolution:
     """Closed-form ridge solution over a fixed feature embedding.
 
-    dual_coef is N x d_out, weights is d_feat x d_out and always equals
-    features.T @ dual_coef.
+    dual_coef is N x d_out, weights is d_feat x d_out and equals
+    features.T @ dual_coef up to rounding.
     """
 
     dual_coef: Matrix
@@ -60,13 +64,9 @@ def gram(features: Matrix) -> Matrix:
     return matmul(features, features.T)
 
 
-def krr_solve(
-    features: Matrix,
-    y: Matrix,
-    lam: float,
-    convention: str = "objective_consistent",
-) -> KrrSolution:
-    """Closed-form last-layer weights by solving the N x N dual system."""
+def _ridge_problem(features: Matrix, y: Matrix, lam: float, convention: str):
+    """Validated ``(features, y, shift)``: float64 matrices with equal row
+    counts, and the ridge shift of the convention, lambda or N lambda."""
     features = np.asarray(features, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if lam <= 0.0:
@@ -80,15 +80,47 @@ def krr_solve(
         raise DimensionMismatchError(
             f"features have {n} rows but y has {y.shape[0]}"
         )
+    return features, y, lam if convention == "paper_literal" else n * lam
+
+
+def krr_solve(
+    features: Matrix,
+    y: Matrix,
+    lam: float,
+    convention: str = "objective_consistent",
+) -> KrrSolution:
+    """Closed-form last-layer weights by solving the N x N dual system.
+
+    The independent oracle for ``ridge_solve``; its cost is cubic in N.
+    """
+    features, y, shift = _ridge_problem(features, y, lam, convention)
+    n = features.shape[0]
     if n > MAX_DUAL_SIZE:
         raise ValueError(
             f"dual solve guard: N = {n} exceeds the desk-scale limit {MAX_DUAL_SIZE}"
         )
-    shift = lam if convention == "paper_literal" else n * lam
     k = gram(features)  # owned here; shifted in place
     k[np.diag_indices_from(k)] += shift
     dual = solve_spd(k, y)
     weights = matmul(features.T, dual)
+    return KrrSolution(dual_coef=dual, weights=weights, lam=lam, convention=convention)
+
+
+def ridge_solve(
+    features: Matrix,
+    y: Matrix,
+    lam: float,
+    convention: str = "objective_consistent",
+) -> KrrSolution:
+    """Closed-form last-layer weights by solving the d x d primal system.
+
+    Same solution as ``krr_solve`` up to rounding, at a cost linear in N:
+    W = (F.T F + s I)^-1 F.T Y, and the dual coefficients follow as
+    alpha = (Y - F W) / s.
+    """
+    features, y, shift = _ridge_problem(features, y, lam, convention)
+    weights = primal_ridge(features, y, shift)
+    dual = (y - matmul(features, weights)) / shift
     return KrrSolution(dual_coef=dual, weights=weights, lam=lam, convention=convention)
 
 

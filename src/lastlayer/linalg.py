@@ -83,11 +83,23 @@ def max_abs(a: Matrix) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _check_finite(a: Matrix, name: str) -> Matrix:
+    """Raise ValueError naming the (row, col) of the first NaN or infinite
+    entry of a 2-D matrix."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        row, col = (int(i) for i in np.argwhere(~finite)[0])
+        raise ValueError(f"{name} has a non-finite entry {float(a[row, col])!r} at ({row}, {col})")
+    return a
+
+
 def check_symmetric(a: Matrix, name: str = "matrix") -> Matrix:
-    """Require a square matrix symmetric within 1e-10 relative to its scale."""
+    """Require a square, finite matrix symmetric within 1e-10 relative to
+    its scale."""
     a = _check_2d(a, name)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got {a.shape}")
+    _check_finite(a, name)
     scale = max(max_abs(a), 1.0)
     skew = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if skew > _SYMMETRY_RTOL * scale:
@@ -102,11 +114,12 @@ def solve_spd(a: Matrix, b: Matrix) -> Matrix:
     """Solve a @ x = b for symmetric positive-definite a.
 
     Cholesky factorization followed by two triangular solves.  Raises
+    ValueError naming the entry when a or b holds a NaN or infinity, and
     NotSymmetricError or NotPositiveDefiniteError on bad input; the latter
     carries the failing pivot index.
     """
     a = check_symmetric(a, "a")
-    b = _check_2d(b, "b")
+    b = _check_finite(_check_2d(b, "b"), "b")
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatchError(
             f"solve_spd: a is {a.shape[0]}x{a.shape[1]} but b has {b.shape[0]} rows"

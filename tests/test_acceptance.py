@@ -3,7 +3,7 @@ PASS/FAIL line with the measured quantity and its pinned tolerance.
 
 Run with  pytest tests/test_acceptance.py -v -s  to see the per-criterion
 lines.  The comparison-protocol criterion regenerates the full synthetic
-experiment and takes a couple of minutes; everything else is seconds.
+experiment and takes several seconds; everything else is seconds too.
 """
 
 import statistics

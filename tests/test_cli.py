@@ -2,10 +2,15 @@
 the comparison output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lastlayer
 from lastlayer import jsonio
 from lastlayer.cli import main
 from lastlayer.data import load_csv, load_dataset
@@ -127,6 +132,32 @@ class TestTrainCommands(object):
         frozen = jsonio.load(str(out / "resolved_config.json"))
         assert frozen["train"]["lr0"] == 0.02
         assert frozen["checkpoints"] == [10, 30]
+
+
+def _compare_bytes(out, blas_threads):
+    """comparison.csv bytes of ``compare --config synthetic --seed 0`` run in
+    a child process with OPENBLAS_NUM_THREADS set to ``blas_threads``, or
+    unset when it is None; this process's environment is left alone."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    package_root = str(Path(lastlayer.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "lastlayer.cli", "compare", "--config", "synthetic",
+         "--seed", "0", "--out", str(out)],
+        env=env, check=True, capture_output=True, timeout=600,
+    )
+    return (out / "comparison.csv").read_bytes()
+
+
+class TestBlasThreads:
+    def test_compare_bytes_independent_of_blas_threads(self, tmp_path):
+        single = _compare_bytes(tmp_path / "one", "1")
+        default = _compare_bytes(tmp_path / "default", None)
+        assert single.count(b"\n") == 4
+        assert single == default
 
 
 class TestCheckCommand:

@@ -212,6 +212,29 @@ class TestRunExperiment:
         assert obj_best <= obj_tuned + 1e-12
         assert obj_best <= obj_classic + 1e-12
 
+    @pytest.mark.parametrize("convention", ["objective_consistent", "paper_literal"])
+    def test_optimal_last_layer_matches_dual_oracle(self, convention):
+        from dataclasses import replace as dc_replace
+
+        from lastlayer.experiment import _optimal_last_layer, prepare_run
+        from lastlayer.kernel import krr_solve
+        from lastlayer.posttrain import effective_features, with_effective_last_weights
+        from lastlayer.train import sgd_train
+
+        cfg = config_from_dict(tiny_config_doc(krr_convention=convention))
+        train_ds, _, net, train_cfg, _ = prepare_run(cfg, 0)
+        net, _ = sgd_train(net, train_ds, dc_replace(train_cfg, iterations=20), cfg.loss)
+        feats = effective_features(net, train_ds.x)
+        oracle = krr_solve(feats, train_ds.y, cfg.posttrain.lam, convention)
+        expected = with_effective_last_weights(net, oracle.weights.T)
+        best = _optimal_last_layer(cfg, net, train_ds)
+        for got, want in zip(best.layers[:-1], expected.layers[:-1]):
+            assert np.array_equal(got.weights, want.weights)
+            assert np.array_equal(got.bias, want.bias)
+        got, want = best.layers[-1].weights, expected.layers[-1].weights
+        assert float(np.max(np.abs(got - want))) <= 1e-10 * float(np.max(np.abs(want)))
+        assert best.layers[-1].bias is None and expected.layers[-1].bias is None
+
     def test_huge_lambda_collapses_to_zero_predictor(self):
         import warnings
 

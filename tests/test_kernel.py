@@ -15,6 +15,7 @@ from lastlayer.kernel import (
     gram,
     krr_solve,
     primal_ridge,
+    ridge_solve,
     rkhs_norm_bound,
     solution_to_dict,
 )
@@ -157,6 +158,45 @@ class TestPrimalRidge:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             primal_ridge(np.eye(3), np.ones((3, 1)), -1.0)
+
+
+def _max_scaled_error(got, expected):
+    return float(np.max(np.abs(got - expected))) / float(np.max(np.abs(expected)))
+
+
+class TestRidgeSolve:
+    """The primal route against the N x N dual oracle ``krr_solve``."""
+
+    @pytest.mark.parametrize("convention", ["paper_literal", "objective_consistent"])
+    def test_matches_dual_oracle(self, convention):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n = int(rng.integers(1, 40))
+            d = int(rng.integers(1, 10))
+            m = int(rng.integers(1, 4))
+            f = rng.standard_normal((n, d))
+            y = rng.standard_normal((n, m))
+            lam = float(10.0 ** rng.uniform(-2, 0))
+            primal = ridge_solve(f, y, lam, convention)
+            dual = krr_solve(f, y, lam, convention)
+            assert _max_scaled_error(primal.weights, dual.weights) <= 1e-10
+            assert _max_scaled_error(primal.dual_coef, dual.dual_coef) <= 1e-10
+            assert _max_scaled_error(matmul(f.T, primal.dual_coef), primal.weights) <= 1e-10
+            assert (primal.lam, primal.convention) == (lam, convention)
+
+    def test_validates_like_the_dual(self):
+        with pytest.raises(ValueError, match="positive"):
+            ridge_solve(np.eye(3), np.ones((3, 1)), 0.0)
+        with pytest.raises(ValueError, match="convention"):
+            ridge_solve(np.eye(3), np.ones((3, 1)), 1e-3, "literal")
+        with pytest.raises(ValueError, match="rows"):
+            ridge_solve(np.eye(3), np.ones((4, 1)), 1e-3)
+
+    def test_no_dual_size_guard(self, monkeypatch):
+        monkeypatch.setattr(kernel_mod, "MAX_DUAL_SIZE", 10)
+        rng = np.random.default_rng(18)
+        sol = ridge_solve(rng.standard_normal((11, 2)), np.ones((11, 1)), 1e-3)
+        assert sol.dual_coef.shape == (11, 1) and sol.weights.shape == (2, 1)
 
 
 class TestRkhsNormBound:

@@ -114,6 +114,21 @@ class TestSolveSpd:
             solve_spd(a, np.eye(4))
         assert err.value.pivot_index == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_names_first_entry(self, bad):
+        a = 4.0 * np.eye(3)
+        a[1, 2] = a[2, 1] = bad
+        a[2, 2] = bad
+        with pytest.raises(ValueError, match=r"^a has a non-finite entry .* at \(1, 2\)$"):
+            solve_spd(a, np.ones((3, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_rhs_names_first_entry(self, bad):
+        b = np.ones((3, 2))
+        b[2, 0] = b[2, 1] = bad
+        with pytest.raises(ValueError, match=r"^b has a non-finite entry .* at \(2, 0\)$"):
+            solve_spd(4.0 * np.eye(3), b)
+
 
 class TestSqFrobenius:
     def test_zero_matrix(self):
@@ -177,6 +192,10 @@ class TestMinEigenvalue:
     def test_rejects_non_symmetric(self):
         with pytest.raises(NotSymmetricError):
             min_eigenvalue_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-10)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match=r"non-finite entry nan at \(0, 1\)"):
+            min_eigenvalue_symmetric(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1e-10)
 
     def test_size_guard(self):
         with pytest.raises(DimensionMismatchError):
