@@ -168,6 +168,10 @@ def load_csv(path: str, feature_columns, target_columns, has_header: bool = True
         raise CsvFormatError("no data rows", first_line)
 
     width = len(data_rows[0])
+    if header is not None and len(header) != width:
+        raise CsvFormatError(
+            f"header has {len(header)} columns but the first data row has {width}", 1
+        )
     f_idx = _resolve_columns(feature_columns, header, width, "feature")
     t_idx = _resolve_columns(target_columns, header, width, "target")
 

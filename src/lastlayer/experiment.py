@@ -130,7 +130,11 @@ def _from_doc(cls, doc: dict, prefix: str = ""):
     paths = {f.name: _DOC_KEYS.get(f.name, f.name) for f in fields(cls)}
     sections = {path.split(".")[0] for path in paths.values() if "." in path}
     for key, value in doc.items():
-        for path in [f"{key}.{sub}" for sub in value] if key in sections else [key]:
+        if key in sections:
+            keys = [f"{key}.{sub}" for sub in _expect(value, dict, prefix + key)]
+        else:
+            keys = [key]
+        for path in keys:
             if path not in paths.values():
                 raise ValueError(f"unknown config key {prefix + path!r}")
     kwargs = {}
@@ -144,12 +148,22 @@ def _from_doc(cls, doc: dict, prefix: str = ""):
     return cls(**kwargs)
 
 
+def _expect(value, kind: type, where: str):
+    """``value`` when it is a ``kind`` (dict or list), else ValueError naming
+    its dotted path ``where``."""
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "a list"
+        raise ValueError(f"config key {where!r} must be {noun}, got {value!r}")
+    return value
+
+
 def _value_from_doc(kind, value, where: str):
     if is_dataclass(kind):
-        return _from_doc(kind, value, where + ".")
+        return _from_doc(kind, _expect(value, dict, where), where + ".")
     if get_origin(kind) is list:
         (item,) = get_args(kind)
-        return [_value_from_doc(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
+        items = enumerate(_expect(value, list, where))
+        return [_value_from_doc(item, v, f"{where}[{i}]") for i, v in items]
     if kind in (int, float, bool):
         return kind(value)
     return value

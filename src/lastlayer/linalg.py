@@ -7,15 +7,14 @@ dimension, so its output is bit-identical to a naive triple loop and
 therefore reproducible run to run regardless of BLAS threading.  Seeded
 experiments depend on that stability.
 
-``solve_spd`` and ``min_eigenvalue_symmetric`` delegate to LAPACK (scipy's
-Cholesky and symmetric eigensolver), which is deterministic for fixed
+``solve_spd`` and ``min_eigenvalue_symmetric`` delegate to numpy's LAPACK
+(Cholesky and symmetric eigensolver), which is deterministic for fixed
 inputs on a given build; everything else is implemented here.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 Matrix = np.ndarray
 
@@ -124,22 +123,33 @@ def solve_spd(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatchError(
             f"solve_spd: a is {a.shape[0]}x{a.shape[1]} but b has {b.shape[0]} rows"
         )
-    # cho_factor's own LAPACK call, made directly to read the failing pivot
-    (potrf,) = scipy.linalg.get_lapack_funcs(("potrf",), (a,))
-    factor, info = potrf(a, lower=True, clean=False)
-    if info > 0:
-        raise NotPositiveDefiniteError(info - 1)
-    return scipy.linalg.cho_solve((factor, True), b, check_finite=False)
+    try:
+        factor = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(_failing_pivot(a)) from None
+    return np.linalg.solve(factor.T, np.linalg.solve(factor, b))
+
+
+def _failing_pivot(a: Matrix) -> int:
+    """potrf's failing pivot: order of the first leading minor not positive definite, minus one."""
+    good, bad = 0, a.shape[0]  # orders known positive definite / not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            np.linalg.cholesky(a[:mid, :mid])
+            good = mid
+        except np.linalg.LinAlgError:
+            bad = mid
+    return bad - 1
 
 
 def min_eigenvalue_symmetric(a: Matrix, tol: float = 1e-10) -> float:
     """Smallest eigenvalue of a symmetric matrix, accurate to ``tol``.
 
-    LAPACK's symmetric eigensolver (scipy.linalg.eigvalsh) computes only the
-    smallest eigenvalue; its error is a small multiple of machine precision
-    times the matrix norm, well inside any ``tol`` the package asks for.
-    Guarded to n <= 200: this supports verification work, not large-scale
-    spectra.
+    numpy's eigvalsh (LAPACK's symmetric eigensolver) lists the spectrum in
+    ascending order, to a small multiple of machine precision times the
+    matrix norm, well inside any ``tol`` the package asks for.  Guarded to
+    n <= 200: this supports verification work, not large-scale spectra.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -149,4 +159,4 @@ def min_eigenvalue_symmetric(a: Matrix, tol: float = 1e-10) -> float:
         raise DimensionMismatchError(
             f"min_eigenvalue_symmetric supports n <= {_EIG_MAX_DIM}, got n = {n}"
         )
-    return float(scipy.linalg.eigvalsh(a, subset_by_index=[0, 0])[0])
+    return float(np.linalg.eigvalsh(a)[0])

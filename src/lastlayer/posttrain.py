@@ -242,7 +242,8 @@ def post_train(
                 f"batch_size {cfg.batch_size} exceeds dataset size {data.n}"
             )
         stream = _BatchStream(data.n, cfg.batch_size, derive(cfg.seed, "posttrain"))
-        metrics.append(problem.metric_point(w_eff, 0, problem.objective(w_eff)))
+        objective = check_finite(problem.objective(w_eff), 0)
+        metrics.append(problem.metric_point(w_eff, 0, objective))
         for it in range(cfg.iterations):
             w_eff = w_eff - cfg.lr * problem.gradient(w_eff, stream.batch(it))
             objective = check_finite(problem.objective(w_eff), it + 1)

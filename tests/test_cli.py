@@ -134,16 +134,23 @@ class TestTrainCommands(object):
         assert frozen["checkpoints"] == [10, 30]
 
 
+def _child_env():
+    """A copy of this process's environment under which a child process
+    imports this checkout's lastlayer package."""
+    env = dict(os.environ)
+    package_root = str(Path(lastlayer.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def _compare_bytes(out, blas_threads):
     """comparison.csv bytes of ``compare --config synthetic --seed 0`` run in
     a child process with OPENBLAS_NUM_THREADS set to ``blas_threads``, or
     unset when it is None; this process's environment is left alone."""
-    env = dict(os.environ)
+    env = _child_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
-    package_root = str(Path(lastlayer.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     subprocess.run(
         [sys.executable, "-m", "lastlayer.cli", "compare", "--config", "synthetic",
          "--seed", "0", "--out", str(out)],
@@ -158,6 +165,17 @@ class TestBlasThreads:
         default = _compare_bytes(tmp_path / "default", None)
         assert single.count(b"\n") == 4
         assert single == default
+
+
+class TestImports:
+    def test_cli_imports_no_scipy(self):
+        code = (
+            "import sys, lastlayer.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        )
+        child = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
+                               capture_output=True, text=True, timeout=120)
+        assert child.stdout.strip() == "[]"
 
 
 class TestCheckCommand:

@@ -81,6 +81,13 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="line 2, column 2"):
             load_csv(str(path), ["a"], ["b"])
 
+    def test_header_width_differs_from_rows_names_line_1(self, tmp_path):
+        path = tmp_path / "wide_header.csv"
+        path.write_text("a,b,c,d\n1,2,3\n4,5,6\n")
+        for features, targets in ((["a", "b"], ["d"]), (["a"], ["c"])):
+            with pytest.raises(CsvFormatError, match="line 1"):
+                load_csv(str(path), features, targets)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

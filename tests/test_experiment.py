@@ -4,6 +4,7 @@ protocol, output determinism, and the self-check suite's sensitivity."""
 import importlib.util
 import json
 import re
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,20 @@ class TestConfig:
         for path, misspell in misspellings.items():
             doc = tiny_config_doc()
             misspell(doc)
+            with pytest.raises(ValueError, match=re.escape(repr(path))):
+                config_from_dict(doc)
+
+    def test_non_object_sections_raise_naming_the_path(self):
+        text = resources.files("lastlayer.configs").joinpath("synthetic.json").read_text()
+        corruptions = {
+            "split": lambda doc: doc.update(split=0.7),
+            "posttrain": lambda doc: doc.update(posttrain=5),
+            "network.layers[0]": lambda doc: doc["network"]["layers"].__setitem__(0, 5),
+            "network.layers": lambda doc: doc["network"].update(layers=5),
+        }
+        for path, corrupt in corruptions.items():
+            doc = jsonio.loads(text)
+            corrupt(doc)
             with pytest.raises(ValueError, match=re.escape(repr(path))):
                 config_from_dict(doc)
 

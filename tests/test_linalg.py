@@ -3,7 +3,7 @@
 The matmul oracle is a literal scalar triple loop and the comparison is
 exact bit equality, which is the module's reproducibility contract.  The
 eigenvalue oracle is inverse power iteration through an LU solve, a path
-disjoint from the Jacobi implementation under test.
+disjoint from the LAPACK symmetric eigensolver under test.
 """
 
 import numpy as np
@@ -114,6 +114,18 @@ class TestSolveSpd:
             solve_spd(a, np.eye(4))
         assert err.value.pivot_index == 2
 
+    @pytest.mark.parametrize("n, k", [(1, 0), (5, 0), (5, 2), (5, 4), (12, 0), (12, 6), (12, 11)])
+    def test_pivot_index_is_the_first_negative_diagonal_entry(self, n, k):
+        # leading block k is a principal block of an SPD matrix; block k + 1
+        # has a negative Schur complement, so the factorization fails at k
+        rng = np.random.default_rng(100 * n + k)
+        m = rng.standard_normal((n, n))
+        a = m.T @ m + np.eye(n)
+        a[k, k] = -1e3
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            solve_spd(a, np.ones((n, 1)))
+        assert err.value.pivot_index == k
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_names_first_entry(self, bad):
         a = 4.0 * np.eye(3)
@@ -151,7 +163,7 @@ class TestSqFrobenius:
 
 def smallest_eig_by_inverse_power(a, iterations=2000):
     """Inverse power iteration on (a - shift I) with a shift below the
-    spectrum; independent of the Jacobi path under test."""
+    spectrum; independent of the LAPACK eigensolver under test."""
     n = a.shape[0]
     shift = -float(np.max(np.sum(np.abs(a), axis=1))) - 1.0  # Gershgorin lower bound
     shifted = a - shift * np.eye(n)

@@ -12,7 +12,9 @@ from lastlayer.data import Dataset, gen_synthetic
 from lastlayer.kernel import gram, krr_solve
 from lastlayer.linalg import matmul, sq_frobenius
 from lastlayer.network import (
+    Layer,
     LayerSpec,
+    Network,
     build_network,
     feature_map,
     loss_eval,
@@ -21,13 +23,14 @@ from lastlayer.network import (
     softmax_rows,
 )
 from lastlayer.posttrain import (
+    MODES,
     PostTrainConfig,
     effective_features,
     effective_last_weights,
     post_train,
     posttrain_objective,
 )
-from lastlayer.train import TrainConfig, sgd_train
+from lastlayer.train import TrainConfig, TrainingDivergedError, sgd_train
 
 
 def regression_net(seed=0, bias_last=False):
@@ -205,6 +208,19 @@ class TestPostTrain:
         cfg = PostTrainConfig(lam=1e-3, iterations=1, mode="minibatch", batch_size=11)
         with pytest.raises(ValueError, match="batch_size"):
             post_train(net, ds, cfg, "squared_error")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_non_finite_initial_objective_diverges_at_iteration_0(self, mode):
+        net = Network([
+            Layer(LayerSpec(3, 4, "identity", has_bias=False), np.full((4, 3), 1e308)),
+            Layer(LayerSpec(4, 1, "identity", has_bias=False), np.ones((1, 4))),
+        ])
+        ds = Dataset(np.ones((8, 3)), np.ones((8, 1)))
+        cfg = PostTrainConfig(lam=1e-3, iterations=3, mode=mode, batch_size=4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError) as err:
+                post_train(net, ds, cfg, "squared_error")
+        assert err.value.iteration == 0
 
     def test_cross_entropy_full_batch(self):
         net = classification_net(seed=30)
