@@ -24,7 +24,7 @@ from typing import Optional, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import jsonio
-from .convexity import SoftmaxInstance, ce_hessian, ce_value, p_matrix
+from .convexity import SoftmaxInstance, ce_hessian, p_matrix
 from .data import Dataset, apply_standardization, gen_synthetic, load_csv, split, standardize
 from .kernel import gram, krr_solve, primal_ridge, ridge_solve, rkhs_norm_bound
 from .linalg import matmul, min_eigenvalue_symmetric, solve_spd
@@ -140,11 +140,11 @@ def _from_doc(cls, doc: dict, prefix: str = ""):
     kwargs = {}
     for f in fields(cls):
         section, _, key = paths[f.name].rpartition(".")
-        source = doc[section] if section else doc
+        source = doc.get(section, {}) if section else doc
         if key in source:
             kwargs[f.name] = _value_from_doc(hints[f.name], source[key], prefix + paths[f.name])
         elif f.default is MISSING and f.default_factory is MISSING:
-            raise KeyError(key)
+            raise ValueError(f"missing config key {prefix + paths[f.name]!r}")
     return cls(**kwargs)
 
 
@@ -157,14 +157,32 @@ def _expect(value, kind: type, where: str):
     return value
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what a scalar field accepts from the document, and how its error names it
+_SCALARS = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer())),
+    float: ("a number", _is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
 def _value_from_doc(kind, value, where: str):
+    """``value`` read as a ``kind``; a scalar that ``_SCALARS`` refuses raises
+    ValueError naming its dotted path ``where``."""
     if is_dataclass(kind):
         return _from_doc(kind, _expect(value, dict, where), where + ".")
     if get_origin(kind) is list:
         (item,) = get_args(kind)
         items = enumerate(_expect(value, list, where))
         return [_value_from_doc(item, v, f"{where}[{i}]") for i, v in items]
-    if kind in (int, float, bool):
+    if kind in _SCALARS:
+        noun, accepts = _SCALARS[kind]
+        if not accepts(value):
+            raise ValueError(f"config key {where!r} must be {noun}, got {value!r}")
         return kind(value)
     return value
 
@@ -456,24 +474,32 @@ def _check_gradients(seed: int, perturbation: float) -> CheckResult:
 
 
 def _fd_ce_hessian(inst: SoftmaxInstance, step: float = 1e-4):
+    """Central second differences of ``ce_value`` over the flattened weights.
+
+    Row i evaluates the points (+-step at i, then +-step at j) for every
+    j >= i as one stack, with ``ce_value``'s arithmetic applied per point,
+    so each entry equals the difference of four separately built instances.
+    """
     m, n = inst.w.shape
     size = m * n
     hess = np.zeros((size, size))
-
-    def value_at(flat):
-        return ce_value(SoftmaxInstance(flat.reshape(m, n), inst.x, inst.true_class))
-
-    base = inst.w.reshape(-1).copy()
+    base = inst.w.reshape(-1)
+    signs = np.array([[step, step], [step, -step], [-step, step], [-step, -step]])
     for i in range(size):
-        for j in range(i, size):
-            pp = base.copy(); pp[i] += step; pp[j] += step
-            pm = base.copy(); pm[i] += step; pm[j] -= step
-            mp = base.copy(); mp[i] -= step; mp[j] += step
-            mm = base.copy(); mm[i] -= step; mm[j] -= step
-            hess[i, j] = (value_at(pp) - value_at(pm) - value_at(mp) + value_at(mm)) / (
-                4.0 * step * step
-            )
-            hess[j, i] = hess[i, j]
+        count = 4 * (size - i)
+        shifts = np.tile(signs, (size - i, 1))
+        points = np.tile(base, (count, 1))
+        points[:, i] += shifts[:, 0]
+        points[np.arange(count), np.repeat(np.arange(i, size), 4)] += shifts[:, 1]
+        if not np.all(np.isfinite(points)):
+            raise ValueError("instance contains non-finite entries")
+        z = points.reshape(count, m, n) @ inst.x
+        top = np.max(z, axis=1)
+        values = (np.log(np.sum(np.exp(z - top[:, None]), axis=1)) + top
+                  - z[:, inst.true_class]).reshape(size - i, 4)
+        row = (values[:, 0] - values[:, 1] - values[:, 2] + values[:, 3]) / (4.0 * step * step)
+        hess[i, i:] = row
+        hess[i:, i] = row
     return hess
 
 

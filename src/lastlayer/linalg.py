@@ -5,7 +5,11 @@ Matrices are plain 2-D ``numpy.ndarray`` objects with dtype float64;
 here is ``matmul``: it accumulates strictly in index order over the shared
 dimension, so its output is bit-identical to a naive triple loop and
 therefore reproducible run to run regardless of BLAS threading.  Seeded
-experiments depend on that stability.
+experiments depend on that stability.  When the shared dimension is the
+longest, ``matmul`` forms a block of products at once and sums it with
+``np.add.accumulate``, which adds strictly left to right; otherwise it
+adds one rank-one product per index.  Both perform the triple loop's
+additions in the triple loop's order.
 
 ``solve_spd`` and ``min_eigenvalue_symmetric`` delegate to numpy's LAPACK
 (Cholesky and symmetric eigensolver), which is deterministic for fixed
@@ -19,6 +23,7 @@ import numpy as np
 Matrix = np.ndarray
 
 _SYMMETRY_RTOL = 1e-10
+_MATMUL_BLOCK = 8192  # products per accumulate block (64 KiB of float64)
 _EIG_MAX_DIM = 200
 
 
@@ -53,6 +58,16 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     Each output entry is the sum of products taken in increasing order of
     the shared index, exactly as a scalar triple loop would compute it, so
     results are bit-reproducible and independent of BLAS.
+
+    For a shared dimension k longer than both m and n, k is walked in
+    blocks of at most _MATMUL_BLOCK // (m n) indices.  Each block forms
+    its products ``p[:, t, :] = a[:, t] b[t, :]``, adds the first of them
+    to the running sum and takes ``np.add.accumulate`` along t.
+    accumulate is sequential by definition (``r[t] = r[t - 1] + p[t]``),
+    so every entry sees the additions ``((0 + p_0) + p_1) + ...`` of the
+    triple loop, signed zeros and infinities included (only the payload
+    that a sum of two NaNs keeps is left to numpy).  Other shapes add one
+    rank-one product per index, which is faster when m n is large.
     """
     a = _check_2d(a, "a")
     b = _check_2d(b, "b")
@@ -64,6 +79,14 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     m, k = a.shape
     n = b.shape[1]
     out = np.zeros((m, n), dtype=np.float64)
+    if k > max(m, n):
+        block = max(1, _MATMUL_BLOCK // max(1, m * n))
+        for s in range(0, k, block):
+            p = a[:, s : s + block, None] * b[None, s : s + block, :]
+            np.add(out, p[:, 0, :], out=p[:, 0, :])
+            np.add.accumulate(p, axis=1, out=p)
+            out[...] = p[:, -1, :]
+        return out
     buf = np.empty((m, n), dtype=np.float64)
     for i in range(k):
         np.multiply(a[:, i : i + 1], b[i : i + 1, :], out=buf)

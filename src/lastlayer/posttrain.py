@@ -166,16 +166,19 @@ class _CachedProblem:
             self.cross = matmul(feats.T, self.train.y)
             self.targets_sq = sq_frobenius(self.train.y)
 
-    def objective(self, w_eff: Matrix) -> float:
+    def objective(self, w_eff: Matrix) -> tuple[float, Matrix | None]:
+        """``(objective, output)``: the objective at ``w_eff`` and the training
+        output it was computed from, which ``metric_point`` reuses (None on
+        the quadratic path, which never forms the output)."""
         if self.quadratic:
             fit = (
                 float(np.sum(matmul(w_eff, self.gram_feat) * w_eff))
                 - 2.0 * float(np.sum(w_eff * self.cross.T))
                 + self.targets_sq
             )
-            return fit / self.n + self.lam * sq_frobenius(w_eff)
+            return fit / self.n + self.lam * sq_frobenius(w_eff), None
         out = forward(_last_layer_net(self.net, w_eff), self.train.x).output
-        return loss_eval(self.loss, out, self.train.y) + self.lam * sq_frobenius(w_eff)
+        return loss_eval(self.loss, out, self.train.y) + self.lam * sq_frobenius(w_eff), out
 
     def gradient(self, w_eff: Matrix, idx: np.ndarray | None = None) -> Matrix:
         """Gradient of the objective, on the batch ``idx`` when given."""
@@ -187,9 +190,11 @@ class _CachedProblem:
         _, grads = loss_and_gradients(_last_layer_net(self.net, w_eff), feats, targets, self.loss)
         return grads.weights[0] + 2.0 * self.lam * w_eff
 
-    def metric_point(self, w_eff: Matrix, iteration: int, objective: float) -> MetricPoint:
+    def metric_point(self, w_eff: Matrix, iteration: int, objective: float,
+                     train_output: Matrix | None) -> MetricPoint:
         return _evaluate(
-            _last_layer_net(self.net, w_eff), self.loss, self.train, self.eval, iteration, objective
+            _last_layer_net(self.net, w_eff), self.loss, self.train, self.eval, iteration,
+            objective, train_output,
         )
 
 
@@ -215,8 +220,8 @@ def post_train(
     metrics = MetricsSeries()
 
     if cfg.mode == "full_batch_backtracking":
-        objective = check_finite(problem.objective(w_eff), 0)
-        metrics.append(problem.metric_point(w_eff, 0, objective))
+        objective, out = problem.objective(w_eff)
+        metrics.append(problem.metric_point(w_eff, 0, check_finite(objective, 0), out))
         step = 1.0
         stop_tol = max(cfg.grad_tol, 1e-14)
         for it in range(1, cfg.iterations + 1):
@@ -228,25 +233,26 @@ def post_train(
 
             def trial(s: float):
                 w_s = w_eff - s * grad
-                return w_s, problem.objective(w_s)
+                value, out_s = problem.objective(w_s)
+                return (w_s, out_s), value
 
             accepted = armijo_step(trial, objective, grad_sq, step)
             if accepted is None:
                 metrics.termination = "stalled"
                 break
-            w_eff, objective, step = accepted
-            metrics.append(problem.metric_point(w_eff, it, objective))
+            (w_eff, out), objective, step = accepted
+            metrics.append(problem.metric_point(w_eff, it, objective, out))
     else:
         if cfg.batch_size > data.n:
             raise ValueError(
                 f"batch_size {cfg.batch_size} exceeds dataset size {data.n}"
             )
         stream = _BatchStream(data.n, cfg.batch_size, derive(cfg.seed, "posttrain"))
-        objective = check_finite(problem.objective(w_eff), 0)
-        metrics.append(problem.metric_point(w_eff, 0, objective))
+        objective, out = problem.objective(w_eff)
+        metrics.append(problem.metric_point(w_eff, 0, check_finite(objective, 0), out))
         for it in range(cfg.iterations):
             w_eff = w_eff - cfg.lr * problem.gradient(w_eff, stream.batch(it))
-            objective = check_finite(problem.objective(w_eff), it + 1)
-            metrics.append(problem.metric_point(w_eff, it + 1, objective))
+            objective, out = problem.objective(w_eff)
+            metrics.append(problem.metric_point(w_eff, it + 1, check_finite(objective, it + 1), out))
 
     return with_effective_last_weights(net, w_eff), metrics

@@ -111,9 +111,30 @@ class Rng:
                 return z % bound
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of 0..n-1 as an int64 array."""
-        perm = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self.randbelow(i + 1)
+        """Fisher-Yates permutation of 0..n-1 as an int64 array.
+
+        Step i (from n - 1 down to 1) swaps i with ``randbelow(i + 1)``.  The
+        n - 1 draws are taken as one ``uints`` block and reduced together;
+        from the first draw that ``randbelow``'s rejection test refuses, the
+        stream is rewound to that draw and continued with ``randbelow``
+        itself, so the swaps and the final state equal the scalar stream's,
+        rejections included.
+        """
+        perm = list(range(n))
+        if n < 2:
+            return np.array(perm, dtype=np.int64)
+        start = self._state
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)
+        z = self.uints(n - 1)
+        # randbelow refuses z >= 2**64 - 2**64 % b, i.e. z > MASK64 - 2**64 % b
+        tail = (np.uint64(MASK64) % bounds + np.uint64(1)) % bounds
+        refused = np.flatnonzero(z > np.uint64(MASK64) - tail)
+        picks = z % bounds
+        if refused.size:
+            first = int(refused[0])
+            self._state = (start + first * _GAMMA) & MASK64
+            picks[first:] = [self.randbelow(int(b)) for b in bounds[first:]]
+        # a memoryview yields Python ints without building a second list
+        for i, j in zip(range(n - 1, 0, -1), memoryview(picks)):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)

@@ -169,13 +169,16 @@ def classification_error(output: Matrix, targets: Matrix) -> float:
     return float(np.mean(pred != true))
 
 
-def _evaluate(net: Network, loss: str, data, eval_data, iteration: int, train_loss=None) -> MetricPoint:
+def _evaluate(net: Network, loss: str, data, eval_data, iteration: int, train_loss=None,
+              train_output=None) -> MetricPoint:
     """Metrics of ``net`` on ``data`` and, when given, ``eval_data`` (anything
     with ``x`` and ``y`` matrices).  A ``train_loss`` the caller already has,
-    such as a regularized objective, is recorded in place of the loss on ``data``."""
+    such as a regularized objective, is recorded in place of the loss on
+    ``data``; a ``train_output`` it already has, ``net``'s output on
+    ``data.x``, spares the forward pass over ``data``."""
     point = MetricPoint(iteration=iteration, train_loss=train_loss)
     if train_loss is None or loss == "cross_entropy":
-        out = forward(net, data.x).output
+        out = forward(net, data.x).output if train_output is None else train_output
         if train_loss is None:
             point.train_loss = loss_eval(loss, out, data.y)
         if loss == "cross_entropy":
@@ -203,12 +206,17 @@ class _BatchStream:
         return self._perms[epoch]
 
     def batch(self, iteration: int) -> np.ndarray:
-        start = iteration * self.batch_size
-        idx = np.empty(self.batch_size, dtype=np.int64)
-        for offset in range(self.batch_size):
-            pos = start + offset
-            idx[offset] = self._perm(pos // self.n)[pos % self.n]
-        return idx
+        """Positions iteration*B .. iteration*B+B-1 of the concatenated epoch
+        permutations: with B <= n, a tail of one epoch and a head of the next."""
+        pos = iteration * self.batch_size
+        end = pos + self.batch_size
+        pieces = []
+        while pos < end:
+            epoch, offset = divmod(pos, self.n)
+            take = min(end - pos, self.n - offset)
+            pieces.append(self._perm(epoch)[offset : offset + take])
+            pos += take
+        return np.concatenate(pieces)
 
 
 def _dropout_masks(net: Network, cfg: TrainConfig, iteration: int, batch: int):

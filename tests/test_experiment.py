@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 
 from lastlayer import jsonio
+from lastlayer.convexity import SoftmaxInstance, ce_value
 from lastlayer.experiment import (
     ComparisonRow,
     DatasetSpec,
     ExperimentConfig,
+    _fd_ce_hessian,
+    _random_softmax_instance,
     check_suite,
     config_from_dict,
     config_to_dict,
@@ -158,6 +161,37 @@ class TestConfig:
             corrupt(doc)
             with pytest.raises(ValueError, match=re.escape(repr(path))):
                 config_from_dict(doc)
+
+    @pytest.mark.parametrize("path, corrupt, message", [
+        ("posttrain.lambda", lambda doc: doc["posttrain"].pop("lambda"), "missing"),
+        ("split.fraction", lambda doc: doc.pop("split"), "missing"),
+        ("train.iterations", lambda doc: doc["train"].update(iterations="abc"), "an integer"),
+        ("train.iterations", lambda doc: doc["train"].update(iterations=1.7), "an integer"),
+        ("train.iterations", lambda doc: doc["train"].update(iterations=True), "an integer"),
+        ("network.layers[0].input_dim",
+         lambda doc: doc["network"]["layers"][0].update(input_dim=None), "an integer"),
+        ("checkpoints[1]", lambda doc: doc["checkpoints"].__setitem__(1, "500"), "an integer"),
+        ("standardize", lambda doc: doc.update(standardize="false"), "a boolean"),
+        ("network.layers[0].has_bias",
+         lambda doc: doc["network"]["layers"][0].update(has_bias=1), "a boolean"),
+        ("train.lr0", lambda doc: doc["train"].update(lr0=False), "a number"),
+        ("loss", lambda doc: doc.update(loss=None), "a string"),
+    ])
+    def test_malformed_values_raise_naming_the_path(self, path, corrupt, message):
+        doc = jsonio.loads(
+            resources.files("lastlayer.configs").joinpath("synthetic.json").read_text()
+        )
+        corrupt(doc)
+        with pytest.raises(ValueError, match=f"{re.escape(repr(path))} .*{message}|{message}.*"
+                           f"{re.escape(repr(path))}"):
+            config_from_dict(doc)
+
+    def test_numbers_are_read_by_field_type(self):
+        doc = tiny_config_doc()
+        doc["train"].update(iterations=40.0, lr0=1)
+        cfg = config_from_dict(doc)
+        assert cfg.train.iterations == 40 and type(cfg.train.iterations) is int
+        assert cfg.train.lr0 == 1.0 and type(cfg.train.lr0) is float
 
     def test_benchmark_classification_config_loads(self, tmp_path):
         script = Path(__file__).resolve().parents[1] / "perfbench" / "classdata.py"
@@ -326,6 +360,45 @@ class TestCheckSuite:
         lines = report.summary().splitlines()
         assert len(lines) == len(report.checks) + 1
         assert lines[-1].startswith("overall:")
+
+
+def loop_fd_ce_hessian(inst, step=1e-4):
+    """_fd_ce_hessian before its stacked evaluation: four separately built
+    instances per entry; kept as its oracle."""
+    m, n = inst.w.shape
+    size = m * n
+    hess = np.zeros((size, size))
+
+    def value_at(flat):
+        return ce_value(SoftmaxInstance(flat.reshape(m, n), inst.x, inst.true_class))
+
+    base = inst.w.reshape(-1).copy()
+    for i in range(size):
+        for j in range(i, size):
+            pp = base.copy(); pp[i] += step; pp[j] += step
+            pm = base.copy(); pm[i] += step; pm[j] -= step
+            mp = base.copy(); mp[i] -= step; mp[j] += step
+            mm = base.copy(); mm[i] -= step; mm[j] -= step
+            hess[i, j] = (value_at(pp) - value_at(pm) - value_at(mp) + value_at(mm)) / (
+                4.0 * step * step
+            )
+            hess[j, i] = hess[i, j]
+    return hess
+
+
+class TestFiniteDifferenceHessian:
+    def test_matches_per_point_loop_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for _ in range(25):
+            inst = _random_softmax_instance(rng)
+            got = _fd_ce_hessian(inst)
+            assert np.array_equal(got.view(np.uint64), loop_fd_ce_hessian(inst).view(np.uint64))
+
+    def test_non_finite_weights_raise(self):
+        inst = _random_softmax_instance(np.random.default_rng(9))
+        inst.w[0, 0] = np.inf  # after the instance validated itself
+        with pytest.raises(ValueError, match="non-finite"):
+            _fd_ce_hessian(inst)
 
 
 class TestConvexityStatistics:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from lastlayer.linalg import (
+    _MATMUL_BLOCK,
     DimensionMismatchError,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -31,6 +32,28 @@ def naive_matmul(a, b):
                 s += a[i, t] * b[t, j]
             out[i, j] = s
     return out
+
+
+def rank_one_matmul(a, b):
+    """matmul's loop before its block path: one rank-one update per shared
+    index, in increasing order; kept as the oracle of that path."""
+    m, k = a.shape
+    n = b.shape[1]
+    out = np.zeros((m, n))
+    buf = np.empty((m, n))
+    for i in range(k):
+        np.multiply(a[:, i : i + 1], b[i : i + 1, :], out=buf)
+        np.add(out, buf, out=out)
+    return out
+
+
+def with_extremes(rng, shape):
+    """Normal entries, about one in six replaced by a signed zero, a signed
+    infinity or a value near the overflow threshold."""
+    x = rng.standard_normal(shape)
+    mask = rng.random(shape) < 1.0 / 6.0
+    x[mask] = rng.choice([0.0, -0.0, np.inf, -np.inf, 1e308, -1e308], size=int(mask.sum()))
+    return x
 
 
 class TestMatmul:
@@ -55,6 +78,39 @@ class TestMatmul:
         a = rng.standard_normal((6, 4))
         b = rng.standard_normal((6, 3))
         assert np.array_equal(matmul(a.T, b), naive_matmul(a.T.copy(), b))
+
+    def test_block_path_matches_rank_one_loop_bit_for_bit(self):
+        # k > max(m, n) takes the block path; the rest keep the loop
+        edge = [
+            (3, 0, 4), (0, 0, 0), (1, 1, 1), (0, 1, 0), (2, 1, 0), (5, 5, 5), (4, 6, 5),
+            (2, _MATMUL_BLOCK // 4 + 1, 2),  # one index past the first block
+            (2, 2 * (_MATMUL_BLOCK // 4), 2),  # exactly two blocks
+            (3, _MATMUL_BLOCK // 3 + 1, 1),
+            (91, 92, 91),  # m n > _MATMUL_BLOCK: blocks of one index
+            (3, 3500, 10), (3500, 11, 3),
+        ]
+        rng = np.random.default_rng(4)
+        shapes = edge + [
+            tuple(int(v) for v in rng.integers(0, 12, size=3)) for _ in range(60)
+        ] + [
+            (int(rng.integers(1, 6)), int(rng.integers(12, 3000)), int(rng.integers(1, 6)))
+            for _ in range(20)
+        ]
+        for m, k, n in shapes:
+            a = with_extremes(rng, (m, k))
+            b = with_extremes(rng, (k, n))
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = matmul(a, b)
+                want = rank_one_matmul(a, b)
+            assert got.shape == (m, n)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (m, k, n)
+
+    def test_block_path_sums_signed_zeros_like_the_loop(self):
+        # 0.0 + (-0.0) is +0.0: the running sum starts at +0.0 in every path
+        a = np.full((1, 3), -0.0)
+        b = np.ones((3, 1))
+        assert np.signbit(rank_one_matmul(a, b)[0, 0]) == np.signbit(matmul(a, b)[0, 0])
+        assert not np.signbit(matmul(a, b)[0, 0])
 
     def test_dimension_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionMismatchError, match="2x3.*4x2"):

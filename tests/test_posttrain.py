@@ -30,7 +30,7 @@ from lastlayer.posttrain import (
     post_train,
     posttrain_objective,
 )
-from lastlayer.train import TrainConfig, TrainingDivergedError, sgd_train
+from lastlayer.train import TrainConfig, TrainingDivergedError, classification_error, sgd_train
 
 
 def regression_net(seed=0, bias_last=False):
@@ -161,6 +161,28 @@ class TestPostTrain:
         tuned, metrics = post_train(net, ds, PostTrainConfig(lam=lam, iterations=10), "squared_error")
         public = posttrain_objective(tuned, ds, lam, "squared_error")
         assert metrics.train_losses()[-1] == pytest.approx(public, rel=1e-10)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_cross_entropy_metrics_reuse_the_objective_output(self, mode, monkeypatch):
+        # the objective already forwarded the training set, so the metric
+        # points forward only the eval set
+        import lastlayer.train as train_module
+
+        net, ds, test = classification_net(4), classification_data(5), classification_data(6)
+        cfg = PostTrainConfig(lam=1e-3, iterations=6, mode=mode, batch_size=8)
+        calls = []
+        real = train_module.forward
+
+        def counting(net_, x):
+            calls.append(x.shape[0])
+            return real(net_, x)
+
+        monkeypatch.setattr(train_module, "forward", counting)
+        tuned, metrics = post_train(net, ds, cfg, "cross_entropy", eval_data=test)
+        assert calls == [test.n] * len(metrics.points)
+        assert metrics.points[-1].train_error == classification_error(
+            real(tuned, ds.x).output, ds.y
+        )
 
     def test_repeat_runs_bit_identical(self):
         net = regression_net(seed=19)

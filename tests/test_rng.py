@@ -64,6 +64,58 @@ def test_permutation_is_a_permutation_and_deterministic():
     assert not np.array_equal(p1, np.arange(100))
 
 
+def scalar_permutation(rng: Rng, n: int):
+    """Rng.permutation before its vectorised draw: Fisher-Yates with one
+    randbelow per step; kept as its oracle."""
+    perm = np.arange(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        j = rng.randbelow(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def unmix64(z: int) -> int:
+    """Inverse of mix64: undo each xor-shift and multiply in reverse order."""
+
+    def unshift(v, s):
+        x = v
+        for _ in range(64 // s + 1):
+            x = v ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = unshift((z * pow(_M2, -1, 1 << 64)) & MASK64, 27)
+    return unshift((z * pow(_M1, -1, 1 << 64)) & MASK64, 30)
+
+
+def test_unmix64_inverts_mix64():
+    for z in (0, 1, MASK64, 2**63 + 5, 0x0123456789ABCDEF):
+        assert mix64(unmix64(z)) == z
+
+
+def test_permutation_matches_scalar_fisher_yates():
+    for seed in (0, 1, 123456789, 2**63 + 17):
+        for n in (0, 1, 2, 3, 7000):
+            fast, slow = Rng(seed), Rng(seed)
+            got = fast.permutation(n)
+            want = scalar_permutation(slow, n)
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want), (seed, n)
+            assert fast._state == slow._state
+
+
+def test_permutation_rejection_branch_matches_scalar_fisher_yates():
+    # draw number `refused` of this seed is 2**64 - 1, which randbelow(b)
+    # refuses for every b that is not a power of two: here b = 3 and 6995..7000
+    for refused, n in ((0, 3), (0, 7000), (5, 7000)):
+        seed = (unmix64(MASK64) - (refused + 1) * _GAMMA) & MASK64
+        rng = Rng(seed)
+        assert [rng.next_uint() for _ in range(refused + 1)][-1] == MASK64
+        fast, slow = Rng(seed), Rng(seed)
+        assert np.array_equal(fast.permutation(n), scalar_permutation(slow, n))
+        assert fast._state == slow._state == (seed + n * _GAMMA) & MASK64  # n - 1 draws + 1
+
+
 def test_derive_separates_streams():
     base = 99
     seeds = {derive(base, "a"), derive(base, "b"), derive(base, "a", 0), derive(base, "a", 1)}

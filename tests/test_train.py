@@ -145,6 +145,19 @@ class TestBatchStream:
         expected = np.concatenate([perm0[8:10], perm1[0:2]])
         assert np.array_equal(batch2, expected)
 
+    def test_batches_match_the_per_index_formula(self):
+        from lastlayer.rng import Rng, derive
+
+        for n, batch_size in ((10, 4), (12, 5), (7, 7), (1, 1), (9, 2)):
+            stream = _BatchStream(n=n, batch_size=batch_size, seed=3)
+            perms = [Rng(derive(3, "shuffle", e)).permutation(n) for e in range(3 * batch_size + 2)]
+            for t in range(3 * n):
+                positions = range(t * batch_size, (t + 1) * batch_size)
+                want = np.array([perms[pos // n][pos % n] for pos in positions], dtype=np.int64)
+                got = stream.batch(t)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want), (n, batch_size, t)
+
     def test_epoch_coverage(self):
         stream = _BatchStream(n=12, batch_size=4, seed=1)
         seen = np.concatenate([stream.batch(t) for t in range(3)])
