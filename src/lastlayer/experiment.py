@@ -18,6 +18,7 @@ a machine-readable report.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Optional, get_args, get_origin, get_type_hints
 
@@ -171,8 +172,8 @@ _SCALARS = {
 
 
 def _value_from_doc(kind, value, where: str):
-    """``value`` read as a ``kind``; a scalar that ``_SCALARS`` refuses raises
-    ValueError naming its dotted path ``where``."""
+    """``value`` read as a ``kind``; a scalar that ``_SCALARS`` refuses, or a
+    non-finite float, raises ValueError naming its dotted path ``where``."""
     if is_dataclass(kind):
         return _from_doc(kind, _expect(value, dict, where), where + ".")
     if get_origin(kind) is list:
@@ -183,6 +184,9 @@ def _value_from_doc(kind, value, where: str):
         noun, accepts = _SCALARS[kind]
         if not accepts(value):
             raise ValueError(f"config key {where!r} must be {noun}, got {value!r}")
+        # NaN and +-inf fail this test, and so does an int too large for a float
+        if kind is float and not abs(value) <= sys.float_info.max:
+            raise ValueError(f"config key {where!r} must be finite, got {value!r}")
         return kind(value)
     return value
 

@@ -8,10 +8,9 @@ error with an identity output the problem is a ridge-regularized least
 squares, and the full-batch path exploits that: it precomputes the
 feature Gram and cross terms and evaluates objective and gradient in the
 feature dimension, never touching the sample axis again.  The general
-path (softmax/cross-entropy, or minibatch mode) treats the last layer as a
-bias-free one-layer ``Network`` whose input is the cached features, so
-predictions, batch gradients and metrics come from the network engine
-(``forward``, ``loss_and_gradients``) and from training's own scoring.
+path (softmax/cross-entropy, or minibatch mode) uses the network engine.
+Both modes run training's descent loop (``train._descend``) and scoring on
+the last layer as a bias-free one-layer ``Network`` over the cached features.
 
 The optimized objective is  mean_i loss(act(f_i @ W.T), y_i) + lam * |W|^2
 with |.| the Frobenius norm over the whole last-layer matrix.  When the
@@ -21,7 +20,6 @@ it is regularized with the weights and shifts the implied kernel by +1.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -31,6 +29,7 @@ import numpy as np
 from .data import Dataset
 from .linalg import Matrix, matmul, sq_frobenius
 from .network import (
+    Gradients,
     Layer,
     LayerSpec,
     Network,
@@ -42,14 +41,7 @@ from .network import (
     replace_last_layer,
 )
 from .rng import derive
-from .train import (
-    MetricPoint,
-    MetricsSeries,
-    _BatchStream,
-    _evaluate,
-    armijo_step,
-    check_finite,
-)
+from .train import MetricPoint, _BatchStream, _descend, _evaluate
 
 MODES = ("full_batch_backtracking", "minibatch")
 
@@ -149,7 +141,6 @@ class _CachedProblem:
 
     def __init__(self, net: Network, data: Dataset, lam: float, loss: str,
                  eval_data: Dataset | None):
-        self.net = net
         self.loss = loss
         self.lam = lam
         self.n = data.n
@@ -166,10 +157,11 @@ class _CachedProblem:
             self.cross = matmul(feats.T, self.train.y)
             self.targets_sq = sq_frobenius(self.train.y)
 
-    def objective(self, w_eff: Matrix) -> tuple[float, Matrix | None]:
-        """``(objective, output)``: the objective at ``w_eff`` and the training
-        output it was computed from, which ``metric_point`` reuses (None on
+    def objective(self, point: Network) -> tuple[float, Matrix | None]:
+        """``(objective, output)``: the objective at ``point`` and the training
+        output it was computed from, which the metric points reuse (None on
         the quadratic path, which never forms the output)."""
+        w_eff = point.layers[0].weights
         if self.quadratic:
             fit = (
                 float(np.sum(matmul(w_eff, self.gram_feat) * w_eff))
@@ -177,25 +169,18 @@ class _CachedProblem:
                 + self.targets_sq
             )
             return fit / self.n + self.lam * sq_frobenius(w_eff), None
-        out = forward(_last_layer_net(self.net, w_eff), self.train.x).output
+        out = forward(point, self.train.x).output
         return loss_eval(self.loss, out, self.train.y) + self.lam * sq_frobenius(w_eff), out
 
-    def gradient(self, w_eff: Matrix, idx: np.ndarray | None = None) -> Matrix:
+    def gradient(self, point: Network, idx: np.ndarray | None = None) -> Gradients:
         """Gradient of the objective, on the batch ``idx`` when given."""
+        w_eff = point.layers[0].weights
         if self.quadratic and idx is None:
-            return (2.0 / self.n) * (
-                matmul(w_eff, self.gram_feat) - self.cross.T
-            ) + 2.0 * self.lam * w_eff
-        feats, targets = self.train if idx is None else (self.train.x[idx], self.train.y[idx])
-        _, grads = loss_and_gradients(_last_layer_net(self.net, w_eff), feats, targets, self.loss)
-        return grads.weights[0] + 2.0 * self.lam * w_eff
-
-    def metric_point(self, w_eff: Matrix, iteration: int, objective: float,
-                     train_output: Matrix | None) -> MetricPoint:
-        return _evaluate(
-            _last_layer_net(self.net, w_eff), self.loss, self.train, self.eval, iteration,
-            objective, train_output,
-        )
+            grad = (2.0 / self.n) * (matmul(w_eff, self.gram_feat) - self.cross.T)
+        else:
+            feats, targets = self.train if idx is None else (self.train.x[idx], self.train.y[idx])
+            grad = loss_and_gradients(point, feats, targets, self.loss)[1].weights[0]
+        return Gradients([grad + 2.0 * self.lam * w_eff], [None])
 
 
 def post_train(
@@ -208,51 +193,30 @@ def post_train(
     """Optimize the last layer on frozen features; lower layers are returned
     bit-identical.
 
-    The recorded train metric is the regularized objective on the full
-    training set (so in full_batch_backtracking mode the series is
-    non-increasing); the test metric is the plain loss on eval_data.
+    Both modes run ``train._descend`` on the one-layer last-layer network:
+    full_batch_backtracking with the Armijo search, stopping once
+    |g| <= max(grad_tol, 1e-14) * (1 + |W|), and minibatch with the step
+    ``lr``.  The recorded train metric is the regularized objective on the
+    full training set; the test metric is the plain loss on eval_data.
     Dropout is never applied here: it would change the frozen feature
     function.
     """
     check_loss_pairing(net, loss)
     problem = _CachedProblem(net, data, cfg.lam, loss, eval_data)
-    w_eff = effective_last_weights(net)
-    metrics = MetricsSeries()
-
-    if cfg.mode == "full_batch_backtracking":
-        objective, out = problem.objective(w_eff)
-        metrics.append(problem.metric_point(w_eff, 0, check_finite(objective, 0), out))
-        step = 1.0
-        stop_tol = max(cfg.grad_tol, 1e-14)
-        for it in range(1, cfg.iterations + 1):
-            grad = problem.gradient(w_eff)
-            grad_sq = sq_frobenius(grad)
-            if math.sqrt(grad_sq) <= stop_tol * (1.0 + math.sqrt(sq_frobenius(w_eff))):
-                metrics.termination = "converged"
-                break
-
-            def trial(s: float):
-                w_s = w_eff - s * grad
-                value, out_s = problem.objective(w_s)
-                return (w_s, out_s), value
-
-            accepted = armijo_step(trial, objective, grad_sq, step)
-            if accepted is None:
-                metrics.termination = "stalled"
-                break
-            (w_eff, out), objective, step = accepted
-            metrics.append(problem.metric_point(w_eff, it, objective, out))
-    else:
+    stream = lr = None
+    if cfg.mode == "minibatch":
         if cfg.batch_size > data.n:
-            raise ValueError(
-                f"batch_size {cfg.batch_size} exceeds dataset size {data.n}"
-            )
+            raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {data.n}")
         stream = _BatchStream(data.n, cfg.batch_size, derive(cfg.seed, "posttrain"))
-        objective, out = problem.objective(w_eff)
-        metrics.append(problem.metric_point(w_eff, 0, check_finite(objective, 0), out))
-        for it in range(cfg.iterations):
-            w_eff = w_eff - cfg.lr * problem.gradient(w_eff, stream.batch(it))
-            objective, out = problem.objective(w_eff)
-            metrics.append(problem.metric_point(w_eff, it + 1, check_finite(objective, it + 1), out))
+        lr = cfg.lr
 
-    return with_effective_last_weights(net, w_eff), metrics
+    def gradient(point: Network, it: int) -> Gradients:
+        return problem.gradient(point, None if stream is None else stream.batch(it - 1))
+
+    def record(point: Network, it: int, value: float, out: Matrix | None) -> MetricPoint:
+        return _evaluate(point, loss, problem.train, problem.eval, it, value, out)
+
+    start = _last_layer_net(net, effective_last_weights(net))
+    tuned, metrics = _descend(start, problem.objective, gradient, cfg.iterations, record, lr,
+                              max(cfg.grad_tol, 1e-14))
+    return with_effective_last_weights(net, tuned.layers[0].weights), metrics

@@ -7,9 +7,9 @@ with per-iteration dropout streams this makes a training run a pure
 function of (network, data, config), so a run resumed from iteration t is
 bit-identical to an uninterrupted one.
 
-``full_batch_gd`` is deterministic gradient descent over every layer with
-the Armijo backtracking line search ``armijo_step``, which guarantees a
-non-increasing objective; last-layer fine-tuning uses that search too.
+``full_batch_gd`` is deterministic gradient descent over every layer, with a
+fixed step or the Armijo line search ``armijo_step``; its loop ``_descend``
+also runs last-layer fine-tuning, on a one-layer network over the features.
 """
 
 from __future__ import annotations
@@ -192,7 +192,8 @@ def _evaluate(net: Network, loss: str, data, eval_data, iteration: int, train_lo
 
 
 class _BatchStream:
-    """Deterministic index stream: seeded shuffle per epoch, wraparound."""
+    """Deterministic index stream: seeded shuffle per epoch, wraparound.
+    Batches are read in order, so epochs before the current batch's leave the cache."""
 
     def __init__(self, n: int, batch_size: int, seed: int):
         self.n = n
@@ -210,6 +211,8 @@ class _BatchStream:
         permutations: with B <= n, a tail of one epoch and a head of the next."""
         pos = iteration * self.batch_size
         end = pos + self.batch_size
+        for stale in [e for e in self._perms if e < pos // self.n]:
+            del self._perms[stale]
         pieces = []
         while pos < end:
             epoch, offset = divmod(pos, self.n)
@@ -288,11 +291,61 @@ def sgd_train(
     return current, metrics
 
 
-def _decayed_objective(net: Network, data: Dataset, loss: str, weight_decay: float) -> float:
-    value = loss_eval(loss, forward(net, data.x).output, data.y)
-    if weight_decay > 0.0:
-        value += weight_decay * sum(sq_frobenius(layer.weights) for layer in net.layers)
-    return value
+def _sq_norm(weights, biases) -> float:
+    """Sum of squares over per-layer weights and biases, skipping None."""
+    total = sum(sq_frobenius(w) for w in weights)
+    return total + sum(sq_frobenius(b) for b in biases if b is not None)
+
+
+def _descend(net: Network, objective, gradient, iterations: int, record,
+             lr: Optional[float] = None, grad_tol: float = 0.0):
+    """The descent loop of ``full_batch_gd`` and ``post_train``: returns
+    ``(net, metrics)``, leaving the given ``net`` unmodified.
+
+    ``objective(net)`` gives ``(value, output)``; ``record(net, it, value,
+    output)`` makes iteration ``it``'s MetricPoint (0: the start, which must
+    be finite).  Step ``it`` moves all weights and biases along
+    ``-gradient(net, it)``: by ``lr`` when given, raising
+    TrainingDivergedError(it) if the objective turns non-finite; else by what
+    ``armijo_step`` accepts, from twice the last accepted step, so the
+    objective never rises, stopping as "stalled" if nothing is accepted, and,
+    with grad_tol > 0, as "converged" before a step with
+    |g| <= grad_tol * (1 + |W|).  The reason lands in ``metrics.termination``.
+    """
+    metrics = MetricsSeries()
+    value, output = objective(net)
+    metrics.append(record(net, 0, check_finite(value, 0), output))
+    step = 1.0
+    for it in range(1, iterations + 1):
+        grads = gradient(net, it)
+
+        def trial(s: float):
+            moved = net.copy()
+            for layer, gw, gb in zip(moved.layers, grads.weights, grads.biases):
+                layer.weights -= s * gw
+                if gb is not None:
+                    layer.bias -= s * gb
+            value_s, output_s = objective(moved)
+            return (moved, output_s), value_s
+
+        if lr is not None:
+            (net, output), value = trial(lr)
+            check_finite(value, it)
+        else:
+            grad_sq = _sq_norm(grads.weights, grads.biases)
+            if grad_tol > 0.0:
+                params_sq = _sq_norm([layer.weights for layer in net.layers],
+                                     [layer.bias for layer in net.layers])
+                if math.sqrt(grad_sq) <= grad_tol * (1.0 + math.sqrt(params_sq)):
+                    metrics.termination = "converged"
+                    break
+            accepted = armijo_step(trial, value, grad_sq, step)
+            if accepted is None:
+                metrics.termination = "stalled"
+                break
+            (net, output), value, step = accepted
+        metrics.append(record(net, it, value, output))
+    return net, metrics
 
 
 def full_batch_gd(
@@ -304,16 +357,11 @@ def full_batch_gd(
     weight_decay: float = 0.0,
     eval_data: Optional[Dataset] = None,
 ):
-    """Deterministic full-batch gradient descent.
+    """Deterministic full-batch gradient descent over every layer, run by
+    ``_descend`` with a fixed step ``lr`` or, with lr=None, the Armijo search.
 
-    With lr=None an Armijo backtracking line search picks the step: start
-    from twice the previously accepted step and halve (at most 50 times)
-    until f(w - s g) <= f(w) - 1e-4 s |g|^2.  The recorded objective is then
-    non-increasing by construction; if no step is accepted the run stops
-    and metrics.termination reports "stalled".  The recorded train metric
-    is the full objective including the weight-decay term.  A non-finite
-    objective (at the start, or after a fixed-lr step) raises
-    TrainingDivergedError.
+    The objective is the loss on ``data`` plus weight_decay * |W|^2 over the
+    weight matrices (biases undecayed), and it is the recorded train metric.
     """
     check_loss_pairing(net, loss)
     if iterations < 0:
@@ -323,43 +371,23 @@ def full_batch_gd(
     if weight_decay < 0.0:
         raise ValueError("weight_decay must be nonnegative")
 
-    current = net.copy()
-    metrics = MetricsSeries()
+    def objective(current: Network):
+        out = forward(current, data.x).output
+        value = loss_eval(loss, out, data.y)
+        if weight_decay > 0.0:
+            value += weight_decay * sum(sq_frobenius(layer.weights) for layer in current.layers)
+        return value, out
 
-    def record(iteration: int, objective: float) -> None:
-        metrics.append(_evaluate(current, loss, data, eval_data, iteration, objective))
+    def gradient(current: Network, it: int):
+        grads = loss_and_gradients(current, data.x, data.y, loss)[1]
+        if weight_decay > 0.0:
+            grads.weights = [
+                g + 2.0 * weight_decay * layer.weights
+                for layer, g in zip(current.layers, grads.weights)
+            ]
+        return grads
 
-    objective = check_finite(_decayed_objective(current, data, loss, weight_decay), 0)
-    record(0, objective)
-    step = 1.0
-    for it in range(1, iterations + 1):
-        _, grads = loss_and_gradients(current, data.x, data.y, loss)
-        gw = []
-        for layer, g in zip(current.layers, grads.weights):
-            if weight_decay > 0.0:
-                g = g + 2.0 * weight_decay * layer.weights
-            gw.append(g)
-        gb = grads.biases
-        grad_sq = sum(sq_frobenius(g) for g in gw)
-        grad_sq += sum(float(np.sum(g * g)) for g in gb if g is not None)
+    def record(current: Network, it: int, value: float, out: Matrix) -> MetricPoint:
+        return _evaluate(current, loss, data, eval_data, it, value, out)
 
-        def trial(s: float):
-            net_s = current.copy()
-            for layer, g_w, g_b in zip(net_s.layers, gw, gb):
-                layer.weights -= s * g_w
-                if g_b is not None:
-                    layer.bias -= s * g_b
-            return net_s, _decayed_objective(net_s, data, loss, weight_decay)
-
-        if lr is not None:
-            current, objective = trial(lr)
-            record(it, check_finite(objective, it))
-            continue
-
-        accepted = armijo_step(trial, objective, grad_sq, step)
-        if accepted is None:
-            metrics.termination = "stalled"
-            break
-        current, objective, step = accepted
-        record(it, objective)
-    return current, metrics
+    return _descend(net.copy(), objective, gradient, iterations, record, lr)

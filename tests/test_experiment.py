@@ -175,6 +175,12 @@ class TestConfig:
         ("network.layers[0].has_bias",
          lambda doc: doc["network"]["layers"][0].update(has_bias=1), "a boolean"),
         ("train.lr0", lambda doc: doc["train"].update(lr0=False), "a number"),
+        ("train.lr0", lambda doc: doc["train"].update(lr0=float("nan")), "finite"),
+        ("posttrain.grad_tol",
+         lambda doc: doc["posttrain"].update(grad_tol=float("nan")), "finite"),
+        ("posttrain.lr", lambda doc: doc["posttrain"].update(lr=float("inf")), "finite"),
+        ("split.fraction", lambda doc: doc["split"].update(fraction=float("-inf")), "finite"),
+        ("train.weight_decay", lambda doc: doc["train"].update(weight_decay=10**400), "finite"),
         ("loss", lambda doc: doc.update(loss=None), "a string"),
     ])
     def test_malformed_values_raise_naming_the_path(self, path, corrupt, message):

@@ -17,6 +17,7 @@ from lastlayer.train import (
     TrainingDivergedError,
     _BatchStream,
     _dropout_masks,
+    classification_error,
     full_batch_gd,
     sgd_train,
 )
@@ -158,6 +159,21 @@ class TestBatchStream:
                 assert got.dtype == np.int64
                 assert np.array_equal(got, want), (n, batch_size, t)
 
+    def test_cache_keeps_at_most_two_epochs(self):
+        from lastlayer.rng import Rng, derive
+
+        n, batch_size = 7, 5
+        stream = _BatchStream(n=n, batch_size=batch_size, seed=4)
+        perms = {}
+        for t in range(300):
+            positions = range(t * batch_size, (t + 1) * batch_size)
+            for e in {pos // n for pos in positions}:
+                if e not in perms:
+                    perms[e] = Rng(derive(4, "shuffle", e)).permutation(n)
+            want = np.array([perms[pos // n][pos % n] for pos in positions], dtype=np.int64)
+            assert np.array_equal(stream.batch(t), want), t
+            assert len(stream._perms) <= 2
+
     def test_epoch_coverage(self):
         stream = _BatchStream(n=12, batch_size=4, seed=1)
         seen = np.concatenate([stream.batch(t) for t in range(3)])
@@ -242,6 +258,40 @@ class TestFullBatchGd:
         y = x @ rng.normal(size=(3, 2)) + 1.5
         out, _ = full_batch_gd(net, Dataset(x, y), 200, "squared_error")
         assert float(np.max(np.abs(out.layers[0].bias))) > 0.1
+
+    def test_cross_entropy_metrics_reuse_the_objective_output(self, monkeypatch):
+        # each objective evaluation forwards the training set once; the
+        # metric points reuse that output and forward only the eval set
+        import lastlayer.train as train_module
+
+        rng = np.random.default_rng(39)
+        net = build_network(
+            [LayerSpec(4, 6, "tanh"), LayerSpec(6, 3, "softmax", has_bias=False)], 40
+        )
+        x = rng.normal(size=(250, 4))
+        y = np.eye(3)[rng.integers(0, 3, size=250)]
+        ds, test = Dataset(x[:200], y[:200]), Dataset(x[200:], y[200:])
+        forwards, objectives = [], []
+        real_forward, real_loss_eval = train_module.forward, train_module.loss_eval
+
+        def counting_forward(net_, x_):
+            forwards.append(x_.shape[0])
+            return real_forward(net_, x_)
+
+        def counting_loss_eval(loss, output, targets):
+            objectives.append(targets.shape[0])
+            return real_loss_eval(loss, output, targets)
+
+        monkeypatch.setattr(train_module, "forward", counting_forward)
+        monkeypatch.setattr(train_module, "loss_eval", counting_loss_eval)
+        trained, metrics = full_batch_gd(net, ds, 10, "cross_entropy", eval_data=test)
+        assert len(metrics.points) == 11
+        assert forwards.count(test.n) == len(metrics.points)
+        assert forwards.count(ds.n) == objectives.count(ds.n) == 18
+        assert len(forwards) == len(metrics.points) + 18
+        assert metrics.points[-1].train_error == classification_error(
+            real_forward(trained, ds.x).output, ds.y
+        )
 
 
 class TestMetricsSeries:
