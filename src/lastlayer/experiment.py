@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from typing import Optional, get_args, get_origin, get_type_hints
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -173,7 +173,12 @@ _SCALARS = {
 
 def _value_from_doc(kind, value, where: str):
     """``value`` read as a ``kind``; a scalar that ``_SCALARS`` refuses, or a
-    non-finite float, raises ValueError naming its dotted path ``where``."""
+    non-finite float, raises ValueError naming its dotted path ``where``.
+    An ``Optional`` kind takes None or a value of the kind it wraps."""
+    if get_origin(kind) is Union:
+        if value is None:
+            return None
+        (kind,) = [arg for arg in get_args(kind) if arg is not type(None)]
     if is_dataclass(kind):
         return _from_doc(kind, _expect(value, dict, where), where + ".")
     if get_origin(kind) is list:

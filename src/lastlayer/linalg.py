@@ -7,9 +7,12 @@ dimension, so its output is bit-identical to a naive triple loop and
 therefore reproducible run to run regardless of BLAS threading.  Seeded
 experiments depend on that stability.  When the shared dimension is the
 longest, ``matmul`` forms a block of products at once and sums it with
-``np.add.accumulate``, which adds strictly left to right; otherwise it
-adds one rank-one product per index.  Both perform the triple loop's
-additions in the triple loop's order.
+``np.add.reduce`` along the block's outer axis, which numpy adds row by
+row (``np.add.accumulate`` where the output is a single entry); otherwise
+it adds one rank-one product per index.  On large problems it works on
+the transposed output when that makes the longer output axis contiguous.
+Every path performs the triple loop's additions in the triple loop's
+order: the shapes choose only the memory layout.
 
 ``solve_spd`` and ``min_eigenvalue_symmetric`` delegate to numpy's LAPACK
 (Cholesky and symmetric eigensolver), which is deterministic for fixed
@@ -23,7 +26,8 @@ import numpy as np
 Matrix = np.ndarray
 
 _SYMMETRY_RTOL = 1e-10
-_MATMUL_BLOCK = 8192  # products per accumulate block (64 KiB of float64)
+_MATMUL_BLOCK = 8192  # products per summation block (64 KiB of float64)
+_LAYOUT_MIN = 2048  # products from which matmul arranges memory for long rows
 _EIG_MAX_DIM = 200
 
 
@@ -57,17 +61,32 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
     Each output entry is the sum of products taken in increasing order of
     the shared index, exactly as a scalar triple loop would compute it, so
-    results are bit-reproducible and independent of BLAS.
+    results are bit-reproducible and independent of BLAS.  Only the memory
+    layout of the work depends on the shapes, never the additions or their
+    order.
 
-    For a shared dimension k longer than both m and n, k is walked in
-    blocks of at most _MATMUL_BLOCK // (m n) indices.  Each block forms
-    its products ``p[:, t, :] = a[:, t] b[t, :]``, adds the first of them
-    to the running sum and takes ``np.add.accumulate`` along t.
-    accumulate is sequential by definition (``r[t] = r[t - 1] + p[t]``),
-    so every entry sees the additions ``((0 + p_0) + p_1) + ...`` of the
-    triple loop, signed zeros and infinities included (only the payload
-    that a sum of two NaNs keeps is left to numpy).  Other shapes add one
-    rank-one product per index, which is faster when m n is large.
+    The work runs on the output ``(m, n)`` or, when m > n > 1 on a problem
+    of at least _LAYOUT_MIN products, on its transpose ``b.T a.T``, so that
+    the longer output axis is the contiguous one (with n = 1 it already
+    is); the result is C-contiguous either way.  On problems that size the
+    operand whose rows run along that axis is also made C-contiguous.
+    Then:
+
+    - a shared dimension k no longer than both output axes adds one
+      rank-one product per index into the running sum;
+    - a longer k is walked in blocks of at most _MATMUL_BLOCK // (m n)
+      indices.  Each block fills a C-contiguous (1 + block, m, n) array
+      whose row 0 is the running sum and whose row 1 + t holds index t's
+      products, and sums it with ``np.add.reduce`` along axis 0.  numpy
+      adds along that outer axis row by row, vectorised across entries,
+      so each entry is ``((0 + p_0) + p_1) + ...``.  It sums pairwise only
+      along the contiguous axis, which is what a block of one column
+      becomes, so with m n = 1 the block is summed by the sequential
+      ``np.add.accumulate`` instead.
+
+    Every path makes the triple loop's additions, signed zeros and
+    infinities included; only which payload survives where two NaNs meet
+    is left to numpy's kernels.
     """
     a = _check_2d(a, "a")
     b = _check_2d(b, "b")
@@ -78,19 +97,37 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         )
     m, k = a.shape
     n = b.shape[1]
-    out = np.zeros((m, n), dtype=np.float64)
-    if k > max(m, n):
-        block = max(1, _MATMUL_BLOCK // max(1, m * n))
-        for s in range(0, k, block):
-            p = a[:, s : s + block, None] * b[None, s : s + block, :]
-            np.add(out, p[:, 0, :], out=p[:, 0, :])
-            np.add.accumulate(p, axis=1, out=p)
-            out[...] = p[:, -1, :]
+    large = m * k * n >= _LAYOUT_MIN
+    if large and m > n > 1:
+        return np.ascontiguousarray(_ordered_outer_sum(b, a.T, large).T)
+    return _ordered_outer_sum(a.T, b, large)
+
+
+def _ordered_outer_sum(rows: Matrix, cols: Matrix, contiguous: bool) -> Matrix:
+    """``out[i, j] = ((0 + rows[0, i] cols[0, j]) + rows[1, i] cols[1, j]) + ...``;
+    ``cols`` is first made C-contiguous when ``contiguous`` is set."""
+    k, p = rows.shape
+    q = cols.shape[1]
+    if contiguous:
+        cols = np.ascontiguousarray(cols)
+    left, right = rows[:, :, None], cols[:, None, :]
+    out = np.zeros((p, q), dtype=np.float64)
+    if k <= max(p, q):
+        buf = np.empty((p, q), dtype=np.float64)
+        for t in range(k):
+            np.multiply(left[t], right[t], out=buf)
+            np.add(out, buf, out=out)
         return out
-    buf = np.empty((m, n), dtype=np.float64)
-    for i in range(k):
-        np.multiply(a[:, i : i + 1], b[i : i + 1, :], out=buf)
-        np.add(out, buf, out=out)
+    block = max(1, _MATMUL_BLOCK // max(1, p * q))
+    prods = np.empty((min(block, k) + 1, p, q), dtype=np.float64)
+    for s in range(0, k, block):
+        chunk = prods[: min(block, k - s) + 1]
+        np.multiply(left[s : s + block], right[s : s + block], out=chunk[1:])
+        chunk[0] = out
+        if p * q > 1:
+            np.add.reduce(chunk, axis=0, out=out)
+        else:
+            out[...] = np.add.accumulate(chunk, axis=0, out=chunk)[-1]
     return out
 
 

@@ -327,18 +327,22 @@ def check_loss_pairing(net: Network, loss: str) -> None:
 
 
 def loss_and_gradients(
-    net: Network, x: Matrix, y: Matrix, loss: str, dropout_masks=None
+    net: Network, x: Matrix, y: Matrix, loss: str, dropout_masks=None,
+    trace: Optional[ForwardTrace] = None,
 ):
     """Batch-mean loss and its exact gradients in one backward pass.
 
     The softmax/cross-entropy pairing uses the standard simplification:
-    the output-layer error is (probabilities - one_hot) / batch.
+    the output-layer error is (probabilities - one_hot) / batch.  A
+    ``trace`` the caller already has, ``forward(net, x, dropout_masks)``,
+    spares the forward pass.
     """
     check_loss_pairing(net, loss)
     x = _check_input(net, x)
     y = np.asarray(y, dtype=np.float64)
     masks = _check_masks(net, dropout_masks)
-    trace = forward(net, x, dropout_masks=dropout_masks)
+    if trace is None:
+        trace = forward(net, x, dropout_masks=dropout_masks)
     out = trace.output
     if out.shape != y.shape:
         raise DimensionMismatchError(

@@ -8,7 +8,9 @@ error with an identity output the problem is a ridge-regularized least
 squares, and the full-batch path exploits that: it precomputes the
 feature Gram and cross terms and evaluates objective and gradient in the
 feature dimension, never touching the sample axis again.  The general
-path (softmax/cross-entropy, or minibatch mode) uses the network engine.
+path (softmax/cross-entropy, or minibatch mode) uses the network engine;
+on the full batch its gradient starts from the output that the objective
+computed at the same point, so each iteration forwards only its trials.
 Both modes run training's descent loop (``train._descend``) and scoring on
 the last layer as a bias-free one-layer ``Network`` over the cached features.
 
@@ -172,14 +174,20 @@ class _CachedProblem:
         out = forward(point, self.train.x).output
         return loss_eval(self.loss, out, self.train.y) + self.lam * sq_frobenius(w_eff), out
 
-    def gradient(self, point: Network, idx: np.ndarray | None = None) -> Gradients:
-        """Gradient of the objective, on the batch ``idx`` when given."""
+    def gradient(self, point: Network, idx: np.ndarray | None = None,
+                 out: Matrix | None = None) -> Gradients:
+        """Gradient of the objective, on the batch ``idx`` when given.  On
+        the full batch, cross-entropy starts from ``out``, the objective's
+        output at ``point``: the operations of ``loss_and_gradients`` on the
+        one-layer network, in its order, without its forward pass."""
         w_eff = point.layers[0].weights
-        if self.quadratic and idx is None:
+        if idx is not None:
+            batch = self.train.x[idx], self.train.y[idx]
+            grad = loss_and_gradients(point, *batch, self.loss)[1].weights[0]
+        elif self.quadratic:
             grad = (2.0 / self.n) * (matmul(w_eff, self.gram_feat) - self.cross.T)
         else:
-            feats, targets = self.train if idx is None else (self.train.x[idx], self.train.y[idx])
-            grad = loss_and_gradients(point, feats, targets, self.loss)[1].weights[0]
+            grad = matmul(((out - self.train.y) / self.n).T, self.train.x)
         return Gradients([grad + 2.0 * self.lam * w_eff], [None])
 
 
@@ -210,8 +218,8 @@ def post_train(
         stream = _BatchStream(data.n, cfg.batch_size, derive(cfg.seed, "posttrain"))
         lr = cfg.lr
 
-    def gradient(point: Network, it: int) -> Gradients:
-        return problem.gradient(point, None if stream is None else stream.batch(it - 1))
+    def gradient(point: Network, it: int, out: Matrix | None) -> Gradients:
+        return problem.gradient(point, None if stream is None else stream.batch(it - 1), out)
 
     def record(point: Network, it: int, value: float, out: Matrix | None) -> MetricPoint:
         return _evaluate(point, loss, problem.train, problem.eval, it, value, out)

@@ -24,6 +24,7 @@ from . import jsonio
 from .data import Dataset
 from .linalg import Matrix, sq_frobenius
 from .network import (
+    ForwardTrace,
     Network,
     check_loss_pairing,
     forward,
@@ -78,7 +79,7 @@ class TrainConfig:
     batch_size: int
     lr0: float
     lr_decay: float = 1.0
-    dropout_keep: Optional[list] = None  # one keep probability per hidden layer
+    dropout_keep: Optional[list[float]] = None  # one keep probability per hidden layer
     weight_decay: float = 0.0
     seed: int = 0
     eval_every: int = 100
@@ -302,10 +303,12 @@ def _descend(net: Network, objective, gradient, iterations: int, record,
     """The descent loop of ``full_batch_gd`` and ``post_train``: returns
     ``(net, metrics)``, leaving the given ``net`` unmodified.
 
-    ``objective(net)`` gives ``(value, output)``; ``record(net, it, value,
-    output)`` makes iteration ``it``'s MetricPoint (0: the start, which must
-    be finite).  Step ``it`` moves all weights and biases along
-    ``-gradient(net, it)``: by ``lr`` when given, raising
+    ``objective(net)`` gives ``(value, output)``, ``output`` being whatever
+    the value was computed from; ``record(net, it, value, output)`` makes
+    iteration ``it``'s MetricPoint (0: the start, which must be finite).
+    Step ``it`` moves all weights and biases along ``-gradient(net, it,
+    output)``, which receives the output of the point it differentiates so
+    that it need not recompute it: by ``lr`` when given, raising
     TrainingDivergedError(it) if the objective turns non-finite; else by what
     ``armijo_step`` accepts, from twice the last accepted step, so the
     objective never rises, stopping as "stalled" if nothing is accepted, and,
@@ -317,7 +320,7 @@ def _descend(net: Network, objective, gradient, iterations: int, record,
     metrics.append(record(net, 0, check_finite(value, 0), output))
     step = 1.0
     for it in range(1, iterations + 1):
-        grads = gradient(net, it)
+        grads = gradient(net, it, output)
 
         def trial(s: float):
             moved = net.copy()
@@ -362,6 +365,8 @@ def full_batch_gd(
 
     The objective is the loss on ``data`` plus weight_decay * |W|^2 over the
     weight matrices (biases undecayed), and it is the recorded train metric.
+    Its forward trace on ``data`` serves the metric point and the gradient,
+    so the training set is forwarded once per objective evaluation.
     """
     check_loss_pairing(net, loss)
     if iterations < 0:
@@ -372,14 +377,14 @@ def full_batch_gd(
         raise ValueError("weight_decay must be nonnegative")
 
     def objective(current: Network):
-        out = forward(current, data.x).output
-        value = loss_eval(loss, out, data.y)
+        trace = forward(current, data.x)
+        value = loss_eval(loss, trace.output, data.y)
         if weight_decay > 0.0:
             value += weight_decay * sum(sq_frobenius(layer.weights) for layer in current.layers)
-        return value, out
+        return value, trace
 
-    def gradient(current: Network, it: int):
-        grads = loss_and_gradients(current, data.x, data.y, loss)[1]
+    def gradient(current: Network, it: int, trace: ForwardTrace):
+        grads = loss_and_gradients(current, data.x, data.y, loss, trace=trace)[1]
         if weight_decay > 0.0:
             grads.weights = [
                 g + 2.0 * weight_decay * layer.weights
@@ -387,7 +392,7 @@ def full_batch_gd(
             ]
         return grads
 
-    def record(current: Network, it: int, value: float, out: Matrix) -> MetricPoint:
-        return _evaluate(current, loss, data, eval_data, it, value, out)
+    def record(current: Network, it: int, value: float, trace: ForwardTrace) -> MetricPoint:
+        return _evaluate(current, loss, data, eval_data, it, value, trace.output)
 
     return _descend(net.copy(), objective, gradient, iterations, record, lr)

@@ -182,6 +182,11 @@ class TestConfig:
         ("split.fraction", lambda doc: doc["split"].update(fraction=float("-inf")), "finite"),
         ("train.weight_decay", lambda doc: doc["train"].update(weight_decay=10**400), "finite"),
         ("loss", lambda doc: doc.update(loss=None), "a string"),
+        ("train.dropout_keep[0]",
+         lambda doc: doc["train"].update(dropout_keep=[float("nan"), 1.0]), "finite"),
+        ("train.dropout_keep[0]",
+         lambda doc: doc["train"].update(dropout_keep=["a", 1.0]), "a number"),
+        ("train.dropout_keep", lambda doc: doc["train"].update(dropout_keep=5), "a list"),
     ])
     def test_malformed_values_raise_naming_the_path(self, path, corrupt, message):
         doc = jsonio.loads(

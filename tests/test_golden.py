@@ -1,0 +1,138 @@
+"""Output bytes pinned across commits.
+
+Each case runs CLI commands in process and compares one output file byte
+for byte with a copy kept under ``tests/golden/``.  The copies were made
+before the ordered ``matmul`` changed its memory layout and before
+post-training's gradient began to reuse the accepted trial's output, both
+of which promise the same bytes.  An intended change of output bytes
+regenerates them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+The bytes also depend on the machine: numpy's exp, log and tanh kernels
+differ in the last bit between the SIMD extensions they dispatch to, and
+the synthetic data and the Cholesky solve run on BLAS.  So
+``environment.json`` records where the copies were made, and the cases
+are skipped, naming the difference, elsewhere.
+"""
+
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lastlayer.cli import main
+from lastlayer.data import Dataset, gen_synthetic, save_csv
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def environment() -> dict:
+    """numpy's version, the SIMD extensions it found, its BLAS build and the
+    CPU model, or only the version on a numpy without ``show_config``'s
+    dict form."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        return {"numpy": np.__version__}
+    cpu = platform.processor()
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        models = [line for line in cpuinfo.read_text().splitlines() if line.startswith("model name")]
+        cpu = models[0].split(":", 1)[1].strip() if models else cpu
+    return {
+        "numpy": np.__version__,
+        "simd": config["SIMD Extensions"]["found"],
+        "blas": config["Build Dependencies"]["blas"].get("openblas configuration"),
+        "cpu": cpu,
+    }
+
+
+def cross_entropy_config(directory: Path) -> str:
+    """Write a 3-class CSV and a tiny cross-entropy config that reads it;
+    return the config's path.  Labels are the argmax of x0 - x3, x1 - x4
+    and x2 - x5 over inputs drawn by the package's own generator."""
+    x = gen_synthetic(800, seed=17).x
+    labels = np.argmax(x[:, :3] - x[:, 3:6], axis=1)
+    csv_path = directory / "classes.csv"
+    save_csv(Dataset(x, np.eye(3)[labels]), str(csv_path))
+    config = {
+        "dataset": {"kind": "csv", "path": str(csv_path),
+                    "feature_columns": [f"x{i}" for i in range(10)],
+                    "target_columns": ["y0", "y1", "y2"], "has_header": True},
+        "split": {"fraction": 0.7, "seed": 2},
+        "standardize": True,
+        "network": {"init_seed": 3, "layers": [
+            {"input_dim": 10, "output_dim": 7, "activation": "tanh", "has_bias": True},
+            {"input_dim": 7, "output_dim": 3, "activation": "softmax", "has_bias": True},
+        ]},
+        "loss": "cross_entropy",
+        "train": {"iterations": 30, "batch_size": 20, "lr0": 0.1, "lr_decay": 1.0,
+                  "dropout_keep": [1.0], "weight_decay": 0.001, "seed": 4, "eval_every": 10},
+        "posttrain": {"lambda": 0.001, "iterations": 25, "mode": "full_batch_backtracking",
+                      "seed": 5},
+        "checkpoints": [10, 30],
+        "metric": "classification_error",
+        "seeds": [0],
+    }
+    config_path = directory / "classes.json"
+    config_path.write_text(json.dumps(config))
+    return str(config_path)
+
+
+def synthetic_comparison(directory: Path) -> bytes:
+    """comparison.csv of ``compare --config synthetic --seed 0``."""
+    assert main(["compare", "--config", "synthetic", "--seed", "0",
+                 "--out", str(directory / "compare")]) == 0
+    return (directory / "compare" / "comparison.csv").read_bytes()
+
+
+def cross_entropy_comparison(directory: Path) -> bytes:
+    """comparison.csv of ``compare`` on the tiny cross-entropy config."""
+    config = cross_entropy_config(directory)
+    assert main(["compare", "--config", config, "--out", str(directory / "compare")]) == 0
+    return (directory / "compare" / "comparison.csv").read_bytes()
+
+
+def cross_entropy_posttrain_metrics(directory: Path) -> bytes:
+    """posttrain_metrics.csv of full-batch ``post-train`` on the network that
+    ``train`` makes from the tiny cross-entropy config."""
+    config = cross_entropy_config(directory)
+    assert main(["train", "--config", config, "--out", str(directory / "train")]) == 0
+    assert main(["post-train", "--config", config,
+                 "--network", str(directory / "train" / "network.json"),
+                 "--out", str(directory / "pt")]) == 0
+    return (directory / "pt" / "posttrain_metrics.csv").read_bytes()
+
+
+CASES = {
+    "synthetic_seed0_comparison.csv": synthetic_comparison,
+    "cross_entropy_comparison.csv": cross_entropy_comparison,
+    "cross_entropy_posttrain_metrics.csv": cross_entropy_posttrain_metrics,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden_bytes(name, tmp_path, capsys):
+    made = json.loads((GOLDEN / "environment.json").read_text())
+    here = environment()
+    differ = sorted(key for key in made.keys() | here.keys() if made.get(key) != here.get(key))
+    if differ:
+        pytest.skip(f"golden bytes were made where {', '.join(differ)} differ from this machine's")
+    got = CASES[name](tmp_path)
+    capsys.readouterr()
+    assert got == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    (GOLDEN / "environment.json").write_text(json.dumps(environment(), indent=2) + "\n")
+    for name, produce in CASES.items():
+        with tempfile.TemporaryDirectory() as work:
+            (GOLDEN / name).write_bytes(produce(Path(work)))
+        print(f"wrote {GOLDEN / name}", file=sys.stderr)

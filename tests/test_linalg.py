@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from lastlayer.linalg import (
+    _LAYOUT_MIN,
     _MATMUL_BLOCK,
     DimensionMismatchError,
     NotPositiveDefiniteError,
@@ -56,6 +57,30 @@ def with_extremes(rng, shape):
     return x
 
 
+def layouts(x):
+    """The same matrix as a C-ordered copy, a Fortran-ordered copy, the
+    transposed view of a C-ordered transpose, and a view with a column
+    stride of two."""
+    wide = np.zeros((x.shape[0], 2 * x.shape[1]))
+    wide[:, ::2] = x
+    return {
+        "C": np.ascontiguousarray(x),
+        "F": np.asfortranarray(x),
+        "T": np.ascontiguousarray(x.T).T,
+        "strided": wide[:, ::2],
+    }
+
+
+def same_bits(x, y):
+    """Equal shapes and equal bits, NaN payloads and zero signs included."""
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+# full-batch post-training's forward and gradient products at N = 3500
+# training rows, 10 features and 3 classes, and the gradient transposed
+HOT_SHAPES = [(3500, 10, 3), (3, 3500, 10), (10, 3500, 3)]
+
+
 class TestMatmul:
     def test_identity(self):
         rng = np.random.default_rng(0)
@@ -88,6 +113,13 @@ class TestMatmul:
             (3, _MATMUL_BLOCK // 3 + 1, 1),
             (91, 92, 91),  # m n > _MATMUL_BLOCK: blocks of one index
             (3, 3500, 10), (3500, 11, 3),
+            # rank-one path on large problems: m > n runs on the transpose
+            (3500, 10, 3), (300, 12, 40), (40, 12, 300), (3, 10, 3500), (700, 10, 1),
+            (1, 10, 700), (_LAYOUT_MIN // 32, 8, 4), (_LAYOUT_MIN // 32 - 1, 8, 4),
+            # block path on large problems, m > n and m < n
+            (10, 3500, 3), (7, 900, 2), (2, 900, 7), (4, 5000, 4),
+            # m n = 1 and 2: one block past _MATMUL_BLOCK
+            (1, 9000, 1), (1, 9000, 2), (2, 9000, 1),
         ]
         rng = np.random.default_rng(4)
         shapes = edge + [
@@ -102,8 +134,46 @@ class TestMatmul:
             with np.errstate(over="ignore", invalid="ignore"):
                 got = matmul(a, b)
                 want = rank_one_matmul(a, b)
-            assert got.shape == (m, n)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (m, k, n)
+            assert same_bits(got, want), (m, k, n)
+
+    @pytest.mark.parametrize("m, k, n", HOT_SHAPES)
+    def test_hot_shapes_match_triple_loop_bit_for_bit(self, m, k, n):
+        rng = np.random.default_rng(m + 7 * n)
+        a = with_extremes(rng, (m, k))
+        b = with_extremes(rng, (k, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = naive_matmul(a, b)
+            got = matmul(a, b)
+        assert got.flags.c_contiguous
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("a_layout", ["C", "F", "T", "strided"])
+    @pytest.mark.parametrize("b_layout", ["C", "F", "T", "strided"])
+    def test_operand_layout_does_not_change_bits(self, a_layout, b_layout):
+        rng = np.random.default_rng(5)
+        for m, k, n in HOT_SHAPES + [(6, 5, 4), (4, 300, 6), (50, 10, 10), (1, 9000, 1)]:
+            a = with_extremes(rng, (m, k))
+            b = with_extremes(rng, (k, n))
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = rank_one_matmul(a, b)
+                got = matmul(layouts(a)[a_layout], layouts(b)[b_layout])
+            assert got.flags.c_contiguous, (m, k, n)
+            assert same_bits(got, want), (m, k, n)
+
+    def test_single_entry_sums_in_order_where_pairwise_would_not(self):
+        # with one output entry a reduce would add the products pairwise;
+        # these products make that visible, and matmul must add in order
+        rng = np.random.default_rng(6)
+        k = 9001
+        a = rng.standard_normal((1, k)) * np.exp(rng.uniform(-20.0, 20.0, size=(1, k)))
+        b = rng.standard_normal((k, 1))
+        products = a[0] * b[:, 0]
+        in_order = 0.0
+        for p in products:
+            in_order += p
+        assert np.add.reduce(products) != in_order
+        assert matmul(a, b)[0, 0] == in_order
+        assert same_bits(matmul(a, b), naive_matmul(a, b))
 
     def test_block_path_sums_signed_zeros_like_the_loop(self):
         # 0.0 + (-0.0) is +0.0: the running sum starts at +0.0 in every path

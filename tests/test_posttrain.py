@@ -184,6 +184,59 @@ class TestPostTrain:
             real(tuned, ds.x).output, ds.y
         )
 
+    def test_full_batch_cross_entropy_forwards_once_per_objective(self, monkeypatch):
+        # the gradient starts from the output of the objective at the
+        # accepted point, so training-set forwards and training-set
+        # objective evaluations pair up one to one
+        import lastlayer.network as network_module
+        import lastlayer.posttrain as posttrain_module
+        import lastlayer.train as train_module
+
+        net = build_network([LayerSpec(4, 6, "tanh"), LayerSpec(6, 3, "softmax")], 7)
+        ds, test = classification_data(8, n=600), classification_data(9)
+        forwards, objectives = [], []
+        real_forward, real_loss_eval = network_module.forward, posttrain_module.loss_eval
+
+        def counting_forward(net_, x, dropout_masks=None):
+            forwards.append(x.shape[0])
+            return real_forward(net_, x, dropout_masks)
+
+        def counting_loss_eval(loss, output, targets):
+            objectives.append(targets.shape[0])
+            return real_loss_eval(loss, output, targets)
+
+        for module in (network_module, posttrain_module, train_module):
+            monkeypatch.setattr(module, "forward", counting_forward)
+        monkeypatch.setattr(posttrain_module, "loss_eval", counting_loss_eval)
+        cfg = PostTrainConfig(lam=1e-3, iterations=12)
+        _, metrics = post_train(net, ds, cfg, "cross_entropy", eval_data=test)
+        assert len(metrics.points) == 13
+        assert forwards.count(ds.n) == objectives.count(ds.n) > len(metrics.points)
+        assert forwards.count(test.n) == len(metrics.points)
+
+    def test_full_batch_cross_entropy_gradient_matches_loss_and_gradients(self, monkeypatch):
+        # the gradient from the objective's output against the route it
+        # replaced: loss_and_gradients on the one-layer network, forwarding
+        # the cached features again
+        import lastlayer.posttrain as posttrain_module
+        from lastlayer.network import Gradients, loss_and_gradients
+
+        def forwarding_gradient(problem, point, idx=None, out=None):
+            feats, targets = problem.train
+            grad = loss_and_gradients(point, feats, targets, problem.loss)[1].weights[0]
+            return Gradients([grad + 2.0 * problem.lam * point.layers[0].weights], [None])
+
+        net = build_network([LayerSpec(4, 6, "tanh"), LayerSpec(6, 3, "softmax")], 10)
+        ds, test = classification_data(11, n=600), classification_data(12)
+        cfg = PostTrainConfig(lam=1e-3, iterations=15)
+        tuned, metrics = post_train(net, ds, cfg, "cross_entropy", eval_data=test)
+        with monkeypatch.context() as patch:
+            patch.setattr(posttrain_module._CachedProblem, "gradient", forwarding_gradient)
+            want, want_metrics = post_train(net, ds, cfg, "cross_entropy", eval_data=test)
+        assert networks_bit_identical(tuned, want)
+        assert metrics.to_csv() == want_metrics.to_csv()
+        assert metrics.termination == want_metrics.termination
+
     def test_repeat_runs_bit_identical(self):
         net = regression_net(seed=19)
         ds = regression_data(seed=20)

@@ -293,6 +293,34 @@ class TestFullBatchGd:
             real_forward(trained, ds.x).output, ds.y
         )
 
+    def test_gradient_backpropagates_from_the_objective_trace(self, monkeypatch):
+        # counted at the network module, where loss_and_gradients forwards:
+        # the gradient reuses the accepted point's trace, so the training
+        # set is forwarded once per objective evaluation, 18 times in all
+        import lastlayer.network as network_module
+        import lastlayer.train as train_module
+
+        rng = np.random.default_rng(39)
+        net = build_network(
+            [LayerSpec(4, 6, "tanh"), LayerSpec(6, 3, "softmax", has_bias=False)], 40
+        )
+        x = rng.normal(size=(250, 4))
+        y = np.eye(3)[rng.integers(0, 3, size=250)]
+        ds, test = Dataset(x[:200], y[:200]), Dataset(x[200:], y[200:])
+        forwards = []
+        real = network_module.forward
+
+        def counting(net_, x_, dropout_masks=None):
+            forwards.append(x_.shape[0])
+            return real(net_, x_, dropout_masks)
+
+        monkeypatch.setattr(network_module, "forward", counting)
+        monkeypatch.setattr(train_module, "forward", counting)
+        _, metrics = full_batch_gd(net, ds, 10, "cross_entropy", eval_data=test)
+        assert len(metrics.points) == 11
+        assert forwards.count(ds.n) == 18
+        assert forwards.count(test.n) == len(metrics.points)
+
 
 class TestMetricsSeries:
     def test_strictly_increasing_iterations_enforced(self):
