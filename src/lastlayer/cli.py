@@ -27,7 +27,7 @@ from .experiment import (
     run_experiment,
 )
 from .kernel import ridge_solve, save_solution
-from .network import load_network, save_network
+from .network import check_loss_pairing, load_network, save_network
 from .posttrain import effective_features, post_train, with_effective_last_weights
 from .train import sgd_train
 
@@ -88,9 +88,14 @@ def cmd_post_train(args) -> int:
 
 def cmd_krr(args) -> int:
     cfg = _load_config(args)
+    if cfg.loss != "squared_error":
+        raise ValueError(
+            f"krr fits the squared-error last layer in closed form; the config's loss is {cfg.loss!r}"
+        )
+    net = load_network(args.network)
+    check_loss_pairing(net, cfg.loss)
     out = _ensure_out(args.out)
     train_ds, *_ = prepare_run(cfg, cfg.seeds[0])
-    net = load_network(args.network)
     feats = effective_features(net, train_ds.x)
     solution = ridge_solve(feats, train_ds.y, cfg.posttrain.lam, cfg.krr_convention)
     save_solution(

@@ -129,10 +129,12 @@ def _parse_cell(cell: str, line: int, column: int) -> float:
 def _resolve_columns(requested, header, width: int, what: str) -> list:
     resolved = []
     for item in requested:
-        if isinstance(item, int):
+        if isinstance(item, int) and not isinstance(item, bool):
             if not 0 <= item < width:
                 raise ValueError(f"{what} column index {item} out of range [0, {width})")
             resolved.append(item)
+        elif not isinstance(item, str):
+            raise ValueError(f"{what} column {item!r} is neither a name nor a 0-based index")
         else:
             if header is None:
                 raise ValueError(

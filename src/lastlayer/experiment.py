@@ -32,9 +32,9 @@ from .linalg import matmul, min_eigenvalue_symmetric, solve_spd
 from .network import (
     LayerSpec,
     Network,
+    backprop,
     build_network,
     forward,
-    loss_and_gradients,
     loss_eval,
     replace_last_layer,
 )
@@ -57,14 +57,18 @@ METRICS = ("rmse", "classification_error")
 # configuration
 # ---------------------------------------------------------------------------
 
+# a CSV column, selected by header name or by 0-based index
+Column = Union[str, int]
+
+
 @dataclass
 class DatasetSpec:
     kind: str  # "synthetic" | "csv"
     n: int = 10000
     seed: int = 0
     path: Optional[str] = None
-    feature_columns: Optional[list] = None
-    target_columns: Optional[list] = None
+    feature_columns: Optional[list[Column]] = None
+    target_columns: Optional[list[Column]] = None
     has_header: bool = True
 
     def __post_init__(self):
@@ -72,6 +76,8 @@ class DatasetSpec:
             raise ValueError(f"dataset kind must be 'synthetic' or 'csv', got {self.kind!r}")
         if self.kind == "csv" and not self.path:
             raise ValueError("csv dataset requires a path")
+        if self.kind == "csv" and (self.feature_columns is None or self.target_columns is None):
+            raise ValueError("csv dataset requires feature_columns and target_columns")
 
 
 @dataclass(kw_only=True)
@@ -168,6 +174,8 @@ _SCALARS = {
     int: ("an integer", lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer())),
     float: ("a number", _is_number),
     str: ("a string", lambda v: isinstance(v, str)),
+    Column: ("a column name or a 0-based index",
+             lambda v: isinstance(v, str) or (_is_number(v) and isinstance(v, int) and v >= 0)),
 }
 
 
@@ -175,7 +183,7 @@ def _value_from_doc(kind, value, where: str):
     """``value`` read as a ``kind``; a scalar that ``_SCALARS`` refuses, or a
     non-finite float, raises ValueError naming its dotted path ``where``.
     An ``Optional`` kind takes None or a value of the kind it wraps."""
-    if get_origin(kind) is Union:
+    if get_origin(kind) is Union and type(None) in get_args(kind):
         if value is None:
             return None
         (kind,) = [arg for arg in get_args(kind) if arg is not type(None)]
@@ -192,7 +200,7 @@ def _value_from_doc(kind, value, where: str):
         # NaN and +-inf fail this test, and so does an int too large for a float
         if kind is float and not abs(value) <= sys.float_info.max:
             raise ValueError(f"config key {where!r} must be finite, got {value!r}")
-        return kind(value)
+        return kind(value) if isinstance(kind, type) else value
     return value
 
 
@@ -465,7 +473,7 @@ def _check_gradients(seed: int, perturbation: float) -> CheckResult:
             if not crossed:
                 break
             redrawn += 1
-        _, grads = loss_and_gradients(net, x, y, loss)
+        grads = backprop(net, x, y, loss)
         ordered = []
         for index, layer in enumerate(net.layers):
             ordered.append(grads.weights[index].copy())
@@ -533,7 +541,7 @@ def _check_softmax_curvature(seed: int, instances: int = 100):
             reference = _fd_ce_hessian(inst)
             scale = max(1.0, float(np.max(np.abs(reference))))
             worst_fd = max(worst_fd, float(np.max(np.abs(hess - reference))) / scale)
-        worst_eig = max(worst_eig, max(0.0, -min_eigenvalue_symmetric(hess, 1e-12)))
+        worst_eig = max(worst_eig, max(0.0, -min_eigenvalue_symmetric(hess)))
         coupling = p_matrix(inst)
         off = np.sum(np.abs(coupling), axis=1) - np.abs(np.diag(coupling))
         worst_dom = max(worst_dom, float(np.max(np.abs(off - np.diag(coupling)))))
@@ -570,7 +578,7 @@ def _check_kernel_identities(seed: int) -> list:
             worst_repr, float(np.max(np.abs(pred_dual - pred_primal))) / pscale
         )
         if n <= 30:
-            min_eig = min_eigenvalue_symmetric(k, 1e-10)
+            min_eig = min_eigenvalue_symmetric(k)
             # negative spectrum relative to the mean diagonal, per the PSD contract
             worst_psd = max(worst_psd, max(0.0, -min_eig) / (float(np.trace(k)) / n))
     return [
@@ -676,7 +684,7 @@ def convexity_statistics(seed: int = 0, instances: int = 100) -> dict:
     eigs = []
     for _ in range(instances):
         inst = _random_softmax_instance(rng)
-        eigs.append(min_eigenvalue_symmetric(ce_hessian(inst), 1e-12))
+        eigs.append(min_eigenvalue_symmetric(ce_hessian(inst)))
     arr = np.array(eigs)
     return {
         "instances": instances,

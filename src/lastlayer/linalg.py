@@ -28,7 +28,6 @@ Matrix = np.ndarray
 _SYMMETRY_RTOL = 1e-10
 _MATMUL_BLOCK = 8192  # products per summation block (64 KiB of float64)
 _LAYOUT_MIN = 2048  # products from which matmul arranges memory for long rows
-_EIG_MAX_DIM = 200
 
 
 class DimensionMismatchError(ValueError):
@@ -203,20 +202,12 @@ def _failing_pivot(a: Matrix) -> int:
     return bad - 1
 
 
-def min_eigenvalue_symmetric(a: Matrix, tol: float = 1e-10) -> float:
-    """Smallest eigenvalue of a symmetric matrix, accurate to ``tol``.
+def min_eigenvalue_symmetric(a: Matrix) -> float:
+    """Smallest eigenvalue of a finite symmetric matrix.
 
     numpy's eigvalsh (LAPACK's symmetric eigensolver) lists the spectrum in
-    ascending order, to a small multiple of machine precision times the
-    matrix norm, well inside any ``tol`` the package asks for.  Guarded to
-    n <= 200: this supports verification work, not large-scale spectra.
+    ascending order, accurate to a small multiple of machine precision
+    times the matrix norm.  A non-symmetric or non-finite ``a`` raises, as
+    in ``check_symmetric``.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    a = check_symmetric(a, "a")
-    n = a.shape[0]
-    if n > _EIG_MAX_DIM:
-        raise DimensionMismatchError(
-            f"min_eigenvalue_symmetric supports n <= {_EIG_MAX_DIM}, got n = {n}"
-        )
-    return float(np.linalg.eigvalsh(a)[0])
+    return float(np.linalg.eigvalsh(check_symmetric(a, "a"))[0])

@@ -326,16 +326,18 @@ def check_loss_pairing(net: Network, loss: str) -> None:
         raise ValueError(f"unknown loss {loss!r}")
 
 
-def loss_and_gradients(
+def backprop(
     net: Network, x: Matrix, y: Matrix, loss: str, dropout_masks=None,
     trace: Optional[ForwardTrace] = None,
-):
-    """Batch-mean loss and its exact gradients in one backward pass.
+) -> Gradients:
+    """Exact gradients of the batch-mean loss for every weight and bias: the
+    package's one backward pass.
 
+    It starts from ``trace``, the caller's ``forward(net, x,
+    dropout_masks)``, and runs that forward pass itself only when no trace
+    is given.  The loss is not evaluated; ``loss_and_gradients`` adds it.
     The softmax/cross-entropy pairing uses the standard simplification:
-    the output-layer error is (probabilities - one_hot) / batch.  A
-    ``trace`` the caller already has, ``forward(net, x, dropout_masks)``,
-    spares the forward pass.
+    the output-layer error is (probabilities - one_hot) / batch.
     """
     check_loss_pairing(net, loss)
     x = _check_input(net, x)
@@ -349,7 +351,6 @@ def loss_and_gradients(
             f"network output shape {out.shape} != target shape {y.shape}"
         )
     batch = x.shape[0]
-    value = loss_eval(loss, out, y)
 
     if loss == "squared_error":
         delta = (2.0 / batch) * (out - y)
@@ -378,13 +379,15 @@ def loss_and_gradients(
             )
             delta = upstream if deriv is None else upstream * deriv
     _tally_lower_products(lower_products)
-    return value, Gradients(weight_grads, bias_grads)
+    return Gradients(weight_grads, bias_grads)
 
 
-def backprop(net: Network, x: Matrix, y: Matrix, loss: str, dropout_masks=None) -> Gradients:
-    """Exact gradients of the batch-mean loss for every weight and bias."""
-    _, grads = loss_and_gradients(net, x, y, loss, dropout_masks=dropout_masks)
-    return grads
+def loss_and_gradients(net: Network, x: Matrix, y: Matrix, loss: str, dropout_masks=None):
+    """``(loss, gradients)`` of the batch-mean loss from one forward pass,
+    which ``backprop`` and ``loss_eval`` share."""
+    trace = forward(net, x, dropout_masks=dropout_masks)
+    grads = backprop(net, x, y, loss, dropout_masks, trace=trace)
+    return loss_eval(loss, trace.output, y), grads
 
 
 def replace_last_layer(net: Network, weights: Matrix, bias=None) -> Network:

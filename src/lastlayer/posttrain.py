@@ -8,11 +8,12 @@ error with an identity output the problem is a ridge-regularized least
 squares, and the full-batch path exploits that: it precomputes the
 feature Gram and cross terms and evaluates objective and gradient in the
 feature dimension, never touching the sample axis again.  The general
-path (softmax/cross-entropy, or minibatch mode) uses the network engine;
-on the full batch its gradient starts from the output that the objective
-computed at the same point, so each iteration forwards only its trials.
-Both modes run training's descent loop (``train._descend``) and scoring on
-the last layer as a bias-free one-layer ``Network`` over the cached features.
+path (softmax/cross-entropy, or minibatch mode) has no gradient arithmetic
+of its own: it runs ``network.backprop`` on the last layer as a bias-free
+one-layer ``Network`` over the cached features.  On the full batch that
+backward pass starts from the forward trace the objective computed at the
+same point, so each iteration forwards only its trials.  Both modes run
+training's descent loop (``train._descend``), which also scores them.
 
 The optimized objective is  mean_i loss(act(f_i @ W.T), y_i) + lam * |W|^2
 with |.| the Frobenius norm over the whole last-layer matrix.  When the
@@ -31,19 +32,20 @@ import numpy as np
 from .data import Dataset
 from .linalg import Matrix, matmul, sq_frobenius
 from .network import (
+    ForwardTrace,
     Gradients,
     Layer,
     LayerSpec,
     Network,
+    backprop,
     check_loss_pairing,
     feature_map,
     forward,
-    loss_and_gradients,
     loss_eval,
     replace_last_layer,
 )
 from .rng import derive
-from .train import MetricPoint, _BatchStream, _descend, _evaluate
+from .train import _BatchStream, _descend
 
 MODES = ("full_batch_backtracking", "minibatch")
 
@@ -139,7 +141,11 @@ class _Samples(NamedTuple):
 
 
 class _CachedProblem:
-    """Last-layer problem over cached features; all sizes are desk-scale."""
+    """Last-layer problem over cached features; all sizes are desk-scale.
+
+    Full-batch squared error works in the d x d feature space.  Every other
+    case forwards the one-layer network and takes its loss gradient from
+    ``network.backprop``, adding only the regularizer's ``2 lam W``."""
 
     def __init__(self, net: Network, data: Dataset, lam: float, loss: str,
                  eval_data: Dataset | None):
@@ -159,10 +165,11 @@ class _CachedProblem:
             self.cross = matmul(feats.T, self.train.y)
             self.targets_sq = sq_frobenius(self.train.y)
 
-    def objective(self, point: Network) -> tuple[float, Matrix | None]:
-        """``(objective, output)``: the objective at ``point`` and the training
-        output it was computed from, which the metric points reuse (None on
-        the quadratic path, which never forms the output)."""
+    def objective(self, point: Network) -> tuple[float, ForwardTrace | None]:
+        """``(objective, trace)``: the objective at ``point`` and the forward
+        trace over the training features it was computed from, which the
+        gradient and the metric points reuse (None on the quadratic path,
+        which never forms the output)."""
         w_eff = point.layers[0].weights
         if self.quadratic:
             fit = (
@@ -171,23 +178,22 @@ class _CachedProblem:
                 + self.targets_sq
             )
             return fit / self.n + self.lam * sq_frobenius(w_eff), None
-        out = forward(point, self.train.x).output
-        return loss_eval(self.loss, out, self.train.y) + self.lam * sq_frobenius(w_eff), out
+        trace = forward(point, self.train.x)
+        value = loss_eval(self.loss, trace.output, self.train.y)
+        return value + self.lam * sq_frobenius(w_eff), trace
 
     def gradient(self, point: Network, idx: np.ndarray | None = None,
-                 out: Matrix | None = None) -> Gradients:
+                 trace: ForwardTrace | None = None) -> Gradients:
         """Gradient of the objective, on the batch ``idx`` when given.  On
-        the full batch, cross-entropy starts from ``out``, the objective's
-        output at ``point``: the operations of ``loss_and_gradients`` on the
-        one-layer network, in its order, without its forward pass."""
+        the full batch, the general path backpropagates from ``trace``, the
+        objective's forward pass at ``point``."""
         w_eff = point.layers[0].weights
         if idx is not None:
-            batch = self.train.x[idx], self.train.y[idx]
-            grad = loss_and_gradients(point, *batch, self.loss)[1].weights[0]
+            grad = backprop(point, self.train.x[idx], self.train.y[idx], self.loss).weights[0]
         elif self.quadratic:
             grad = (2.0 / self.n) * (matmul(w_eff, self.gram_feat) - self.cross.T)
         else:
-            grad = matmul(((out - self.train.y) / self.n).T, self.train.x)
+            grad = backprop(point, *self.train, self.loss, trace=trace).weights[0]
         return Gradients([grad + 2.0 * self.lam * w_eff], [None])
 
 
@@ -218,13 +224,10 @@ def post_train(
         stream = _BatchStream(data.n, cfg.batch_size, derive(cfg.seed, "posttrain"))
         lr = cfg.lr
 
-    def gradient(point: Network, it: int, out: Matrix | None) -> Gradients:
-        return problem.gradient(point, None if stream is None else stream.batch(it - 1), out)
-
-    def record(point: Network, it: int, value: float, out: Matrix | None) -> MetricPoint:
-        return _evaluate(point, loss, problem.train, problem.eval, it, value, out)
+    def gradient(point: Network, it: int, trace: ForwardTrace | None) -> Gradients:
+        return problem.gradient(point, None if stream is None else stream.batch(it - 1), trace)
 
     start = _last_layer_net(net, effective_last_weights(net))
-    tuned, metrics = _descend(start, problem.objective, gradient, cfg.iterations, record, lr,
-                              max(cfg.grad_tol, 1e-14))
+    tuned, metrics = _descend(start, problem.objective, gradient, cfg.iterations, loss,
+                              problem.train, problem.eval, lr, max(cfg.grad_tol, 1e-14))
     return with_effective_last_weights(net, tuned.layers[0].weights), metrics

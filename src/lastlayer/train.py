@@ -26,6 +26,7 @@ from .linalg import Matrix, sq_frobenius
 from .network import (
     ForwardTrace,
     Network,
+    backprop,
     check_loss_pairing,
     forward,
     loss_and_gradients,
@@ -171,15 +172,15 @@ def classification_error(output: Matrix, targets: Matrix) -> float:
 
 
 def _evaluate(net: Network, loss: str, data, eval_data, iteration: int, train_loss=None,
-              train_output=None) -> MetricPoint:
+              train_trace: Optional[ForwardTrace] = None) -> MetricPoint:
     """Metrics of ``net`` on ``data`` and, when given, ``eval_data`` (anything
     with ``x`` and ``y`` matrices).  A ``train_loss`` the caller already has,
     such as a regularized objective, is recorded in place of the loss on
-    ``data``; a ``train_output`` it already has, ``net``'s output on
-    ``data.x``, spares the forward pass over ``data``."""
+    ``data``; a ``train_trace`` it already has, ``forward(net, data.x)``,
+    spares the forward pass over ``data``."""
     point = MetricPoint(iteration=iteration, train_loss=train_loss)
     if train_loss is None or loss == "cross_entropy":
-        out = forward(net, data.x).output if train_output is None else train_output
+        out = (forward(net, data.x) if train_trace is None else train_trace).output
         if train_loss is None:
             point.train_loss = loss_eval(loss, out, data.y)
         if loss == "cross_entropy":
@@ -298,29 +299,32 @@ def _sq_norm(weights, biases) -> float:
     return total + sum(sq_frobenius(b) for b in biases if b is not None)
 
 
-def _descend(net: Network, objective, gradient, iterations: int, record,
+def _descend(net: Network, objective, gradient, iterations: int, loss: str, data, eval_data,
              lr: Optional[float] = None, grad_tol: float = 0.0):
     """The descent loop of ``full_batch_gd`` and ``post_train``: returns
     ``(net, metrics)``, leaving the given ``net`` unmodified.
 
-    ``objective(net)`` gives ``(value, output)``, ``output`` being whatever
-    the value was computed from; ``record(net, it, value, output)`` makes
-    iteration ``it``'s MetricPoint (0: the start, which must be finite).
-    Step ``it`` moves all weights and biases along ``-gradient(net, it,
-    output)``, which receives the output of the point it differentiates so
-    that it need not recompute it: by ``lr`` when given, raising
-    TrainingDivergedError(it) if the objective turns non-finite; else by what
-    ``armijo_step`` accepts, from twice the last accepted step, so the
-    objective never rises, stopping as "stalled" if nothing is accepted, and,
-    with grad_tol > 0, as "converged" before a step with
-    |g| <= grad_tol * (1 + |W|).  The reason lands in ``metrics.termination``.
+    ``objective(net)`` gives ``(value, trace)``: the objective and the
+    ForwardTrace of ``net`` on ``data.x`` it was computed from, or None when
+    the value needed no forward pass.  Iteration ``it``'s MetricPoint (0:
+    the start, which must be finite) is ``_evaluate`` of the point on
+    ``data`` and ``eval_data``; it records ``value`` as the train loss and
+    reuses the trace.  Step ``it`` moves all weights and biases along
+    ``-gradient(net, it, trace)``, which receives the trace of the point it
+    differentiates so that it need not forward it again: by ``lr`` when
+    given, raising TrainingDivergedError(it) if the objective turns
+    non-finite; else by what ``armijo_step`` accepts, from twice the last
+    accepted step, so the objective never rises, stopping as "stalled" if
+    nothing is accepted, and, with grad_tol > 0, as "converged" before a
+    step with |g| <= grad_tol * (1 + |W|).  The reason lands in
+    ``metrics.termination``.
     """
     metrics = MetricsSeries()
-    value, output = objective(net)
-    metrics.append(record(net, 0, check_finite(value, 0), output))
+    value, trace = objective(net)
+    metrics.append(_evaluate(net, loss, data, eval_data, 0, check_finite(value, 0), trace))
     step = 1.0
     for it in range(1, iterations + 1):
-        grads = gradient(net, it, output)
+        grads = gradient(net, it, trace)
 
         def trial(s: float):
             moved = net.copy()
@@ -328,11 +332,11 @@ def _descend(net: Network, objective, gradient, iterations: int, record,
                 layer.weights -= s * gw
                 if gb is not None:
                     layer.bias -= s * gb
-            value_s, output_s = objective(moved)
-            return (moved, output_s), value_s
+            value_s, trace_s = objective(moved)
+            return (moved, trace_s), value_s
 
         if lr is not None:
-            (net, output), value = trial(lr)
+            (net, trace), value = trial(lr)
             check_finite(value, it)
         else:
             grad_sq = _sq_norm(grads.weights, grads.biases)
@@ -346,8 +350,8 @@ def _descend(net: Network, objective, gradient, iterations: int, record,
             if accepted is None:
                 metrics.termination = "stalled"
                 break
-            (net, output), value, step = accepted
-        metrics.append(record(net, it, value, output))
+            (net, trace), value, step = accepted
+        metrics.append(_evaluate(net, loss, data, eval_data, it, value, trace))
     return net, metrics
 
 
@@ -384,7 +388,7 @@ def full_batch_gd(
         return value, trace
 
     def gradient(current: Network, it: int, trace: ForwardTrace):
-        grads = loss_and_gradients(current, data.x, data.y, loss, trace=trace)[1]
+        grads = backprop(current, data.x, data.y, loss, trace=trace)
         if weight_decay > 0.0:
             grads.weights = [
                 g + 2.0 * weight_decay * layer.weights
@@ -392,7 +396,4 @@ def full_batch_gd(
             ]
         return grads
 
-    def record(current: Network, it: int, value: float, trace: ForwardTrace) -> MetricPoint:
-        return _evaluate(current, loss, data, eval_data, it, value, trace.output)
-
-    return _descend(net.copy(), objective, gradient, iterations, record, lr)
+    return _descend(net.copy(), objective, gradient, iterations, loss, data, eval_data, lr)

@@ -152,7 +152,7 @@ def test_criterion_2_hessian_identity_and_psd():
         reference = fd_hessian_flat(fun, inst.w.reshape(-1).copy())
         scale = max(1.0, float(np.max(np.abs(reference))))
         worst_fd = max(worst_fd, float(np.max(np.abs(hess - reference))) / scale)
-        worst_eig = max(worst_eig, -min_eigenvalue_symmetric(hess, 1e-12))
+        worst_eig = max(worst_eig, -min_eigenvalue_symmetric(hess))
         coupling = p_matrix(inst)
         off = np.sum(np.abs(coupling), axis=1) - np.abs(np.diag(coupling))
         worst_dom = max(worst_dom, float(np.max(np.abs(off - np.diag(coupling)))))

@@ -15,7 +15,7 @@ from lastlayer import jsonio
 from lastlayer.cli import main
 from lastlayer.data import load_csv, load_dataset
 from lastlayer.experiment import config_from_dict
-from lastlayer.network import load_network
+from lastlayer.network import LayerSpec, build_network, load_network, save_network
 
 
 TINY_CONFIG = {
@@ -106,6 +106,26 @@ class TestTrainCommands(object):
         assert solution["convention"] == "objective_consistent"
         optimal = load_network(str(krr_dir / "network_optimal.json"))
         assert optimal.layers[-1].spec.input_dim == 5
+
+    def test_krr_refuses_cross_entropy_and_mispaired_networks(self, tmp_path, config_path):
+        # the closed form minimises the squared-error objective only, so a
+        # cross-entropy config or a softmax network must not yield a network
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc.update(loss="cross_entropy", metric="classification_error")
+        doc["network"]["layers"][-1]["activation"] = "softmax"
+        ce_path = tmp_path / "ce.json"
+        ce_path.write_text(json.dumps(doc))
+        softmax_net = build_network(
+            [LayerSpec(10, 5, "tanh"), LayerSpec(5, 1, "softmax", has_bias=False)], 3
+        )
+        net_path = tmp_path / "softmax.json"
+        save_network(softmax_net, str(net_path))
+        out = tmp_path / "krr"
+        for config, message in ((str(ce_path), "cross_entropy"),
+                                (config_path, "requires an identity last activation")):
+            with pytest.raises(ValueError, match=message):
+                main(["krr", "--config", config, "--network", str(net_path), "--out", str(out)])
+        assert not out.exists()
 
     def test_compare_byte_identical_across_runs(self, tmp_path, config_path):
         dir_a = tmp_path / "a"

@@ -100,6 +100,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="not found"):
             load_csv(str(path), ["z"], ["b"])
 
+    def test_boolean_column_is_neither_name_nor_index(self, tmp_path):
+        # True == 1 would otherwise select column 1
+        path = tmp_path / "cols.csv"
+        path.write_text("a,b\n1,2\n")
+        with pytest.raises(ValueError, match="neither a name nor a 0-based index"):
+            load_csv(str(path), [True], ["b"])
+
     def test_index_selection_without_header(self, tmp_path):
         path = tmp_path / "noheader.csv"
         path.write_text("1,2,3\n4,5,6\n")

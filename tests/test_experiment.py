@@ -31,6 +31,12 @@ from lastlayer.posttrain import PostTrainConfig, posttrain_objective
 from lastlayer.train import TrainConfig
 
 
+def csv_dataset(**columns):
+    """Replace a config document's dataset with a CSV one reading ``columns``."""
+    spec = {"kind": "csv", "path": "data.csv", "feature_columns": ["x0"], "target_columns": ["y0"]}
+    return lambda doc: doc.update(dataset={**spec, **columns})
+
+
 def tiny_config_doc(**overrides):
     doc = {
         "dataset": {"kind": "synthetic", "n": 240, "seed": 11},
@@ -187,6 +193,12 @@ class TestConfig:
         ("train.dropout_keep[0]",
          lambda doc: doc["train"].update(dropout_keep=["a", 1.0]), "a number"),
         ("train.dropout_keep", lambda doc: doc["train"].update(dropout_keep=5), "a list"),
+        ("dataset.feature_columns", csv_dataset(feature_columns="x0"), "a list"),
+        ("dataset.feature_columns", csv_dataset(feature_columns=5), "a list"),
+        ("dataset.feature_columns[0]", csv_dataset(feature_columns=[1.5]), "a column name"),
+        ("dataset.target_columns[0]", csv_dataset(target_columns=[None]), "a column name"),
+        ("dataset.feature_columns[1]", csv_dataset(feature_columns=["x0", True]), "a column name"),
+        ("dataset.target_columns[0]", csv_dataset(target_columns=[-1]), "0-based index"),
     ])
     def test_malformed_values_raise_naming_the_path(self, path, corrupt, message):
         doc = jsonio.loads(
@@ -196,6 +208,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{re.escape(repr(path))} .*{message}|{message}.*"
                            f"{re.escape(repr(path))}"):
             config_from_dict(doc)
+
+    def test_csv_columns_are_names_or_indices_and_both_lists_are_required(self):
+        text = resources.files("lastlayer.configs").joinpath("synthetic.json").read_text()
+        doc = jsonio.loads(text)
+        csv_dataset(feature_columns=["x0", 3], target_columns=[0])(doc)
+        spec = config_from_dict(doc).dataset
+        assert spec.feature_columns == ["x0", 3] and spec.target_columns == [0]
+        for key in ("feature_columns", "target_columns"):
+            doc = jsonio.loads(text)
+            csv_dataset()(doc)
+            del doc["dataset"][key]
+            with pytest.raises(ValueError, match="requires feature_columns and target_columns"):
+                config_from_dict(doc)
 
     def test_numbers_are_read_by_field_type(self):
         doc = tiny_config_doc()

@@ -50,7 +50,7 @@ class TestGram:
         f = rng.standard_normal((15, 6))
         k = gram(f)
         assert np.array_equal(k, k.T)
-        assert min_eigenvalue_symmetric(k, 1e-10) >= -1e-8 * float(np.trace(k)) / 15
+        assert min_eigenvalue_symmetric(k) >= -1e-8 * float(np.trace(k)) / 15
 
 
 class TestKrrSolve:

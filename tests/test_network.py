@@ -22,6 +22,7 @@ from lastlayer.network import (
     feature_map,
     forward,
     load_network,
+    loss_and_gradients,
     loss_eval,
     network_from_dict,
     network_to_dict,
@@ -199,6 +200,20 @@ class TestLossEval:
             loss_eval("cross_entropy", np.array([[0.9, 0.3]]), targets)
 
 
+def biased_batch_with_masks(loss: str):
+    """A net with a bias on every layer, a batch for ``loss``, and a dropout
+    mask per hidden layer."""
+    rng = np.random.default_rng(24)
+    last = "identity" if loss == "squared_error" else "softmax"
+    net = build_network([LayerSpec(4, 6, "tanh"), LayerSpec(6, 5, "relu"), LayerSpec(5, 3, last)], 25)
+    for layer in net.layers:
+        layer.bias += rng.normal(scale=0.3, size=layer.bias.shape)
+    x = rng.standard_normal((9, 4))
+    y = rng.standard_normal((9, 3)) if loss == "squared_error" else np.eye(3)[rng.integers(0, 3, 9)]
+    masks = [(rng.uniform(size=(9, width)) < 0.7) / 0.7 for width in (6, 5)]
+    return net, x, y, masks
+
+
 class TestBackprop:
     def test_linear_layer_analytic_gradient(self):
         rng = np.random.default_rng(16)
@@ -254,6 +269,30 @@ class TestBackprop:
         scale = max(1.0, max(float(np.max(np.abs(r))) for r in reference))
         for got, ref in zip(flat, reference):
             assert float(np.max(np.abs(got - ref))) <= 1e-5 * scale
+
+    @pytest.mark.parametrize("loss", ["squared_error", "cross_entropy"])
+    def test_given_trace_gives_the_same_bits_without_a_forward(self, loss, monkeypatch):
+        import lastlayer.network as network_module
+
+        net, x, y, masks = biased_batch_with_masks(loss)
+        for dropout in (None, masks):
+            want = backprop(net, x, y, loss, dropout)
+            trace = forward(net, x, dropout)
+            with monkeypatch.context() as patch:
+                patch.setattr(network_module, "forward", None)  # any forward pass fails
+                got = backprop(net, x, y, loss, dropout, trace=trace)
+            for a, b in zip(want.weights + want.biases, got.weights + got.biases):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("loss", ["squared_error", "cross_entropy"])
+    def test_loss_and_gradients_is_loss_eval_and_backprop_of_its_forward(self, loss):
+        net, x, y, masks = biased_batch_with_masks(loss)
+        value, grads = loss_and_gradients(net, x, y, loss, masks)
+        trace = forward(net, x, masks)
+        assert value == loss_eval(loss, trace.output, y)
+        want = backprop(net, x, y, loss, masks, trace=trace)
+        for a, b in zip(want.weights + want.biases, grads.weights + grads.biases):
+            assert a.tobytes() == b.tobytes()
 
     def test_pairing_validation(self):
         net = small_regression_net(seed=22)

@@ -237,6 +237,30 @@ class TestPostTrain:
         assert metrics.to_csv() == want_metrics.to_csv()
         assert metrics.termination == want_metrics.termination
 
+    @pytest.mark.parametrize("loss", ["squared_error", "cross_entropy"])
+    def test_minibatch_gradient_evaluates_no_loss(self, loss, monkeypatch):
+        # the objective evaluates the loss through posttrain's own binding; a
+        # call looked up in the network module is one the gradient made and
+        # threw away
+        import lastlayer.network as network_module
+
+        if loss == "squared_error":
+            net, ds = regression_net(seed=30), regression_data(seed=31)
+        else:
+            net, ds = classification_net(seed=30), classification_data(seed=31)
+        calls = []
+        real = network_module.loss_eval
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(network_module, "loss_eval", counting)
+        cfg = PostTrainConfig(lam=1e-3, iterations=10, mode="minibatch", batch_size=10)
+        _, metrics = post_train(net, ds, cfg, loss)
+        assert len(metrics.points) == 11
+        assert calls == []
+
     def test_repeat_runs_bit_identical(self):
         net = regression_net(seed=19)
         ds = regression_data(seed=20)

@@ -294,7 +294,7 @@ class TestFullBatchGd:
         )
 
     def test_gradient_backpropagates_from_the_objective_trace(self, monkeypatch):
-        # counted at the network module, where loss_and_gradients forwards:
+        # counted at the network module, where backprop forwards without a trace:
         # the gradient reuses the accepted point's trace, so the training
         # set is forwarded once per objective evaluation, 18 times in all
         import lastlayer.network as network_module
@@ -320,6 +320,29 @@ class TestFullBatchGd:
         assert len(metrics.points) == 11
         assert forwards.count(ds.n) == 18
         assert forwards.count(test.n) == len(metrics.points)
+
+    def test_gradient_evaluates_no_loss(self, monkeypatch):
+        # the objective evaluates the loss through train's own binding; a
+        # call looked up in the network module is one the gradient made and
+        # threw away
+        import lastlayer.network as network_module
+
+        rng = np.random.default_rng(41)
+        net = build_network(
+            [LayerSpec(4, 6, "tanh"), LayerSpec(6, 3, "softmax", has_bias=False)], 42
+        )
+        ds = Dataset(rng.normal(size=(120, 4)), np.eye(3)[rng.integers(0, 3, size=120)])
+        calls = []
+        real = network_module.loss_eval
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(network_module, "loss_eval", counting)
+        _, metrics = full_batch_gd(net, ds, 10, "cross_entropy")
+        assert len(metrics.points) == 11
+        assert calls == []
 
 
 class TestMetricsSeries:
