@@ -69,7 +69,6 @@ from .train import (
     MetricsSeries,
     TrainConfig,
     TrainingDivergedError,
-    full_batch_gd,
     sgd_train,
 )
 
@@ -107,7 +106,6 @@ __all__ = [
     "effective_features",
     "feature_map",
     "forward",
-    "full_batch_gd",
     "gen_synthetic",
     "gram",
     "krr_solve",

@@ -127,12 +127,14 @@ def _parse_cell(cell: str, line: int, column: int) -> float:
 
 
 def _resolve_columns(requested, header, width: int, what: str) -> list:
+    if not requested:
+        raise ValueError(f"{what} columns select nothing: the list is empty")
     resolved = []
     for item in requested:
         if isinstance(item, int) and not isinstance(item, bool):
             if not 0 <= item < width:
                 raise ValueError(f"{what} column index {item} out of range [0, {width})")
-            resolved.append(item)
+            index = item
         elif not isinstance(item, str):
             raise ValueError(f"{what} column {item!r} is neither a name nor a 0-based index")
         else:
@@ -142,7 +144,10 @@ def _resolve_columns(requested, header, width: int, what: str) -> list:
                 )
             if item not in header:
                 raise ValueError(f"{what} column {item!r} not found in header {header}")
-            resolved.append(header.index(item))
+            index = header.index(item)
+        if index in resolved:
+            raise ValueError(f"{what} column {item!r} selects column {index} a second time")
+        resolved.append(index)
     return resolved
 
 

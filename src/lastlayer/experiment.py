@@ -78,6 +78,10 @@ class DatasetSpec:
             raise ValueError("csv dataset requires a path")
         if self.kind == "csv" and (self.feature_columns is None or self.target_columns is None):
             raise ValueError("csv dataset requires feature_columns and target_columns")
+        if self.kind == "synthetic":
+            for key in ("path", "feature_columns", "target_columns"):
+                if getattr(self, key) is not None:
+                    raise ValueError(f"dataset.{key} applies only to a csv dataset")
 
 
 @dataclass(kw_only=True)

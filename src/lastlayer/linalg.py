@@ -208,6 +208,9 @@ def min_eigenvalue_symmetric(a: Matrix) -> float:
     numpy's eigvalsh (LAPACK's symmetric eigensolver) lists the spectrum in
     ascending order, accurate to a small multiple of machine precision
     times the matrix norm.  A non-symmetric or non-finite ``a`` raises, as
-    in ``check_symmetric``.
+    in ``check_symmetric``, and so does an empty one.
     """
-    return float(np.linalg.eigvalsh(check_symmetric(a, "a"))[0])
+    a = check_symmetric(a, "a")
+    if a.size == 0:
+        raise ValueError("a is empty: a 0 x 0 matrix has no eigenvalues")
+    return float(np.linalg.eigvalsh(a)[0])

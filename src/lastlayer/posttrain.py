@@ -13,7 +13,8 @@ of its own: it runs ``network.backprop`` on the last layer as a bias-free
 one-layer ``Network`` over the cached features.  On the full batch that
 backward pass starts from the forward trace the objective computed at the
 same point, so each iteration forwards only its trials.  Both modes run
-training's descent loop (``train._descend``), which also scores them.
+the descent loop ``_descend``, a fixed step or the Armijo line search
+``armijo_step``, scored with training's metrics.
 
 The optimized objective is  mean_i loss(act(f_i @ W.T), y_i) + lam * |W|^2
 with |.| the Frobenius norm over the whole last-layer matrix.  When the
@@ -23,6 +24,7 @@ it is regularized with the weights and shifts the implied kernel by +1.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -33,7 +35,6 @@ from .data import Dataset
 from .linalg import Matrix, matmul, sq_frobenius
 from .network import (
     ForwardTrace,
-    Gradients,
     Layer,
     LayerSpec,
     Network,
@@ -45,7 +46,10 @@ from .network import (
     replace_last_layer,
 )
 from .rng import derive
-from .train import _BatchStream, _descend
+from .train import MetricsSeries, _BatchStream, _evaluate, check_finite
+
+ARMIJO_SLOPE = 1e-4
+MAX_HALVINGS = 50
 
 MODES = ("full_batch_backtracking", "minibatch")
 
@@ -183,7 +187,7 @@ class _CachedProblem:
         return value + self.lam * sq_frobenius(w_eff), trace
 
     def gradient(self, point: Network, idx: np.ndarray | None = None,
-                 trace: ForwardTrace | None = None) -> Gradients:
+                 trace: ForwardTrace | None = None) -> Matrix:
         """Gradient of the objective, on the batch ``idx`` when given.  On
         the full batch, the general path backpropagates from ``trace``, the
         objective's forward pass at ``point``."""
@@ -194,7 +198,78 @@ class _CachedProblem:
             grad = (2.0 / self.n) * (matmul(w_eff, self.gram_feat) - self.cross.T)
         else:
             grad = backprop(point, *self.train, self.loss, trace=trace).weights[0]
-        return Gradients([grad + 2.0 * self.lam * w_eff], [None])
+        return grad + 2.0 * self.lam * w_eff
+
+
+def armijo_step(trial, objective: float, grad_sq: float, step: float):
+    """Backtracking line search with the Armijo condition (Nocedal & Wright,
+    *Numerical Optimization*, Ch. 3).
+
+    ``trial(s)`` returns ``(point, objective)`` after a step of size s along
+    the negative gradient.  The search starts from twice ``step`` and halves
+    at most MAX_HALVINGS times until the objective falls by at least
+    ARMIJO_SLOPE * s * grad_sq.  Returns ``(point, objective, s)`` of the
+    accepted step, or None when no step is accepted.  A NaN trial objective
+    never satisfies the condition.
+    """
+    step *= 2.0
+    for _ in range(MAX_HALVINGS + 1):
+        point, value = trial(step)
+        if value <= objective - ARMIJO_SLOPE * step * grad_sq:
+            return point, value, step
+        step *= 0.5
+    return None
+
+
+def _descend(problem: _CachedProblem, net: Network, gradient, iterations: int,
+             lr: float | None, grad_tol: float):
+    """Descend ``problem``'s objective from the one-layer network ``net``,
+    returning ``(net, metrics)`` and leaving the given ``net`` unmodified.
+
+    ``problem.objective(net)`` gives ``(value, trace)``: the objective and
+    the ForwardTrace it was computed from, or None.  Iteration ``it``'s
+    MetricPoint (0: the start, which must be finite) is ``_evaluate`` of the
+    point on ``problem.train`` and ``problem.eval``; it records ``value`` as
+    the train loss and reuses the trace.  Step ``it`` moves the weights W to
+    W - s * g with g = ``gradient(net, it, trace)``, which receives the trace
+    of the point it differentiates so that it need not forward it again.
+    With ``lr`` given, s = lr, raising TrainingDivergedError(it) if the
+    objective turns non-finite.  Else s is what ``armijo_step`` accepts,
+    from twice the last accepted step, so the objective never rises; the
+    loop stops as "converged" before a step with
+    |g| <= grad_tol * (1 + |W|), and as "stalled" when no step is accepted.
+    The reason lands in ``metrics.termination``.
+    """
+    loss, train, held_out = problem.loss, problem.train, problem.eval
+    metrics = MetricsSeries()
+    value, trace = problem.objective(net)
+    metrics.append(_evaluate(net, loss, train, held_out, 0, check_finite(value, 0), trace))
+    spec = net.layers[0].spec
+    step = 1.0
+    for it in range(1, iterations + 1):
+        weights = net.layers[0].weights
+        grad = gradient(net, it, trace)
+
+        def trial(s: float):
+            moved = Network([Layer(spec, weights - s * grad)])
+            value_s, trace_s = problem.objective(moved)
+            return (moved, trace_s), value_s
+
+        if lr is not None:
+            (net, trace), value = trial(lr)
+            check_finite(value, it)
+        else:
+            grad_sq = sq_frobenius(grad)
+            if math.sqrt(grad_sq) <= grad_tol * (1.0 + math.sqrt(sq_frobenius(weights))):
+                metrics.termination = "converged"
+                break
+            accepted = armijo_step(trial, value, grad_sq, step)
+            if accepted is None:
+                metrics.termination = "stalled"
+                break
+            (net, trace), value, step = accepted
+        metrics.append(_evaluate(net, loss, train, held_out, it, value, trace))
+    return net, metrics
 
 
 def post_train(
@@ -207,7 +282,7 @@ def post_train(
     """Optimize the last layer on frozen features; lower layers are returned
     bit-identical.
 
-    Both modes run ``train._descend`` on the one-layer last-layer network:
+    Both modes run ``_descend`` on the one-layer last-layer network:
     full_batch_backtracking with the Armijo search, stopping once
     |g| <= max(grad_tol, 1e-14) * (1 + |W|), and minibatch with the step
     ``lr``.  The recorded train metric is the regularized objective on the
@@ -224,10 +299,10 @@ def post_train(
         stream = _BatchStream(data.n, cfg.batch_size, derive(cfg.seed, "posttrain"))
         lr = cfg.lr
 
-    def gradient(point: Network, it: int, trace: ForwardTrace | None) -> Gradients:
+    def gradient(point: Network, it: int, trace: ForwardTrace | None) -> Matrix:
         return problem.gradient(point, None if stream is None else stream.batch(it - 1), trace)
 
     start = _last_layer_net(net, effective_last_weights(net))
-    tuned, metrics = _descend(start, problem.objective, gradient, cfg.iterations, loss,
-                              problem.train, problem.eval, lr, max(cfg.grad_tol, 1e-14))
+    tuned, metrics = _descend(problem, start, gradient, cfg.iterations, lr,
+                              max(cfg.grad_tol, 1e-14))
     return with_effective_last_weights(net, tuned.layers[0].weights), metrics

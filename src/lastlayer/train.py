@@ -1,4 +1,5 @@
-"""Minibatch SGD training and a deterministic full-batch descent variant.
+"""Minibatch SGD training, and the metrics and divergence check that
+last-layer post-training shares with it.
 
 Batches come from a counter-based stream: epoch e is a seeded permutation
 of the sample indices, and batch t reads positions t*B .. t*B+B-1 of the
@@ -6,10 +7,6 @@ concatenated epoch streams (wrapping across epoch boundaries).  Together
 with per-iteration dropout streams this makes a training run a pure
 function of (network, data, config), so a run resumed from iteration t is
 bit-identical to an uninterrupted one.
-
-``full_batch_gd`` is deterministic gradient descent over every layer, with a
-fixed step or the Armijo line search ``armijo_step``; its loop ``_descend``
-also runs last-layer fine-tuning, on a one-layer network over the features.
 """
 
 from __future__ import annotations
@@ -22,20 +19,16 @@ import numpy as np
 
 from . import jsonio
 from .data import Dataset
-from .linalg import Matrix, sq_frobenius
+from .linalg import Matrix
 from .network import (
     ForwardTrace,
     Network,
-    backprop,
     check_loss_pairing,
     forward,
     loss_and_gradients,
     loss_eval,
 )
 from .rng import Rng, derive
-
-ARMIJO_SLOPE = 1e-4
-MAX_HALVINGS = 50
 
 
 class TrainingDivergedError(RuntimeError):
@@ -52,26 +45,6 @@ def check_finite(value: float, iteration: int) -> float:
     if not math.isfinite(value):
         raise TrainingDivergedError(iteration)
     return value
-
-
-def armijo_step(trial, objective: float, grad_sq: float, step: float):
-    """Backtracking line search with the Armijo condition (Nocedal & Wright,
-    *Numerical Optimization*, Ch. 3).
-
-    ``trial(s)`` returns ``(point, objective)`` after a step of size s along
-    the negative gradient.  The search starts from twice ``step`` and halves
-    at most MAX_HALVINGS times until the objective falls by at least
-    ARMIJO_SLOPE * s * grad_sq.  Returns ``(point, objective, s)`` of the
-    accepted step, or None when no step is accepted.  A NaN trial objective
-    never satisfies the condition.
-    """
-    step *= 2.0
-    for _ in range(MAX_HALVINGS + 1):
-        point, value = trial(step)
-        if value <= objective - ARMIJO_SLOPE * step * grad_sq:
-            return point, value, step
-        step *= 0.5
-    return None
 
 
 @dataclass
@@ -125,7 +98,7 @@ class MetricPoint:
 @dataclass
 class MetricsSeries:
     points: list = field(default_factory=list)
-    termination: Optional[str] = None  # set by full-batch descent on early stop
+    termination: Optional[str] = None  # why full-batch post-training stopped early
 
     def __post_init__(self):
         for prev, cur in zip(self.points, self.points[1:]):
@@ -291,109 +264,3 @@ def sgd_train(
         if (t + 1) % cfg.eval_every == 0:
             metrics.append(_evaluate(current, loss, data, eval_data, t + 1))
     return current, metrics
-
-
-def _sq_norm(weights, biases) -> float:
-    """Sum of squares over per-layer weights and biases, skipping None."""
-    total = sum(sq_frobenius(w) for w in weights)
-    return total + sum(sq_frobenius(b) for b in biases if b is not None)
-
-
-def _descend(net: Network, objective, gradient, iterations: int, loss: str, data, eval_data,
-             lr: Optional[float] = None, grad_tol: float = 0.0):
-    """The descent loop of ``full_batch_gd`` and ``post_train``: returns
-    ``(net, metrics)``, leaving the given ``net`` unmodified.
-
-    ``objective(net)`` gives ``(value, trace)``: the objective and the
-    ForwardTrace of ``net`` on ``data.x`` it was computed from, or None when
-    the value needed no forward pass.  Iteration ``it``'s MetricPoint (0:
-    the start, which must be finite) is ``_evaluate`` of the point on
-    ``data`` and ``eval_data``; it records ``value`` as the train loss and
-    reuses the trace.  Step ``it`` moves all weights and biases along
-    ``-gradient(net, it, trace)``, which receives the trace of the point it
-    differentiates so that it need not forward it again: by ``lr`` when
-    given, raising TrainingDivergedError(it) if the objective turns
-    non-finite; else by what ``armijo_step`` accepts, from twice the last
-    accepted step, so the objective never rises, stopping as "stalled" if
-    nothing is accepted, and, with grad_tol > 0, as "converged" before a
-    step with |g| <= grad_tol * (1 + |W|).  The reason lands in
-    ``metrics.termination``.
-    """
-    metrics = MetricsSeries()
-    value, trace = objective(net)
-    metrics.append(_evaluate(net, loss, data, eval_data, 0, check_finite(value, 0), trace))
-    step = 1.0
-    for it in range(1, iterations + 1):
-        grads = gradient(net, it, trace)
-
-        def trial(s: float):
-            moved = net.copy()
-            for layer, gw, gb in zip(moved.layers, grads.weights, grads.biases):
-                layer.weights -= s * gw
-                if gb is not None:
-                    layer.bias -= s * gb
-            value_s, trace_s = objective(moved)
-            return (moved, trace_s), value_s
-
-        if lr is not None:
-            (net, trace), value = trial(lr)
-            check_finite(value, it)
-        else:
-            grad_sq = _sq_norm(grads.weights, grads.biases)
-            if grad_tol > 0.0:
-                params_sq = _sq_norm([layer.weights for layer in net.layers],
-                                     [layer.bias for layer in net.layers])
-                if math.sqrt(grad_sq) <= grad_tol * (1.0 + math.sqrt(params_sq)):
-                    metrics.termination = "converged"
-                    break
-            accepted = armijo_step(trial, value, grad_sq, step)
-            if accepted is None:
-                metrics.termination = "stalled"
-                break
-            (net, trace), value, step = accepted
-        metrics.append(_evaluate(net, loss, data, eval_data, it, value, trace))
-    return net, metrics
-
-
-def full_batch_gd(
-    net: Network,
-    data: Dataset,
-    iterations: int,
-    loss: str,
-    lr: Optional[float] = None,
-    weight_decay: float = 0.0,
-    eval_data: Optional[Dataset] = None,
-):
-    """Deterministic full-batch gradient descent over every layer, run by
-    ``_descend`` with a fixed step ``lr`` or, with lr=None, the Armijo search.
-
-    The objective is the loss on ``data`` plus weight_decay * |W|^2 over the
-    weight matrices (biases undecayed), and it is the recorded train metric.
-    Its forward trace on ``data`` serves the metric point and the gradient,
-    so the training set is forwarded once per objective evaluation.
-    """
-    check_loss_pairing(net, loss)
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
-    if lr is not None and lr <= 0.0:
-        raise ValueError("lr must be positive (or None for backtracking)")
-    if weight_decay < 0.0:
-        raise ValueError("weight_decay must be nonnegative")
-
-    def objective(current: Network):
-        trace = forward(current, data.x)
-        value = loss_eval(loss, trace.output, data.y)
-        if weight_decay > 0.0:
-            value += weight_decay * sum(sq_frobenius(layer.weights) for layer in current.layers)
-        return value, trace
-
-    def gradient(current: Network, it: int, trace: ForwardTrace):
-        grads = backprop(current, data.x, data.y, loss, trace=trace)
-        if weight_decay > 0.0:
-            grads.weights = [
-                g + 2.0 * weight_decay * layer.weights
-                for layer, g in zip(current.layers, grads.weights)
-            ]
-        return grads
-
-    return _descend(net.copy(), objective, gradient, iterations, loss, data, eval_data, lr)

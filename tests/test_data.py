@@ -107,6 +107,21 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="neither a name nor a 0-based index"):
             load_csv(str(path), [True], ["b"])
 
+    def test_empty_column_list_is_rejected(self, tmp_path):
+        path = tmp_path / "cols.csv"
+        path.write_text("x0,y0\n1,2\n")
+        with pytest.raises(ValueError, match="feature columns select nothing"):
+            load_csv(str(path), [], ["y0"])
+        with pytest.raises(ValueError, match="target columns select nothing"):
+            load_csv(str(path), ["x0"], [])
+
+    @pytest.mark.parametrize("targets", [["y0", "y0"], ["y0", 1], [1, "y0"]])
+    def test_column_selected_twice_is_rejected(self, tmp_path, targets):
+        path = tmp_path / "cols.csv"
+        path.write_text("x0,y0\n1,2\n")
+        with pytest.raises(ValueError, match=r"target column .* selects column 1 a second time"):
+            load_csv(str(path), ["x0"], targets)
+
     def test_index_selection_without_header(self, tmp_path):
         path = tmp_path / "noheader.csv"
         path.write_text("1,2,3\n4,5,6\n")

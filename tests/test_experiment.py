@@ -222,6 +222,15 @@ class TestConfig:
             with pytest.raises(ValueError, match="requires feature_columns and target_columns"):
                 config_from_dict(doc)
 
+    @pytest.mark.parametrize("key, value", [
+        ("path", "data.csv"), ("feature_columns", ["nonsense"]), ("target_columns", [0]),
+    ])
+    def test_synthetic_dataset_rejects_csv_keys(self, key, value):
+        doc = tiny_config_doc()
+        doc["dataset"][key] = value
+        with pytest.raises(ValueError, match=rf"dataset\.{key} applies only to a csv dataset"):
+            config_from_dict(doc)
+
     def test_numbers_are_read_by_field_type(self):
         doc = tiny_config_doc()
         doc["train"].update(iterations=40.0, lr0=1)

@@ -333,3 +333,6 @@ class TestMinEigenvalue:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match=r"non-finite entry nan at \(0, 1\)"):
             min_eigenvalue_symmetric(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        # nor is an empty matrix, whose spectrum has no smallest entry
+        with pytest.raises(ValueError, match="a is empty"):
+            min_eigenvalue_symmetric(np.zeros((0, 0)))

@@ -1,6 +1,6 @@
 """Last-layer fine-tuning: objective definition, frozen-layer guarantees,
-monotone descent, convexity along segments, and agreement with the
-closed-form ridge optimum."""
+monotone descent and its early stops, divergence, convexity along
+segments, and agreement with the closed-form ridge optimum."""
 
 import warnings
 
@@ -9,7 +9,7 @@ import pytest
 from conftest import networks_bit_identical
 
 from lastlayer.data import Dataset, gen_synthetic
-from lastlayer.kernel import gram, krr_solve
+from lastlayer.kernel import gram, krr_solve, ridge_solve
 from lastlayer.linalg import matmul, sq_frobenius
 from lastlayer.network import (
     Layer,
@@ -29,6 +29,7 @@ from lastlayer.posttrain import (
     effective_last_weights,
     post_train,
     posttrain_objective,
+    with_effective_last_weights,
 )
 from lastlayer.train import TrainConfig, TrainingDivergedError, classification_error, sgd_train
 
@@ -133,6 +134,25 @@ class TestPostTrain:
         assert (got - opt) / abs(opt) <= 1e-6
         assert metrics.termination == "converged"
 
+    @pytest.mark.parametrize("termination", ["converged", "stalled"])
+    def test_early_stop_returns_the_start_unchanged(self, termination, monkeypatch):
+        # at the ridge optimum the gradient test stops the loop before its
+        # first step; under an Armijo slope that no step can meet, the
+        # search accepts nothing and the loop stops without moving
+        import lastlayer.posttrain as posttrain_module
+
+        net, ds = regression_net(seed=52, bias_last=True), regression_data(seed=53)
+        lam = 1e-3
+        if termination == "converged":
+            optimum = ridge_solve(effective_features(net, ds.x), ds.y, lam).weights.T
+            net = with_effective_last_weights(net, optimum)
+        else:
+            monkeypatch.setattr(posttrain_module, "ARMIJO_SLOPE", np.inf)
+        out, metrics = post_train(net, ds, PostTrainConfig(lam=lam, iterations=5), "squared_error")
+        assert metrics.termination == termination
+        assert [p.iteration for p in metrics.points] == [0]
+        assert networks_bit_identical(net, out)
+
     def test_frozen_layers_bit_identical(self):
         net = regression_net(seed=13)
         ds = regression_data(seed=14)
@@ -219,12 +239,12 @@ class TestPostTrain:
         # replaced: loss_and_gradients on the one-layer network, forwarding
         # the cached features again
         import lastlayer.posttrain as posttrain_module
-        from lastlayer.network import Gradients, loss_and_gradients
+        from lastlayer.network import loss_and_gradients
 
         def forwarding_gradient(problem, point, idx=None, out=None):
             feats, targets = problem.train
             grad = loss_and_gradients(point, feats, targets, problem.loss)[1].weights[0]
-            return Gradients([grad + 2.0 * problem.lam * point.layers[0].weights], [None])
+            return grad + 2.0 * problem.lam * point.layers[0].weights
 
         net = build_network([LayerSpec(4, 6, "tanh"), LayerSpec(6, 3, "softmax")], 10)
         ds, test = classification_data(11, n=600), classification_data(12)
@@ -237,8 +257,9 @@ class TestPostTrain:
         assert metrics.to_csv() == want_metrics.to_csv()
         assert metrics.termination == want_metrics.termination
 
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("loss", ["squared_error", "cross_entropy"])
-    def test_minibatch_gradient_evaluates_no_loss(self, loss, monkeypatch):
+    def test_minibatch_gradient_evaluates_no_loss(self, loss, mode, monkeypatch):
         # the objective evaluates the loss through posttrain's own binding; a
         # call looked up in the network module is one the gradient made and
         # threw away
@@ -256,7 +277,7 @@ class TestPostTrain:
             return real(*args)
 
         monkeypatch.setattr(network_module, "loss_eval", counting)
-        cfg = PostTrainConfig(lam=1e-3, iterations=10, mode="minibatch", batch_size=10)
+        cfg = PostTrainConfig(lam=1e-3, iterations=10, mode=mode, batch_size=10)
         _, metrics = post_train(net, ds, cfg, loss)
         assert len(metrics.points) == 11
         assert calls == []
@@ -320,6 +341,14 @@ class TestPostTrain:
             with pytest.raises(TrainingDivergedError) as err:
                 post_train(net, ds, cfg, "squared_error")
         assert err.value.iteration == 0
+
+    def test_minibatch_divergence_reports_iteration(self):
+        net, ds = regression_net(seed=51), regression_data(seed=52, n=20)
+        cfg = PostTrainConfig(lam=1e-3, iterations=200, mode="minibatch", batch_size=10, lr=1e3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError, match="non-finite") as err:
+                post_train(net, ds, cfg, "squared_error")
+        assert 0 < err.value.iteration < cfg.iterations
 
     def test_cross_entropy_full_batch(self):
         net = classification_net(seed=30)

@@ -1,6 +1,5 @@
-"""Minibatch SGD and full-batch descent: determinism, resumability, the
-ridge closed form as a convergence oracle, dropout statistics, and the
-Armijo monotonicity guarantee."""
+"""Minibatch SGD: determinism, resumability, the ridge closed form as a
+convergence oracle, dropout statistics, and the metrics series."""
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from conftest import networks_bit_identical
 
 from lastlayer.data import Dataset, gen_synthetic
 from lastlayer.kernel import krr_solve
-from lastlayer.linalg import matmul
 from lastlayer.network import Layer, LayerSpec, Network, build_network
 from lastlayer.train import (
     MetricPoint,
@@ -17,8 +15,6 @@ from lastlayer.train import (
     TrainingDivergedError,
     _BatchStream,
     _dropout_masks,
-    classification_error,
-    full_batch_gd,
     sgd_train,
 )
 
@@ -208,141 +204,6 @@ class TestDropout:
         cfg = TrainConfig(iterations=1, batch_size=20, lr0=0.1, dropout_keep=[0.5], seed=30)
         mask = _dropout_masks(net, cfg, 3, 20)[0]
         assert set(np.unique(mask)).issubset({0.0, 2.0})
-
-
-class TestFullBatchGd:
-    def test_zero_gradient_start_no_change(self):
-        rng = np.random.default_rng(31)
-        w = rng.normal(size=(2, 5))
-        net = Network([Layer(LayerSpec(5, 2, "identity", has_bias=False), w)])
-        x = rng.normal(size=(12, 5))
-        ds = Dataset(x, matmul(x, w.T))  # zero residual, zero gradient
-        out, metrics = full_batch_gd(net, ds, 5, "squared_error")
-        assert networks_bit_identical(net, out)
-        assert metrics.termination is None
-
-    def test_backtracking_objective_non_increasing(self):
-        net, ds = linear_problem(seed=32)
-        _, metrics = full_batch_gd(net, ds, 50, "squared_error", weight_decay=1e-3)
-        losses = metrics.train_losses()
-        assert len(losses) >= 2
-        assert all(b <= a for a, b in zip(losses, losses[1:]))
-
-    def test_zero_iterations_identity(self):
-        net, ds = linear_problem(seed=33)
-        out, metrics = full_batch_gd(net, ds, 0, "squared_error")
-        assert networks_bit_identical(net, out)
-        assert len(metrics.points) == 1  # initial objective only
-
-    def test_fixed_lr_mode_runs_all_iterations(self):
-        net, ds = linear_problem(seed=34)
-        _, metrics = full_batch_gd(net, ds, 7, "squared_error", lr=0.05)
-        assert [p.iteration for p in metrics.points] == list(range(8))
-
-    def test_fixed_lr_divergence_raises_with_iteration(self):
-        rng = np.random.default_rng(37)
-        net = build_network(
-            [LayerSpec(3, 4, "tanh"), LayerSpec(4, 1, "identity", has_bias=False)], 38
-        )
-        x = rng.normal(size=(20, 3))
-        ds = Dataset(x, rng.normal(size=(20, 1)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDivergedError, match="non-finite") as err:
-                full_batch_gd(net, ds, 100, "squared_error", lr=50.0)
-        assert 0 < err.value.iteration < 100
-
-    def test_trains_biases_too(self):
-        rng = np.random.default_rng(35)
-        net = build_network([LayerSpec(3, 2, "identity", has_bias=True)], 36)
-        x = rng.normal(size=(20, 3))
-        y = x @ rng.normal(size=(3, 2)) + 1.5
-        out, _ = full_batch_gd(net, Dataset(x, y), 200, "squared_error")
-        assert float(np.max(np.abs(out.layers[0].bias))) > 0.1
-
-    def test_cross_entropy_metrics_reuse_the_objective_output(self, monkeypatch):
-        # each objective evaluation forwards the training set once; the
-        # metric points reuse that output and forward only the eval set
-        import lastlayer.train as train_module
-
-        rng = np.random.default_rng(39)
-        net = build_network(
-            [LayerSpec(4, 6, "tanh"), LayerSpec(6, 3, "softmax", has_bias=False)], 40
-        )
-        x = rng.normal(size=(250, 4))
-        y = np.eye(3)[rng.integers(0, 3, size=250)]
-        ds, test = Dataset(x[:200], y[:200]), Dataset(x[200:], y[200:])
-        forwards, objectives = [], []
-        real_forward, real_loss_eval = train_module.forward, train_module.loss_eval
-
-        def counting_forward(net_, x_):
-            forwards.append(x_.shape[0])
-            return real_forward(net_, x_)
-
-        def counting_loss_eval(loss, output, targets):
-            objectives.append(targets.shape[0])
-            return real_loss_eval(loss, output, targets)
-
-        monkeypatch.setattr(train_module, "forward", counting_forward)
-        monkeypatch.setattr(train_module, "loss_eval", counting_loss_eval)
-        trained, metrics = full_batch_gd(net, ds, 10, "cross_entropy", eval_data=test)
-        assert len(metrics.points) == 11
-        assert forwards.count(test.n) == len(metrics.points)
-        assert forwards.count(ds.n) == objectives.count(ds.n) == 18
-        assert len(forwards) == len(metrics.points) + 18
-        assert metrics.points[-1].train_error == classification_error(
-            real_forward(trained, ds.x).output, ds.y
-        )
-
-    def test_gradient_backpropagates_from_the_objective_trace(self, monkeypatch):
-        # counted at the network module, where backprop forwards without a trace:
-        # the gradient reuses the accepted point's trace, so the training
-        # set is forwarded once per objective evaluation, 18 times in all
-        import lastlayer.network as network_module
-        import lastlayer.train as train_module
-
-        rng = np.random.default_rng(39)
-        net = build_network(
-            [LayerSpec(4, 6, "tanh"), LayerSpec(6, 3, "softmax", has_bias=False)], 40
-        )
-        x = rng.normal(size=(250, 4))
-        y = np.eye(3)[rng.integers(0, 3, size=250)]
-        ds, test = Dataset(x[:200], y[:200]), Dataset(x[200:], y[200:])
-        forwards = []
-        real = network_module.forward
-
-        def counting(net_, x_, dropout_masks=None):
-            forwards.append(x_.shape[0])
-            return real(net_, x_, dropout_masks)
-
-        monkeypatch.setattr(network_module, "forward", counting)
-        monkeypatch.setattr(train_module, "forward", counting)
-        _, metrics = full_batch_gd(net, ds, 10, "cross_entropy", eval_data=test)
-        assert len(metrics.points) == 11
-        assert forwards.count(ds.n) == 18
-        assert forwards.count(test.n) == len(metrics.points)
-
-    def test_gradient_evaluates_no_loss(self, monkeypatch):
-        # the objective evaluates the loss through train's own binding; a
-        # call looked up in the network module is one the gradient made and
-        # threw away
-        import lastlayer.network as network_module
-
-        rng = np.random.default_rng(41)
-        net = build_network(
-            [LayerSpec(4, 6, "tanh"), LayerSpec(6, 3, "softmax", has_bias=False)], 42
-        )
-        ds = Dataset(rng.normal(size=(120, 4)), np.eye(3)[rng.integers(0, 3, size=120)])
-        calls = []
-        real = network_module.loss_eval
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(network_module, "loss_eval", counting)
-        _, metrics = full_batch_gd(net, ds, 10, "cross_entropy")
-        assert len(metrics.points) == 11
-        assert calls == []
 
 
 class TestMetricsSeries:
