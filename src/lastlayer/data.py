@@ -151,12 +151,16 @@ def _resolve_columns(requested, header, width: int, what: str) -> list:
     return resolved
 
 
+def _column_request(item) -> str:
+    return f"{item!r} by name" if isinstance(item, str) else f"{item} by index"
+
+
 def load_csv(path: str, feature_columns, target_columns, has_header: bool = True) -> Dataset:
     """Load a numeric comma-separated file into a Dataset.
 
-    Columns may be selected by name (requires a header) or 0-based index.
-    Ragged rows and non-numeric cells are reported with their 1-based line
-    number.
+    Columns may be selected by name (requires a header) or 0-based index;
+    no column may be both a feature and a target.  Ragged rows and
+    non-numeric cells are reported with their 1-based line number.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -181,6 +185,13 @@ def load_csv(path: str, feature_columns, target_columns, has_header: bool = True
         )
     f_idx = _resolve_columns(feature_columns, header, width, "feature")
     t_idx = _resolve_columns(target_columns, header, width, "target")
+    for f_item, index in zip(feature_columns, f_idx):
+        if index in t_idx:
+            t_item = target_columns[t_idx.index(index)]
+            raise ValueError(
+                f"column {index} is selected as both feature and target (feature column "
+                f"{_column_request(f_item)}, target column {_column_request(t_item)})"
+            )
 
     x = np.empty((len(data_rows), len(f_idx)), dtype=np.float64)
     y = np.empty((len(data_rows), len(t_idx)), dtype=np.float64)

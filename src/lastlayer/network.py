@@ -13,6 +13,7 @@ treated as immutable values: training code copies before updating.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -31,6 +32,9 @@ NETWORK_FORMAT_VERSION = 1
 
 # floor applied to predicted class probabilities inside the log
 PROB_FLOOR = 1e-12
+
+# row width from which np.sum adds contiguous entries pairwise, not in order
+_PAIRWISE_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -164,10 +168,24 @@ def _tally_lower_products(count: int) -> None:
 
 
 def softmax_rows(z: Matrix) -> Matrix:
-    """Row-wise softmax with max-subtraction for overflow safety."""
-    shifted = z - np.max(z, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=1, keepdims=True)
+    """Row-wise softmax with max-subtraction for overflow safety:
+    ``e / sum(e)`` with ``e = exp(z - max(z))`` per row.
+
+    Rows narrower than _PAIRWISE_MIN entries are reduced column by column:
+    the max as a chain of ``np.maximum`` and the sum by adding one column at
+    a time, left to right.  Those are the additions ``np.sum(e, axis=1)``
+    makes on such rows, since numpy adds fewer than 8 contiguous entries
+    one after another, so the bits equal the row reductions' while the
+    per-row overhead of reducing a handful of entries is gone.  From 8
+    entries on numpy sums pairwise over 8 accumulators, so wider rows keep
+    ``np.max`` and ``np.sum``.
+    """
+    columns = z.T
+    narrow = len(columns) < _PAIRWISE_MIN
+    top = functools.reduce(np.maximum, columns) if narrow else np.max(z, axis=1)
+    e = np.exp(z - top[:, None])
+    total = functools.reduce(np.add, e.T) if narrow else np.sum(e, axis=1)
+    return e / total[:, None]
 
 
 def _apply_activation(kind: str, z: Matrix) -> Matrix:
@@ -281,20 +299,37 @@ def feature_map(net: Network, x: Matrix) -> Matrix:
     return current
 
 
-def _check_one_hot(targets: Matrix) -> None:
-    ok = np.all((targets == 0.0) | (targets == 1.0)) and np.all(
+def one_hot_labels(targets: Matrix) -> np.ndarray:
+    """Class index of each one-hot target row; ValueError naming the first
+    row that is not one-hot, by its 0-based index, with its values."""
+    targets = np.asarray(targets, dtype=np.float64)
+    one_hot = np.all((targets == 0.0) | (targets == 1.0), axis=1) & (
         np.sum(targets, axis=1) == 1.0
     )
-    if not ok:
-        raise ValueError("cross_entropy targets must be one-hot rows")
+    if not np.all(one_hot):
+        row = int(np.argmin(one_hot))
+        raise ValueError(
+            f"cross_entropy targets must be one-hot rows; row {row} is {targets[row].tolist()}"
+        )
+    return np.argmax(targets, axis=1)
+
+
+def mean_cross_entropy(probs: Matrix, labels: np.ndarray) -> float:
+    """Batch-mean cross-entropy against the class ``labels``: -log of each
+    row's probability of its label, floored at PROB_FLOOR.  Nothing is
+    checked; ``loss_eval`` is the checked entry point."""
+    p_true = probs[np.arange(len(labels)), labels]
+    return float(np.mean(-np.log(np.maximum(p_true, PROB_FLOOR))))
 
 
 def loss_eval(loss: str, output: Matrix, targets: Matrix) -> float:
     """Batch-mean loss.
 
     squared_error sums squared deviations over output dimensions per sample
-    (no per-dimension averaging); cross_entropy is -log of the predicted
-    probability of the true class, floored at 1e-12.
+    (no per-dimension averaging); cross_entropy is ``mean_cross_entropy``
+    against the labels of the targets, which must be one-hot rows, of an
+    output whose rows sum to 1 within 1e-6.  A row holding NaN, or both
+    infinities, passes that check and makes the loss NaN.
     """
     output = np.asarray(output, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -306,12 +341,13 @@ def loss_eval(loss: str, output: Matrix, targets: Matrix) -> float:
         diff = output - targets
         return float(np.sum(diff * diff)) / output.shape[0]
     if loss == "cross_entropy":
-        _check_one_hot(targets)
-        row_sums = np.sum(output, axis=1)
-        if np.max(np.abs(row_sums - 1.0)) > 1e-6:
+        labels = one_hot_labels(targets)
+        deviation = np.max(np.abs(np.sum(output, axis=1) - 1.0))
+        if deviation > 1e-6:
             raise ValueError("cross_entropy expects output rows summing to 1")
-        p_true = np.sum(output * targets, axis=1)
-        return float(np.mean(-np.log(np.maximum(p_true, PROB_FLOOR))))
+        if math.isnan(deviation):
+            return math.nan
+        return mean_cross_entropy(output, labels)
     raise ValueError(f"unknown loss {loss!r}; expected one of {LOSSES}")
 
 

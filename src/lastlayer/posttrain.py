@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,10 +42,11 @@ from .network import (
     feature_map,
     forward,
     loss_eval,
+    mean_cross_entropy,
     replace_last_layer,
 )
 from .rng import derive
-from .train import MetricsSeries, _BatchStream, _evaluate, check_finite
+from .train import MetricsSeries, _BatchStream, _evaluate, _samples, check_finite
 
 ARMIJO_SLOPE = 1e-4
 MAX_HALVINGS = 50
@@ -136,30 +136,29 @@ def posttrain_objective(net: Network, data: Dataset, lam: float, loss: str) -> f
     return loss_eval(loss, out, data.y) + lam * sq_frobenius(w_eff)
 
 
-class _Samples(NamedTuple):
-    """Cached features and targets; not a ``Dataset``, so that non-finite
-    features raise TrainingDivergedError through the objective."""
-
-    x: Matrix
-    y: Matrix
-
-
 class _CachedProblem:
     """Last-layer problem over cached features; all sizes are desk-scale.
 
     Full-batch squared error works in the d x d feature space.  Every other
     case forwards the one-layer network and takes its loss gradient from
-    ``network.backprop``, adding only the regularizer's ``2 lam W``."""
+    ``network.backprop``, adding only the regularizer's ``2 lam W``.
+
+    The targets of ``train`` and ``eval`` are checked once, here, each set's
+    before its features are computed.  Under cross_entropy their class
+    labels are kept, and the objective and the metric points take the loss
+    (``mean_cross_entropy``) and the error from those labels unchecked."""
 
     def __init__(self, net: Network, data: Dataset, lam: float, loss: str,
                  eval_data: Dataset | None):
         self.loss = loss
         self.lam = lam
         self.n = data.n
-        self.train = _Samples(effective_features(net, data.x), data.y)
-        self.eval = None if eval_data is None else _Samples(
-            effective_features(net, eval_data.x), eval_data.y
-        )
+
+        def cached(d: Dataset):
+            return _samples(d, loss)._replace(x=effective_features(net, d.x))
+
+        self.train = cached(data)
+        self.eval = None if eval_data is None else cached(eval_data)
         self.quadratic = loss == "squared_error"
         if self.quadratic:
             # d x d precomputation: objective and gradient never touch the
@@ -183,7 +182,7 @@ class _CachedProblem:
             )
             return fit / self.n + self.lam * sq_frobenius(w_eff), None
         trace = forward(point, self.train.x)
-        value = loss_eval(self.loss, trace.output, self.train.y)
+        value = mean_cross_entropy(trace.output, self.train.labels)
         return value + self.lam * sq_frobenius(w_eff), trace
 
     def gradient(self, point: Network, idx: np.ndarray | None = None,
@@ -197,7 +196,7 @@ class _CachedProblem:
         elif self.quadratic:
             grad = (2.0 / self.n) * (matmul(w_eff, self.gram_feat) - self.cross.T)
         else:
-            grad = backprop(point, *self.train, self.loss, trace=trace).weights[0]
+            grad = backprop(point, self.train.x, self.train.y, self.loss, trace=trace).weights[0]
         return grad + 2.0 * self.lam * w_eff
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from .network import (
     forward,
     loss_and_gradients,
     loss_eval,
+    mean_cross_entropy,
+    one_hot_labels,
 )
 from .rng import Rng, derive
 
@@ -137,32 +139,58 @@ class MetricsSeries:
             fh.write(self.to_csv())
 
 
+class _Samples(NamedTuple):
+    """Inputs and targets that a loss is taken on, and under cross_entropy
+    the targets' class labels, checked once when made (else None).  Not a
+    ``Dataset``, so that non-finite post-training features raise
+    TrainingDivergedError through the objective."""
+
+    x: Matrix
+    y: Matrix
+    labels: Optional[np.ndarray]
+
+
+def _samples(data: Dataset, loss: str) -> _Samples:
+    labels = one_hot_labels(data.y) if loss == "cross_entropy" else None
+    return _Samples(data.x, data.y, labels)
+
+
+def _sample_loss(loss: str, output: Matrix, samples: _Samples) -> float:
+    if loss == "cross_entropy":
+        return mean_cross_entropy(output, samples.labels)
+    return loss_eval(loss, output, samples.y)
+
+
+def _label_error(output: Matrix, labels: np.ndarray) -> float:
+    return float(np.mean(np.argmax(output, axis=1) != labels))
+
+
 def classification_error(output: Matrix, targets: Matrix) -> float:
     """Fraction of rows whose argmax disagrees with the target argmax."""
-    pred = np.argmax(output, axis=1)
-    true = np.argmax(targets, axis=1)
-    return float(np.mean(pred != true))
+    return _label_error(output, np.argmax(targets, axis=1))
 
 
-def _evaluate(net: Network, loss: str, data, eval_data, iteration: int, train_loss=None,
+def _evaluate(net: Network, loss: str, data: _Samples, eval_data: Optional[_Samples],
+              iteration: int, train_loss=None,
               train_trace: Optional[ForwardTrace] = None) -> MetricPoint:
-    """Metrics of ``net`` on ``data`` and, when given, ``eval_data`` (anything
-    with ``x`` and ``y`` matrices).  A ``train_loss`` the caller already has,
-    such as a regularized objective, is recorded in place of the loss on
-    ``data``; a ``train_trace`` it already has, ``forward(net, data.x)``,
-    spares the forward pass over ``data``."""
+    """Metrics of ``net`` on ``data`` and, when given, ``eval_data``; their
+    checked labels stand in for the targets under cross_entropy.  A
+    ``train_loss`` the caller already has, such as a regularized objective,
+    is recorded in place of the loss on ``data``; a ``train_trace`` it
+    already has, ``forward(net, data.x)``, spares the forward pass over
+    ``data``."""
     point = MetricPoint(iteration=iteration, train_loss=train_loss)
     if train_loss is None or loss == "cross_entropy":
         out = (forward(net, data.x) if train_trace is None else train_trace).output
         if train_loss is None:
-            point.train_loss = loss_eval(loss, out, data.y)
+            point.train_loss = _sample_loss(loss, out, data)
         if loss == "cross_entropy":
-            point.train_error = classification_error(out, data.y)
+            point.train_error = _label_error(out, data.labels)
     if eval_data is not None:
         test_out = forward(net, eval_data.x).output
-        point.test_loss = loss_eval(loss, test_out, eval_data.y)
+        point.test_loss = _sample_loss(loss, test_out, eval_data)
         if loss == "cross_entropy":
-            point.test_error = classification_error(test_out, eval_data.y)
+            point.test_error = _label_error(test_out, eval_data.labels)
     return point
 
 
@@ -242,6 +270,8 @@ def sgd_train(
             f"dropout_keep must list {n_hidden} probabilities, got {len(cfg.dropout_keep)}"
         )
 
+    train_set = _samples(data, loss)
+    eval_set = None if eval_data is None else _samples(eval_data, loss)
     current = net.copy()
     metrics = MetricsSeries()
     stream = _BatchStream(data.n, cfg.batch_size, cfg.seed)
@@ -262,5 +292,5 @@ def sgd_train(
             if gb is not None:
                 layer.bias -= lr_t * gb
         if (t + 1) % cfg.eval_every == 0:
-            metrics.append(_evaluate(current, loss, data, eval_data, t + 1))
+            metrics.append(_evaluate(current, loss, train_set, eval_set, t + 1))
     return current, metrics

@@ -122,6 +122,24 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=r"target column .* selects column 1 a second time"):
             load_csv(str(path), ["x0"], targets)
 
+    @pytest.mark.parametrize(
+        "features, targets, requests",
+        [
+            (["x0", "y0"], ["y0"], "feature column 'y0' by name, target column 'y0' by name"),
+            ([0, 1], ["y0"], "feature column 1 by index, target column 'y0' by name"),
+            (["x0", "y0"], [1], "feature column 'y0' by name, target column 1 by index"),
+        ],
+    )
+    def test_column_both_feature_and_target_is_rejected(self, tmp_path, features, targets,
+                                                        requests):
+        path = tmp_path / "cols.csv"
+        path.write_text("x0,y0\n1,2\n")
+        with pytest.raises(ValueError) as raised:
+            load_csv(str(path), features, targets)
+        assert str(raised.value) == (
+            f"column 1 is selected as both feature and target ({requests})"
+        )
+
     def test_index_selection_without_header(self, tmp_path):
         path = tmp_path / "noheader.csv"
         path.write_text("1,2,3\n4,5,6\n")

@@ -14,6 +14,7 @@ from conftest import networks_bit_identical
 
 from lastlayer.linalg import DimensionMismatchError
 from lastlayer.network import (
+    PROB_FLOOR,
     Layer,
     LayerSpec,
     Network,
@@ -24,12 +25,15 @@ from lastlayer.network import (
     load_network,
     loss_and_gradients,
     loss_eval,
+    mean_cross_entropy,
     network_from_dict,
     network_to_dict,
+    one_hot_labels,
     replace_last_layer,
     save_network,
     softmax_rows,
 )
+from lastlayer.train import _label_error, classification_error
 
 
 def manual_forward(net, x):
@@ -194,6 +198,29 @@ class TestLossEval:
         with pytest.raises(ValueError, match="one-hot"):
             loss_eval("cross_entropy", output, np.array([[0.5, 0.5], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad_row", [[0.5, 0.5, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    def test_non_one_hot_message_names_the_first_bad_row(self, bad_row):
+        targets = np.eye(3)[[0, 1, 2, 0, 1]]
+        targets[3] = bad_row
+        targets[4] = [2.0, 0.0, 0.0]
+        with pytest.raises(ValueError) as raised:
+            loss_eval("cross_entropy", np.full((5, 3), 1.0 / 3.0), targets)
+        assert str(raised.value) == (
+            f"cross_entropy targets must be one-hot rows; row 3 is {bad_row}"
+        )
+
+    def test_non_finite_wherever_the_product_sum_was(self):
+        # an infinity or NaN in any column of a row poisons the product sum;
+        # the row-sum check lets such a row through when its sum is NaN
+        targets = np.eye(3)[[2, 0, 1]]
+        for bad in ([np.inf, -np.inf, 0.5], [np.nan, 0.5, 0.5], [0.5, 0.5, np.nan]):
+            output = np.array([bad, [0.2, 0.3, 0.5], [0.1, 0.8, 0.1]])
+            with np.errstate(invalid="ignore"):
+                assert math.isnan(product_sum_cross_entropy(output, targets))
+                assert math.isnan(loss_eval("cross_entropy", output, targets))
+        with pytest.raises(ValueError, match="summing to 1"):
+            loss_eval("cross_entropy", np.array([[np.inf, 0.0, 0.0]]), targets[:1])
+
     def test_rejects_unnormalized_output_rows(self):
         targets = np.array([[1.0, 0.0]])
         with pytest.raises(ValueError, match="summing to 1"):
@@ -300,7 +327,81 @@ class TestBackprop:
             backprop(net, np.zeros((2, 4)), np.zeros((2, 2)), "cross_entropy")
 
 
+def reduction_softmax(z):
+    """softmax_rows with numpy's row reductions, as it was first written:
+    the oracle its column-by-column form must match bit for bit."""
+    shifted = z - np.max(z, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=1, keepdims=True)
+
+
+def softmax_bit_cases(width: int):
+    """Logits of the given row width: ordinary rows, then rows with +-1e300,
+    with -inf entries, all -inf, all equal and all NaN."""
+    rng = np.random.default_rng(100 + width)
+    rows = list(rng.standard_normal((40, width)) * 30)
+    huge = rng.standard_normal(width)
+    huge[::2] = 1e300
+    huge[1::3] = -1e300
+    rows.append(huge)
+    if width > 1:
+        with_neg_inf = rng.standard_normal(width)
+        with_neg_inf[1::2] = -np.inf
+        rows.append(with_neg_inf)
+    rows.append(np.full(width, -np.inf))
+    rows.append(np.full(width, 2.5))
+    rows.append(np.full(width, np.nan))
+    return np.array(rows)
+
+
+def product_sum_cross_entropy(probs, targets):
+    """The cross-entropy as loss_eval first computed it, taking each row's
+    true-class probability as sum(probs * targets): the oracle of the
+    gather by label."""
+    p_true = np.sum(probs * targets, axis=1)
+    return float(np.mean(-np.log(np.maximum(p_true, PROB_FLOOR))))
+
+
+def argmax_error(probs, targets):
+    """classification_error as first written: argmax against argmax."""
+    return float(np.mean(np.argmax(probs, axis=1) != np.argmax(targets, axis=1)))
+
+
+def softmax_probabilities(width: int, n: int = 60):
+    """Softmax outputs and one-hot targets; the logits are wide enough apart
+    that some true-class probabilities fall below PROB_FLOOR."""
+    rng = np.random.default_rng(200 + width)
+    probs = softmax_rows(rng.standard_normal((n, width)) * 20)
+    return probs, np.eye(width)[rng.integers(0, width, size=n)]
+
+
 class TestSoftmax:
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_bits_match_the_row_reductions(self, width):
+        z = softmax_bit_cases(width)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert softmax_rows(z).tobytes() == reduction_softmax(z).tobytes()
+            for row in z:
+                single = row[None, :]
+                assert softmax_rows(single).tobytes() == reduction_softmax(single).tobytes()
+
+    @pytest.mark.parametrize("width", range(2, 13))
+    def test_label_loss_and_error_match_the_target_forms_bit_for_bit(self, width):
+        probs, targets = softmax_probabilities(width)
+        labels = one_hot_labels(targets)
+        assert np.any(probs[np.arange(len(labels)), labels] < PROB_FLOOR)
+        loss = mean_cross_entropy(probs, labels)
+        assert loss == loss_eval("cross_entropy", probs, targets)
+        assert loss == product_sum_cross_entropy(probs, targets)
+        error = _label_error(probs, labels)
+        assert error == classification_error(probs, targets) == argmax_error(probs, targets)
+        with np.errstate(invalid="ignore"):
+            probs[3] = softmax_rows(np.full((1, width), np.nan))
+            assert math.isnan(product_sum_cross_entropy(probs, targets))
+        assert math.isnan(mean_cross_entropy(probs, labels))
+        assert math.isnan(loss_eval("cross_entropy", probs, targets))
+        assert _label_error(probs, labels) == argmax_error(probs, targets)
+
     def test_rows_sum_to_one(self):
         z = np.random.default_rng(23).standard_normal((20, 7)) * 30
         p = softmax_rows(z)

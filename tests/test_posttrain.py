@@ -215,24 +215,66 @@ class TestPostTrain:
         net = build_network([LayerSpec(4, 6, "tanh"), LayerSpec(6, 3, "softmax")], 7)
         ds, test = classification_data(8, n=600), classification_data(9)
         forwards, objectives = [], []
-        real_forward, real_loss_eval = network_module.forward, posttrain_module.loss_eval
+        real_forward, real_loss = network_module.forward, posttrain_module.mean_cross_entropy
 
         def counting_forward(net_, x, dropout_masks=None):
             forwards.append(x.shape[0])
             return real_forward(net_, x, dropout_masks)
 
-        def counting_loss_eval(loss, output, targets):
-            objectives.append(targets.shape[0])
-            return real_loss_eval(loss, output, targets)
+        def counting_loss(probs, labels):
+            objectives.append(labels.shape[0])
+            return real_loss(probs, labels)
 
         for module in (network_module, posttrain_module, train_module):
             monkeypatch.setattr(module, "forward", counting_forward)
-        monkeypatch.setattr(posttrain_module, "loss_eval", counting_loss_eval)
+        monkeypatch.setattr(posttrain_module, "mean_cross_entropy", counting_loss)
         cfg = PostTrainConfig(lam=1e-3, iterations=12)
         _, metrics = post_train(net, ds, cfg, "cross_entropy", eval_data=test)
         assert len(metrics.points) == 13
         assert forwards.count(ds.n) == objectives.count(ds.n) > len(metrics.points)
         assert forwards.count(test.n) == len(metrics.points)
+
+    @pytest.mark.parametrize("bad", ["train", "eval"])
+    def test_non_one_hot_target_raises_naming_its_row_before_any_forward(self, bad,
+                                                                          monkeypatch):
+        import lastlayer.network as network_module
+        import lastlayer.posttrain as posttrain_module
+        import lastlayer.train as train_module
+
+        net, ds, test = classification_net(40), classification_data(41), classification_data(42)
+        broken = ds if bad == "train" else test
+        broken.y[7] = [0.5, 0.5, 0.0]
+        forwards = []
+
+        def counting(net_, x, dropout_masks=None):
+            forwards.append(x.shape[0])
+
+        for module in (network_module, posttrain_module, train_module):
+            monkeypatch.setattr(module, "forward", counting)
+        cfg = PostTrainConfig(lam=1e-3, iterations=5)
+        with pytest.raises(ValueError, match=r"one-hot rows; row 7 is \[0\.5, 0\.5, 0\.0\]"):
+            post_train(net, ds, cfg, "cross_entropy", eval_data=test)
+        assert forwards == []
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_cross_entropy_targets_are_checked_once_per_dataset(self, mode, monkeypatch):
+        import lastlayer.network as network_module
+        import lastlayer.train as train_module
+
+        net, ds, test = classification_net(43), classification_data(44), classification_data(45, n=30)
+        checked = []
+        real = network_module.one_hot_labels
+
+        def counting(targets):
+            checked.append(targets.shape[0])
+            return real(targets)
+
+        for module in (network_module, train_module):
+            monkeypatch.setattr(module, "one_hot_labels", counting)
+        cfg = PostTrainConfig(lam=1e-3, iterations=12, mode=mode, batch_size=8)
+        _, metrics = post_train(net, ds, cfg, "cross_entropy", eval_data=test)
+        assert len(metrics.points) == 13
+        assert checked == [ds.n, test.n]
 
     def test_full_batch_cross_entropy_gradient_matches_loss_and_gradients(self, monkeypatch):
         # the gradient from the objective's output against the route it
@@ -242,7 +284,7 @@ class TestPostTrain:
         from lastlayer.network import loss_and_gradients
 
         def forwarding_gradient(problem, point, idx=None, out=None):
-            feats, targets = problem.train
+            feats, targets = problem.train.x, problem.train.y
             grad = loss_and_gradients(point, feats, targets, problem.loss)[1].weights[0]
             return grad + 2.0 * problem.lam * point.layers[0].weights
 
