@@ -31,7 +31,7 @@ from .experiment import (
     rows_to_csv,
     run_experiment,
 )
-from .kernel import KrrSolution, gram, krr_solve, primal_ridge, ridge_solve, rkhs_norm_bound
+from .kernel import KrrSolution, gram, krr_solve, ridge_solve, rkhs_norm_bound
 from .linalg import (
     DimensionMismatchError,
     Matrix,
@@ -118,7 +118,6 @@ __all__ = [
     "p_matrix",
     "post_train",
     "posttrain_objective",
-    "primal_ridge",
     "replace_last_layer",
     "ridge_solve",
     "rkhs_norm_bound",

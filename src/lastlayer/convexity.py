@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Matrix
+from .network import softmax_rows
 
 # guard on the explicit (M*N)^2 Hessian
 MAX_HESSIAN_SIZE = 200
@@ -61,10 +62,8 @@ class SoftmaxInstance:
 
 
 def class_probs(inst: SoftmaxInstance) -> np.ndarray:
-    """Softmax class probabilities, computed with max-subtraction."""
-    z = inst.logits()
-    e = np.exp(z - np.max(z))
-    return e / np.sum(e)
+    """Softmax class probabilities: ``network.softmax_rows`` of the logits."""
+    return softmax_rows(inst.logits()[None, :])[0]
 
 
 def ce_value(inst: SoftmaxInstance) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 from . import jsonio
 from .convexity import SoftmaxInstance, ce_hessian, p_matrix
 from .data import Dataset, apply_standardization, gen_synthetic, load_csv, split, standardize
-from .kernel import gram, krr_solve, primal_ridge, ridge_solve, rkhs_norm_bound
+from .kernel import gram, krr_solve, ridge_solve, rkhs_norm_bound
 from .linalg import matmul, min_eigenvalue_symmetric, solve_spd
 from .network import (
     LayerSpec,
@@ -36,6 +36,7 @@ from .network import (
     build_network,
     forward,
     loss_eval,
+    one_hot_labels,
     replace_last_layer,
 )
 from .posttrain import (
@@ -266,7 +267,10 @@ def _materialize_data(cfg: ExperimentConfig, run_seed: int):
     """Dataset, split and standardization for one run seed.
 
     Synthetic data is regenerated per run seed; file-backed data is fixed
-    and only the split varies.
+    and only the split varies.  Under cross_entropy the loaded targets must
+    be one-hot rows, checked before the split so that a bad row in the test
+    set, which no training step reads, is rejected too, and named by its
+    index in the dataset as loaded.
     """
     if cfg.dataset.kind == "synthetic":
         ds = gen_synthetic(cfg.dataset.n, derive(cfg.dataset.seed, "dataset", run_seed))
@@ -283,6 +287,8 @@ def _materialize_data(cfg: ExperimentConfig, run_seed: int):
                 f"dataset file {cfg.dataset.path!r} not found; tabular datasets are "
                 "not bundled, supply the CSV yourself or use the synthetic config"
             ) from None
+    if cfg.loss == "cross_entropy":
+        one_hot_labels(ds.y)
     parts = split(ds, cfg.split_fraction, derive(cfg.split_seed, "run", run_seed))
     train_ds, test_ds = parts.train, parts.test
     if cfg.standardize:
@@ -569,7 +575,7 @@ def _check_kernel_identities(seed: int) -> list:
         targets = rng.normal(size=(n, m))
         lam = float(10.0 ** rng.uniform(-4, 0))
         solution = krr_solve(feats, targets, lam, "paper_literal")
-        primal = primal_ridge(feats, targets, lam)
+        primal = ridge_solve(feats, targets, lam, "paper_literal").weights
         scale = max(1.0, float(np.max(np.abs(primal))))
         worst_push = max(
             worst_push, float(np.max(np.abs(solution.weights - primal))) / scale

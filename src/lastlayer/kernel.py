@@ -16,9 +16,7 @@ By the push-through identity the same weights solve the d x d primal
 system (F.T F + s I) W = F.T Y, and alpha = (Y - F W) / s.  ``ridge_solve``
 takes that route, whose cost is linear in N, and is what ``compare`` and
 ``lastlayer krr`` use.  ``krr_solve`` factorizes the N x N dual and is
-kept as the independent oracle that cross-checks it at small N;
-``primal_ridge`` is the d x d solve both ``ridge_solve`` and those checks
-share.
+kept as the independent oracle that cross-checks it at small N.
 """
 
 from __future__ import annotations
@@ -119,27 +117,11 @@ def ridge_solve(
     alpha = (Y - F W) / s.
     """
     features, y, shift = _ridge_problem(features, y, lam, convention)
-    weights = primal_ridge(features, y, shift)
+    normal = matmul(features.T, features)
+    normal[np.diag_indices_from(normal)] += shift
+    weights = solve_spd(normal, matmul(features.T, y))
     dual = (y - matmul(features, weights)) / shift
     return KrrSolution(dual_coef=dual, weights=weights, lam=lam, convention=convention)
-
-
-def primal_ridge(features: Matrix, y: Matrix, lam_eff: float) -> Matrix:
-    """Ridge weights via the d x d normal equations.
-
-    Solves (F.T F + lam_eff I) W = F.T Y; by the push-through identity this
-    equals the dual-route weights with matching shift.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if lam_eff <= 0.0:
-        raise ValueError("lam_eff must be positive")
-    if features.ndim != 2 or y.ndim != 2 or features.shape[0] != y.shape[0]:
-        raise DimensionMismatchError("features and y must be 2-D with equal row counts")
-    normal = matmul(features.T, features)
-    normal[np.diag_indices_from(normal)] += lam_eff
-    rhs = matmul(features.T, y)
-    return solve_spd(normal, rhs)
 
 
 def rkhs_norm_bound(w_column: np.ndarray, features: Matrix) -> tuple:

@@ -71,8 +71,8 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     operand whose rows run along that axis is also made C-contiguous.
     Then:
 
-    - a shared dimension k no longer than both output axes adds one
-      rank-one product per index into the running sum;
+    - a shared dimension k no longer than the longer output axis adds
+      one rank-one product per index into the running sum;
     - a longer k is walked in blocks of at most _MATMUL_BLOCK // (m n)
       indices.  Each block fills a C-contiguous (1 + block, m, n) array
       whose row 0 is the running sum and whose row 1 + t holds index t's

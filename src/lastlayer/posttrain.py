@@ -12,9 +12,9 @@ path (softmax/cross-entropy, or minibatch mode) has no gradient arithmetic
 of its own: it runs ``network.backprop`` on the last layer as a bias-free
 one-layer ``Network`` over the cached features.  On the full batch that
 backward pass starts from the forward trace the objective computed at the
-same point, so each iteration forwards only its trials.  Both modes run
-the descent loop ``_descend``, a fixed step or the Armijo line search
-``armijo_step``, scored with training's metrics.
+same point, so each iteration forwards only its trials.  ``post_train``
+holds the descent loop of both modes, a fixed step or the Armijo line
+search ``armijo_step``, scored with training's metrics.
 
 The optimized objective is  mean_i loss(act(f_i @ W.T), y_i) + lam * |W|^2
 with |.| the Frobenius norm over the whole last-layer matrix.  When the
@@ -220,42 +220,58 @@ def armijo_step(trial, objective: float, grad_sq: float, step: float):
     return None
 
 
-def _descend(problem: _CachedProblem, net: Network, gradient, iterations: int,
-             lr: float | None, grad_tol: float):
-    """Descend ``problem``'s objective from the one-layer network ``net``,
-    returning ``(net, metrics)`` and leaving the given ``net`` unmodified.
+def post_train(
+    net: Network,
+    data: Dataset,
+    cfg: PostTrainConfig,
+    loss: str,
+    eval_data: Dataset | None = None,
+):
+    """Optimize the last layer on frozen features; lower layers are returned
+    bit-identical.  Returns ``(tuned, metrics)``.
 
-    ``problem.objective(net)`` gives ``(value, trace)``: the objective and
-    the ForwardTrace it was computed from, or None.  Iteration ``it``'s
-    MetricPoint (0: the start, which must be finite) is ``_evaluate`` of the
-    point on ``problem.train`` and ``problem.eval``; it records ``value`` as
-    the train loss and reuses the trace.  Step ``it`` moves the weights W to
-    W - s * g with g = ``gradient(net, it, trace)``, which receives the trace
-    of the point it differentiates so that it need not forward it again.
-    With ``lr`` given, s = lr, raising TrainingDivergedError(it) if the
-    objective turns non-finite.  Else s is what ``armijo_step`` accepts,
-    from twice the last accepted step, so the objective never rises; the
-    loop stops as "converged" before a step with
-    |g| <= grad_tol * (1 + |W|), and as "stalled" when no step is accepted.
-    The reason lands in ``metrics.termination``.
+    The descent runs on the last layer as a bias-free one-layer network over
+    the cached features.  Iteration ``it``'s MetricPoint (0: the start, whose
+    objective must be finite) records the regularized objective on the full
+    training set as the train loss and the plain loss on eval_data as the
+    test loss; it reuses the forward trace the objective was computed from.
+    Step ``it`` moves the weights W to W - s * g, with g the objective's
+    gradient at W, on the full batch or on minibatch ``it``.  In minibatch
+    mode s = ``lr``, and a non-finite objective raises
+    TrainingDivergedError(it).  In full_batch_backtracking mode s is what
+    ``armijo_step`` accepts, starting from twice the last accepted step, so
+    the objective never rises; the loop stops as "converged" before a step
+    with |g| <= max(grad_tol, 1e-14) * (1 + |W|), and as "stalled" when no
+    step is accepted.  The reason lands in ``metrics.termination``.
+    Dropout is never applied here: it would change the frozen feature
+    function.
     """
-    loss, train, held_out = problem.loss, problem.train, problem.eval
+    check_loss_pairing(net, loss)
+    problem = _CachedProblem(net, data, cfg.lam, loss, eval_data)
+    stream = None
+    if cfg.mode == "minibatch":
+        if cfg.batch_size > data.n:
+            raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {data.n}")
+        stream = _BatchStream(data.n, cfg.batch_size, derive(cfg.seed, "posttrain"))
+    grad_tol = max(cfg.grad_tol, 1e-14)
+    train, held_out = problem.train, problem.eval
     metrics = MetricsSeries()
-    value, trace = problem.objective(net)
-    metrics.append(_evaluate(net, loss, train, held_out, 0, check_finite(value, 0), trace))
-    spec = net.layers[0].spec
+    point = _last_layer_net(net, effective_last_weights(net))
+    value, trace = problem.objective(point)
+    metrics.append(_evaluate(point, loss, train, held_out, 0, check_finite(value, 0), trace))
+    spec = point.layers[0].spec
     step = 1.0
-    for it in range(1, iterations + 1):
-        weights = net.layers[0].weights
-        grad = gradient(net, it, trace)
+    for it in range(1, cfg.iterations + 1):
+        weights = point.layers[0].weights
+        grad = problem.gradient(point, None if stream is None else stream.batch(it - 1), trace)
 
         def trial(s: float):
             moved = Network([Layer(spec, weights - s * grad)])
             value_s, trace_s = problem.objective(moved)
             return (moved, trace_s), value_s
 
-        if lr is not None:
-            (net, trace), value = trial(lr)
+        if stream is not None:
+            (point, trace), value = trial(cfg.lr)
             check_finite(value, it)
         else:
             grad_sq = sq_frobenius(grad)
@@ -266,42 +282,6 @@ def _descend(problem: _CachedProblem, net: Network, gradient, iterations: int,
             if accepted is None:
                 metrics.termination = "stalled"
                 break
-            (net, trace), value, step = accepted
-        metrics.append(_evaluate(net, loss, train, held_out, it, value, trace))
-    return net, metrics
-
-
-def post_train(
-    net: Network,
-    data: Dataset,
-    cfg: PostTrainConfig,
-    loss: str,
-    eval_data: Dataset | None = None,
-):
-    """Optimize the last layer on frozen features; lower layers are returned
-    bit-identical.
-
-    Both modes run ``_descend`` on the one-layer last-layer network:
-    full_batch_backtracking with the Armijo search, stopping once
-    |g| <= max(grad_tol, 1e-14) * (1 + |W|), and minibatch with the step
-    ``lr``.  The recorded train metric is the regularized objective on the
-    full training set; the test metric is the plain loss on eval_data.
-    Dropout is never applied here: it would change the frozen feature
-    function.
-    """
-    check_loss_pairing(net, loss)
-    problem = _CachedProblem(net, data, cfg.lam, loss, eval_data)
-    stream = lr = None
-    if cfg.mode == "minibatch":
-        if cfg.batch_size > data.n:
-            raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {data.n}")
-        stream = _BatchStream(data.n, cfg.batch_size, derive(cfg.seed, "posttrain"))
-        lr = cfg.lr
-
-    def gradient(point: Network, it: int, trace: ForwardTrace | None) -> Matrix:
-        return problem.gradient(point, None if stream is None else stream.batch(it - 1), trace)
-
-    start = _last_layer_net(net, effective_last_weights(net))
-    tuned, metrics = _descend(problem, start, gradient, cfg.iterations, lr,
-                              max(cfg.grad_tol, 1e-14))
-    return with_effective_last_weights(net, tuned.layers[0].weights), metrics
+            (point, trace), value, step = accepted
+        metrics.append(_evaluate(point, loss, train, held_out, it, value, trace))
+    return with_effective_last_weights(net, point.layers[0].weights), metrics

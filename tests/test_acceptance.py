@@ -20,7 +20,7 @@ from lastlayer.experiment import (
     rows_to_csv,
     run_experiment,
 )
-from lastlayer.kernel import krr_solve, primal_ridge, rkhs_norm_bound
+from lastlayer.kernel import krr_solve, ridge_solve, rkhs_norm_bound
 from lastlayer.linalg import matmul, min_eigenvalue_symmetric, sq_frobenius
 from lastlayer.network import (
     LayerSpec,
@@ -234,7 +234,7 @@ def test_criterion_4_push_through():
         y = rng.standard_normal((n, m))
         lam = float(10.0 ** rng.uniform(-4, 0))
         dual = krr_solve(feats, y, lam, "paper_literal")
-        primal = primal_ridge(feats, y, lam)
+        primal = ridge_solve(feats, y, lam, "paper_literal").weights
         scale = max(1.0, float(np.max(np.abs(primal))))
         worst = max(worst, float(np.max(np.abs(dual.weights - primal))) / scale)
     passed = worst <= 1e-8

@@ -351,6 +351,35 @@ class TestRunExperiment:
             assert abs(row.posttrained - zero_rmse) <= 0.05 * zero_rmse
 
 
+    def test_compare_rejects_a_non_one_hot_target_in_the_test_split(self, tmp_path):
+        # no training step reads the held-out rows, so the loaded targets
+        # are checked before the split; the error names the row by its
+        # index among the CSV's data rows
+        from lastlayer.data import Dataset, gen_synthetic, save_csv, split
+        from lastlayer.rng import derive
+
+        x = gen_synthetic(200, seed=17).x
+        targets = np.eye(3)[np.argmax(x[:, :3] - x[:, 3:6], axis=1)]
+        targets[125] = [0.5, 0.5, 0.0]
+        save_csv(Dataset(x, targets), str(tmp_path / "classes.csv"))
+        doc = tiny_config_doc(
+            dataset={"kind": "csv", "path": str(tmp_path / "classes.csv"),
+                     "feature_columns": [f"x{i}" for i in range(10)],
+                     "target_columns": ["y0", "y1", "y2"]},
+            split={"fraction": 0.7, "seed": 2},
+            loss="cross_entropy",
+            metric="classification_error",
+            checkpoints=[20],
+            seeds=[0],
+        )
+        doc["network"]["layers"][-1].update(output_dim=3, activation="softmax")
+        cfg = config_from_dict(doc)
+        held_out = split(Dataset(x, targets), 0.7, derive(2, "run", 0)).test
+        assert any(np.array_equal(row, x[125]) for row in held_out.x)
+        with pytest.raises(ValueError, match=re.escape("row 125 is [0.5, 0.5, 0.0]")):
+            run_experiment(cfg)
+
+
 class TestCsvFormat:
     def test_header_and_na(self):
         rows = [

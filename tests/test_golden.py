@@ -3,9 +3,10 @@
 Each case runs CLI commands in process and compares one output file byte
 for byte with a copy kept under ``tests/golden/``.  The copies were made
 before the ordered ``matmul`` changed its memory layout and before
-post-training's gradient began to reuse the accepted trial's output, both
-of which promise the same bytes.  An intended change of output bytes
-regenerates them with
+post-training's gradient began to reuse the accepted trial's output, and
+the minibatch and converged post-training cases before the descent loop
+moved into ``post_train``; all three changes promise the same bytes.  An
+intended change of output bytes regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -19,6 +20,7 @@ are skipped, naming the difference, elsewhere.
 import json
 import platform
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -51,10 +53,11 @@ def environment() -> dict:
     }
 
 
-def cross_entropy_config(directory: Path) -> str:
+def cross_entropy_config(directory: Path, **posttrain) -> str:
     """Write a 3-class CSV and a tiny cross-entropy config that reads it;
     return the config's path.  Labels are the argmax of x0 - x3, x1 - x4
-    and x2 - x5 over inputs drawn by the package's own generator."""
+    and x2 - x5 over inputs drawn by the package's own generator.  Keys in
+    ``posttrain`` replace those of the config's posttrain section."""
     x = gen_synthetic(800, seed=17).x
     labels = np.argmax(x[:, :3] - x[:, 3:6], axis=1)
     csv_path = directory / "classes.csv"
@@ -73,13 +76,29 @@ def cross_entropy_config(directory: Path) -> str:
         "train": {"iterations": 30, "batch_size": 20, "lr0": 0.1, "lr_decay": 1.0,
                   "dropout_keep": [1.0], "weight_decay": 0.001, "seed": 4, "eval_every": 10},
         "posttrain": {"lambda": 0.001, "iterations": 25, "mode": "full_batch_backtracking",
-                      "seed": 5},
+                      "seed": 5, **posttrain},
         "checkpoints": [10, 30],
         "metric": "classification_error",
         "seeds": [0],
     }
     config_path = directory / "classes.json"
     config_path.write_text(json.dumps(config))
+    return str(config_path)
+
+
+def squared_error_config(directory: Path) -> str:
+    """Write a small squared-error config, the bundled synthetic one on 1000
+    rows, with full-batch post-training whose ``grad_tol`` ends the run as
+    converged before its 200 iterations; return the config's path."""
+    doc = json.loads(resources.files("lastlayer.configs").joinpath("synthetic.json").read_text())
+    doc["dataset"]["n"] = 1000
+    doc["train"]["iterations"] = 100
+    doc["checkpoints"] = [100]
+    doc["seeds"] = [0]
+    doc["posttrain"] = {"lambda": 0.001, "iterations": 200, "mode": "full_batch_backtracking",
+                        "seed": 5, "grad_tol": 0.001}
+    config_path = directory / "squared.json"
+    config_path.write_text(json.dumps(doc))
     return str(config_path)
 
 
@@ -97,10 +116,9 @@ def cross_entropy_comparison(directory: Path) -> bytes:
     return (directory / "compare" / "comparison.csv").read_bytes()
 
 
-def cross_entropy_posttrain_metrics(directory: Path) -> bytes:
-    """posttrain_metrics.csv of full-batch ``post-train`` on the network that
-    ``train`` makes from the tiny cross-entropy config."""
-    config = cross_entropy_config(directory)
+def posttrain_metrics(directory: Path, config: str) -> bytes:
+    """posttrain_metrics.csv of ``post-train`` on the network that ``train``
+    makes from ``config``."""
     assert main(["train", "--config", config, "--out", str(directory / "train")]) == 0
     assert main(["post-train", "--config", config,
                  "--network", str(directory / "train" / "network.json"),
@@ -108,10 +126,29 @@ def cross_entropy_posttrain_metrics(directory: Path) -> bytes:
     return (directory / "pt" / "posttrain_metrics.csv").read_bytes()
 
 
+def cross_entropy_posttrain_metrics(directory: Path) -> bytes:
+    """Full-batch post-training on the tiny cross-entropy config."""
+    return posttrain_metrics(directory, cross_entropy_config(directory))
+
+
+def cross_entropy_minibatch_posttrain_metrics(directory: Path) -> bytes:
+    """Minibatch post-training on the tiny cross-entropy config."""
+    config = cross_entropy_config(directory, mode="minibatch", batch_size=20, lr=0.1)
+    return posttrain_metrics(directory, config)
+
+
+def squared_error_converged_posttrain_metrics(directory: Path) -> bytes:
+    """Full-batch squared-error post-training that stops as converged, so the
+    row count pins the iteration it stops at."""
+    return posttrain_metrics(directory, squared_error_config(directory))
+
+
 CASES = {
     "synthetic_seed0_comparison.csv": synthetic_comparison,
     "cross_entropy_comparison.csv": cross_entropy_comparison,
     "cross_entropy_posttrain_metrics.csv": cross_entropy_posttrain_metrics,
+    "cross_entropy_minibatch_posttrain_metrics.csv": cross_entropy_minibatch_posttrain_metrics,
+    "squared_error_converged_posttrain_metrics.csv": squared_error_converged_posttrain_metrics,
 }
 
 

@@ -14,7 +14,6 @@ import lastlayer.kernel as kernel_mod
 from lastlayer.kernel import (
     gram,
     krr_solve,
-    primal_ridge,
     ridge_solve,
     rkhs_norm_bound,
     solution_to_dict,
@@ -136,7 +135,7 @@ class TestPrimalRidge:
         rng = np.random.default_rng(10)
         q, _ = np.linalg.qr(rng.standard_normal((10, 4)))
         y = rng.standard_normal((10, 2))
-        w = primal_ridge(q, y, 1.0)
+        w = ridge_solve(q, y, 1.0, "paper_literal").weights
         assert np.allclose(w, matmul(q.T, y) / 2.0, rtol=0, atol=1e-12)
 
     def test_push_through_identity(self):
@@ -146,18 +145,18 @@ class TestPrimalRidge:
             y = rng.standard_normal((30, 2))
             lam = float(10.0 ** rng.uniform(-4, 0))
             dual_w = krr_solve(f, y, lam, "paper_literal").weights
-            primal_w = primal_ridge(f, y, lam)
+            primal_w = ridge_solve(f, y, lam, "paper_literal").weights
             scale = max(1.0, float(np.max(np.abs(primal_w))))
             assert float(np.max(np.abs(dual_w - primal_w))) <= 1e-8 * scale
 
     def test_zero_targets_zero_weights(self):
         rng = np.random.default_rng(12)
         f = rng.standard_normal((8, 3))
-        assert np.all(primal_ridge(f, np.zeros((8, 2)), 0.5) == 0.0)
+        assert np.all(ridge_solve(f, np.zeros((8, 2)), 0.5, "paper_literal").weights == 0.0)
 
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
-            primal_ridge(np.eye(3), np.ones((3, 1)), -1.0)
+            ridge_solve(np.eye(3), np.ones((3, 1)), -1.0, "paper_literal").weights
 
 
 def _max_scaled_error(got, expected):
