@@ -82,7 +82,9 @@ def cmd_post_train(args) -> int:
     metrics.write_jsonl(os.path.join(out, "posttrain_metrics.jsonl"))
     metrics.write_csv(os.path.join(out, "posttrain_metrics.csv"))
     jsonio.dump(config_to_dict(cfg), os.path.join(out, "resolved_config.json"))
-    print(f"fine-tuned last layer for {pt_cfg.iterations} iterations; outputs in {out}")
+    stopped = f" ({metrics.termination})" if metrics.termination else ""
+    print(f"fine-tuned last layer for {metrics.points[-1].iteration} iterations{stopped}; "
+          f"outputs in {out}")
     return 0
 
 

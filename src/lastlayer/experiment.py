@@ -28,10 +28,16 @@ from . import jsonio
 from .convexity import SoftmaxInstance, ce_hessian, p_matrix
 from .data import Dataset, apply_standardization, gen_synthetic, load_csv, split, standardize
 from .kernel import gram, krr_solve, ridge_solve, rkhs_norm_bound
-from .linalg import matmul, min_eigenvalue_symmetric, solve_spd
+from .linalg import DimensionMismatchError, matmul, min_eigenvalue_symmetric, solve_spd
 from .network import (
+    LOSSES,
     LayerSpec,
     Network,
+    _apply_activation,
+    _check_input,
+    _layer_passes,
+    _mean_cross_entropies,
+    _squared_errors,
     backprop,
     build_network,
     forward,
@@ -403,37 +409,76 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _flatten_params(net: Network):
-    arrays = []
-    for layer in net.layers:
-        arrays.append(layer.weights)
-        if layer.bias is not None:
-            arrays.append(layer.bias)
-    return arrays
+def _perturbed_copies(array: np.ndarray, step: float) -> np.ndarray:
+    """``2 size`` copies of ``array`` stacked on a new leading axis; copy i
+    holds entry i (in C order) moved up by ``step``, copy size + i holds
+    it moved down."""
+    size = array.size
+    copies = np.repeat(array.reshape(1, size), 2 * size, axis=0)
+    entries = np.arange(size)
+    keep = array.reshape(-1)
+    copies[entries, entries] = keep + step
+    copies[size + entries, entries] = keep - step
+    return copies.reshape(2 * size, *array.shape)
 
 
 def _fd_loss_gradient(net: Network, x, y, loss: str, step: float = 1e-5):
     """Central finite differences of the batch-mean loss over every
     parameter; independent of the backward pass.  Also returns whether a
     difference moved a relu pre-activation across zero, where it is no
-    oracle for the derivative."""
-    relu = [i for i, layer in enumerate(net.layers) if layer.spec.activation == "relu"]
+    oracle for the derivative.
+
+    Each parameter array, in layer order with weights before bias, goes
+    through the network once as one stacked batch of its ``2 size``
+    perturbed copies (``_perturbed_copies``).  The layers below the
+    perturbed one run once on the unperturbed batch.  At the perturbed
+    layer one ``matmul`` forms every copy's pre-activation, with the
+    copies' transposed weights side by side; above it the copies' batches
+    run as one batch of ``2 size`` times the rows.  ``matmul`` adds each
+    entry's products in a fixed order whatever the shapes, rows are
+    independent in every activation, and the stacked loss arithmetic sums
+    each copy as ``loss_eval`` sums one batch, so every difference has the
+    bits of separate ``forward`` and ``loss_eval`` calls on perturbed
+    networks.  ``net`` is never written.
+    """
+    x = _check_input(net, x)
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (x.shape[0], net.output_dim):
+        raise DimensionMismatchError(
+            f"output shape {(x.shape[0], net.output_dim)} != target shape {y.shape}"
+        )
+    if loss not in LOSSES:
+        raise ValueError(f"unknown loss {loss!r}; expected one of {LOSSES}")
+    labels = one_hot_labels(y) if loss == "cross_entropy" else None
+    batch = x.shape[0]
+    inputs = [x] + [post for _, post in _layer_passes(net.layers[:-1], x)]
     grads = []
     crossed = False
-    for array in _flatten_params(net):
-        g = np.zeros_like(array)
-        flat = array.reshape(-1)
-        gf = g.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + step
-            up = forward(net, x)
-            flat[i] = keep - step
-            down = forward(net, x)
-            flat[i] = keep
-            gf[i] = (loss_eval(loss, up.output, y) - loss_eval(loss, down.output, y)) / (2.0 * step)
-            crossed = crossed or any(np.any((up.pre[j] > 0) != (down.pre[j] > 0)) for j in relu)
-        grads.append(g)
+    for index, layer in enumerate(net.layers):
+        h, width = inputs[index], layer.spec.output_dim
+        for array in (layer.weights, layer.bias):
+            if array is None:
+                continue
+            size = array.size
+            copies = _perturbed_copies(array, step)
+            if array is layer.weights:
+                stacked = matmul(h, copies.transpose(2, 0, 1).reshape(layer.spec.input_dim, -1))
+                z = stacked.reshape(batch, 2 * size, width).transpose(1, 0, 2)
+                if layer.bias is not None:
+                    z = z + layer.bias
+            else:
+                z = matmul(h, layer.weights.T)[None] + copies[:, None, :]
+            pre = [np.ascontiguousarray(z).reshape(2 * size * batch, width)]
+            post = _apply_activation(layer.spec.activation, pre[0])
+            for z_above, post in _layer_passes(net.layers[index + 1:], post):
+                pre.append(z_above)
+            outputs = post.reshape(2 * size, batch, net.output_dim)
+            values = (_squared_errors(outputs, y) if labels is None
+                      else _mean_cross_entropies(outputs, labels))
+            grads.append(((values[:size] - values[size:]) / (2.0 * step)).reshape(array.shape))
+            signs = [z_at.reshape(2, -1) > 0 for z_at, at in zip(pre, net.layers[index:])
+                     if at.spec.activation == "relu"]
+            crossed = crossed or any(bool(np.any(up != down)) for up, down in signs)
     return grads, crossed
 
 

@@ -314,12 +314,35 @@ def one_hot_labels(targets: Matrix) -> np.ndarray:
     return np.argmax(targets, axis=1)
 
 
+def _squared_errors(outputs: np.ndarray, targets: Matrix) -> np.ndarray:
+    """Batch-mean squared error of each batch ``outputs[s]`` of a stack
+    (stack x batch x output) against the one batch ``targets``: the sum of
+    squared deviations over the batch, divided by the batch size.
+
+    Each batch is summed as ``np.sum`` sums the batch alone, since the
+    reduction runs over that batch's own entries in memory order.
+    Nothing is checked; ``loss_eval`` is the checked entry point."""
+    diff = outputs - targets
+    return np.sum(diff * diff, axis=(1, 2)) / outputs.shape[1]
+
+
+def _mean_cross_entropies(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``mean_cross_entropy`` of each batch ``probs[s]`` of a stack
+    (stack x batch x classes) against the one set of ``labels``.
+
+    The gathered probabilities are made C-contiguous: numpy returns the
+    gather column-major, and along a strided axis ``np.mean`` adds one
+    entry after another where along a contiguous row it adds pairwise,
+    as it does for a single batch."""
+    p_true = np.ascontiguousarray(probs[:, np.arange(len(labels)), labels])
+    return np.mean(-np.log(np.maximum(p_true, PROB_FLOOR)), axis=1)
+
+
 def mean_cross_entropy(probs: Matrix, labels: np.ndarray) -> float:
     """Batch-mean cross-entropy against the class ``labels``: -log of each
     row's probability of its label, floored at PROB_FLOOR.  Nothing is
     checked; ``loss_eval`` is the checked entry point."""
-    p_true = probs[np.arange(len(labels)), labels]
-    return float(np.mean(-np.log(np.maximum(p_true, PROB_FLOOR))))
+    return float(_mean_cross_entropies(probs[None], labels)[0])
 
 
 def loss_eval(loss: str, output: Matrix, targets: Matrix) -> float:
@@ -338,8 +361,7 @@ def loss_eval(loss: str, output: Matrix, targets: Matrix) -> float:
             f"output shape {output.shape} != target shape {targets.shape}"
         )
     if loss == "squared_error":
-        diff = output - targets
-        return float(np.sum(diff * diff)) / output.shape[0]
+        return float(_squared_errors(output[None], targets)[0])
     if loss == "cross_entropy":
         labels = one_hot_labels(targets)
         deviation = np.max(np.abs(np.sum(output, axis=1) - 1.0))

@@ -107,6 +107,29 @@ class TestTrainCommands(object):
         optimal = load_network(str(krr_dir / "network_optimal.json"))
         assert optimal.layers[-1].spec.input_dim == 5
 
+    @pytest.mark.parametrize("mode", ["minibatch", "full_batch_backtracking"])
+    def test_post_train_reports_the_iterations_it_ran(self, tmp_path, capsys, mode):
+        # full-batch descent stops as converged well before its 200
+        # iterations once the gradient is below grad_tol
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc["posttrain"] = {"lambda": 0.001, "iterations": 200, "mode": mode, "batch_size": 20,
+                            "lr": 0.05, "seed": 5, "grad_tol": 0.001}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "train")]) == 0
+        capsys.readouterr()
+        assert main(["post-train", "--config", str(path), "--out", str(tmp_path / "pt"),
+                     "--network", str(tmp_path / "train" / "network.json")]) == 0
+        printed = capsys.readouterr().out
+        rows = (tmp_path / "pt" / "posttrain_metrics.csv").read_text().splitlines()
+        last = int(rows[-1].split(",")[0])
+        if mode == "minibatch":
+            assert last == 200
+            assert printed.startswith("fine-tuned last layer for 200 iterations; outputs in ")
+        else:
+            assert last < 200
+            assert printed.startswith(f"fine-tuned last layer for {last} iterations (converged); ")
+
     def test_krr_refuses_cross_entropy_and_mispaired_networks(self, tmp_path, config_path):
         # the closed form minimises the squared-error objective only, so a
         # cross-entropy config or a softmax network must not yield a network

@@ -17,6 +17,9 @@ from lastlayer.experiment import (
     DatasetSpec,
     ExperimentConfig,
     _fd_ce_hessian,
+    _fd_loss_gradient,
+    _random_batch,
+    _random_net,
     _random_softmax_instance,
     check_suite,
     config_from_dict,
@@ -26,8 +29,10 @@ from lastlayer.experiment import (
     rows_to_csv,
     run_experiment,
 )
-from lastlayer.network import LayerSpec
+from lastlayer.linalg import DimensionMismatchError
+from lastlayer.network import LayerSpec, forward, loss_eval
 from lastlayer.posttrain import PostTrainConfig, posttrain_objective
+from lastlayer.rng import derive
 from lastlayer.train import TrainConfig
 
 
@@ -458,6 +463,93 @@ def loop_fd_ce_hessian(inst, step=1e-4):
             )
             hess[j, i] = hess[i, j]
     return hess
+
+
+def loop_fd_loss_gradient(net, x, y, loss, step=1e-5):
+    """_fd_loss_gradient before its stacked evaluation: two ``forward`` and
+    two ``loss_eval`` calls per parameter entry, perturbing ``net`` in place
+    and restoring it; kept as its oracle."""
+    relu = [i for i, layer in enumerate(net.layers) if layer.spec.activation == "relu"]
+    arrays = [a for layer in net.layers for a in (layer.weights, layer.bias) if a is not None]
+    grads = []
+    crossed = False
+    for array in arrays:
+        g = np.zeros_like(array)
+        flat = array.reshape(-1)
+        gf = g.reshape(-1)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + step
+            up = forward(net, x)
+            flat[i] = keep - step
+            down = forward(net, x)
+            flat[i] = keep
+            gf[i] = (loss_eval(loss, up.output, y) - loss_eval(loss, down.output, y)) / (2.0 * step)
+            crossed = crossed or any(np.any((up.pre[j] > 0) != (down.pre[j] > 0)) for j in relu)
+        grads.append(g)
+    return grads, crossed
+
+
+def gradient_check_draws(seed):
+    """Every (loss, net, x, y) that ``check_suite(seed)``'s gradient check
+    draws, the draws it replaces included, each with its
+    ``loop_fd_loss_gradient``."""
+    rng = np.random.default_rng(derive(seed, "gradcheck"))
+    draws = []
+    for trial in range(20):
+        loss = "squared_error" if trial % 2 == 0 else "cross_entropy"
+        while True:
+            net = _random_net(rng, loss)
+            x, y = _random_batch(rng, net, loss)
+            want = loop_fd_loss_gradient(net.copy(), x, y, loss)
+            draws.append((loss, net, x, y, want))
+            if not want[1]:
+                break
+    return draws
+
+
+def params_bytes(net):
+    return [a.tobytes() for layer in net.layers for a in (layer.weights, layer.bias) if a is not None]
+
+
+class TestFiniteDifferenceGradient:
+    def assert_matches_loop(self, loss, net, x, y, want=None):
+        before = params_bytes(net)
+        got, crossed = _fd_loss_gradient(net, x, y, loss)
+        assert params_bytes(net) == before
+        want_grads, want_crossed = want or loop_fd_loss_gradient(net.copy(), x, y, loss)
+        assert crossed == want_crossed
+        assert [g.shape for g in got] == [w.shape for w in want_grads]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want_grads]
+
+    @pytest.mark.parametrize("loss", ["squared_error", "cross_entropy"])
+    def test_matches_per_entry_loop_bit_for_bit(self, loss):
+        rng = np.random.default_rng(14 if loss == "squared_error" else 15)
+        rows = []
+        for _ in range(200):
+            net = _random_net(rng, loss)
+            x, y = _random_batch(rng, net, loss)
+            rows.append(len(x))
+            self.assert_matches_loop(loss, net, x, y)
+        assert sum(n >= 8 for n in rows) >= 50  # np.mean/np.sum add pairwise from 8 rows
+
+    @pytest.mark.parametrize("seed", [47, 137])
+    def test_matches_on_the_draws_the_check_replaces(self, seed):
+        draws = gradient_check_draws(seed)
+        assert len(draws) > 20  # at least one draw crossed a relu kink
+        assert any(want[1] for *_, want in draws)
+        for loss, net, x, y, want in draws:
+            self.assert_matches_loop(loss, net, x, y, want)
+
+    def test_leaves_the_network_unwritten_when_it_raises(self):
+        # a rejected input must not leave a perturbed entry behind
+        rng = np.random.default_rng(16)
+        net = _random_net(rng, "cross_entropy")
+        x, y = _random_batch(rng, net, "cross_entropy")
+        before = params_bytes(net)
+        with pytest.raises(DimensionMismatchError, match="columns"):
+            _fd_loss_gradient(net, x[:, :-1], y, "cross_entropy")
+        assert params_bytes(net) == before
 
 
 class TestFiniteDifferenceHessian:

@@ -5,8 +5,10 @@ for byte with a copy kept under ``tests/golden/``.  The copies were made
 before the ordered ``matmul`` changed its memory layout and before
 post-training's gradient began to reuse the accepted trial's output, and
 the minibatch and converged post-training cases before the descent loop
-moved into ``post_train``; all three changes promise the same bytes.  An
-intended change of output bytes regenerates them with
+moved into ``post_train``, and the two ``check`` reports before the
+finite-difference gradient ran as stacked batches; all four changes
+promise the same bytes.  An intended change of output bytes regenerates
+them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -143,12 +145,22 @@ def squared_error_converged_posttrain_metrics(directory: Path) -> bytes:
     return posttrain_metrics(directory, squared_error_config(directory))
 
 
+def self_check_report(seed: int):
+    """Produce the ``--out`` JSON of ``check --seed`` ``seed``."""
+    def produce(directory: Path) -> bytes:
+        assert main(["check", "--seed", str(seed), "--out", str(directory / "check.json")]) == 0
+        return (directory / "check.json").read_bytes()
+    return produce
+
+
 CASES = {
     "synthetic_seed0_comparison.csv": synthetic_comparison,
     "cross_entropy_comparison.csv": cross_entropy_comparison,
     "cross_entropy_posttrain_metrics.csv": cross_entropy_posttrain_metrics,
     "cross_entropy_minibatch_posttrain_metrics.csv": cross_entropy_minibatch_posttrain_metrics,
     "squared_error_converged_posttrain_metrics.csv": squared_error_converged_posttrain_metrics,
+    "check_seed0.json": self_check_report(0),
+    "check_seed47.json": self_check_report(47),
 }
 
 

@@ -18,6 +18,8 @@ from lastlayer.network import (
     Layer,
     LayerSpec,
     Network,
+    _mean_cross_entropies,
+    _squared_errors,
     backprop,
     build_network,
     feature_map,
@@ -225,6 +227,33 @@ class TestLossEval:
         targets = np.array([[1.0, 0.0]])
         with pytest.raises(ValueError, match="summing to 1"):
             loss_eval("cross_entropy", np.array([[0.9, 0.3]]), targets)
+
+
+class TestStackedLosses:
+    """The stacked loss arithmetic against ``loss_eval`` on each batch of
+    the stack alone, bit for bit: np.sum and np.mean add a contiguous row
+    of the stack as they add the batch alone, pairwise from 8 entries."""
+
+    @pytest.mark.parametrize("batch", range(1, 17))
+    def test_squared_error_matches_loss_eval_per_batch(self, batch):
+        rng = np.random.default_rng(batch)
+        for width in (1, 3, 8):
+            outputs = rng.standard_normal((12, batch, width)) * 10.0 ** rng.normal(size=(12, batch, width))
+            y = rng.standard_normal((batch, width))
+            got = _squared_errors(outputs, y)
+            want = [loss_eval("squared_error", out, y) for out in outputs]
+            assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("batch", range(1, 17))
+    def test_cross_entropy_matches_loss_eval_per_batch(self, batch):
+        rng = np.random.default_rng(100 + batch)
+        for width in (2, 5, 9):
+            logits = 12.0 * rng.standard_normal((12 * batch, width))  # some below PROB_FLOOR
+            probs = softmax_rows(logits).reshape(12, batch, width)
+            targets = np.eye(width)[rng.integers(0, width, size=batch)]
+            got = _mean_cross_entropies(probs, one_hot_labels(targets))
+            want = [loss_eval("cross_entropy", p, targets) for p in probs]
+            assert got.tobytes() == np.array(want).tobytes()
 
 
 def biased_batch_with_masks(loss: str):
