@@ -5,14 +5,18 @@ Matrices are plain 2-D ``numpy.ndarray`` objects with dtype float64;
 here is ``matmul``: it accumulates strictly in index order over the shared
 dimension, so its output is bit-identical to a naive triple loop and
 therefore reproducible run to run regardless of BLAS threading.  Seeded
-experiments depend on that stability.  When the shared dimension is the
-longest, ``matmul`` forms a block of products at once and sums it with
-``np.add.reduce`` along the block's outer axis, which numpy adds row by
-row (``np.add.accumulate`` where the output is a single entry); otherwise
-it adds one rank-one product per index.  On large problems it works on
-the transposed output when that makes the longer output axis contiguous.
-Every path performs the triple loop's additions in the triple loop's
-order: the shapes choose only the memory layout.
+experiments depend on that stability.  ``matmul`` has three paths, picked
+by size alone.  A product of at most ``_MATMUL_BLOCK`` scalar products with
+more than one output entry is one block: one ``np.multiply`` forms every
+product and one ``np.add.reduce`` along the block's outer axis sums them,
+which numpy does row by row.  Any other product is walked in blocks of
+``_MATMUL_BLOCK // (m n)`` indices summed the same way (by the sequential
+``np.add.accumulate`` where the output is a single entry), unless a block
+would hold a single index; then it adds one rank-one product per index.
+Above one block it works on the transposed output when that makes the
+longer output axis contiguous.  Every path performs the triple loop's
+additions in the triple loop's order: the shapes choose only the memory
+layout.
 
 ``solve_spd`` and ``min_eigenvalue_symmetric`` delegate to numpy's LAPACK
 (Cholesky and symmetric eigensolver), which is deterministic for fixed
@@ -27,7 +31,6 @@ Matrix = np.ndarray
 
 _SYMMETRY_RTOL = 1e-10
 _MATMUL_BLOCK = 8192  # products per summation block (64 KiB of float64)
-_LAYOUT_MIN = 2048  # products from which matmul arranges memory for long rows
 
 
 class DimensionMismatchError(ValueError):
@@ -62,26 +65,29 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     the shared index, exactly as a scalar triple loop would compute it, so
     results are bit-reproducible and independent of BLAS.  Only the memory
     layout of the work depends on the shapes, never the additions or their
-    order.
+    order.  Three paths, chosen by m, k and n alone:
 
-    The work runs on the output ``(m, n)`` or, when m > n > 1 on a problem
-    of at least _LAYOUT_MIN products, on its transpose ``b.T a.T``, so that
-    the longer output axis is the contiguous one (with n = 1 it already
-    is); the result is C-contiguous either way.  On problems that size the
-    operand whose rows run along that axis is also made C-contiguous.
-    Then:
+    - **One block**, when m k n <= _MATMUL_BLOCK and m n > 1.  One
+      ``np.multiply`` fills a (k, m, n) array whose row t holds
+      ``a[:, t] ⊗ b[t, :]``, and one ``np.add.reduce`` along axis 0 with
+      initial value +0.0 sums it.  numpy adds along that outer axis row by
+      row, vectorised across entries, so each entry is
+      ``((0 + p_0) + p_1) + ...``.
+    - **Blocks**, otherwise, when a block of _MATMUL_BLOCK // (m n)
+      indices holds at least two.  Each block fills a C-contiguous
+      (1 + block, m, n) array whose row 0 is the running sum and sums it
+      the same way.  numpy sums pairwise only along the contiguous axis,
+      which is what a block of one column becomes, so with m n = 1 the
+      block is summed by the sequential ``np.add.accumulate`` instead.
+    - **Rank-one loop**, when a block would hold one index (m n >
+      _MATMUL_BLOCK // 2): one rank-one product per index is added into
+      the running sum.
 
-    - a shared dimension k no longer than the longer output axis adds
-      one rank-one product per index into the running sum;
-    - a longer k is walked in blocks of at most _MATMUL_BLOCK // (m n)
-      indices.  Each block fills a C-contiguous (1 + block, m, n) array
-      whose row 0 is the running sum and whose row 1 + t holds index t's
-      products, and sums it with ``np.add.reduce`` along axis 0.  numpy
-      adds along that outer axis row by row, vectorised across entries,
-      so each entry is ``((0 + p_0) + p_1) + ...``.  It sums pairwise only
-      along the contiguous axis, which is what a block of one column
-      becomes, so with m n = 1 the block is summed by the sequential
-      ``np.add.accumulate`` instead.
+    The last two paths run on the output ``(m, n)`` or, when m > n > 1, on
+    its transpose ``b.T a.T``, so that the longer output axis is the
+    contiguous one (with n = 1 it already is), with the operand whose rows
+    run along that axis made C-contiguous; the result is C-contiguous
+    either way.
 
     Every path makes the triple loop's additions, signed zeros and
     infinities included; only which payload survives where two NaNs meet
@@ -96,28 +102,30 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         )
     m, k = a.shape
     n = b.shape[1]
-    large = m * k * n >= _LAYOUT_MIN
-    if large and m > n > 1:
-        return np.ascontiguousarray(_ordered_outer_sum(b, a.T, large).T)
-    return _ordered_outer_sum(a.T, b, large)
+    if m * n > 1 and m * k * n <= _MATMUL_BLOCK:
+        # C order keeps k the outer axis, which numpy reduces row by row
+        prods = np.empty((k, m, n), dtype=np.float64)
+        np.multiply(a.T[:, :, None], b[:, None, :], out=prods)
+        return np.add.reduce(prods, axis=0, initial=0.0)
+    if m > n > 1:
+        return np.ascontiguousarray(_ordered_outer_sum(b, a.T).T)
+    return _ordered_outer_sum(a.T, b)
 
 
-def _ordered_outer_sum(rows: Matrix, cols: Matrix, contiguous: bool) -> Matrix:
-    """``out[i, j] = ((0 + rows[0, i] cols[0, j]) + rows[1, i] cols[1, j]) + ...``;
-    ``cols`` is first made C-contiguous when ``contiguous`` is set."""
+def _ordered_outer_sum(rows: Matrix, cols: Matrix) -> Matrix:
+    """``out[i, j] = ((0 + rows[0, i] cols[0, j]) + rows[1, i] cols[1, j]) + ...``"""
     k, p = rows.shape
     q = cols.shape[1]
-    if contiguous:
-        cols = np.ascontiguousarray(cols)
+    cols = np.ascontiguousarray(cols)
     left, right = rows[:, :, None], cols[:, None, :]
     out = np.zeros((p, q), dtype=np.float64)
-    if k <= max(p, q):
+    block = _MATMUL_BLOCK // max(1, p * q)
+    if block <= 1:
         buf = np.empty((p, q), dtype=np.float64)
         for t in range(k):
             np.multiply(left[t], right[t], out=buf)
             np.add(out, buf, out=out)
         return out
-    block = max(1, _MATMUL_BLOCK // max(1, p * q))
     prods = np.empty((min(block, k) + 1, p, q), dtype=np.float64)
     for s in range(0, k, block):
         chunk = prods[: min(block, k - s) + 1]

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from lastlayer.linalg import (
-    _LAYOUT_MIN,
     _MATMUL_BLOCK,
     DimensionMismatchError,
     NotPositiveDefiniteError,
@@ -79,6 +78,12 @@ def same_bits(x, y):
 # full-batch post-training's forward and gradient products at N = 3500
 # training rows, 10 features and 3 classes, and the gradient transposed
 HOT_SHAPES = [(3500, 10, 3), (3, 3500, 10), (10, 3500, 3)]
+# SGD's and the self-check's products: batches of 50 or 40 rows through
+# layers of 10, 6, 5 and 3 units, one-row inputs, and their transposes
+SMALL_SHAPES = [
+    (50, 10, 10), (10, 50, 10), (50, 10, 1), (1, 50, 10), (1, 10, 10), (50, 1, 10),
+    (50, 10, 3), (50, 3, 10), (3, 50, 10), (40, 6, 5), (40, 5, 2),
+]
 
 
 class TestMatmul:
@@ -105,18 +110,23 @@ class TestMatmul:
         assert np.array_equal(matmul(a.T, b), naive_matmul(a.T.copy(), b))
 
     def test_block_path_matches_rank_one_loop_bit_for_bit(self):
-        # k > max(m, n) takes the block path; the rest keep the loop
+        # one block when m k n <= _MATMUL_BLOCK and m n > 1; above that,
+        # blocks while a block holds two or more indices, else the loop
         edge = [
-            (3, 0, 4), (0, 0, 0), (1, 1, 1), (0, 1, 0), (2, 1, 0), (5, 5, 5), (4, 6, 5),
+            (3, 0, 4), (5, 5, 5), (4, 6, 5),  # one block
+            (0, 0, 0), (1, 1, 1), (0, 1, 0), (2, 1, 0),  # m n <= 1: blocks
             (2, _MATMUL_BLOCK // 4 + 1, 2),  # one index past the first block
             (2, 2 * (_MATMUL_BLOCK // 4), 2),  # exactly two blocks
             (3, _MATMUL_BLOCK // 3 + 1, 1),
-            (91, 92, 91),  # m n > _MATMUL_BLOCK: blocks of one index
+            (64, 3, 64), (4096, 3, 1),  # m n = _MATMUL_BLOCK // 2: blocks of two
+            (65, 3, 64), (64, 3, 65), (4097, 2, 1),  # one index per block: the loop
+            (91, 92, 91),  # m n > _MATMUL_BLOCK: the loop
             (3, 3500, 10), (3500, 11, 3),
-            # rank-one path on large problems: m > n runs on the transpose
-            (3500, 10, 3), (300, 12, 40), (40, 12, 300), (3, 10, 3500), (700, 10, 1),
-            (1, 10, 700), (_LAYOUT_MIN // 32, 8, 4), (_LAYOUT_MIN // 32 - 1, 8, 4),
-            # block path on large problems, m > n and m < n
+            # the loop on large outputs: m > n runs on the transpose
+            (3500, 10, 3), (300, 12, 40), (40, 12, 300), (3, 10, 3500),
+            # one block with a long output axis
+            (700, 10, 1), (1, 10, 700), (64, 8, 4), (63, 8, 4),
+            # blocks on large problems, m > n and m < n
             (10, 3500, 3), (7, 900, 2), (2, 900, 7), (4, 5000, 4),
             # m n = 1 and 2: one block past _MATMUL_BLOCK
             (1, 9000, 1), (1, 9000, 2), (2, 9000, 1),
@@ -160,27 +170,68 @@ class TestMatmul:
             assert got.flags.c_contiguous, (m, k, n)
             assert same_bits(got, want), (m, k, n)
 
+    @pytest.mark.parametrize(
+        "m, k, n",
+        SMALL_SHAPES
+        + [
+            (4, _MATMUL_BLOCK // 16, 4),  # m k n = _MATMUL_BLOCK: one block
+            (1, _MATMUL_BLOCK // 2, 2),
+            (3, _MATMUL_BLOCK // 3 + 1, 1),  # m k n = _MATMUL_BLOCK + 1: blocks
+            (1, _MATMUL_BLOCK // 3 + 1, 3),
+            (1, 0, 2), (2, 0, 1), (1, 1, 2), (2, 1, 1), (1, 7, 2), (2, 7, 1),  # m n = 2
+        ],
+    )
+    def test_small_products_match_triple_loop_in_every_layout(self, m, k, n):
+        rng = np.random.default_rng(1000 * m + 10 * n + k)
+        a = with_extremes(rng, (m, k))
+        b = with_extremes(rng, (k, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = naive_matmul(a, b)
+            for a_layout, a_view in layouts(a).items():
+                for b_layout, b_view in layouts(b).items():
+                    got = matmul(a_view, b_view)
+                    assert got.flags.c_contiguous, (a_layout, b_layout)
+                    assert same_bits(got, want), (a_layout, b_layout)
+
+    def test_one_block_sums_in_order_where_pairwise_would_not(self):
+        # two output entries, each the ordered sum of _MATMUL_BLOCK // 2
+        # products whose pairwise sum differs from the ordered one
+        rng = np.random.default_rng(7)
+        k = _MATMUL_BLOCK // 2
+        a = rng.standard_normal((1, k)) * np.exp(rng.uniform(-20.0, 20.0, size=(1, k)))
+        b = rng.standard_normal((k, 2))
+        got = matmul(a, b)
+        for j in range(2):
+            products = a[0] * b[:, j]
+            in_order = 0.0
+            for p in products:
+                in_order += p
+            assert np.add.reduce(products) != in_order
+            assert got[0, j] == in_order
+
     def test_single_entry_sums_in_order_where_pairwise_would_not(self):
         # with one output entry a reduce would add the products pairwise;
-        # these products make that visible, and matmul must add in order
-        rng = np.random.default_rng(6)
-        k = 9001
-        a = rng.standard_normal((1, k)) * np.exp(rng.uniform(-20.0, 20.0, size=(1, k)))
-        b = rng.standard_normal((k, 1))
-        products = a[0] * b[:, 0]
-        in_order = 0.0
-        for p in products:
-            in_order += p
-        assert np.add.reduce(products) != in_order
-        assert matmul(a, b)[0, 0] == in_order
-        assert same_bits(matmul(a, b), naive_matmul(a, b))
+        # these products make that visible, and matmul must add in order,
+        # within one block and past it
+        for k in (200, _MATMUL_BLOCK, 9001):
+            rng = np.random.default_rng(6)
+            a = rng.standard_normal((1, k)) * np.exp(rng.uniform(-20.0, 20.0, size=(1, k)))
+            b = rng.standard_normal((k, 1))
+            products = a[0] * b[:, 0]
+            in_order = 0.0
+            for p in products:
+                in_order += p
+            assert np.add.reduce(products) != in_order, k
+            assert matmul(a, b)[0, 0] == in_order, k
+            assert same_bits(matmul(a, b), naive_matmul(a, b)), k
 
     def test_block_path_sums_signed_zeros_like_the_loop(self):
         # 0.0 + (-0.0) is +0.0: the running sum starts at +0.0 in every path
-        a = np.full((1, 3), -0.0)
-        b = np.ones((3, 1))
-        assert np.signbit(rank_one_matmul(a, b)[0, 0]) == np.signbit(matmul(a, b)[0, 0])
-        assert not np.signbit(matmul(a, b)[0, 0])
+        for m, k, n in [(1, 3, 1), (2, 3, 2), (2, 0, 2)]:
+            a = np.full((m, k), -0.0)
+            b = np.ones((k, n))
+            assert same_bits(matmul(a, b), rank_one_matmul(a, b)), (m, k, n)
+            assert not np.signbit(matmul(a, b)).any(), (m, k, n)
 
     def test_dimension_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionMismatchError, match="2x3.*4x2"):
