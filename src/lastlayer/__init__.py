@@ -9,6 +9,24 @@ feature-map kernel.  The closed form is solved in the d x d primal
 compares both against continued training on held-out data.
 """
 
+import os
+import sys
+
+# Load OpenBLAS with one thread unless the caller chose a count or numpy is
+# already loaded.  `matmul` is its own loop and never calls BLAS, and the only
+# LAPACK calls (`solve_spd`, `eigvalsh`, `svd`) factor matrices of at most a
+# few dozen rows in every CLI command, so a second BLAS thread could only spin.
+# Output bytes do not depend on the thread count either way.  OpenBLAS reads
+# the variable once, when numpy loads it, so it is removed again and
+# os.environ and child processes see the caller's environment.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .convexity import SoftmaxInstance, ce_hessian, ce_value, class_probs, p_matrix
 from .data import (
     Dataset,

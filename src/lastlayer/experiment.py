@@ -43,13 +43,12 @@ from .network import (
     forward,
     loss_eval,
     one_hot_labels,
-    replace_last_layer,
 )
 from .posttrain import (
     PostTrainConfig,
+    _feature_objective,
     effective_features,
     post_train,
-    posttrain_objective,
     with_effective_last_weights,
 )
 from .rng import derive
@@ -685,17 +684,16 @@ def _check_posttrain(seed: int) -> list:
 
     worst_midpoint = 0.0
     lam = 1e-3
+    feats = effective_features(net, x)
+
+    def objective(w):
+        return _feature_objective(net, feats, w, y, lam, "squared_error")
+
     for _ in range(100):
         wa = rng.normal(size=(2, 5))
         wb = rng.normal(size=(2, 5))
-        net_a = replace_last_layer(net, wa)
-        net_b = replace_last_layer(net, wb)
-        net_mid = replace_last_layer(net, (wa + wb) / 2.0)
-        j_mid = posttrain_objective(net_mid, ds, lam, "squared_error")
-        j_avg = (
-            posttrain_objective(net_a, ds, lam, "squared_error")
-            + posttrain_objective(net_b, ds, lam, "squared_error")
-        ) / 2.0
+        j_mid = objective((wa + wb) / 2.0)
+        j_avg = (objective(wa) + objective(wb)) / 2.0
         worst_midpoint = max(worst_midpoint, j_mid - j_avg)
     return [
         CheckResult("posttrain_objective_monotone", worst_increase <= 0.0, worst_increase, 0.0),

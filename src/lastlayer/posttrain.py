@@ -130,10 +130,18 @@ def posttrain_objective(net: Network, data: Dataset, lam: float, loss: str) -> f
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
     check_loss_pairing(net, loss)
-    feats = effective_features(net, data.x)
-    w_eff = effective_last_weights(net)
+    return _feature_objective(
+        net, effective_features(net, data.x), effective_last_weights(net), data.y, lam, loss
+    )
+
+
+def _feature_objective(net: Network, feats: Matrix, w_eff: Matrix, y: Matrix, lam: float,
+                       loss: str) -> float:
+    """``posttrain_objective`` at last-layer weights ``w_eff`` (bias folded
+    in) on ``feats = effective_features(net, x)``, for a caller that scores
+    many last layers on the same samples."""
     out = forward(_last_layer_net(net, w_eff), feats).output
-    return loss_eval(loss, out, data.y) + lam * sq_frobenius(w_eff)
+    return loss_eval(loss, out, y) + lam * sq_frobenius(w_eff)
 
 
 class _CachedProblem:

@@ -204,10 +204,75 @@ def _compare_bytes(out, blas_threads):
 
 class TestBlasThreads:
     def test_compare_bytes_independent_of_blas_threads(self, tmp_path):
+        # unset loads one thread through lastlayer's default, so 2 spans a
+        # second real thread count
         single = _compare_bytes(tmp_path / "one", "1")
-        default = _compare_bytes(tmp_path / "default", None)
         assert single.count(b"\n") == 4
-        assert single == default
+        assert _compare_bytes(tmp_path / "two", "2") == single
+        assert _compare_bytes(tmp_path / "default", None) == single
+
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# Imports what argv names, then prints the thread count of the OpenBLAS that
+# numpy loaded (null when none is mapped) and whether the imports left
+# os.environ as they found it.
+_BLAS_PROBE = """
+import ctypes, importlib, json, os, sys
+
+before = dict(os.environ)
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+
+def blas_threads():
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libraries = {line.split()[-1] for line in fh
+                         if "openblas" in line.lower() and ".so" in line}
+    except OSError:
+        return None
+    for path in sorted(libraries):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
+                return fn()
+    return None
+
+print(json.dumps({"threads": blas_threads(), "environ_unchanged": dict(os.environ) == before}))
+"""
+
+
+def _blas_probe(modules, **variables):
+    """BLAS thread count of a fresh interpreter that imports ``modules`` in
+    order with only ``variables`` of the three thread-count variables set;
+    skips when no OpenBLAS library is mapped."""
+    env = _child_env()
+    for name in _BLAS_THREAD_VARIABLES:
+        env.pop(name, None)
+    env.update(variables)
+    child = subprocess.run([sys.executable, "-c", _BLAS_PROBE, *modules], env=env, check=True,
+                           capture_output=True, text=True, timeout=120)
+    probe = json.loads(child.stdout)
+    if probe["threads"] is None:
+        pytest.skip("no OpenBLAS library is mapped")
+    assert probe["environ_unchanged"]
+    return probe["threads"]
+
+
+class TestBlasThreadDefault:
+    def test_import_loads_one_blas_thread(self):
+        assert _blas_probe(["lastlayer"]) == 1
+
+    @pytest.mark.parametrize("variable", _BLAS_THREAD_VARIABLES)
+    def test_caller_thread_count_wins(self, variable):
+        assert _blas_probe(["lastlayer"], **{variable: "2"}) == min(2, len(os.sched_getaffinity(0)))
+
+    def test_numpy_loaded_first_keeps_its_threads(self):
+        assert _blas_probe(["numpy", "lastlayer"]) == _blas_probe(["numpy"])
 
 
 class TestImports:
