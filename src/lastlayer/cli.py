@@ -115,7 +115,7 @@ def cmd_krr(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
     out = _ensure_out(args.out)
-    rows = run_experiment(cfg)
+    rows = run_experiment(cfg, jobs=_cpus())
     csv_path = os.path.join(out, "comparison.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(rows_to_csv(rows))
@@ -135,6 +135,14 @@ def cmd_check(args) -> int:
     if args.out:
         jsonio.dump(report.to_dict(), args.out)
     return 0 if report.passed else 1
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:

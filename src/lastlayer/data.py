@@ -28,13 +28,18 @@ SYNTHETIC_HIDDEN_DIM = 5
 
 
 class CsvFormatError(ValueError):
-    """CSV structure problem; carries 1-based line (and column) position."""
+    """CSV structure problem; carries the message without its position and
+    the 1-based line (and column) position."""
 
     def __init__(self, message: str, line: int, column: Optional[int] = None):
+        self.message = message
         self.line = line
         self.column = column
         where = f"line {line}" if column is None else f"line {line}, column {column}"
         super().__init__(f"{message} ({where})")
+
+    def __reduce__(self):
+        return type(self), (self.message, self.line, self.column)
 
 
 @dataclass

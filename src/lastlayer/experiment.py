@@ -6,8 +6,9 @@ pausing at each checkpoint to branch three ways: keep training (classic),
 fine-tune the last layer on frozen features (post-training), and
 substitute the closed-form ridge-optimal last layer.  Each branch is
 scored on the held-out split and one comparison row is emitted per
-(seed, checkpoint).  Everything is deterministic: the same config
-produces byte-identical CSV output.
+(seed, checkpoint).  A checkpoint's branch needs only its snapshot, so it
+may run in a forked worker while training goes on.  Everything is
+deterministic: the same config produces byte-identical CSV output.
 
 ``check_suite`` re-verifies the package's numerical contracts (gradient
 correctness, Hessian structure, positive semidefiniteness, primal/dual
@@ -17,8 +18,11 @@ a machine-readable report.
 
 from __future__ import annotations
 
+import inspect
 import math
+import os
 import sys
+from collections import deque
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -53,6 +57,7 @@ from .posttrain import (
 )
 from .rng import derive
 from .train import TrainConfig, classification_error, sgd_train
+from .workers import Worker
 
 CONFIG_FORMAT_VERSION = 1
 
@@ -319,36 +324,104 @@ def _optimal_last_layer(cfg: ExperimentConfig, net: Network, train_ds: Dataset) 
     return with_effective_last_weights(net, solution.weights.T)
 
 
-def run_experiment(cfg: ExperimentConfig) -> list:
-    """One row per (seed, checkpoint): classic / post-trained / optimal
-    test metrics, emitted seed-major in checkpoint order."""
-    rows = []
-    for run_seed in cfg.seeds:
-        train_ds, test_ds, net, train_cfg, pt_cfg = prepare_run(cfg, run_seed)
-        completed = 0
-        for checkpoint in cfg.checkpoints:
-            chunk = replace(train_cfg, iterations=checkpoint - completed)
-            net, _ = sgd_train(
-                net, train_ds, chunk, cfg.loss, start_iteration=completed
-            )
-            completed = checkpoint
+def _branch(cfg: ExperimentConfig, net: Network, train_ds: Dataset, test_ds: Dataset,
+            pt_cfg: PostTrainConfig, run_seed: int, checkpoint: int) -> ComparisonRow:
+    """The comparison row of the snapshot ``net`` taken at ``checkpoint``:
+    its own test metric, that of its post-trained last layer and, on squared
+    error, that of its closed-form last layer.  It reads nothing but its
+    arguments, so it can run in a worker while SGD goes on."""
+    classic = _test_metric(cfg, net, test_ds)
+    tuned, _ = post_train(net, train_ds, pt_cfg, cfg.loss)
+    posttrained = _test_metric(cfg, tuned, test_ds)
+    optimal = None
+    if cfg.loss == "squared_error":
+        best = _optimal_last_layer(cfg, net, train_ds)
+        optimal = _test_metric(cfg, best, test_ds)
+    return ComparisonRow(iterations=checkpoint, classic=classic, posttrained=posttrained,
+                         optimal=optimal, seed=run_seed)
 
-            classic = _test_metric(cfg, net, test_ds)
-            tuned, _ = post_train(net, train_ds, pt_cfg, cfg.loss)
-            posttrained = _test_metric(cfg, tuned, test_ds)
-            optimal = None
-            if cfg.loss == "squared_error":
-                best = _optimal_last_layer(cfg, net, train_ds)
-                optimal = _test_metric(cfg, best, test_ds)
-            rows.append(
-                ComparisonRow(
-                    iterations=checkpoint,
-                    classic=classic,
-                    posttrained=posttrained,
-                    optimal=optimal,
-                    seed=run_seed,
+
+def _package_functions() -> dict:
+    """Each loaded module of this package, mapped to the functions it binds."""
+    prefix = __package__ + "."
+    return {
+        module: {value for value in vars(module).values() if inspect.isfunction(value)}
+        for name, module in list(sys.modules.items()) if name.startswith(prefix)
+    }
+
+
+def _wrapped_in_this_process() -> bool:
+    """True when a function of this package has been replaced by a wrapper
+    of it since this module was imported, as a tracer or profiler does to
+    count its calls (``functools.wraps`` leaves ``__wrapped__`` on the
+    wrapper).  What such a wrapper records in a forked worker would stay in
+    the worker."""
+    return any(
+        value not in functions and hasattr(value, "__wrapped__")
+        for module, functions in _AS_IMPORTED.items()
+        for value in vars(module).values() if inspect.isfunction(value)
+    )
+
+
+def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list:
+    """One row per (seed, checkpoint): classic / post-trained / optimal
+    test metrics, emitted seed-major in checkpoint order.
+
+    This process runs every seed's SGD chain.  With ``jobs`` > 1 it hands
+    each checkpoint's branch to a forked worker and trains on, keeping at
+    most ``jobs`` workers alive and waiting for the oldest at that bound;
+    the last branch runs here.  So at most ``min(jobs, branches - 1)``
+    workers are alive at once.  Every branch runs here when ``jobs`` is 1,
+    when ``os.fork`` is missing, and when a function of the package is
+    wrapped in this process, so that the wrapper sees every call.  The
+    rows and any error are those of the serial loop: a failing branch
+    raises, once the branches before it have been taken, the exception it
+    would raise here.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if not hasattr(os, "fork") or _wrapped_in_this_process():
+        jobs = 1
+    branches = len(cfg.seeds) * len(cfg.checkpoints)
+    rows, live = [], deque()  # live: (row index, worker), oldest first
+
+    def take_oldest():
+        index, worker = live[0]
+        rows[index] = worker.result()
+        live.popleft()
+
+    try:
+        for run_seed in cfg.seeds:
+            train_ds, test_ds, net, train_cfg, pt_cfg = prepare_run(cfg, run_seed)
+            completed = 0
+            for checkpoint in cfg.checkpoints:
+                chunk = replace(train_cfg, iterations=checkpoint - completed)
+                net, _ = sgd_train(
+                    net, train_ds, chunk, cfg.loss, start_iteration=completed
                 )
-            )
+                completed = checkpoint
+                args = (cfg, net, train_ds, test_ds, pt_cfg, run_seed, checkpoint)
+                if jobs == 1 or len(rows) == branches - 1:
+                    rows.append(_branch(*args))
+                    continue
+                while len(live) >= jobs:
+                    take_oldest()
+                name = f"seed {run_seed}, checkpoint {checkpoint}"
+                live.append((len(rows), Worker(_branch, args, name)))
+                rows.append(None)
+        while live:
+            take_oldest()
+    except Exception:
+        # The serial loop would have met an older branch's error first.  A
+        # reaped worker at the front raised this error itself, and every
+        # worker behind it runs a younger branch.
+        if live and live[0][1].pid is not None:
+            for _, worker in live:
+                worker.result()
+        raise
+    finally:
+        for _, worker in live:
+            worker.kill()
     return rows
 
 
@@ -747,3 +820,7 @@ def convexity_statistics(seed: int = 0, instances: int = 100) -> dict:
         "all_above": -1e-10,
         "passed": bool(arr.min() >= -1e-10),
     }
+
+
+# the package's functions before anything could wrap them
+_AS_IMPORTED = _package_functions()

@@ -50,6 +50,9 @@ class NotPositiveDefiniteError(ValueError):
             f"matrix is not positive definite: non-positive pivot at index {pivot_index}"
         )
 
+    def __reduce__(self):
+        return type(self), (self.pivot_index,)
+
 
 def _check_2d(a: Matrix, name: str) -> Matrix:
     a = np.asarray(a, dtype=np.float64)

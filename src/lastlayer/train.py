@@ -40,6 +40,9 @@ class TrainingDivergedError(RuntimeError):
         self.iteration = iteration
         super().__init__(f"training diverged: non-finite loss at iteration {iteration}")
 
+    def __reduce__(self):
+        return type(self), (self.iteration,)
+
 
 def check_finite(value: float, iteration: int) -> float:
     """Return a loss or objective, raising TrainingDivergedError(iteration)

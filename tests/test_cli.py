@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 import lastlayer
-from lastlayer import jsonio
+from lastlayer import cli, jsonio
 from lastlayer.cli import main
 from lastlayer.data import load_csv, load_dataset
 from lastlayer.experiment import config_from_dict
 from lastlayer.network import LayerSpec, build_network, load_network, save_network
+from lastlayer.train import TrainingDivergedError
+from lastlayer.workers import RemoteTraceback
 
 
 TINY_CONFIG = {
@@ -177,6 +179,52 @@ class TestTrainCommands(object):
         assert frozen["checkpoints"] == [10, 30]
 
 
+class TestCompareWorkers:
+    """compare forks as many workers as the CPUs it may use; ``_cpus`` is
+    replaced here to run it with one and with two."""
+
+    def test_diverging_post_training_raises_the_same_error_for_any_cpus(self, tmp_path, monkeypatch):
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc["posttrain"]["lr"] = 1e8
+        path = tmp_path / "diverging.json"
+        path.write_text(json.dumps(doc))
+        errors = []
+        for jobs in (1, 2):
+            monkeypatch.setattr(cli, "_cpus", lambda jobs=jobs: jobs)
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(TrainingDivergedError) as err:
+                    main(["compare", "--config", str(path), "--out", str(tmp_path / str(jobs))])
+            errors.append((err.value.iteration, str(err.value)))
+        # the first checkpoint's branch, the one a worker ran with two CPUs
+        assert isinstance(err.value.__cause__, RemoteTraceback)
+        assert errors[0] == errors[1]
+        assert 0 < errors[0][0] < doc["posttrain"]["iterations"]
+
+    def test_no_worker_outlives_the_command(self, tmp_path, config_path, monkeypatch):
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        assert main(["compare", "--config", config_path, "--out", str(tmp_path / "ok")]) == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc["posttrain"]["lr"] = 1e8
+        (tmp_path / "diverging.json").write_text(json.dumps(doc))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError):
+                main(["compare", "--config", str(tmp_path / "diverging.json"),
+                      "--out", str(tmp_path / "diverged")])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_cpus_are_those_this_process_may_use(self):
+        assert cli._cpus() == len(os.sched_getaffinity(0))
+
+    def test_without_fork_compare_runs_serially(self, tmp_path, config_path, monkeypatch):
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        assert main(["compare", "--config", config_path, "--out", str(tmp_path / "serial")]) == 0
+        assert len((tmp_path / "serial" / "comparison.csv").read_text().splitlines()) == 3
+
+
 def _child_env():
     """A copy of this process's environment under which a child process
     imports this checkout's lastlayer package."""
@@ -275,15 +323,26 @@ class TestBlasThreadDefault:
         assert _blas_probe(["numpy", "lastlayer"]) == _blas_probe(["numpy"])
 
 
+def _loaded_by_cli_import(*packages):
+    """Modules of ``packages`` that a fresh ``import lastlayer.cli`` loads."""
+    prefixes = tuple(p + "." for p in packages)
+    code = (
+        "import sys, lastlayer.cli; "
+        f"print(sorted(m for m in sys.modules if m in {packages!r} or m.startswith({prefixes!r})))"
+    )
+    child = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
+                           capture_output=True, text=True, timeout=120)
+    return child.stdout.strip()
+
+
 class TestImports:
     def test_cli_imports_no_scipy(self):
-        code = (
-            "import sys, lastlayer.cli; "
-            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
-        )
-        child = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
-                               capture_output=True, text=True, timeout=120)
-        assert child.stdout.strip() == "[]"
+        assert _loaded_by_cli_import("scipy") == "[]"
+
+    def test_cli_imports_no_process_pool(self):
+        # compare forks its workers with os.fork alone: these two would cost
+        # every command about 25 ms and 1 MB
+        assert _loaded_by_cli_import("multiprocessing", "concurrent.futures") == "[]"
 
 
 class TestCheckCommand:

@@ -1,17 +1,21 @@
 """Experiment harness: config validation, the three-way comparison
 protocol, output determinism, and the self-check suite's sensitivity."""
 
+import functools
 import importlib.util
 import json
+import os
 import re
+import time
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lastlayer import jsonio
+from lastlayer import experiment, jsonio
 from lastlayer.convexity import SoftmaxInstance, ce_value
+from lastlayer.data import CsvFormatError
 from lastlayer.experiment import (
     ComparisonRow,
     DatasetSpec,
@@ -33,7 +37,8 @@ from lastlayer.linalg import DimensionMismatchError
 from lastlayer.network import LayerSpec, forward, loss_eval
 from lastlayer.posttrain import PostTrainConfig, posttrain_objective
 from lastlayer.rng import derive
-from lastlayer.train import TrainConfig
+from lastlayer.train import TrainConfig, TrainingDivergedError
+from lastlayer.workers import RemoteTraceback, WorkerDiedError
 
 
 def csv_dataset(**columns):
@@ -383,6 +388,165 @@ class TestRunExperiment:
         assert any(np.array_equal(row, x[125]) for row in held_out.x)
         with pytest.raises(ValueError, match=re.escape("row 125 is [0.5, 0.5, 0.0]")):
             run_experiment(cfg)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class InlineWorker:
+    """Stands in for ``experiment.Worker`` without forking: runs the branch
+    when its result is taken, and counts the workers alive at once."""
+
+    alive = peak = 0
+    started = []
+
+    def __init__(self, fn, args, name):
+        self.fn, self.args, self.name = fn, args, name
+        self.pid = 1
+        InlineWorker.started.append(name)
+        InlineWorker.alive += 1
+        InlineWorker.peak = max(InlineWorker.peak, InlineWorker.alive)
+
+    def result(self):
+        InlineWorker.alive -= 1
+        self.pid = None
+        return self.fn(*self.args)
+
+    def kill(self):
+        if self.pid is not None:
+            InlineWorker.alive -= 1
+            self.pid = None
+
+
+class TestParallelBranches:
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_rows_are_those_of_the_serial_loop(self, jobs):
+        cfg = config_from_dict(tiny_config_doc())
+        assert rows_to_csv(run_experiment(cfg, jobs)) == rows_to_csv(run_experiment(cfg))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("jobs, peak", [(1, 0), (2, 2), (3, 3), (10**9, 3)])
+    def test_at_most_min_jobs_branches_minus_one_workers_at_once(self, jobs, peak, monkeypatch):
+        # four branches; the parent runs the last, and every one under jobs=1
+        monkeypatch.setattr(experiment, "Worker", InlineWorker)
+        monkeypatch.setattr(InlineWorker, "started", [])
+        monkeypatch.setattr(InlineWorker, "peak", 0)
+        cfg = config_from_dict(tiny_config_doc())
+        assert rows_to_csv(run_experiment(cfg, jobs)) == rows_to_csv(run_experiment(cfg))
+        assert InlineWorker.peak == peak
+        assert InlineWorker.alive == 0
+        forked = ["seed 0, checkpoint 20", "seed 0, checkpoint 40", "seed 1, checkpoint 20"]
+        assert InlineWorker.started == (forked if jobs > 1 else [])
+
+    def test_without_fork_every_branch_runs_here(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(experiment, "Worker", None)  # would fail if called
+        cfg = config_from_dict(tiny_config_doc())
+        assert len(run_experiment(cfg, 2)) == 4
+
+    def test_a_wrapped_function_sees_every_branch(self, monkeypatch):
+        # a tracer's wrapper counts in its own process, so no branch forks
+        cfg = config_from_dict(tiny_config_doc())
+        serial = rows_to_csv(run_experiment(cfg))
+        post_train = experiment.post_train
+        callers = []
+
+        @functools.wraps(post_train)
+        def counting(*args, **kwargs):
+            callers.append(os.getpid())
+            return post_train(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "post_train", counting)
+        assert rows_to_csv(run_experiment(cfg, 2)) == serial
+        assert callers == [os.getpid()] * 4
+
+    def test_jobs_must_be_positive(self):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_experiment(config_from_dict(tiny_config_doc()), 0)
+
+    def test_a_worker_error_is_raised_with_its_type_and_attributes(self, monkeypatch):
+        parent = os.getpid()
+        branch = experiment._branch
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise CsvFormatError("bad", 4, 2)
+            return branch(*args)
+
+        monkeypatch.setattr(experiment, "_branch", failing)
+        with pytest.raises(CsvFormatError) as err:
+            run_experiment(config_from_dict(tiny_config_doc()), 2)
+        assert (str(err.value), err.value.line, err.value.column) == ("bad (line 4, column 2)", 4, 2)
+        assert isinstance(err.value.__cause__, RemoteTraceback)
+        assert_no_child_left()
+
+    def test_a_worker_that_dies_names_its_seed_checkpoint_and_status(self, monkeypatch):
+        parent = os.getpid()
+        branch = experiment._branch
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(7)
+            return branch(*args)
+
+        monkeypatch.setattr(experiment, "_branch", dying)
+        with pytest.raises(WorkerDiedError, match=r"seed 0, checkpoint 20 .*wait status \d+: exit code 7"):
+            run_experiment(config_from_dict(tiny_config_doc()), 2)
+        assert_no_child_left()
+
+    def test_an_older_branch_error_comes_first(self, monkeypatch):
+        # the worker's branch fails after the parent's own work has failed;
+        # the serial loop would have met the worker's error first
+        parent = os.getpid()
+        branch = experiment._branch
+        train = experiment.sgd_train
+        calls = []
+
+        def slow_failure(*args):
+            if os.getpid() != parent:
+                time.sleep(0.5)
+                raise TrainingDivergedError(5)
+            return branch(*args)
+
+        def failing_second_chunk(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise TrainingDivergedError(30)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "_branch", slow_failure)
+        monkeypatch.setattr(experiment, "sgd_train", failing_second_chunk)
+        with pytest.raises(TrainingDivergedError) as err:
+            run_experiment(config_from_dict(tiny_config_doc()), 2)
+        assert err.value.iteration == 5
+        assert_no_child_left()
+
+    def test_an_interrupt_kills_the_workers(self, monkeypatch):
+        parent = os.getpid()
+        branch = experiment._branch
+        train = experiment.sgd_train
+        calls = []
+
+        def sleeping(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return branch(*args)
+
+        def interrupted_second_chunk(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "_branch", sleeping)
+        monkeypatch.setattr(experiment, "sgd_train", interrupted_second_chunk)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(config_from_dict(tiny_config_doc()), 2)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
 
 
 class TestCsvFormat:

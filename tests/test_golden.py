@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lastlayer import cli
 from lastlayer.cli import main
 from lastlayer.data import Dataset, gen_synthetic, save_csv
 
@@ -104,18 +105,21 @@ def squared_error_config(directory: Path) -> str:
     return str(config_path)
 
 
-def synthetic_comparison(directory: Path) -> bytes:
-    """comparison.csv of ``compare --config synthetic --seed 0``."""
-    assert main(["compare", "--config", "synthetic", "--seed", "0",
-                 "--out", str(directory / "compare")]) == 0
-    return (directory / "compare" / "comparison.csv").read_bytes()
+def compare(directory: Path, config: str, *options: str) -> Path:
+    """Output directory of ``compare --config`` ``config`` with ``options``."""
+    out = directory / "compare"
+    assert main(["compare", "--config", config, *options, "--out", str(out)]) == 0
+    return out
 
 
-def cross_entropy_comparison(directory: Path) -> bytes:
-    """comparison.csv of ``compare`` on the tiny cross-entropy config."""
-    config = cross_entropy_config(directory)
-    assert main(["compare", "--config", config, "--out", str(directory / "compare")]) == 0
-    return (directory / "compare" / "comparison.csv").read_bytes()
+def synthetic_comparison(directory: Path) -> Path:
+    """``compare --config synthetic --seed 0``."""
+    return compare(directory, "synthetic", "--seed", "0")
+
+
+def cross_entropy_comparison(directory: Path) -> Path:
+    """``compare`` on the tiny cross-entropy config."""
+    return compare(directory, cross_entropy_config(directory))
 
 
 def posttrain_metrics(directory: Path, config: str) -> bytes:
@@ -153,9 +157,18 @@ def self_check_report(seed: int):
     return produce
 
 
-CASES = {
+def comparison_csv(run):
+    """Produce the comparison.csv of ``run``, which runs ``compare``."""
+    return lambda directory: (run(directory) / "comparison.csv").read_bytes()
+
+
+COMPARISONS = {
     "synthetic_seed0_comparison.csv": synthetic_comparison,
     "cross_entropy_comparison.csv": cross_entropy_comparison,
+}
+
+CASES = {
+    **{name: comparison_csv(run) for name, run in COMPARISONS.items()},
     "cross_entropy_posttrain_metrics.csv": cross_entropy_posttrain_metrics,
     "cross_entropy_minibatch_posttrain_metrics.csv": cross_entropy_minibatch_posttrain_metrics,
     "squared_error_converged_posttrain_metrics.csv": squared_error_converged_posttrain_metrics,
@@ -164,16 +177,37 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_output_matches_golden_bytes(name, tmp_path, capsys):
+def skip_unless_made_here():
     made = json.loads((GOLDEN / "environment.json").read_text())
     here = environment()
     differ = sorted(key for key in made.keys() | here.keys() if made.get(key) != here.get(key))
     if differ:
         pytest.skip(f"golden bytes were made where {', '.join(differ)} differ from this machine's")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden_bytes(name, tmp_path, capsys):
+    skip_unless_made_here()
     got = CASES[name](tmp_path)
     capsys.readouterr()
     assert got == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(COMPARISONS))
+def test_compare_bytes_do_not_depend_on_the_cpus(name, tmp_path, capsys, monkeypatch):
+    # with two CPUs a forked worker runs every checkpoint's branch but the
+    # last, with one compare forks none; the worker count is no config key
+    skip_unless_made_here()
+    outs = []
+    for jobs in (1, 2):
+        monkeypatch.setattr(cli, "_cpus", lambda jobs=jobs: jobs)
+        outs.append(COMPARISONS[name](tmp_path).rename(tmp_path / f"cpus{jobs}"))
+    capsys.readouterr()
+    for out in outs:
+        assert (out / "comparison.csv").read_bytes() == (GOLDEN / name).read_bytes()
+    resolved = (outs[0] / "resolved_config.json").read_bytes()
+    assert (outs[1] / "resolved_config.json").read_bytes() == resolved
+    assert "jobs" not in json.loads(resolved)
 
 
 if __name__ == "__main__":
