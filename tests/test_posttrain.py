@@ -10,14 +10,17 @@ from conftest import networks_bit_identical
 
 from lastlayer.data import Dataset, gen_synthetic
 from lastlayer.kernel import gram, krr_solve, ridge_solve
-from lastlayer.linalg import matmul, sq_frobenius
+from lastlayer.linalg import _MATMUL_BLOCK, matmul, sq_frobenius
 from lastlayer.network import (
     Layer,
     LayerSpec,
     Network,
+    backprop,
     build_network,
     feature_map,
+    forward,
     loss_eval,
+    mean_cross_entropy,
     probe_lower_layer_products,
     replace_last_layer,
     softmax_rows,
@@ -25,6 +28,8 @@ from lastlayer.network import (
 from lastlayer.posttrain import (
     MODES,
     PostTrainConfig,
+    _CachedProblem,
+    _last_layer_net,
     effective_features,
     effective_last_weights,
     post_train,
@@ -206,20 +211,26 @@ class TestPostTrain:
 
     def test_full_batch_cross_entropy_forwards_once_per_objective(self, monkeypatch):
         # the gradient starts from the output of the objective at the
-        # accepted point, so training-set forwards and training-set
-        # objective evaluations pair up one to one
+        # accepted point, so training-set forwards, which run class-major,
+        # and training-set objective evaluations pair up one to one
         import lastlayer.network as network_module
         import lastlayer.posttrain as posttrain_module
         import lastlayer.train as train_module
 
         net = build_network([LayerSpec(4, 6, "tanh"), LayerSpec(6, 3, "softmax")], 7)
         ds, test = classification_data(8, n=600), classification_data(9)
-        forwards, objectives = [], []
+        forwards, class_major, objectives = [], [], []
         real_forward, real_loss = network_module.forward, posttrain_module.mean_cross_entropy
+        real_class_major = posttrain_module._CachedProblem.forward
 
         def counting_forward(net_, x, dropout_masks=None):
             forwards.append(x.shape[0])
             return real_forward(net_, x, dropout_masks)
+
+        def counting_class_major(problem, w_eff):
+            trace = real_class_major(problem, w_eff)
+            class_major.append(trace.output.shape[0])
+            return trace
 
         def counting_loss(probs, labels):
             objectives.append(labels.shape[0])
@@ -227,12 +238,13 @@ class TestPostTrain:
 
         for module in (network_module, posttrain_module, train_module):
             monkeypatch.setattr(module, "forward", counting_forward)
+        monkeypatch.setattr(posttrain_module._CachedProblem, "forward", counting_class_major)
         monkeypatch.setattr(posttrain_module, "mean_cross_entropy", counting_loss)
         cfg = PostTrainConfig(lam=1e-3, iterations=12)
         _, metrics = post_train(net, ds, cfg, "cross_entropy", eval_data=test)
         assert len(metrics.points) == 13
-        assert forwards.count(ds.n) == objectives.count(ds.n) > len(metrics.points)
-        assert forwards.count(test.n) == len(metrics.points)
+        assert class_major.count(ds.n) == objectives.count(ds.n) > len(metrics.points)
+        assert forwards == [test.n] * len(metrics.points)
 
     @pytest.mark.parametrize("bad", ["train", "eval"])
     def test_non_one_hot_target_raises_naming_its_row_before_any_forward(self, bad,
@@ -399,6 +411,123 @@ class TestPostTrain:
         assert metrics.train_losses()[-1] < metrics.train_losses()[0]
         for before, after in zip(net.layers[:-1], tuned.layers[:-1]):
             assert np.array_equal(before.weights, after.weights)
+
+
+class TestClassMajorCrossEntropy:
+    """The class-major objective, its trace and the tiled full-batch
+    gradient against ``forward`` + ``mean_cross_entropy`` + ``backprop`` on
+    the one-layer network, bit for bit.  They rest on the order in which
+    np.add.reduce adds along axis 0 of a C-contiguous array."""
+
+    LAM = 1e-3
+
+    @staticmethod
+    def matmul_path(m, k, n):
+        """Which of ``linalg.matmul``'s paths a (m, k) @ (k, n) product takes."""
+        if m * n > 1 and m * k * n <= _MATMUL_BLOCK:
+            return "one block"
+        return "blocks" if _MATMUL_BLOCK // (m * n) > 1 else "rank-one loop"
+
+    def problem(self, classes, n, bias, d=40, seed=0):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d)) * 3.0
+        x[::5, ::3] = -0.0
+        x[:, d // 2] = -0.0  # all -0.0 products for a class no sample has
+        labels = rng.integers(0, classes, size=n)
+        weights = rng.standard_normal((classes, d))
+        weights[:, ::4] = -0.0
+        layer = Layer(LayerSpec(d, classes, "softmax", has_bias=bias), weights,
+                      rng.standard_normal(classes) if bias else None)
+        net = Network([layer])
+        problem = _CachedProblem(net, Dataset(x, np.eye(classes)[labels]), self.LAM,
+                                 "cross_entropy", None, full_batch=True)
+        return problem, _last_layer_net(net, effective_last_weights(net)), labels
+
+    def assert_matches_forward_and_backprop(self, problem, point, labels):
+        w_eff = point.layers[0].weights
+        value, trace = problem.objective(point)
+        want = forward(point, problem.train.x)
+        for got, ref in ((trace.pre, want.pre), (trace.post, want.post)):
+            assert len(got) == len(ref) == 1
+            assert got[0].shape == ref[0].shape
+            assert got[0].tobytes() == ref[0].tobytes()
+        regularizer = self.LAM * sq_frobenius(w_eff)
+        assert value == mean_cross_entropy(want.output, labels) + regularizer
+        grad = problem.gradient(point, None, trace)
+        want_grad = backprop(point, problem.train.x, problem.train.y, "cross_entropy").weights[0]
+        want_grad = want_grad + 2.0 * self.LAM * w_eff
+        assert grad.shape == want_grad.shape
+        assert grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("path, n", [("one block", 10), ("blocks", 150),
+                                         ("rank-one loop", 2100)])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("classes", [2, 3, 7, 8, 12])
+    def test_bits_match_forward_and_backprop(self, classes, bias, path, n):
+        problem, point, labels = self.problem(classes, n, bias, seed=classes * n)
+        d_eff = point.layers[0].spec.input_dim
+        assert self.matmul_path(classes, d_eff, n) == path
+        assert problem.tiled is not None
+        self.assert_matches_forward_and_backprop(problem, point, labels)
+
+    def test_gradient_bits_match_matmuls_rank_one_loop(self):
+        # m d > _MATMUL_BLOCK / 2: backprop's delta.T @ F adds one rank-one
+        # product per sample
+        problem, point, labels = self.problem(12, 30, True, d=400, seed=5)
+        assert self.matmul_path(12, 30, 401) == "rank-one loop"
+        self.assert_matches_forward_and_backprop(problem, point, labels)
+
+    def test_single_column_keeps_backprop(self):
+        # np.add.reduce would sum an N x 1 product pairwise
+        problem, point, labels = self.problem(1, 50, False, d=1, seed=6)
+        assert problem.tiled is None
+        self.assert_matches_forward_and_backprop(problem, point, labels)
+
+    def test_minibatch_builds_no_tiled_features(self):
+        net, ds = classification_net(7), classification_data(8)
+        problem = _CachedProblem(net, ds, self.LAM, "cross_entropy", None, full_batch=False)
+        assert problem.tiled is None
+
+    @pytest.mark.parametrize("classes", [3, 8])
+    def test_post_train_matches_the_forward_and_backprop_route(self, classes, monkeypatch):
+        import lastlayer.posttrain as posttrain_module
+
+        def forwarding(problem, w_eff):
+            return forward(_last_layer_net(net, w_eff), problem.train.x)
+
+        def backprop_gradient(problem, point, idx=None, trace=None):
+            grad = backprop(point, problem.train.x, problem.train.y, problem.loss, trace=trace)
+            return grad.weights[0] + 2.0 * problem.lam * point.layers[0].weights
+
+        net = build_network([LayerSpec(5, 9, "tanh"), LayerSpec(9, classes, "softmax")], 13)
+        ds, test = classification_data(14, n=300, d=5, classes=classes), classification_data(
+            15, d=5, classes=classes)
+        cfg = PostTrainConfig(lam=self.LAM, iterations=25)
+        tuned, metrics = post_train(net, ds, cfg, "cross_entropy", eval_data=test)
+        with monkeypatch.context() as patch:
+            patch.setattr(posttrain_module._CachedProblem, "forward", forwarding)
+            patch.setattr(posttrain_module._CachedProblem, "gradient", backprop_gradient)
+            want, want_metrics = post_train(net, ds, cfg, "cross_entropy", eval_data=test)
+        for a, b in zip(tuned.layers, want.layers):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.bias.tobytes() == b.bias.tobytes()
+        assert metrics.to_csv() == want_metrics.to_csv()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_nan_feature_diverges_at_iteration_0(self, mode):
+        # 10 * 1e308 and 10 * -1e308 overflow to +inf and -inf, whose sum is
+        # a NaN feature in every row
+        net = Network([
+            Layer(LayerSpec(2, 3, "identity", has_bias=False), [[1e308, -1e308]] * 3),
+            Layer(LayerSpec(3, 3, "softmax", has_bias=False), np.eye(3)),
+        ])
+        ds = Dataset(np.full((8, 2), 10.0), np.eye(3)[np.arange(8) % 3])
+        cfg = PostTrainConfig(lam=1e-3, iterations=3, mode=mode, batch_size=4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(effective_features(net, ds.x)).all()
+            with pytest.raises(TrainingDivergedError) as err:
+                post_train(net, ds, cfg, "cross_entropy")
+        assert err.value.iteration == 0
 
 
 class TestMidpointConvexity:

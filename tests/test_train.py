@@ -15,6 +15,7 @@ from lastlayer.train import (
     TrainingDivergedError,
     _BatchStream,
     _dropout_masks,
+    _row_argmax,
     sgd_train,
 )
 
@@ -129,6 +130,41 @@ class TestSgdTrain:
         _, metrics = sgd_train(net, ds, cfg, "squared_error", eval_data=ds)
         assert [p.iteration for p in metrics.points] == [4, 8]
         assert all(p.test_loss is not None for p in metrics.points)
+
+
+class TestRowArgmax:
+    """The column scan against np.argmax(axis=1), its oracle."""
+
+    @staticmethod
+    def cases(width):
+        """Ordinary rows, then rows with ties, +-inf and NaN placed at every
+        column, all -inf and all NaN."""
+        rng = np.random.default_rng(300 + width)
+        rows = list(rng.integers(-2, 3, size=(40, width)).astype(np.float64))
+        rows += list(rng.standard_normal((10, width)))
+        for special in (np.inf, -np.inf, np.nan):
+            for col in range(width):
+                row = rng.integers(-2, 3, size=width).astype(np.float64)
+                row[col] = special
+                rows.append(row)
+                if width > 1:
+                    twice = row.copy()
+                    twice[(col + 1) % width] = special
+                    rows.append(twice)
+        rows += [np.full(width, -np.inf), np.full(width, np.inf), np.full(width, np.nan)]
+        nan_then_inf = np.full(width, 1.0)
+        nan_then_inf[-1] = np.nan
+        nan_then_inf[0] = np.inf
+        rows.append(nan_then_inf)
+        return np.array(rows)
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_matches_np_argmax(self, width):
+        z = self.cases(width)
+        for laid_out in (z, np.asfortranarray(z), np.ascontiguousarray(z.T).T):
+            got = _row_argmax(laid_out)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, np.argmax(z, axis=1))
 
 
 class TestBatchStream:
