@@ -331,7 +331,7 @@ def _branch(cfg: ExperimentConfig, net: Network, train_ds: Dataset, test_ds: Dat
     error, that of its closed-form last layer.  It reads nothing but its
     arguments, so it can run in a worker while SGD goes on."""
     classic = _test_metric(cfg, net, test_ds)
-    tuned, _ = post_train(net, train_ds, pt_cfg, cfg.loss)
+    tuned, _ = post_train(net, train_ds, pt_cfg, cfg.loss, evaluate=False)
     posttrained = _test_metric(cfg, tuned, test_ds)
     optimal = None
     if cfg.loss == "squared_error":
@@ -367,6 +367,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list:
     """One row per (seed, checkpoint): classic / post-trained / optimal
     test metrics, emitted seed-major in checkpoint order.
 
+    No row reads the metrics of SGD or of post-training, so both run with
+    ``evaluate=False``: SGD makes no pass over the full training set, and
+    post-training records only its objective and termination.  The rows
+    are those of ``evaluate=True``.
+
     This process runs every seed's SGD chain.  With ``jobs`` > 1 it hands
     each checkpoint's branch to a forked worker and trains on, keeping at
     most ``jobs`` workers alive and waiting for the oldest at that bound;
@@ -397,7 +402,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list:
             for checkpoint in cfg.checkpoints:
                 chunk = replace(train_cfg, iterations=checkpoint - completed)
                 net, _ = sgd_train(
-                    net, train_ds, chunk, cfg.loss, start_iteration=completed
+                    net, train_ds, chunk, cfg.loss, start_iteration=completed, evaluate=False
                 )
                 completed = checkpoint
                 args = (cfg, net, train_ds, test_ds, pt_cfg, run_seed, checkpoint)

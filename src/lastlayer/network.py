@@ -444,11 +444,22 @@ def backprop(
     return Gradients(weight_grads, bias_grads)
 
 
-def loss_and_gradients(net: Network, x: Matrix, y: Matrix, loss: str, dropout_masks=None):
+def loss_and_gradients(net: Network, x: Matrix, y: Matrix, loss: str, dropout_masks=None,
+                       labels: Optional[np.ndarray] = None):
     """``(loss, gradients)`` of the batch-mean loss from one forward pass,
-    which ``backprop`` and ``loss_eval`` share."""
+    which ``backprop`` and the loss share.
+
+    The loss is ``loss_eval``'s, which checks the targets and, under
+    cross_entropy, the output rows.  A caller that already holds the checked
+    class ``labels`` of ``y`` (``one_hot_labels(y)``) passes them instead,
+    and the cross-entropy loss is ``mean_cross_entropy`` against them,
+    unchecked.  The value is the same: a softmax output row either sums to
+    1 within rounding or, when it has no largest finite logit, is NaN
+    throughout, and both losses are then NaN."""
     trace = forward(net, x, dropout_masks=dropout_masks)
     grads = backprop(net, x, y, loss, dropout_masks, trace=trace)
+    if labels is not None and loss == "cross_entropy":
+        return mean_cross_entropy(trace.output, labels), grads
     return loss_eval(loss, trace.output, y), grads
 
 

@@ -53,7 +53,15 @@ from .network import (
     softmax_rows,
 )
 from .rng import derive
-from .train import MetricsSeries, _BatchStream, _evaluate, _samples, check_finite
+from .train import (
+    MetricPoint,
+    MetricsSeries,
+    _BatchStream,
+    _check_evaluate,
+    _evaluate,
+    _samples,
+    check_finite,
+)
 
 ARMIJO_SLOPE = 1e-4
 MAX_HALVINGS = 50
@@ -168,6 +176,12 @@ class _CachedProblem:
     so that case, and every minibatch gradient, takes ``network.backprop``.
     The regularizer adds ``2 lam W`` to each gradient.
 
+    The held-out features ``eval.x`` are the transposed view of a
+    C-contiguous array.  ``network.forward`` over them, at each metric
+    point, therefore runs class-major too: ``matmul`` forms a product with
+    more rows than columns as the transposed product, over the transposed
+    features, which it then reads in place instead of copying them.
+
     The targets of ``train`` and ``eval`` are checked once, here, each set's
     before its features are computed.  Under cross_entropy their class
     labels are kept, and the objective and the metric points take the loss
@@ -183,7 +197,10 @@ class _CachedProblem:
             return _samples(d, loss)._replace(x=effective_features(net, d.x))
 
         self.train = cached(data)
-        self.eval = None if eval_data is None else cached(eval_data)
+        self.eval = None
+        if eval_data is not None:
+            held_out = cached(eval_data)
+            self.eval = held_out._replace(x=np.ascontiguousarray(held_out.x.T).T)
         self.quadratic = loss == "squared_error"
         feats = self.train.x
         if self.quadratic:
@@ -266,6 +283,8 @@ def post_train(
     cfg: PostTrainConfig,
     loss: str,
     eval_data: Dataset | None = None,
+    *,
+    evaluate: bool = True,
 ):
     """Optimize the last layer on frozen features; lower layers are returned
     bit-identical.  Returns ``(tuned, metrics)``.
@@ -285,8 +304,15 @@ def post_train(
     step is accepted.  The reason lands in ``metrics.termination``.
     Dropout is never applied here: it would change the frozen feature
     function.
+
+    ``evaluate=False`` leaves out every evaluation that only the metrics
+    read, as in ``sgd_train``: each point still records the objective, which
+    the descent computes anyway, and the termination reason is still set,
+    but no training-set error is computed, and eval_data must be None.  The
+    weights, objectives and termination are the same either way.
     """
     check_loss_pairing(net, loss)
+    _check_evaluate(evaluate, eval_data)
     problem = _CachedProblem(net, data, cfg.lam, loss, eval_data, cfg.mode != "minibatch")
     stream = None
     if cfg.mode == "minibatch":
@@ -297,8 +323,15 @@ def post_train(
     train, held_out = problem.train, problem.eval
     metrics = MetricsSeries()
     point = _last_layer_net(net, effective_last_weights(net))
+
+    def record(it: int, at: Network, value: float, trace: ForwardTrace | None) -> None:
+        if evaluate:
+            metrics.append(_evaluate(at, loss, train, held_out, it, value, trace))
+        else:
+            metrics.append(MetricPoint(it, value))
+
     value, trace = problem.objective(point)
-    metrics.append(_evaluate(point, loss, train, held_out, 0, check_finite(value, 0), trace))
+    record(0, point, check_finite(value, 0), trace)
     spec = point.layers[0].spec
     step = 1.0
     for it in range(1, cfg.iterations + 1):
@@ -323,5 +356,5 @@ def post_train(
                 metrics.termination = "stalled"
                 break
             (point, trace), value, step = accepted
-        metrics.append(_evaluate(point, loss, train, held_out, it, value, trace))
+        record(it, point, value, trace)
     return with_effective_last_weights(net, point.layers[0].weights), metrics

@@ -265,6 +265,11 @@ def _dropout_masks(net: Network, cfg: TrainConfig, iteration: int, batch: int):
     return masks
 
 
+def _check_evaluate(evaluate: bool, eval_data: Optional[Dataset]) -> None:
+    if not evaluate and eval_data is not None:
+        raise ValueError("eval_data is read only by metric points; pass evaluate=True")
+
+
 def sgd_train(
     net: Network,
     data: Dataset,
@@ -272,16 +277,28 @@ def sgd_train(
     loss: str,
     eval_data: Optional[Dataset] = None,
     start_iteration: int = 0,
+    *,
+    evaluate: bool = True,
 ):
-    """Run exactly cfg.iterations minibatch steps, returning a new network.
+    """Run exactly cfg.iterations minibatch steps, returning a new network
+    and its metrics.
 
     The update is W <- W - lr_t * (grad + 2 * weight_decay * W) with
     lr_t = lr0 * lr_decay^t and t the global iteration index (so a resumed
     run continues the same schedule).  Weight decay does not touch biases.
+    Each step's batch loss, checked for divergence, comes from the step's
+    one ``loss_and_gradients`` call; under cross_entropy it takes the batch's
+    rows of the training labels, checked once before the first step.
     Metrics are recorded every cfg.eval_every iterations on the full
     training set (and on eval_data when given), with dropout off.
+
+    ``evaluate=False`` leaves out every evaluation that only the metrics
+    read, here all of them: no point is recorded, so no pass over the full
+    training set is made, and eval_data must be None.  The weights are the
+    same either way.
     """
     check_loss_pairing(net, loss)
+    _check_evaluate(evaluate, eval_data)
     if cfg.batch_size > data.n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {data.n}")
     n_hidden = net.depth - 1
@@ -292,6 +309,7 @@ def sgd_train(
 
     train_set = _samples(data, loss)
     eval_set = None if eval_data is None else _samples(eval_data, loss)
+    labels = train_set.labels
     current = net.copy()
     metrics = MetricsSeries()
     stream = _BatchStream(data.n, cfg.batch_size, cfg.seed)
@@ -301,7 +319,10 @@ def sgd_train(
         xb = data.x[idx]
         yb = data.y[idx]
         masks = _dropout_masks(current, cfg, t, cfg.batch_size)
-        batch_loss, grads = loss_and_gradients(current, xb, yb, loss, dropout_masks=masks)
+        batch_loss, grads = loss_and_gradients(
+            current, xb, yb, loss, dropout_masks=masks,
+            labels=None if labels is None else labels[idx],
+        )
         check_finite(batch_loss, t)
         lr_t = cfg.lr0 * cfg.lr_decay**t
         for layer, gw, gb in zip(current.layers, grads.weights, grads.biases):
@@ -311,6 +332,6 @@ def sgd_train(
                 layer.weights -= lr_t * gw
             if gb is not None:
                 layer.bias -= lr_t * gb
-        if (t + 1) % cfg.eval_every == 0:
+        if evaluate and (t + 1) % cfg.eval_every == 0:
             metrics.append(_evaluate(current, loss, train_set, eval_set, t + 1))
     return current, metrics
