@@ -10,6 +10,7 @@ the output directory.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import replace
@@ -193,5 +194,18 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def run() -> int:
+    """Process entry point, for ``python -m lastlayer.cli`` and the
+    ``lastlayer`` console script: ``main()`` on ``sys.argv``, then
+    ``gc.freeze()``.  The interpreter's collections at exit then skip the
+    objects alive when ``main()`` returned, most of them made by the
+    imports, which shortens every command's exit.  The exit still runs
+    atexit hooks and flushes the streams.  A ``main()`` called in process
+    freezes nothing."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -50,7 +50,6 @@ from .network import (
 )
 from .posttrain import (
     PostTrainConfig,
-    _feature_objective,
     effective_features,
     post_train,
     with_effective_last_weights,
@@ -622,34 +621,64 @@ def _check_gradients(seed: int, perturbation: float) -> CheckResult:
     return CheckResult("gradient_vs_finite_differences", worst <= 1e-5, worst, 1e-5, detail)
 
 
+# doubles of perturbed weights that one pass of _fd_ce_hessian may hold,
+# unless a single row of the Hessian needs more
+_FD_HESSIAN_STACK = 16384
+
+
 def _fd_ce_hessian(inst: SoftmaxInstance, step: float = 1e-4):
     """Central second differences of ``ce_value`` over the flattened weights.
 
-    Row i evaluates the points (+-step at i, then +-step at j) for every
-    j >= i as one stack, with ``ce_value``'s arithmetic applied per point,
-    so each entry equals the difference of four separately built instances.
+    Entry (i, j >= i) differences four points: +-step at i, then +-step at
+    j, in that order, so the diagonal's point holds ``(w + s_i) + s_j``.
+    Whole rows i are stacked, as many as keep the stack's points within
+    _FD_HESSIAN_STACK doubles (at least one row), and each stack runs
+    through one ``@`` / ``np.max`` / ``np.exp`` / ``np.sum`` pass with
+    ``ce_value``'s arithmetic applied per point (``_fd_ce_entries``).
+    Every point's value is computed from its own weights alone, so each
+    entry equals the difference of four separately built instances
+    whatever the stacking.  The cap bounds the memory: one stack of every
+    row of a 6 x 8 instance would hold 4 x 1176 points of 48 weights,
+    about 1.8 MB.
     """
     m, n = inst.w.shape
     size = m * n
+    if not np.all(np.isfinite(inst.w)):
+        raise ValueError("instance contains non-finite entries")
     hess = np.zeros((size, size))
-    base = inst.w.reshape(-1)
-    signs = np.array([[step, step], [step, -step], [-step, step], [-step, -step]])
-    for i in range(size):
-        count = 4 * (size - i)
-        shifts = np.tile(signs, (size - i, 1))
-        points = np.tile(base, (count, 1))
-        points[:, i] += shifts[:, 0]
-        points[np.arange(count), np.repeat(np.arange(i, size), 4)] += shifts[:, 1]
-        if not np.all(np.isfinite(points)):
-            raise ValueError("instance contains non-finite entries")
-        z = points.reshape(count, m, n) @ inst.x
-        top = np.max(z, axis=1)
-        values = (np.log(np.sum(np.exp(z - top[:, None]), axis=1)) + top
-                  - z[:, inst.true_class]).reshape(size - i, 4)
-        row = (values[:, 0] - values[:, 1] - values[:, 2] + values[:, 3]) / (4.0 * step * step)
-        hess[i, i:] = row
-        hess[i:, i] = row
+    start = 0
+    while start < size:
+        stop = start + 1
+        pairs = size - start
+        while stop < size and 4 * (pairs + size - stop) * size <= _FD_HESSIAN_STACK:
+            pairs += size - stop
+            stop += 1
+        rows = np.repeat(np.arange(start, stop), size - np.arange(start, stop))
+        cols = np.concatenate([np.arange(i, size) for i in range(start, stop)])
+        hess[rows, cols] = hess[cols, rows] = _fd_ce_entries(inst, rows, cols, step)
+        start = stop
     return hess
+
+
+def _fd_ce_entries(inst: SoftmaxInstance, rows: np.ndarray, cols: np.ndarray,
+                   step: float) -> np.ndarray:
+    """``_fd_ce_hessian``'s entries (rows[p], cols[p]) from one stack of
+    their points: the weights moved by (+,+), (+,-), (-,+) and (-,-) steps
+    at rows[p], then at cols[p].  Every array made here is freed on return,
+    before the next stack is built."""
+    m, n = inst.w.shape
+    count = 4 * len(rows)
+    points = np.tile(inst.w.reshape(-1), (count, 1))
+    signs = np.tile([[step, step], [step, -step], [-step, step], [-step, -step]], (len(rows), 1))
+    stacked = np.arange(count)
+    points[stacked, np.repeat(rows, 4)] += signs[:, 0]
+    points[stacked, np.repeat(cols, 4)] += signs[:, 1]
+    z = points.reshape(count, m, n) @ inst.x
+    del points  # so that the softmax temporaries below never sit beside it
+    top = np.max(z, axis=1)
+    values = (np.log(np.sum(np.exp(z - top[:, None]), axis=1)) + top
+              - z[:, inst.true_class]).reshape(len(rows), 4)
+    return (values[:, 0] - values[:, 1] - values[:, 2] + values[:, 3]) / (4.0 * step * step)
 
 
 def _random_softmax_instance(rng: np.random.Generator) -> SoftmaxInstance:
@@ -736,7 +765,31 @@ def _check_norm_bound(seed: int) -> CheckResult:
     return CheckResult("span_norm_never_exceeds_l2", worst <= 1e-10, worst, 1e-10)
 
 
+def _stacked_objectives(feats: np.ndarray, w: np.ndarray, y: np.ndarray,
+                        lam: float) -> np.ndarray:
+    """``posttrain_objective`` under squared error of a bias-free identity
+    last layer at each weight matrix ``w[s]`` of a stack (stack x outputs x
+    features) over the effective features ``feats``, bit for bit.
+
+    One ``matmul`` forms every output, ``_squared_errors`` sums each one's
+    batch and ``np.sum(w * w, axis=(1, 2))`` each one's regularizer.
+    ``matmul``'s additions do not depend on the shapes, and each stack item
+    is summed as ``np.sum`` sums it alone, so each value has the bits of
+    its own ``forward``, ``loss_eval`` and ``sq_frobenius`` calls."""
+    stack, outs, width = w.shape
+    outputs = matmul(feats, w.reshape(-1, width).T).reshape(len(feats), stack, outs)
+    return (_squared_errors(np.ascontiguousarray(outputs.transpose(1, 0, 2)), y)
+            + lam * np.sum(w * w, axis=(1, 2)))
+
+
 def _check_posttrain(seed: int) -> list:
+    """Post-training on a small squared-error problem: the objective never
+    rises, the frozen layers keep their bits, and the objective is
+    midpoint-convex in the last layer.
+
+    The midpoint test draws 100 random pairs (wa, wb) as one array, the
+    stream of 200 draws of shape (2, 5), and scores the pairs and their
+    midpoints as one stack of 300 last layers (``_stacked_objectives``)."""
     rng = np.random.default_rng(derive(seed, "posttrain"))
     specs = [
         LayerSpec(4, 6, "tanh"),
@@ -760,19 +813,12 @@ def _check_posttrain(seed: int) -> list:
         if before.bias is not None:
             frozen_diff = max(frozen_diff, float(np.max(np.abs(before.bias - after.bias))))
 
-    worst_midpoint = 0.0
-    lam = 1e-3
-    feats = effective_features(net, x)
-
-    def objective(w):
-        return _feature_objective(net, feats, w, y, lam, "squared_error")
-
-    for _ in range(100):
-        wa = rng.normal(size=(2, 5))
-        wb = rng.normal(size=(2, 5))
-        j_mid = objective((wa + wb) / 2.0)
-        j_avg = (objective(wa) + objective(wb)) / 2.0
-        worst_midpoint = max(worst_midpoint, j_mid - j_avg)
+    pairs = rng.normal(size=(100, 2, 2, 5))
+    wa, wb = pairs[:, 0], pairs[:, 1]
+    j_mid, j_a, j_b = _stacked_objectives(
+        effective_features(net, x), np.concatenate([(wa + wb) / 2.0, wa, wb]), y, cfg.lam
+    ).reshape(3, 100)
+    worst_midpoint = max(0.0, float(np.max(j_mid - (j_a + j_b) / 2.0)))
     return [
         CheckResult("posttrain_objective_monotone", worst_increase <= 0.0, worst_increase, 0.0),
         CheckResult("posttrain_frozen_layers_bit_identical", frozen_diff == 0.0, frozen_diff, 0.0),

@@ -324,10 +324,12 @@ def _squared_errors(outputs: np.ndarray, targets: Matrix) -> np.ndarray:
     squared deviations over the batch, divided by the batch size.
 
     Each batch is summed as ``np.sum`` sums the batch alone, since the
-    reduction runs over that batch's own entries in memory order.
+    reduction runs over that batch's own entries in memory order.  The
+    deviations are squared in place: a stack of many batches then needs
+    one temporary of its size, not two.
     Nothing is checked; ``loss_eval`` is the checked entry point."""
     diff = outputs - targets
-    return np.sum(diff * diff, axis=(1, 2)) / outputs.shape[1]
+    return np.sum(np.multiply(diff, diff, out=diff), axis=(1, 2)) / outputs.shape[1]
 
 
 def _mean_cross_entropies(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -338,14 +340,27 @@ def _mean_cross_entropies(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     gather column-major, and along a strided axis ``np.mean`` adds one
     entry after another where along a contiguous row it adds pairwise,
     as it does for a single batch."""
-    p_true = np.ascontiguousarray(probs[:, np.arange(len(labels)), labels])
-    return np.mean(-np.log(np.maximum(p_true, PROB_FLOOR)), axis=1)
+    return _mean_floored_nll(np.ascontiguousarray(probs[:, np.arange(len(labels)), labels]))
+
+
+def _mean_floored_nll(p_true: np.ndarray) -> np.ndarray:
+    """Mean of ``-log(max(p, PROB_FLOOR))`` along the last axis of the
+    gathered label probabilities ``p_true``, which must be contiguous along
+    that axis for its pairwise sum to be that of a single batch."""
+    return np.mean(-np.log(np.maximum(p_true, PROB_FLOOR)), axis=-1)
 
 
 def mean_cross_entropy(probs: Matrix, labels: np.ndarray) -> float:
     """Batch-mean cross-entropy against the class ``labels``: -log of each
     row's probability of its label, floored at PROB_FLOOR.  Nothing is
-    checked; ``loss_eval`` is the checked entry point."""
+    checked; ``loss_eval`` is the checked entry point.
+
+    ``probs`` may also be the batch's probabilities flattened to 1-D, with
+    ``labels`` the flat position of each row's label probability in it: a
+    caller that scores many outputs against fixed labels builds those
+    positions once, and the gather is one flat take, in row order."""
+    if probs.ndim == 1:
+        return float(_mean_floored_nll(probs[labels]))
     return float(_mean_cross_entropies(probs[None], labels)[0])
 
 

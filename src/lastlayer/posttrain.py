@@ -145,18 +145,9 @@ def posttrain_objective(net: Network, data: Dataset, lam: float, loss: str) -> f
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
     check_loss_pairing(net, loss)
-    return _feature_objective(
-        net, effective_features(net, data.x), effective_last_weights(net), data.y, lam, loss
-    )
-
-
-def _feature_objective(net: Network, feats: Matrix, w_eff: Matrix, y: Matrix, lam: float,
-                       loss: str) -> float:
-    """``posttrain_objective`` at last-layer weights ``w_eff`` (bias folded
-    in) on ``feats = effective_features(net, x)``, for a caller that scores
-    many last layers on the same samples."""
-    out = forward(_last_layer_net(net, w_eff), feats).output
-    return loss_eval(loss, out, y) + lam * sq_frobenius(w_eff)
+    w_eff = effective_last_weights(net)
+    out = forward(_last_layer_net(net, w_eff), effective_features(net, data.x)).output
+    return loss_eval(loss, out, data.y) + lam * sq_frobenius(w_eff)
 
 
 class _CachedProblem:
@@ -185,7 +176,11 @@ class _CachedProblem:
     The targets of ``train`` and ``eval`` are checked once, here, each set's
     before its features are computed.  Under cross_entropy their class
     labels are kept, and the objective and the metric points take the loss
-    (``mean_cross_entropy``) and the error from those labels unchecked."""
+    and the error from those labels unchecked.  The objective's
+    ``mean_cross_entropy`` gathers each training row's label probability
+    from the class-major probabilities ``P.T`` flattened (a view when there
+    are fewer than 8 classes, which ``softmax_rows`` reduces column by
+    column), at flat positions ``label * N + row`` built here."""
 
     def __init__(self, net: Network, data: Dataset, lam: float, loss: str,
                  eval_data: Dataset | None, full_batch: bool):
@@ -211,6 +206,7 @@ class _CachedProblem:
             self.targets_sq = sq_frobenius(self.train.y)
         else:
             self.feats_t = np.ascontiguousarray(feats.T)
+            self.label_at = self.train.labels * self.n + np.arange(self.n)
             classes = data.output_dim
             tile = full_batch and classes * feats.shape[1] > 1
             self.tiled = np.tile(feats, (1, classes)) if tile else None
@@ -235,7 +231,7 @@ class _CachedProblem:
             )
             return fit / self.n + self.lam * sq_frobenius(w_eff), None
         trace = self.forward(w_eff)
-        value = mean_cross_entropy(trace.output, self.train.labels)
+        value = mean_cross_entropy(trace.output.T.reshape(-1), self.label_at)
         return value + self.lam * sq_frobenius(w_eff), trace
 
     def gradient(self, point: Network, idx: np.ndarray | None = None,

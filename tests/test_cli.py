@@ -1,6 +1,7 @@
 """End-to-end CLI coverage through main(), including byte-determinism of
 the comparison output."""
 
+import gc
 import json
 import os
 import subprocess
@@ -373,3 +374,46 @@ class TestBundledConfigs:
             assert cfg.train.batch_size == 50
             assert cfg.posttrain.iterations == 200
             assert cfg.split_fraction == 0.7
+
+
+class TestProcessEntryPoint:
+    def run_module(self, *args, cwd):
+        return subprocess.run([sys.executable, "-m", "lastlayer.cli", *args], cwd=cwd,
+                              env=_child_env(), capture_output=True, text=True, timeout=300)
+
+    def test_check_writes_the_in_process_report(self, tmp_path):
+        from test_golden import GOLDEN, skip_unless_made_here
+
+        child = self.run_module("check", "--seed", "0", "--out", "r.json", cwd=tmp_path)
+        assert child.returncode == 0, child.stderr
+        assert "overall: PASS" in child.stdout
+        got = (tmp_path / "r.json").read_bytes()
+        assert main(["check", "--seed", "0", "--out", str(tmp_path / "in_process.json")]) == 0
+        assert got == (tmp_path / "in_process.json").read_bytes()
+        skip_unless_made_here()
+        assert got == (GOLDEN / "check_seed0.json").read_bytes()
+
+    def test_failing_command_exits_non_zero_with_its_error(self, tmp_path):
+        child = self.run_module("compare", "--config", "missing.json", "--out", "out", cwd=tmp_path)
+        assert child.returncode != 0
+        assert "FileNotFoundError" in child.stderr
+        assert "missing.json" in child.stderr
+
+    def test_run_freezes_after_main_returns(self):
+        code = ("import gc, sys; from lastlayer import cli; "
+                "sys.argv = ['lastlayer', 'check', '--convexity', '--seed', '1']; "
+                "status = cli.run(); print(status, gc.get_freeze_count() > 0)")
+        child = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
+                               capture_output=True, text=True, timeout=120)
+        assert child.stdout.splitlines()[-1] == "0 True"
+
+    def test_in_process_main_freezes_nothing(self, capsys):
+        assert main(["check", "--convexity", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert gc.get_freeze_count() == 0
+
+    def test_console_script_is_the_process_entry_point(self):
+        pyproject = Path(lastlayer.__file__).resolve().parents[2] / "pyproject.toml"
+        if not pyproject.is_file():
+            pytest.skip("no pyproject.toml beside the package's src directory")
+        assert 'lastlayer = "lastlayer.cli:run"' in pyproject.read_text()

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 
 from lastlayer import experiment, jsonio
 from lastlayer.convexity import SoftmaxInstance, ce_value
-from lastlayer.data import CsvFormatError
+from lastlayer.data import CsvFormatError, Dataset
 from lastlayer.experiment import (
     ComparisonRow,
     DatasetSpec,
@@ -34,8 +35,8 @@ from lastlayer.experiment import (
     run_experiment,
 )
 from lastlayer.linalg import DimensionMismatchError
-from lastlayer.network import LayerSpec, forward, loss_eval
-from lastlayer.posttrain import PostTrainConfig, posttrain_objective
+from lastlayer.network import LayerSpec, build_network, forward, loss_eval, replace_last_layer
+from lastlayer.posttrain import PostTrainConfig, effective_features, posttrain_objective
 from lastlayer.rng import derive
 from lastlayer.train import TrainConfig, TrainingDivergedError
 from lastlayer.workers import RemoteTraceback, WorkerDiedError
@@ -729,6 +730,118 @@ class TestFiniteDifferenceHessian:
         inst.w[0, 0] = np.inf  # after the instance validated itself
         with pytest.raises(ValueError, match="non-finite"):
             _fd_ce_hessian(inst)
+
+    def test_matches_per_point_loop_on_every_size_bit_for_bit(self, monkeypatch):
+        # sizes run from 2 (2 x 1) to 48 (6 x 8); a 6 x 8 instance needs
+        # several stacks of rows
+        stacks = []
+        real_entries = experiment._fd_ce_entries
+
+        def counting_entries(inst, rows, cols, step):
+            stacks.append(inst.w.size)
+            return real_entries(inst, rows, cols, step)
+
+        monkeypatch.setattr(experiment, "_fd_ce_entries", counting_entries)
+        rng = np.random.default_rng(10)
+        insts = [SoftmaxInstance(rng.normal(size=(2, 1)), rng.normal(size=1), 1),
+                 SoftmaxInstance(rng.normal(size=(6, 8)), rng.normal(size=8), 4)]
+        insts += [_random_softmax_instance(rng) for _ in range(200)]
+        for inst in insts:
+            got = _fd_ce_hessian(inst)
+            assert np.array_equal(got.view(np.uint64), loop_fd_ce_hessian(inst).view(np.uint64))
+        assert stacks.count(48) > 1
+        assert {2, 48} <= {inst.w.size for inst in insts}
+
+    def test_peak_memory_is_no_higher_than_one_row_at_a_time(self):
+        # the stack's cap keeps the largest instance's peak at or below that
+        # of evaluating one row per pass
+        rng = np.random.default_rng(11)
+        inst = SoftmaxInstance(rng.normal(size=(6, 8)), rng.normal(size=8), 2)
+        peaks = []
+        for fd in (row_fd_ce_hessian, _fd_ce_hessian):
+            fd(inst)  # warm up numpy's caches before measuring
+            tracemalloc.start()
+            try:
+                fd(inst)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        row_peak, stacked_peak = peaks
+        assert stacked_peak <= row_peak
+
+
+def row_fd_ce_hessian(inst, step=1e-4):
+    """_fd_ce_hessian evaluating one row i per pass, as it did before rows
+    were stacked; kept as the reference for its peak memory."""
+    m, n = inst.w.shape
+    size = m * n
+    hess = np.zeros((size, size))
+    base = inst.w.reshape(-1)
+    signs = np.array([[step, step], [step, -step], [-step, step], [-step, -step]])
+    for i in range(size):
+        count = 4 * (size - i)
+        shifts = np.tile(signs, (size - i, 1))
+        points = np.tile(base, (count, 1))
+        points[:, i] += shifts[:, 0]
+        points[np.arange(count), np.repeat(np.arange(i, size), 4)] += shifts[:, 1]
+        if not np.all(np.isfinite(points)):
+            raise ValueError("instance contains non-finite entries")
+        z = points.reshape(count, m, n) @ inst.x
+        top = np.max(z, axis=1)
+        values = (np.log(np.sum(np.exp(z - top[:, None]), axis=1)) + top
+                  - z[:, inst.true_class]).reshape(size - i, 4)
+        row = (values[:, 0] - values[:, 1] - values[:, 2] + values[:, 3]) / (4.0 * step * step)
+        hess[i, i:] = row
+        hess[i:, i] = row
+    return hess
+
+
+def loop_midpoint_gap(seed):
+    """The midpoint-convexity gap of ``check_suite(seed)``'s post-training
+    check as it was computed before its pairs were stacked: 200 draws of
+    shape (2, 5) and three ``posttrain_objective`` calls per pair."""
+    rng = np.random.default_rng(derive(seed, "posttrain"))
+    specs = [LayerSpec(4, 6, "tanh"), LayerSpec(6, 5, "relu"),
+             LayerSpec(5, 2, "identity", has_bias=False)]
+    net = build_network(specs, derive(seed, "ptnet"))
+    ds = Dataset(rng.uniform(size=(40, 4)), rng.normal(size=(40, 2)))
+
+    def objective(w):
+        return posttrain_objective(replace_last_layer(net, w), ds, 1e-3, "squared_error")
+
+    worst = 0.0
+    for _ in range(100):
+        wa = rng.normal(size=(2, 5))
+        wb = rng.normal(size=(2, 5))
+        worst = max(worst, objective((wa + wb) / 2.0) - (objective(wa) + objective(wb)) / 2.0)
+    return worst
+
+
+class TestMidpointCheck:
+    def test_stacked_objectives_match_per_call_objective_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for outputs, width, rows in ((2, 5, 40), (1, 3, 7), (3, 9, 64)):
+            specs = [LayerSpec(4, width, "tanh"), LayerSpec(width, outputs, "identity", has_bias=False)]
+            net = build_network(specs, int(rng.integers(2**31)))
+            ds = Dataset(rng.uniform(size=(rows, 4)), rng.normal(size=(rows, outputs)))
+            w = rng.normal(size=(300, outputs, width))
+            got = experiment._stacked_objectives(effective_features(net, ds.x), w, ds.y, 1e-3)
+            want = [posttrain_objective(replace_last_layer(net, ws), ds, 1e-3, "squared_error")
+                    for ws in w]
+            assert got.tobytes() == np.array(want).tobytes()
+
+    def test_one_draw_is_the_stream_of_200_pair_draws(self):
+        stacked = np.random.default_rng(derive(3, "posttrain")).normal(size=(100, 2, 2, 5))
+        rng = np.random.default_rng(derive(3, "posttrain"))
+        draws = np.array([[rng.normal(size=(2, 5)), rng.normal(size=(2, 5))] for _ in range(100)])
+        assert stacked.tobytes() == draws.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 47])
+    def test_check_reports_the_per_call_gap(self, seed):
+        (check,) = [c for c in experiment._check_posttrain(seed)
+                    if c.name == "posttrain_objective_midpoint_convex"]
+        assert check.passed
+        assert np.float64(check.max_error).tobytes() == np.float64(loop_midpoint_gap(seed)).tobytes()
 
 
 class TestConvexityStatistics:

@@ -538,3 +538,22 @@ class TestSerialization:
         assert value in path.read_text()
         with pytest.raises(ValueError, match=f"layer {layer} "):
             load_network(str(path))
+
+
+class TestFlatLabelGather:
+    @pytest.mark.parametrize("width", range(1, 13))
+    @pytest.mark.parametrize("n", [60, 3500])
+    def test_flat_positions_give_the_row_form_bit_for_bit(self, width, n):
+        # class-major positions label * N + row into P.T flattened, as
+        # post-training's objective builds them once, and row-major ones
+        # row * classes + label into P flattened
+        rng = np.random.default_rng(500 + width)
+        probs = softmax_rows(20 * rng.standard_normal((n, width)))
+        labels = rng.integers(0, width, size=n)
+        want = mean_cross_entropy(probs, labels)
+        class_major = np.ascontiguousarray(probs.T)
+        assert mean_cross_entropy(class_major.reshape(-1), labels * n + np.arange(n)) == want
+        assert mean_cross_entropy(probs.reshape(-1), np.arange(n) * width + labels) == want
+        with np.errstate(invalid="ignore"):
+            probs[3] = softmax_rows(np.full((1, width), np.nan))
+        assert math.isnan(mean_cross_entropy(probs.T.reshape(-1), labels * n + np.arange(n)))
