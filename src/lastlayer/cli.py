@@ -101,11 +101,7 @@ def cmd_krr(args) -> int:
     train_ds, *_ = prepare_run(cfg, cfg.seeds[0])
     feats = effective_features(net, train_ds.x)
     solution = ridge_solve(feats, train_ds.y, cfg.posttrain.lam, cfg.krr_convention)
-    save_solution(
-        solution,
-        os.path.join(out, "krr_solution.json"),
-        activation=net.layers[-1].spec.activation,
-    )
+    save_solution(solution, os.path.join(out, "krr_solution.json"))
     best = with_effective_last_weights(net, solution.weights.T)
     save_network(best, os.path.join(out, "network_optimal.json"))
     jsonio.dump(config_to_dict(cfg), os.path.join(out, "resolved_config.json"))
@@ -130,6 +126,8 @@ def cmd_check(args) -> int:
     if args.convexity:
         stats = convexity_statistics(seed=args.seed)
         print(jsonio.dumps(stats, indent=2))
+        if args.out:
+            jsonio.dump(stats, args.out)
         return 0 if stats["passed"] else 1
     report = check_suite(seed=args.seed)
     print(report.summary())

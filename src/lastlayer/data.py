@@ -224,15 +224,16 @@ def load_csv(path: str, feature_columns, target_columns, has_header: bool = True
 
 
 def save_csv(ds: Dataset, path: str) -> None:
-    """Write the dataset as headered CSV with exact-round-trip numbers."""
+    """Write the dataset as headered UTF-8 CSV, lines ending in ``\\n``, each
+    number as ``jsonio.format_float``'s ``%.17g``, which round-trips."""
     feature_names = ds.feature_names or [f"x{i}" for i in range(ds.input_dim)]
     target_names = ds.target_names or [f"y{i}" for i in range(ds.output_dim)]
+    table = np.hstack([ds.x, ds.y])
+    if not np.all(np.isfinite(table)):  # arrays changed since the Dataset checked them
+        raise ValueError("refusing to serialize non-finite values")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(list(feature_names) + list(target_names)) + "\n")
-        for r in range(ds.n):
-            cells = [jsonio.format_float(v) for v in ds.x[r]]
-            cells += [jsonio.format_float(v) for v in ds.y[r]]
-            fh.write(",".join(cells) + "\n")
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", comments="",
+                   header=",".join(list(feature_names) + list(target_names)))
 
 
 def split(ds: Dataset, fraction: float, seed: int) -> Split:

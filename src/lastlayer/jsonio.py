@@ -36,12 +36,11 @@ def _render(obj: Any, indent: int | None, level: int) -> str:
         return json.dumps(obj)
     pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
     end = "" if indent is None else "\n" + " " * (indent * level)
-    sep = "," if indent is None else ","
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         items = [pad + _render(v, indent, level + 1) for v in obj]
-        return "[" + sep.join(items) + end + "]"
+        return "[" + ",".join(items) + end + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -50,7 +49,7 @@ def _render(obj: Any, indent: int | None, level: int) -> str:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             items.append(pad + json.dumps(key) + ": " + _render(value, indent, level + 1))
-        return "{" + sep.join(items) + end + "}"
+        return "{" + ",".join(items) + end + "}"
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -59,9 +58,10 @@ def dumps(obj: Any, indent: int | None = None) -> str:
     return _render(obj, indent, 0)
 
 
-def dump(obj: Any, path: str, indent: int | None = 2) -> None:
+def dump(obj: Any, path: str) -> None:
+    """Write ``dumps(obj, indent=2)`` and a newline to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj, indent=indent))
+        fh.write(dumps(obj, indent=2))
         fh.write("\n")
 
 

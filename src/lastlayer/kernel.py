@@ -153,11 +153,12 @@ def rkhs_norm_bound(w_column: np.ndarray, features: Matrix) -> tuple:
     return proj_norm, l2_norm
 
 
-def solution_to_dict(sol: KrrSolution, activation: str = "identity") -> dict:
+def solution_to_dict(sol: KrrSolution) -> dict:
     """Serialize with the last layer in the network layer format, so the
-    solved weights can be substituted directly into a saved network."""
+    solved weights can be substituted directly into a saved network; its
+    activation is "identity", the one output squared error pairs with."""
     d_feat, d_out = sol.weights.shape
-    last = Layer(LayerSpec(d_feat, d_out, activation, has_bias=False), sol.weights.T)
+    last = Layer(LayerSpec(d_feat, d_out, "identity", has_bias=False), sol.weights.T)
     return {
         "format_version": KRR_FORMAT_VERSION,
         "kind": "krr_solution",
@@ -168,5 +169,6 @@ def solution_to_dict(sol: KrrSolution, activation: str = "identity") -> dict:
     }
 
 
-def save_solution(sol: KrrSolution, path: str, activation: str = "identity") -> None:
-    jsonio.dump(solution_to_dict(sol, activation=activation), path)
+def save_solution(sol: KrrSolution, path: str) -> None:
+    """Write ``solution_to_dict(sol)`` to ``path`` as JSON."""
+    jsonio.dump(solution_to_dict(sol), path)

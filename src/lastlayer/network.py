@@ -437,25 +437,21 @@ def backprop(
     depth = net.depth
     weight_grads = [None] * depth
     bias_grads = [None] * depth
-    lower_products = 0
     for index in range(depth - 1, -1, -1):
         layer = net.layers[index]
         below = x if index == 0 else trace.post[index - 1]
         weight_grads[index] = matmul(delta.T, below)
-        if index < depth - 1:
-            lower_products += 1
         if layer.bias is not None:
             bias_grads[index] = np.sum(delta, axis=0)
         if index > 0:
             upstream = matmul(delta, layer.weights)
-            lower_products += 1
             if masks[index - 1] is not None:
                 upstream = upstream * masks[index - 1]
             deriv = _activation_derivative(
                 net.layers[index - 1].spec.activation, trace.pre[index - 1]
             )
             delta = upstream if deriv is None else upstream * deriv
-    _tally_lower_products(lower_products)
+    _tally_lower_products(2 * (depth - 1))  # lower weight gradients, upstream products
     return Gradients(weight_grads, bias_grads)
 
 

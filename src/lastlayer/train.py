@@ -164,25 +164,8 @@ def _sample_loss(loss: str, output: Matrix, samples: _Samples) -> float:
     return loss_eval(loss, output, samples.y)
 
 
-def _row_argmax(output: Matrix) -> np.ndarray:
-    """``np.argmax(output, axis=1)`` as one scan over the columns: a later
-    column wins only where it is greater, or NaN over a number, so the
-    first maximum wins and a row holding NaN picks its first NaN.  On the
-    transposed class-major outputs of post-training each column is
-    contiguous, and the scan takes about half the time of ``np.argmax``
-    along their strided rows."""
-    best = np.zeros(len(output), dtype=np.intp)
-    top = output[:, 0]
-    for j in range(1, output.shape[1]):
-        column = output[:, j]
-        wins = (column > top) | ((column != column) & (top == top))
-        best = np.where(wins, j, best)
-        top = np.where(wins, column, top)
-    return best
-
-
 def _label_error(output: Matrix, labels: np.ndarray) -> float:
-    return float(np.mean(_row_argmax(output) != labels))
+    return float(np.mean(np.argmax(output, axis=1) != labels))
 
 
 def classification_error(output: Matrix, targets: Matrix) -> float:

@@ -361,6 +361,11 @@ class TestCheckCommand:
         doc = json.loads(captured.out)
         assert doc["passed"] is True
 
+    def test_check_convexity_writes_its_stdout_to_out(self, tmp_path, capsys):
+        path = tmp_path / "convexity.json"
+        assert main(["check", "--convexity", "--seed", "1", "--out", str(path)]) == 0
+        assert path.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
 
 class TestBundledConfigs:
     def test_bundled_configs_parse(self):

@@ -183,6 +183,31 @@ class TestLoadCsv:
         assert np.array_equal(ds.y, loaded.y)
 
 
+class TestSaveCsv:
+    # written by save_csv when it formatted each cell with
+    # jsonio.format_float and wrote the rows one at a time
+    LOOP_BYTES = (
+        b"gr\xc3\xb6\xc3\x9fe,\xe6\x99\x82\xe9\x96\x93,na\xc3\xafve,\xc3\xbf\n"
+        b"-0,4.9406564584124654e-324,1.7976931348623157e+308,-1.7976931348623157e+308\n"
+        b"0.10000000000000001,-2.5,1e-300,2.2250738585072014e-308\n"
+    )
+
+    def test_bytes_match_the_row_loop(self, tmp_path):
+        # -0.0, the smallest subnormal, the largest double and UTF-8 names
+        x = np.array([[-0.0, 5e-324, 1.7976931348623157e308], [0.1, -2.5, 1e-300]])
+        y = np.array([[-1.7976931348623157e308], [2.2250738585072014e-308]])
+        ds = Dataset(x, y, feature_names=["größe", "時間", "naïve"], target_names=["ÿ"])
+        path = tmp_path / "special.csv"
+        save_csv(ds, str(path))
+        assert path.read_bytes() == self.LOOP_BYTES
+
+    def test_refuses_values_made_non_finite_after_the_dataset_checked_them(self, tmp_path):
+        ds = gen_synthetic(5, seed=0)
+        ds.y[2, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            save_csv(ds, str(tmp_path / "nan.csv"))
+
+
 class TestSplit:
     def test_sizes(self):
         ds = gen_synthetic(10, seed=8)

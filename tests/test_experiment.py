@@ -575,8 +575,16 @@ class TestCheckSuite:
         report = check_suite(seed=0)
         assert report.passed, report.summary()
 
-    def test_detects_perturbed_gradient(self):
-        report = check_suite(seed=0, gradient_perturbation=1e-2)
+    def test_detects_perturbed_gradient(self, monkeypatch):
+        real_backprop = experiment.backprop
+
+        def perturbed_backprop(*args, **kwargs):
+            grads = real_backprop(*args, **kwargs)
+            grads.weights[0].reshape(-1)[0] += 1e-2
+            return grads
+
+        monkeypatch.setattr(experiment, "backprop", perturbed_backprop)
+        report = check_suite(seed=0)
         failing = {c.name for c in report.checks if not c.passed}
         assert "gradient_vs_finite_differences" in failing
         assert not report.passed

@@ -15,7 +15,7 @@ from lastlayer.train import (
     TrainingDivergedError,
     _BatchStream,
     _dropout_masks,
-    _row_argmax,
+    _label_error,
     sgd_train,
 )
 
@@ -133,7 +133,9 @@ class TestSgdTrain:
 
 
 class TestRowArgmax:
-    """The column scan against np.argmax(axis=1), its oracle."""
+    """The class ``_label_error`` scores for each row against np.argmax's
+    rule written out row by row: the first maximum wins, and a row holding
+    NaN picks its first NaN."""
 
     @staticmethod
     def cases(width):
@@ -158,13 +160,25 @@ class TestRowArgmax:
         rows.append(nan_then_inf)
         return np.array(rows)
 
+    @staticmethod
+    def first_maximum(row):
+        best = 0
+        for j in range(1, len(row)):
+            if np.isnan(row[best]):
+                break
+            if np.isnan(row[j]) or row[j] > row[best]:
+                best = j
+        return best
+
     @pytest.mark.parametrize("width", range(1, 13))
     def test_matches_np_argmax(self, width):
         z = self.cases(width)
+        picked = np.array([self.first_maximum(row) for row in z], dtype=np.intp)
         for laid_out in (z, np.asfortranarray(z), np.ascontiguousarray(z.T).T):
-            got = _row_argmax(laid_out)
-            assert got.dtype == np.intp
-            assert np.array_equal(got, np.argmax(z, axis=1))
+            assert _label_error(laid_out, picked) == 0.0
+            if width > 1:
+                # every row scored wrong when its label is any other class
+                assert _label_error(laid_out, (picked + 1) % width) == 1.0
 
 
 class TestBatchStream:
