@@ -54,7 +54,7 @@ from .posttrain import (
     post_train,
     with_effective_last_weights,
 )
-from .rng import derive
+from .rng import Rng, derive
 from .train import TrainConfig, classification_error, sgd_train
 from .workers import Worker
 
@@ -559,41 +559,52 @@ def _fd_loss_gradient(net: Network, x, y, loss: str):
     return grads, crossed
 
 
-def _random_net(rng: np.random.Generator, loss: str) -> Network:
-    depth = int(rng.integers(1, 4))
-    widths = [int(rng.integers(2, 9)) for _ in range(depth + 1)]
+def _random_net(rng: Rng, loss: str) -> Network:
+    """A dense network of 1 to 3 layers, widths 2 to 8, with normal noise
+    (sd 0.3 on biases, 0.2 on weights) added to its initial parameters,
+    all of it taken in one ``normals`` call, layer by layer, bias first."""
+    depth = 1 + rng.randbelow(3)
+    widths = [2 + rng.randbelow(7) for _ in range(depth + 1)]
     specs = []
     for i in range(depth):
         last = i == depth - 1
         activation = (
             ("softmax" if loss == "cross_entropy" else "identity")
             if last
-            else ("tanh" if rng.integers(2) else "relu")
+            else ("tanh" if rng.randbelow(2) else "relu")
         )
         specs.append(
             LayerSpec(widths[i], widths[i + 1], activation, has_bias=not last)
         )
-    net = build_network(specs, int(rng.integers(0, 2**31)))
-    for layer in net.layers:  # non-zero biases so their gradients are exercised
-        if layer.bias is not None:
-            layer.bias += rng.normal(scale=0.3, size=layer.bias.shape)
-        layer.weights += rng.normal(scale=0.2, size=layer.weights.shape)
+    net = build_network(specs, rng.randbelow(2**31))
+    # non-zero biases so their gradients are exercised
+    noisy = [(scale, array) for layer in net.layers
+             for scale, array in ((0.3, layer.bias), (0.2, layer.weights)) if array is not None]
+    z = rng.normals(sum(array.size for _, array in noisy))
+    start = 0
+    for scale, array in noisy:
+        array += scale * z[start:start + array.size].reshape(array.shape)
+        start += array.size
     return net
 
 
-def _random_batch(rng: np.random.Generator, net: Network, loss: str):
-    batch = int(rng.integers(1, 17))
-    x = rng.normal(size=(batch, net.input_dim))
+def _random_batch(rng: Rng, net: Network, loss: str):
+    """1 to 16 rows of normal inputs with normal targets (squared error) or
+    one-hot rows of uniform classes (cross-entropy); the normals come from
+    one ``normals`` call, inputs first."""
+    batch = 1 + rng.randbelow(16)
+    inputs = batch * net.input_dim
     if loss == "squared_error":
-        y = rng.normal(size=(batch, net.output_dim))
-    else:
-        y = np.zeros((batch, net.output_dim))
-        y[np.arange(batch), rng.integers(0, net.output_dim, size=batch)] = 1.0
+        z = rng.normals(inputs + batch * net.output_dim)
+        return z[:inputs].reshape(batch, -1), z[inputs:].reshape(batch, -1)
+    x = rng.normals(inputs).reshape(batch, -1)
+    y = np.zeros((batch, net.output_dim))
+    y[np.arange(batch), [rng.randbelow(net.output_dim) for _ in range(batch)]] = 1.0
     return x, y
 
 
 def _check_gradients(seed: int) -> CheckResult:
-    rng = np.random.default_rng(derive(seed, "gradcheck"))
+    rng = Rng(derive(seed, "gradcheck"))
     worst = 0.0
     redrawn = 0
     for trial in range(20):
@@ -681,16 +692,17 @@ def _fd_ce_entries(inst: SoftmaxInstance, rows: np.ndarray, cols: np.ndarray,
     return (values[:, 0] - values[:, 1] - values[:, 2] + values[:, 3]) / (4.0 * step * step)
 
 
-def _random_softmax_instance(rng: np.random.Generator) -> SoftmaxInstance:
-    m = int(rng.integers(2, 7))
-    n = int(rng.integers(1, 9))
-    return SoftmaxInstance(
-        rng.normal(size=(m, n)), rng.normal(size=n), int(rng.integers(0, m))
-    )
+def _random_softmax_instance(rng: Rng) -> SoftmaxInstance:
+    """m in 2..6 classes, n in 1..8 features, normal weights and input (one
+    ``normals`` call, weights first) and a uniform true class."""
+    m = 2 + rng.randbelow(5)
+    n = 1 + rng.randbelow(8)
+    z = rng.normals(m * n + n)
+    return SoftmaxInstance(z[:m * n].reshape(m, n), z[m * n:], rng.randbelow(m))
 
 
 def _check_softmax_curvature(seed: int):
-    rng = np.random.default_rng(derive(seed, "curvature"))
+    rng = Rng(derive(seed, "curvature"))
     worst_fd = 0.0
     worst_eig = 0.0
     worst_dom = 0.0
@@ -714,17 +726,17 @@ def _check_softmax_curvature(seed: int):
 
 
 def _check_kernel_identities(seed: int) -> list:
-    rng = np.random.default_rng(derive(seed, "kernel"))
+    rng = Rng(derive(seed, "kernel"))
     worst_push = 0.0
     worst_repr = 0.0
     worst_psd = 0.0
     for _ in range(25):
-        n = int(rng.integers(5, 40))
-        d = int(rng.integers(2, 10))
-        m = int(rng.integers(1, 4))
-        feats = rng.normal(size=(n, d))
-        targets = rng.normal(size=(n, m))
-        lam = float(10.0 ** rng.uniform(-4, 0))
+        n = 5 + rng.randbelow(35)
+        d = 2 + rng.randbelow(8)
+        m = 1 + rng.randbelow(3)
+        z = rng.normals(n * (d + m))
+        feats, targets = z[:n * d].reshape(n, d), z[n * d:].reshape(n, m)
+        lam = float(10.0 ** rng.uniform_matrix(1, 1, -4.0, 0.0)[0, 0])
         solution = krr_solve(feats, targets, lam, "paper_literal")
         primal = ridge_solve(feats, targets, lam, "paper_literal").weights
         scale = max(1.0, float(np.max(np.abs(primal))))
@@ -750,16 +762,18 @@ def _check_kernel_identities(seed: int) -> list:
 
 
 def _check_norm_bound(seed: int) -> CheckResult:
-    rng = np.random.default_rng(derive(seed, "normbound"))
+    rng = Rng(derive(seed, "normbound"))
     worst = 0.0
     for _ in range(100):
-        d = int(rng.integers(2, 12))
-        n = int(rng.integers(1, 20))
-        feats = rng.normal(size=(n, d))
-        if rng.integers(2):  # force rank deficiency half the time
-            rank = max(1, min(n, d) // 2)
-            feats = feats[:, :rank] @ rng.normal(size=(rank, d))
-        w = rng.normal(size=d)
+        d = 2 + rng.randbelow(10)
+        n = 1 + rng.randbelow(19)
+        # force rank deficiency half the time
+        rank = max(1, min(n, d) // 2) if rng.randbelow(2) else 0
+        z = rng.normals((n + rank + 1) * d)
+        feats = z[:n * d].reshape(n, d)
+        if rank:
+            feats = feats[:, :rank] @ z[n * d:(n + rank) * d].reshape(rank, d)
+        w = z[(n + rank) * d:]
         proj, full = rkhs_norm_bound(w, feats)
         worst = max(worst, proj - full)
     return CheckResult("span_norm_never_exceeds_l2", worst <= 1e-10, worst, 1e-10)
@@ -787,18 +801,20 @@ def _check_posttrain(seed: int) -> list:
     rises, the frozen layers keep their bits, and the objective is
     midpoint-convex in the last layer.
 
-    The midpoint test draws 100 random pairs (wa, wb) as one array, the
-    stream of 200 draws of shape (2, 5), and scores the pairs and their
+    The inputs are uniform on [0, 1), the targets normal.  The midpoint test
+    draws 100 random pairs (wa, wb), each of normal (2, 5) matrices, in the
+    same ``normals`` call as the targets, and scores the pairs and their
     midpoints as one stack of 300 last layers (``_stacked_objectives``)."""
-    rng = np.random.default_rng(derive(seed, "posttrain"))
+    rng = Rng(derive(seed, "posttrain"))
     specs = [
         LayerSpec(4, 6, "tanh"),
         LayerSpec(6, 5, "relu"),
         LayerSpec(5, 2, "identity", has_bias=False),
     ]
     net = build_network(specs, derive(seed, "ptnet"))
-    x = rng.uniform(size=(40, 4))
-    y = rng.normal(size=(40, 2))
+    x = rng.uniform_matrix(40, 4)
+    z = rng.normals(80 + 100 * 2 * 2 * 5)
+    y = z[:80].reshape(40, 2)
     ds = Dataset(x, y)
     cfg = PostTrainConfig(lam=1e-3, iterations=40)
     tuned, metrics = post_train(net, ds, cfg, "squared_error")
@@ -813,7 +829,7 @@ def _check_posttrain(seed: int) -> list:
         if before.bias is not None:
             frozen_diff = max(frozen_diff, float(np.max(np.abs(before.bias - after.bias))))
 
-    pairs = rng.normal(size=(100, 2, 2, 5))
+    pairs = z[80:].reshape(100, 2, 2, 5)
     wa, wb = pairs[:, 0], pairs[:, 1]
     j_mid, j_a, j_b = _stacked_objectives(
         effective_features(net, x), np.concatenate([(wa + wb) / 2.0, wa, wb]), y, cfg.lam
@@ -827,13 +843,15 @@ def _check_posttrain(seed: int) -> list:
 
 
 def _check_solver(seed: int) -> CheckResult:
-    rng = np.random.default_rng(derive(seed, "solver"))
+    rng = Rng(derive(seed, "solver"))
     worst = 0.0
     for _ in range(25):
-        n = int(rng.integers(2, 30))
-        m = rng.normal(size=(n, n))
+        n = 2 + rng.randbelow(28)
+        k = 1 + rng.randbelow(3)
+        z = rng.normals(n * (n + k))
+        m = z[:n * n].reshape(n, n)
         a = m.T @ m + np.eye(n)
-        b = rng.normal(size=(n, int(rng.integers(1, 4))))
+        b = z[n * n:].reshape(n, k)
         x = solve_spd(a, b)
         residual = float(np.max(np.abs(a @ x - b)))
         worst = max(worst, residual / (1.0 + float(np.max(np.abs(b)))))
@@ -842,7 +860,9 @@ def _check_solver(seed: int) -> CheckResult:
 
 def check_suite(seed: int = 0) -> CheckReport:
     """Run every numerical self-check; failures are report content, not
-    exceptions.  The gradient check compares ``backprop``, as this module
+    exceptions.  Each check draws its random instances from its own
+    SplitMix64 stream, ``Rng(derive(seed, label))``, never from
+    ``numpy.random``.  The gradient check compares ``backprop``, as this module
     names it, against finite differences, so a test that wraps
     ``experiment.backprop`` to corrupt its result sees the check fail."""
     checks = [_check_gradients(seed)]
@@ -854,17 +874,21 @@ def check_suite(seed: int = 0) -> CheckReport:
     return CheckReport(checks)
 
 
-def convexity_statistics(seed: int = 0, instances: int = 100) -> dict:
-    """Min-eigenvalue statistics of the softmax curvature over seeded
+# random softmax instances that convexity_statistics draws
+_CONVEXITY_INSTANCES = 100
+
+
+def convexity_statistics(seed: int = 0) -> dict:
+    """Min-eigenvalue statistics of the softmax curvature over 100 seeded
     random instances (the `check --convexity` CLI surface)."""
-    rng = np.random.default_rng(derive(seed, "convexstats"))
+    rng = Rng(derive(seed, "convexstats"))
     eigs = []
-    for _ in range(instances):
+    for _ in range(_CONVEXITY_INSTANCES):
         inst = _random_softmax_instance(rng)
         eigs.append(min_eigenvalue_symmetric(ce_hessian(inst)))
     arr = np.array(eigs)
     return {
-        "instances": instances,
+        "instances": _CONVEXITY_INSTANCES,
         "min": float(arr.min()),
         "median": float(np.median(arr)),
         "max": float(arr.max()),

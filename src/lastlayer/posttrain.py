@@ -297,7 +297,9 @@ def post_train(
     ``armijo_step`` accepts, starting from twice the last accepted step, so
     the objective never rises; the loop stops as "converged" before a step
     with |g| <= max(grad_tol, 1e-14) * (1 + |W|), and as "stalled" when no
-    step is accepted.  The reason lands in ``metrics.termination``.
+    step is accepted.  A descent in either mode that takes all
+    ``cfg.iterations`` steps stops as "iteration_cap".  The reason lands in
+    ``metrics.termination``.
     Dropout is never applied here: it would change the frozen feature
     function.
 
@@ -353,4 +355,6 @@ def post_train(
                 break
             (point, trace), value, step = accepted
         record(it, point, value, trace)
+    else:
+        metrics.termination = "iteration_cap"
     return with_effective_last_weights(net, point.layers[0].weights), metrics

@@ -2,8 +2,10 @@
 
 Every random draw in this package flows through SplitMix64 (Steele, Lea &
 Flood's mixing function: additive 0x9E3779B97F4A7C15 counter followed by a
-xor-shift-multiply finalizer).  The algorithm is fixed for the lifetime of
-the repository so that seeded datasets, splits and training runs stay
+xor-shift-multiply finalizer): datasets, splits, initial weights, dropout,
+shuffles and the self-checks' random instances.  No lastlayer process loads
+``numpy.random``.  The algorithm is fixed for the lifetime of the repository
+so that seeded datasets, splits, training runs and self-check reports stay
 bit-identical across library versions; relying on numpy's Generator would
 tie snapshots to numpy's internal streams.
 
@@ -26,6 +28,13 @@ _FNV_PRIME = 0x100000001B3
 
 # 2**-53: turns the top 53 bits of a uint64 into a double in [0, 1)
 _UNIT = 1.1102230246251565e-16
+
+# uints' constants as uint64 scalars, built once; array arithmetic on
+# uint64 wraps modulo 2**64 without a warning
+_GAMMA_U64 = np.uint64(_GAMMA)
+_MIX1_U64 = np.uint64(_MIX1)
+_MIX2_U64 = np.uint64(_MIX2)
+_SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 
 def mix64(z: int) -> int:
@@ -81,17 +90,25 @@ class Rng:
         """n raw 64-bit outputs as a uint64 array."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        with np.errstate(over="ignore"):
-            z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            z = z ^ (z >> np.uint64(31))
+        z = np.arange(1, n + 1, dtype=np.uint64) * _GAMMA_U64 + np.uint64(self._state)
+        z = (z ^ (z >> _SHIFT30)) * _MIX1_U64
+        z = (z ^ (z >> _SHIFT27)) * _MIX2_U64
+        z = z ^ (z >> _SHIFT31)
         self._state = (self._state + n * _GAMMA) & MASK64
         return z
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1), from the top 53 bits of each output."""
-        return (self.uints(n) >> np.uint64(11)).astype(np.float64) * _UNIT
+        return (self.uints(n) >> _SHIFT11).astype(np.float64) * _UNIT
+
+    def normals(self, n: int) -> np.ndarray:
+        """n standard normal deviates by Box-Muller, deviate i from uniforms
+        2i and 2i + 1 (u, v): sqrt(-2 log(1 - u)) cos(2 pi v).  With u in
+        [0, 1) the logarithm is finite; only the cosine branch is used, so
+        each deviate takes its own two draws and ``normals(a)`` followed by
+        ``normals(b)`` equals ``normals(a + b)``."""
+        u = self.uniforms(2 * n)
+        return np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
 
     def uniform_matrix(self, rows: int, cols: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """rows x cols matrix of uniforms on [low, high), filled row-major."""

@@ -103,7 +103,7 @@ class MetricPoint:
 @dataclass
 class MetricsSeries:
     points: list = field(default_factory=list)
-    termination: Optional[str] = None  # why full-batch post-training stopped early
+    termination: Optional[str] = None  # why post-training stopped; None for SGD
 
     def __post_init__(self):
         for prev, cur in zip(self.points, self.points[1:]):

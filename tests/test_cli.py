@@ -113,7 +113,8 @@ class TestTrainCommands(object):
     @pytest.mark.parametrize("mode", ["minibatch", "full_batch_backtracking"])
     def test_post_train_reports_the_iterations_it_ran(self, tmp_path, capsys, mode):
         # full-batch descent stops as converged well before its 200
-        # iterations once the gradient is below grad_tol
+        # iterations once the gradient is below grad_tol; minibatch descent
+        # takes all 200 and stops at the cap
         doc = json.loads(json.dumps(TINY_CONFIG))
         doc["posttrain"] = {"lambda": 0.001, "iterations": 200, "mode": mode, "batch_size": 20,
                             "lr": 0.05, "seed": 5, "grad_tol": 0.001}
@@ -128,7 +129,8 @@ class TestTrainCommands(object):
         last = int(rows[-1].split(",")[0])
         if mode == "minibatch":
             assert last == 200
-            assert printed.startswith("fine-tuned last layer for 200 iterations; outputs in ")
+            assert printed.startswith("fine-tuned last layer for 200 iterations (iteration_cap); "
+                                      "outputs in ")
         else:
             assert last < 200
             assert printed.startswith(f"fine-tuned last layer for {last} iterations (converged); ")
@@ -397,6 +399,21 @@ class TestProcessEntryPoint:
         assert got == (tmp_path / "in_process.json").read_bytes()
         skip_unless_made_here()
         assert got == (GOLDEN / "check_seed0.json").read_bytes()
+
+    @pytest.mark.parametrize("args", [["check", "--seed", "0", "--out", "r.json"],
+                                      ["check", "--convexity"]])
+    def test_check_never_loads_numpy_random(self, tmp_path, args):
+        # every draw comes from lastlayer.rng; importing numpy.random would
+        # raise each check process's peak memory by about 5.6 MB
+        def imports(*argv):
+            child = subprocess.run([sys.executable, "-X", "importtime", *argv], cwd=tmp_path,
+                                   env=_child_env(), capture_output=True, text=True, timeout=300)
+            assert child.returncode == 0, child.stderr
+            return child.stderr
+
+        if "numpy.random" in imports("-c", "import numpy"):
+            pytest.skip("this numpy loads numpy.random on import")
+        assert "numpy.random" not in imports("-m", "lastlayer.cli", *args)
 
     def test_failing_command_exits_non_zero_with_its_error(self, tmp_path):
         child = self.run_module("compare", "--config", "missing.json", "--out", "out", cwd=tmp_path)

@@ -5,15 +5,16 @@ for byte with a copy kept under ``tests/golden/``.  The copies were made
 before the ordered ``matmul`` changed its memory layout and before
 post-training's gradient began to reuse the accepted trial's output, and
 the minibatch and converged post-training cases before the descent loop
-moved into ``post_train``, and the two ``check`` reports before the
-finite-difference gradient ran as stacked batches; all four changes
-promise the same bytes.  An intended change of output bytes regenerates
-them with
+moved into ``post_train``; all three changes promise the same bytes.
+The two ``check`` reports were made again when the self-checks' random
+instances moved from numpy's Generator onto the package's SplitMix64
+stream.  An intended change of output bytes regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-The bytes also depend on the machine: numpy's exp, log and tanh kernels
-differ in the last bit between the SIMD extensions they dispatch to, and
+The bytes also depend on the machine: numpy's exp, log and tanh kernels,
+and the log1p and cos of ``Rng.normals``, may differ in the last bit
+between the SIMD extensions they dispatch to, and
 the synthetic data and the Cholesky solve run on BLAS.  So
 ``environment.json`` records where the copies were made, and the cases
 are skipped, naming the difference, elsewhere.

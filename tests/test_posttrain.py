@@ -158,6 +158,21 @@ class TestPostTrain:
         assert [p.iteration for p in metrics.points] == [0]
         assert networks_bit_identical(net, out)
 
+    @pytest.mark.parametrize("loss", ["squared_error", "cross_entropy"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("evaluate", [True, False])
+    def test_descent_that_takes_every_iteration_stops_at_the_cap(self, loss, mode, evaluate):
+        # grad_tol 0 never converges in 7 steps, and a stall would stop the
+        # loop before its last point
+        if loss == "squared_error":
+            net, ds = regression_net(seed=54), regression_data(seed=55)
+        else:
+            net, ds = classification_net(seed=54), classification_data(seed=55)
+        cfg = PostTrainConfig(lam=1e-3, iterations=7, mode=mode, batch_size=8, grad_tol=0.0)
+        _, metrics = post_train(net, ds, cfg, loss, evaluate=evaluate)
+        assert [p.iteration for p in metrics.points] == list(range(8))
+        assert metrics.termination == "iteration_cap"
+
     def test_frozen_layers_bit_identical(self):
         net = regression_net(seed=13)
         ds = regression_data(seed=14)

@@ -1,7 +1,10 @@
 """The random stream is a frozen contract: these tests pin it against an
 independent scalar implementation and check the statistical basics."""
 
+import math
+
 import numpy as np
+import pytest
 
 from lastlayer.rng import MASK64, Rng, derive, mix64
 
@@ -114,6 +117,59 @@ def test_permutation_rejection_branch_matches_scalar_fisher_yates():
         fast, slow = Rng(seed), Rng(seed)
         assert np.array_equal(fast.permutation(n), scalar_permutation(slow, n))
         assert fast._state == slow._state == (seed + n * _GAMMA) & MASK64  # n - 1 draws + 1
+
+
+def reference_normals(seed: int, n: int):
+    """Box-Muller on plain floats from the scalar reference stream:
+    deviate i from outputs 2i and 2i + 1."""
+    u = [(z >> 11) * 2.0**-53 for z in reference_stream(seed, 2 * n)]
+    return [math.sqrt(-2.0 * math.log1p(-a)) * math.cos(2.0 * math.pi * b)
+            for a, b in zip(u[0::2], u[1::2])]
+
+
+def test_normals_match_scalar_reference():
+    # the math module's libm and numpy's loops may differ in the last bit
+    for seed in (0, 1, 123456789, 2**63 + 17):
+        np.testing.assert_allclose(Rng(seed).normals(50), reference_normals(seed, 50),
+                                   rtol=0, atol=1e-14)
+
+
+def test_normals_first_values_are_pinned():
+    # the algorithm is frozen: these values may not change for the life of
+    # the repository (up to the last bit of the platform's log1p and cos)
+    pinned = [1.143769344817183, 0.6275664934417265, -1.7830448963731438,
+              -0.4459513936656829, -0.5450859572430475, 0.5783200873155108]
+    np.testing.assert_allclose(Rng(2024).normals(6), pinned, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("a, b", [(0, 5), (1, 1), (3, 4), (7, 0), (10, 33)])
+def test_normals_in_two_calls_equal_one_call(a, b):
+    split = Rng(11)
+    got = np.concatenate([split.normals(a), split.normals(b)])
+    whole = Rng(11)
+    assert got.tobytes() == whole.normals(a + b).tobytes()
+    assert split._state == whole._state
+
+
+def test_normals_at_the_ends_of_the_unit_interval_are_finite():
+    # a first output of 0 gives u = 0, where log1p(-u) = 0; one of 2**64 - 1
+    # gives the largest u, 1 - 2**-53, where log(1 - u) is finite
+    for first, radius in ((0, 0.0), (MASK64, math.sqrt(106.0 * math.log(2.0)))):
+        seed = (unmix64(first) - _GAMMA) & MASK64
+        assert Rng(seed).next_uint() == first
+        with np.errstate(all="raise"):
+            (z,) = Rng(seed).normals(1)
+        assert np.isfinite(z)
+        assert abs(z) <= radius * (1 + 1e-15)
+
+
+def test_normals_mean_and_variance():
+    # within 5 standard errors: sd of the mean 1/sqrt(n), of the variance
+    # sqrt(2 / n) for normal deviates
+    n = 100_000
+    z = Rng(2025).normals(n)
+    assert abs(float(z.mean())) < 5.0 / math.sqrt(n)
+    assert abs(float(z.var()) - 1.0) < 5.0 * math.sqrt(2.0 / n)
 
 
 def test_derive_separates_streams():
