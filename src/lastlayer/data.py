@@ -78,10 +78,14 @@ class Dataset:
         return self.y.shape[1]
 
     def subset(self, indices) -> "Dataset":
+        """The rows ``indices``, in that order, as a Dataset of its own.
+
+        Indexing by an integer array already copies the rows, so the subset
+        shares no memory with this dataset and is made in one copy."""
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(
-            self.x[idx].copy(),
-            self.y[idx].copy(),
+            self.x[idx],
+            self.y[idx],
             feature_names=self.feature_names,
             target_names=self.target_names,
             provenance=self.provenance,
@@ -286,7 +290,12 @@ def standardize(ds: Dataset) -> tuple:
 
 
 def apply_standardization(ds: Dataset, params: StandardizeParams) -> Dataset:
-    x = (ds.x - params.mean[None, :]) / params.std[None, :]
+    """``(x - mean) / std`` column by column, into a new dataset.
+
+    The difference is the one new array; the division runs in place on it,
+    so no second N-sized temporary is made."""
+    x = ds.x - params.mean[None, :]
+    x /= params.std[None, :]
     return Dataset(
         x,
         ds.y.copy(),

@@ -71,27 +71,42 @@ METRICS = ("rmse", "classification_error")
 Column = Union[str, int]
 
 
+# the keys each dataset kind reads, with the value each takes when unset
+_DATASET_KEYS = {
+    "synthetic": {"n": 10000, "seed": 0},
+    "csv": {"path": None, "feature_columns": None, "target_columns": None, "has_header": True},
+}
+
+
 @dataclass
 class DatasetSpec:
+    """Where a run's data come from.  Each kind reads only its own keys, as
+    listed in ``_DATASET_KEYS``; a key of the other kind raises ValueError
+    naming it, so the resolved config never carries a value nothing read.
+    Unset keys are None, and those of the spec's own kind take their
+    defaults here."""
+
     kind: str  # "synthetic" | "csv"
-    n: int = 10000
-    seed: int = 0
+    n: Optional[int] = None
+    seed: Optional[int] = None
     path: Optional[str] = None
     feature_columns: Optional[list[Column]] = None
     target_columns: Optional[list[Column]] = None
-    has_header: bool = True
+    has_header: Optional[bool] = None
 
     def __post_init__(self):
-        if self.kind not in ("synthetic", "csv"):
+        if self.kind not in _DATASET_KEYS:
             raise ValueError(f"dataset kind must be 'synthetic' or 'csv', got {self.kind!r}")
+        for kind, keys in _DATASET_KEYS.items():
+            for key, default in keys.items():
+                if kind != self.kind and getattr(self, key) is not None:
+                    raise ValueError(f"dataset.{key} applies only to a {kind} dataset")
+                if kind == self.kind and getattr(self, key) is None:
+                    setattr(self, key, default)
         if self.kind == "csv" and not self.path:
             raise ValueError("csv dataset requires a path")
         if self.kind == "csv" and (self.feature_columns is None or self.target_columns is None):
             raise ValueError("csv dataset requires feature_columns and target_columns")
-        if self.kind == "synthetic":
-            for key in ("path", "feature_columns", "target_columns"):
-                if getattr(self, key) is not None:
-                    raise ValueError(f"dataset.{key} applies only to a csv dataset")
 
 
 @dataclass(kw_only=True)
@@ -299,7 +314,10 @@ def _materialize_data(cfg: ExperimentConfig, run_seed: int):
     if cfg.loss == "cross_entropy":
         one_hot_labels(ds.y)
     parts = split(ds, cfg.split_fraction, derive(cfg.split_seed, "run", run_seed))
+    # the split copied every row: drop the source and the split's own
+    # references, so standardization holds no more than the two parts
     train_ds, test_ds = parts.train, parts.test
+    del ds, parts
     if cfg.standardize:
         train_ds, params = standardize(train_ds)
         test_ds = apply_standardization(test_ds, params)

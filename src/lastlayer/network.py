@@ -36,6 +36,9 @@ PROB_FLOOR = 1e-12
 # row width from which np.sum adds contiguous entries pairwise, not in order
 _PAIRWISE_MIN = 8
 
+# rows per block of feature_map's layer passes
+_FEATURE_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -288,19 +291,31 @@ def forward(net: Network, x: Matrix, dropout_masks=None) -> ForwardTrace:
 
 
 def feature_map(net: Network, x: Matrix) -> Matrix:
-    """Embedding computed by all layers below the last one.
+    """Embedding computed by all layers below the last one, as a new
+    C-contiguous N x d array.
 
     For a single-layer network the embedding is the raw input.  Dropout is
     never applied here: the feature map is the frozen, deterministic part
     of the network.
+
+    The rows pass through the layers _FEATURE_BLOCK at a time, each block
+    written into its rows of the one preallocated output, so the layer
+    passes' temporaries are one block's, not N rows'.  The bits are those
+    of one pass over all rows: ``matmul`` makes the same additions in the
+    same order for any number of rows, and the bias and the activations act
+    on each row alone.  The lower-layer products are tallied once per call.
     """
     x = _check_input(net, x)
     if net.depth == 1:
         return x.copy()
-    for _, current in _layer_passes(net.layers[:-1], x):
-        pass
+    lower = net.layers[:-1]
+    out = np.empty((x.shape[0], lower[-1].spec.output_dim), dtype=np.float64)
+    for start in range(0, x.shape[0], _FEATURE_BLOCK):
+        for _, current in _layer_passes(lower, x[start : start + _FEATURE_BLOCK]):
+            pass
+        out[start : start + _FEATURE_BLOCK] = current
     _tally_lower_products(net.depth - 1)
-    return current
+    return out
 
 
 def one_hot_labels(targets: Matrix) -> np.ndarray:

@@ -161,10 +161,12 @@ class _CachedProblem:
     again on every call; softmax and loss then read its transposed view.
     The full-batch cross-entropy gradient is ``delta.T F`` with ``delta =
     (P - Y) / N``, formed as ``np.repeat(delta, d, axis=1)`` times F tiled
-    once per class (N x m d, built here) and summed down the sample axis
-    by one ``np.add.reduce`` from +0.0: the additions of ``matmul(delta.T,
-    F)`` in its order.  A single column (m d = 1) would be summed pairwise,
-    so that case, and every minibatch gradient, takes ``network.backprop``.
+    once per class (N x m d, built here), the product formed in place in
+    the repeated ``delta``, so each call allocates one N x m d array, and
+    summed down the sample axis by one ``np.add.reduce`` from +0.0: the
+    additions of ``matmul(delta.T, F)`` in its order.  A single column
+    (m d = 1) would be summed pairwise, so that case, and every minibatch
+    gradient, takes ``network.backprop``.
     The regularizer adds ``2 lam W`` to each gradient.
 
     The held-out features ``eval.x`` are the transposed view of a
@@ -246,7 +248,8 @@ class _CachedProblem:
             grad = (2.0 / self.n) * (matmul(w_eff, self.gram_feat) - self.cross.T)
         elif self.tiled is not None:
             delta = (trace.output - self.train.y) / self.n
-            prods = np.repeat(delta, w_eff.shape[1], axis=1) * self.tiled
+            prods = np.repeat(delta, w_eff.shape[1], axis=1)
+            prods *= self.tiled
             grad = np.add.reduce(prods, axis=0, initial=0.0).reshape(w_eff.shape)
         else:
             grad = backprop(point, self.train.x, self.train.y, self.loss, trace=trace).weights[0]

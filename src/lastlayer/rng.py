@@ -87,19 +87,36 @@ class Rng:
         return mix64(self._state)
 
     def uints(self, n: int) -> np.ndarray:
-        """n raw 64-bit outputs as a uint64 array."""
+        """n raw 64-bit outputs as a uint64 array.
+
+        The counters are mixed in place, each shift into one scratch array
+        of the same size, so a block of n draws holds two n-sized arrays at
+        most; uint64 arithmetic is exact modulo 2**64 in any grouping."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        z = np.arange(1, n + 1, dtype=np.uint64) * _GAMMA_U64 + np.uint64(self._state)
-        z = (z ^ (z >> _SHIFT30)) * _MIX1_U64
-        z = (z ^ (z >> _SHIFT27)) * _MIX2_U64
-        z = z ^ (z >> _SHIFT31)
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= _GAMMA_U64
+        z += np.uint64(self._state)
+        shifted = np.empty_like(z)
+        z ^= np.right_shift(z, _SHIFT30, out=shifted)
+        z *= _MIX1_U64
+        z ^= np.right_shift(z, _SHIFT27, out=shifted)
+        z *= _MIX2_U64
+        z ^= np.right_shift(z, _SHIFT31, out=shifted)
         self._state = (self._state + n * _GAMMA) & MASK64
         return z
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n doubles uniform on [0, 1), from the top 53 bits of each output."""
-        return (self.uints(n) >> _SHIFT11).astype(np.float64) * _UNIT
+        """n doubles uniform on [0, 1), from the top 53 bits of each output.
+
+        The shift runs in place on the raw outputs and the scaling in place
+        on the doubles; the top 53 bits convert exactly, so the result is
+        ``(uints(n) >> 11).astype(float64) * 2**-53`` bit for bit."""
+        z = self.uints(n)
+        z >>= _SHIFT11
+        u = z.astype(np.float64)
+        u *= _UNIT
+        return u
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normal deviates by Box-Muller, deviate i from uniforms
@@ -114,7 +131,9 @@ class Rng:
         """rows x cols matrix of uniforms on [low, high), filled row-major."""
         u = self.uniforms(rows * cols).reshape(rows, cols)
         if low != 0.0 or high != 1.0:
-            u = low + (high - low) * u
+            # low + (high - low) * u, in place: both operations commute exactly
+            u *= high - low
+            u += low
         return u
 
     def randbelow(self, bound: int) -> int:

@@ -237,6 +237,13 @@ class TestSplit:
         assert np.array_equal(sp.train.x, ds.x[perm[:14]])
         assert np.array_equal(sp.test.y, ds.y[perm[14:]])
 
+    def test_subset_shares_no_memory_with_the_source(self):
+        ds = gen_synthetic(30, seed=4)
+        for idx in (np.arange(30), [3, 1, 2], np.arange(0, 30, 2), [5]):
+            sub = ds.subset(idx)
+            assert not np.shares_memory(sub.x, ds.x) and not np.shares_memory(sub.y, ds.y)
+            assert np.array_equal(sub.x, ds.x[idx]) and np.array_equal(sub.y, ds.y[idx])
+
     def test_degenerate_sizes_rejected(self):
         ds = gen_synthetic(3, seed=11)
         with pytest.raises(ValueError):
@@ -288,6 +295,7 @@ class TestStandardize:
         out = apply_standardization(test, params)
         expected = (test.x - params.mean) / params.std
         assert np.array_equal(out.x, expected)
+        assert not np.shares_memory(out.x, test.x) and not np.shares_memory(out.y, test.y)
 
 
 class TestDatasetJson:

@@ -96,10 +96,11 @@ class TestConfig:
 
     def test_round_trip_every_field_through_json(self):
         # every field differs from its default, so a key that is not read
-        # back or not written out shows as a difference
+        # back or not written out shows as a difference; a csv dataset
+        # refuses n and seed, which the next test round-trips
         cfg = ExperimentConfig(
             dataset=DatasetSpec(
-                kind="csv", n=123, seed=7, path="data.csv", feature_columns=["a", "b"],
+                kind="csv", path="data.csv", feature_columns=["a", "b"],
                 target_columns=["c", "d"], has_header=False,
             ),
             split_fraction=0.6,
@@ -128,6 +129,13 @@ class TestConfig:
         assert doc["posttrain"]["grad_tol"] == 1e-9
         assert config_from_dict(doc) == cfg
 
+    def test_round_trip_synthetic_dataset_keys(self):
+        doc = tiny_config_doc(dataset={"kind": "synthetic", "n": 123, "seed": 7})
+        cfg = config_from_dict(doc)
+        again = config_from_dict(jsonio.loads(jsonio.dumps(config_to_dict(cfg))))
+        assert (again.dataset.n, again.dataset.seed) == (123, 7)
+        assert again == cfg
+
     def test_document_defaults(self):
         doc = tiny_config_doc()
         for key in ("standardize", "metric", "krr_convention", "seeds"):
@@ -142,7 +150,8 @@ class TestConfig:
             True, "rmse", "objective_consistent", [0], 0
         )
         assert cfg.layer_specs[0].has_bias
-        assert cfg.dataset == DatasetSpec(kind="synthetic", n=10000, seed=0, has_header=True)
+        assert cfg.dataset == DatasetSpec(kind="synthetic", n=10000, seed=0)
+        assert cfg.dataset.has_header is None
         assert cfg.train == TrainConfig(iterations=40, batch_size=20, lr0=0.02, lr_decay=1.0,
                                         weight_decay=0.0, seed=0, eval_every=100)
         assert cfg.posttrain == PostTrainConfig(
@@ -235,12 +244,33 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("path", "data.csv"), ("feature_columns", ["nonsense"]), ("target_columns", [0]),
+        ("has_header", True),
     ])
     def test_synthetic_dataset_rejects_csv_keys(self, key, value):
         doc = tiny_config_doc()
         doc["dataset"][key] = value
         with pytest.raises(ValueError, match=rf"dataset\.{key} applies only to a csv dataset"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [("n", 500), ("seed", 3)])
+    def test_csv_dataset_rejects_synthetic_keys(self, key, value):
+        doc = tiny_config_doc()
+        csv_dataset(**{key: value})(doc)
+        with pytest.raises(ValueError, match=rf"dataset\.{key} applies only to a synthetic dataset"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("kind", ["synthetic", "csv"])
+    def test_resolved_dataset_keeps_only_its_kinds_keys(self, kind):
+        doc = tiny_config_doc()
+        if kind == "csv":
+            csv_dataset()(doc)
+        resolved = config_to_dict(config_from_dict(doc))
+        spec = config_from_dict(jsonio.loads(jsonio.dumps(resolved))).dataset
+        unset = {key for key, value in resolved["dataset"].items() if value is None}
+        read = {"synthetic": {"kind", "n", "seed"},
+                "csv": {"kind", "path", "feature_columns", "target_columns", "has_header"}}[kind]
+        assert unset == set(resolved["dataset"]) - read
+        assert spec == config_from_dict(doc).dataset
 
     def test_numbers_are_read_by_field_type(self):
         doc = tiny_config_doc()
@@ -361,6 +391,25 @@ class TestRunExperiment:
             assert abs(row.optimal - zero_rmse) <= 0.02 * zero_rmse
             assert abs(row.posttrained - zero_rmse) <= 0.05 * zero_rmse
 
+    def test_data_preparation_peak_memory(self):
+        # the bundled synthetic config, 10000 rows of 10 inputs and 1
+        # target: no pass may hold more than 2.5 copies of the generated
+        # data, where copying each split part twice and keeping the source
+        # through standardization peaked at 3.35
+        from lastlayer.experiment import _materialize_data
+
+        text = resources.files("lastlayer.configs").joinpath("synthetic.json").read_text()
+        cfg = config_from_dict(jsonio.loads(text))
+        data_bytes = cfg.dataset.n * (10 + 1) * 8
+        _materialize_data(cfg, 0)  # warm up numpy's caches before measuring
+        tracemalloc.start()
+        try:
+            train_ds, test_ds = _materialize_data(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert train_ds.n + test_ds.n == cfg.dataset.n
+        assert peak < 2.5 * data_bytes
 
     def test_compare_rejects_a_non_one_hot_target_in_the_test_split(self, tmp_path):
         # no training step reads the held-out rows, so the loaded targets

@@ -7,6 +7,7 @@ nowhere else in the test.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from conftest import networks_bit_identical
 
 from lastlayer.linalg import DimensionMismatchError
 from lastlayer.network import (
+    _FEATURE_BLOCK,
     PROB_FLOOR,
     Layer,
     LayerSpec,
     Network,
+    _layer_passes,
     _mean_cross_entropies,
     _squared_errors,
     backprop,
@@ -31,6 +34,7 @@ from lastlayer.network import (
     network_from_dict,
     network_to_dict,
     one_hot_labels,
+    probe_lower_layer_products,
     replace_last_layer,
     save_network,
     softmax_rows,
@@ -157,6 +161,73 @@ class TestFeatureMap:
 
         z = matmul(feats, last.weights.T)
         assert np.array_equal(z, forward(net, x).output)
+
+
+def blocked_case_net(activation: str, has_bias: bool, seed: int = 21) -> Network:
+    """10 -> 10 -> 7 hidden layers of ``activation`` under a 1-output last
+    layer, with random biases when it has them."""
+    specs = [LayerSpec(10, 10, activation, has_bias), LayerSpec(10, 7, activation, has_bias),
+             LayerSpec(7, 1, "identity", has_bias=False)]
+    net = build_network(specs, seed)
+    rng = np.random.default_rng(seed)
+    for layer in net.layers:
+        if layer.bias is not None:
+            layer.bias[:] = rng.normal(scale=0.5, size=layer.bias.shape)
+    return net
+
+
+def one_pass_features(net: Network, x) -> np.ndarray:
+    """Every row through the layers below the last in one pass."""
+    for _, current in _layer_passes(net.layers[:-1], x):
+        pass
+    return current
+
+
+class TestBlockedFeatureMap:
+    """feature_map walks the rows _FEATURE_BLOCK at a time; its bits must be
+    those of one pass over all rows, whatever the row count."""
+
+    ROWS = [1, _FEATURE_BLOCK - 1, _FEATURE_BLOCK, _FEATURE_BLOCK + 1, 2 * _FEATURE_BLOCK + 3, 7000]
+
+    @pytest.mark.parametrize("has_bias", [True, False])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_equals_one_pass_bit_for_bit(self, rows, activation, has_bias):
+        net = blocked_case_net(activation, has_bias)
+        x = np.random.default_rng(rows).standard_normal((rows, 10))
+        x[:, 3] = -0.0
+        got = feature_map(net, x)
+        want = one_pass_features(net, x)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_tally_per_call(self):
+        net = blocked_case_net("tanh", True)
+        x = np.zeros((2 * _FEATURE_BLOCK + 3, 10))
+        with probe_lower_layer_products() as probe:
+            feature_map(net, x)
+        assert probe.lower_layer_products == net.depth - 1
+
+    def test_peak_memory_is_the_output_and_one_block(self):
+        # one block's working set: the block's output of the layer below,
+        # matmul's transposed operand, running sum, product and result, the
+        # biased pre-activations and the activations, with one to spare;
+        # one pass over all 7000 rows must need more, or no block was cut
+        net = blocked_case_net("tanh", True)
+        x = np.random.default_rng(5).standard_normal((7000, 10))
+        widest = max(layer.spec.output_dim for layer in net.layers)
+        bound = 7000 * net.layers[-2].spec.output_dim * 8 + 8 * _FEATURE_BLOCK * widest * 8
+        peaks = []
+        for features in (feature_map, one_pass_features):
+            features(net, x)  # warm up numpy's caches before measuring
+            tracemalloc.start()
+            try:
+                features(net, x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        blocked_peak, one_pass_peak = peaks
+        assert blocked_peak <= bound < one_pass_peak
 
 
 class TestLossEval:

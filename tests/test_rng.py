@@ -183,3 +183,30 @@ def test_mix64_avalanche_on_single_bit():
     assert mix64(1) != mix64(2)
     # the stream adds the increment before mixing, so state 0 never reaches mix64
     assert Rng(0).next_uint() != 0
+
+
+def expression_uints(seed: int, n: int) -> np.ndarray:
+    """The SplitMix64 block as whole-array expressions, each step a new array."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(seed & MASK64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
+    return z ^ (z >> np.uint64(31))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000, 100000])
+@pytest.mark.parametrize("seed", [0, 1, 123456789, 2**63 + 17, MASK64])
+def test_in_place_draws_equal_the_array_expressions(seed, n):
+    z = expression_uints(seed, n)
+    assert same_bits(Rng(seed).uints(n), z)
+    u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    assert same_bits(Rng(seed).uniforms(n), u)
+    cols = 10 if n % 10 == 0 else 1
+    grid = u.reshape(n // cols, cols)
+    assert same_bits(Rng(seed).uniform_matrix(n // cols, cols), grid)
+    low, high = -0.75, 2.5
+    assert same_bits(Rng(seed).uniform_matrix(n // cols, cols, low, high),
+                     low + (high - low) * grid)
