@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import jsonio
-from .linalg import Matrix
+from .linalg import Matrix, _check_finite
 from .rng import Rng, derive
 
 DATASET_FORMAT_VERSION = 1
@@ -62,8 +62,8 @@ class Dataset:
             )
         if self.x.shape[0] < 1:
             raise ValueError("dataset must contain at least one sample")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise ValueError("dataset contains non-finite values")
+        _check_finite(self.x, "dataset input")
+        _check_finite(self.y, "dataset target")
 
     @property
     def n(self) -> int:
@@ -155,6 +155,9 @@ def _resolve_columns(requested, header, width: int, what: str) -> list:
             if item not in header:
                 raise ValueError(f"{what} column {item!r} not found in header {header}")
             index = header.index(item)
+            if item in header[index + 1:]:
+                raise ValueError(f"{what} column {item!r} names both column {index} and column "
+                                 f"{header.index(item, index + 1)} of the header")
         if index in resolved:
             raise ValueError(f"{what} column {item!r} selects column {index} a second time")
         resolved.append(index)
@@ -168,11 +171,11 @@ def _column_request(item) -> str:
 def load_csv(path: str, feature_columns, target_columns, has_header: bool = True) -> Dataset:
     """Load a numeric comma-separated file into a Dataset.
 
-    Columns may be selected by name (requires a header) or 0-based index;
-    no column may be both a feature and a target.  Ragged rows and
-    non-numeric cells are reported with their 1-based line number.  Each
-    row's selected cells become floats as the row is read, so the file is
-    never held as text.
+    Columns may be selected by name (requires a header that names the
+    column once) or 0-based index; no column may be both a feature and a
+    target.  Ragged rows and non-numeric cells are reported with their
+    1-based line number.  Each row's selected cells become floats as the
+    row is read, so the file is never held as text.
     """
     # imported here: loading the extension module costs each process about
     # 0.1 MB of resident memory, and only a CSV read needs it
@@ -232,9 +235,10 @@ def save_csv(ds: Dataset, path: str) -> None:
     number as ``jsonio.format_float``'s ``%.17g``, which round-trips."""
     feature_names = ds.feature_names or [f"x{i}" for i in range(ds.input_dim)]
     target_names = ds.target_names or [f"y{i}" for i in range(ds.output_dim)]
+    # the arrays may have changed since the Dataset checked them
+    _check_finite(ds.x, "dataset input")
+    _check_finite(ds.y, "dataset target")
     table = np.hstack([ds.x, ds.y])
-    if not np.all(np.isfinite(table)):  # arrays changed since the Dataset checked them
-        raise ValueError("refusing to serialize non-finite values")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         np.savetxt(fh, table, fmt="%.17g", delimiter=",", comments="",
                    header=",".join(list(feature_names) + list(target_names)))

@@ -4,11 +4,13 @@ self-check suite.
 ``run_experiment`` trains a network along a single seeded trajectory,
 pausing at each checkpoint to branch three ways: keep training (classic),
 fine-tune the last layer on frozen features (post-training), and
-substitute the closed-form ridge-optimal last layer.  Each branch is
-scored on the held-out split and one comparison row is emitted per
-(seed, checkpoint).  A checkpoint's branch needs only its snapshot, so it
-may run in a forked worker while training goes on.  Everything is
-deterministic: the same config produces byte-identical CSV output.
+substitute the closed-form ridge-optimal last layer.  The three share the
+snapshot's lower layers, so the held-out split is embedded once per
+checkpoint and each last layer is scored on that embedding; one
+comparison row is emitted per (seed, checkpoint).  A checkpoint's branch
+needs only its snapshot, so it may run in a forked worker while training
+goes on.  Everything is deterministic: the same config produces
+byte-identical CSV output.
 
 ``check_suite`` re-verifies the package's numerical contracts (gradient
 correctness, Hessian structure, positive semidefiniteness, primal/dual
@@ -48,12 +50,8 @@ from .network import (
     loss_eval,
     one_hot_labels,
 )
-from .posttrain import (
-    PostTrainConfig,
-    effective_features,
-    post_train,
-    with_effective_last_weights,
-)
+from .posttrain import (PostTrainConfig, _last_layer_net, effective_features,
+                        effective_last_weights, post_train, with_effective_last_weights)
 from .rng import Rng, derive
 from .train import TrainConfig, classification_error, sgd_train
 from .workers import Worker
@@ -280,13 +278,6 @@ def rmse(output, targets) -> float:
     return math.sqrt(loss_eval("squared_error", output, targets))
 
 
-def _test_metric(cfg: ExperimentConfig, net: Network, test: Dataset) -> float:
-    out = forward(net, test.x).output
-    if cfg.metric == "rmse":
-        return rmse(out, test.y)
-    return classification_error(out, test.y)
-
-
 def _materialize_data(cfg: ExperimentConfig, run_seed: int):
     """Dataset, split and standardization for one run seed.
 
@@ -344,18 +335,22 @@ def _optimal_last_layer(cfg: ExperimentConfig, net: Network, train_ds: Dataset) 
 def _branch(cfg: ExperimentConfig, net: Network, train_ds: Dataset, test_ds: Dataset,
             pt_cfg: PostTrainConfig, run_seed: int, checkpoint: int) -> ComparisonRow:
     """The comparison row of the snapshot ``net`` taken at ``checkpoint``:
-    its own test metric, that of its post-trained last layer and, on squared
-    error, that of its closed-form last layer.  It reads nothing but its
-    arguments, so it can run in a worker while SGD goes on."""
-    classic = _test_metric(cfg, net, test_ds)
+    the test metric of its own last layer, of its post-trained one and, on
+    squared error, of its closed-form one, each scored on one embedding of
+    the test set with the bits of ``forward``: ``matmul`` adds in index
+    order whatever the shapes, and the folded bias column adds ``1.0 * b``
+    last, as ``forward`` adds ``+ b`` after its product.  It reads nothing
+    but its arguments, so it can run in a worker while SGD goes on."""
     tuned, _ = post_train(net, train_ds, pt_cfg, cfg.loss, evaluate=False)
-    posttrained = _test_metric(cfg, tuned, test_ds)
-    optimal = None
-    if cfg.loss == "squared_error":
-        best = _optimal_last_layer(cfg, net, train_ds)
-        optimal = _test_metric(cfg, best, test_ds)
-    return ComparisonRow(iterations=checkpoint, classic=classic, posttrained=posttrained,
-                         optimal=optimal, seed=run_seed)
+    best = _optimal_last_layer(cfg, net, train_ds) if cfg.loss == "squared_error" else None
+    feats = effective_features(net, test_ds.x)
+
+    def metric(arm: Network) -> float:
+        out = forward(_last_layer_net(arm, effective_last_weights(arm)), feats).output
+        return (rmse if cfg.metric == "rmse" else classification_error)(out, test_ds.y)
+
+    return ComparisonRow(iterations=checkpoint, classic=metric(net), posttrained=metric(tuned),
+                         optimal=None if best is None else metric(best), seed=run_seed)
 
 
 def _package_functions() -> dict:

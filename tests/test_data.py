@@ -1,5 +1,7 @@
 """Dataset generation, CSV ingestion, splitting and standardization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,24 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=r"target column .* selects column 1 a second time"):
             load_csv(str(path), ["x0"], targets)
 
+    @pytest.mark.parametrize("text, features, targets, message", [
+        ("a,a,b\n1,2,3\n", ["a"], ["b"], "feature column 'a' names both column 0 and column 1"),
+        ("b,a,x,a\n1,2,3,4\n", ["b"], ["a"], "target column 'a' names both column 1 and column 3"),
+    ])
+    def test_selected_name_that_the_header_repeats_is_rejected(self, tmp_path, text, features,
+                                                              targets, message):
+        path = tmp_path / "dup.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message + " of the header$"):
+            load_csv(str(path), features, targets)
+
+    def test_unselected_repeated_names_are_allowed(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("a,c,c,b,a\n1,2,3,4,5\n")
+        ds = load_csv(str(path), ["b"], [1])
+        assert ds.x.tolist() == [[4.0]] and ds.y.tolist() == [[2.0]]
+        assert ds.feature_names == ["b"] and ds.target_names == ["c"]
+
     @pytest.mark.parametrize(
         "features, targets, requests",
         [
@@ -201,11 +221,17 @@ class TestSaveCsv:
         save_csv(ds, str(path))
         assert path.read_bytes() == self.LOOP_BYTES
 
-    def test_refuses_values_made_non_finite_after_the_dataset_checked_them(self, tmp_path):
+    @pytest.mark.parametrize("field, row, col, value, message", [
+        ("x", 3, 7, np.inf, r"^dataset input has a non-finite entry inf at \(3, 7\)$"),
+        ("y", 2, 0, np.nan, r"^dataset target has a non-finite entry nan at \(2, 0\)$"),
+    ], ids=["input", "target"])
+    def test_refuses_values_made_non_finite_after_the_dataset_checked_them(
+            self, tmp_path, field, row, col, value, message):
         ds = gen_synthetic(5, seed=0)
-        ds.y[2, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
+        getattr(ds, field)[row, col] = value
+        with pytest.raises(ValueError, match=message):
             save_csv(ds, str(tmp_path / "nan.csv"))
+        assert not (tmp_path / "nan.csv").exists()
 
 
 class TestSplit:
@@ -317,6 +343,20 @@ class TestDatasetJson:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             Dataset(np.array([[np.nan]]), np.array([[1.0]]))
+
+    @pytest.mark.parametrize("field, row, col, value, message", [
+        ("x", 1, 2, "NaN", r"^dataset input has a non-finite entry nan at \(1, 2\)$"),
+        ("y", 2, 0, "-Infinity", r"^dataset target has a non-finite entry -inf at \(2, 0\)$"),
+    ], ids=["input", "target"])
+    def test_non_finite_json_entry_is_named_by_its_position(self, tmp_path, field, row, col,
+                                                             value, message):
+        # json.load accepts NaN and +-Infinity, so the Dataset is what refuses them
+        doc = dataset_to_dict(gen_synthetic(4, seed=18))
+        doc[field][row][col] = "@"
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(doc).replace('"@"', value))
+        with pytest.raises(ValueError, match=message):
+            load_dataset(str(path))
 
     def test_rejects_row_mismatch(self):
         with pytest.raises(ValueError, match="rows"):

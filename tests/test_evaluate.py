@@ -3,7 +3,11 @@
 the metrics reads, so weights, objectives, terminations and comparison rows
 are the same bits either way, and SGD's batch loss, taken from labels
 checked once per dataset, diverges at the same iteration as the checked
-loss."""
+loss.  ``run_experiment`` also embeds the test set once per branch and
+scores each arm's last layer on that embedding, with the bits of
+``network.forward`` on the arm."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +18,15 @@ import lastlayer.network as network_module
 import lastlayer.posttrain as posttrain_module
 import lastlayer.train as train_module
 from lastlayer.data import Dataset, gen_synthetic, save_csv
-from lastlayer.experiment import config_from_dict, prepare_run, rows_to_csv, run_experiment
-from lastlayer.network import LayerSpec, build_network, loss_and_gradients, one_hot_labels
+from lastlayer.experiment import (
+    ComparisonRow,
+    config_from_dict,
+    prepare_run,
+    rmse,
+    rows_to_csv,
+    run_experiment,
+)
+from lastlayer.network import LayerSpec, build_network, forward, loss_and_gradients, one_hot_labels
 from lastlayer.posttrain import MODES, PostTrainConfig, post_train
 from lastlayer.train import TrainConfig, TrainingDivergedError, _BatchStream, sgd_train
 
@@ -81,13 +92,15 @@ def evaluating(monkeypatch):
                             lambda *a, _real=real, **k: _real(*a, **{**k, "evaluate": True}))
 
 
-def counting_rows(monkeypatch, modules, name, position=0):
+def counting_rows(monkeypatch, modules, name, position=0, when=lambda *args: True):
     """Replace ``name`` in ``modules`` by a wrapper listing the row count of
-    each call's positional argument ``position``."""
+    each call's positional argument ``position``, for the calls whose
+    positional arguments ``when`` accepts."""
     rows, real = [], getattr(modules[0], name)
 
     def counting(*args, **kwargs):
-        rows.append(np.shape(args[position])[0])
+        if when(*args):
+            rows.append(np.shape(args[position])[0])
         return real(*args, **kwargs)
 
     for module in modules:
@@ -289,3 +302,54 @@ class TestRunExperiment:
         run_experiment(cfg)
         assert sorted(set(seen)) == [("post_train", False), ("sgd_train", False)]
         assert len(seen) == 8
+
+
+class TestOneTestEmbedding:
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_the_test_rows_pass_the_lower_layers_once_per_branch(self, loss, tmp_path,
+                                                                  monkeypatch):
+        # a pass is a feature_map call or a forward call on the whole
+        # network; scoring an arm forwards its last layer alone
+        cfg = compare_config(loss, "full_batch_backtracking", tmp_path)
+        test_rows = prepare_run(cfg, 0)[1].n
+        maps = counting_rows(monkeypatch, [network_module, posttrain_module], "feature_map", 1)
+        modules = [network_module, train_module, posttrain_module, experiment_module]
+        forwards = counting_rows(monkeypatch, modules, "forward", 1,
+                                 when=lambda net, *args: net.depth == len(cfg.layer_specs))
+        run_experiment(cfg)
+        branches = len(cfg.seeds) * len(cfg.checkpoints)
+        assert (maps.count(test_rows), forwards.count(test_rows)) == (branches, 0)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_biased_last_layer_scores_as_network_forward(self, jobs, tmp_path, monkeypatch):
+        # every arm's last layer has a bias, which the embedding folds in
+        # as a constant-1 column and forward adds after its product
+        cfg = compare_config("squared_error", "full_batch_backtracking", tmp_path)
+        hidden, last = cfg.layer_specs
+        cfg = replace(cfg, layer_specs=[hidden, replace(last, has_bias=True)])
+        arms = []  # snapshot, post-trained, closed form, branch by branch
+        post, optimal = experiment_module.post_train, experiment_module._optimal_last_layer
+
+        def capturing_post_train(net, *args, **kwargs):
+            tuned, metrics = post(net, *args, **kwargs)
+            arms.extend([net, tuned])
+            return tuned, metrics
+
+        def capturing_optimal(*args):
+            arms.append(optimal(*args))
+            return arms[-1]
+
+        monkeypatch.setattr(experiment_module, "post_train", capturing_post_train)
+        monkeypatch.setattr(experiment_module, "_optimal_last_layer", capturing_optimal)
+        run_experiment(cfg)
+        monkeypatch.undo()
+        assert all(np.all(arm.layers[-1].bias != 0.0) for arm in arms)
+        branches = [(seed, checkpoint) for seed in cfg.seeds for checkpoint in cfg.checkpoints]
+        assert len(arms) == 3 * len(branches)
+        expected = []
+        for index, (seed, checkpoint) in enumerate(branches):
+            test = prepare_run(cfg, seed)[1]
+            scores = [rmse(forward(arm, test.x).output, test.y)
+                      for arm in arms[3 * index:3 * index + 3]]
+            expected.append(ComparisonRow(checkpoint, *scores, seed))
+        assert rows_to_csv(run_experiment(cfg, jobs)) == rows_to_csv(expected)
