@@ -14,7 +14,6 @@ import gc
 import os
 import sys
 from dataclasses import replace
-from importlib import resources
 
 from . import jsonio
 from .data import gen_synthetic, save_csv, save_dataset
@@ -34,12 +33,10 @@ from .train import sgd_train
 
 
 def _load_config(args):
-    if args.config == "synthetic" or args.config == "parkinson":
-        text = resources.files("lastlayer.configs").joinpath(f"{args.config}.json").read_text()
-        doc = jsonio.loads(text)
-    else:
-        doc = jsonio.load(args.config)
-    cfg = config_from_dict(doc)
+    path = args.config
+    if path in ("synthetic", "parkinson"):
+        path = os.path.join(os.path.dirname(__file__), "configs", f"{path}.json")
+    cfg = config_from_dict(jsonio.load(path))
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seeds=[args.seed])
     return cfg

@@ -175,13 +175,15 @@ def load_csv(path: str, feature_columns, target_columns, has_header: bool = True
     column once) or 0-based index; no column may be both a feature and a
     target.  Ragged rows and non-numeric cells are reported with their
     1-based line number.  Each row's selected cells become floats as the
-    row is read, so the file is never held as text.
+    row is read, so the file is never held as text.  The file is read as
+    UTF-8; a leading byte-order mark, which spreadsheet exports write, is
+    skipped.
     """
     # imported here: loading the extension module costs each process about
     # 0.1 MB of resident memory, and only a CSV read needs it
     from array import array
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first is None:

@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from collections import deque
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -132,6 +132,8 @@ class ExperimentConfig:
             raise ValueError(f"metric must be one of {METRICS}")
         if not self.checkpoints:
             raise ValueError("at least one checkpoint is required")
+        if self.checkpoints[0] < 0:
+            raise ValueError(f"checkpoints must be >= 0, got {self.checkpoints[0]}")
         for a, b in zip(self.checkpoints, self.checkpoints[1:]):
             if b <= a:
                 raise ValueError("checkpoints must be strictly increasing")
@@ -465,15 +467,6 @@ class CheckResult:
     tolerance: float
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "max_error": self.max_error,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class CheckReport:
@@ -484,7 +477,7 @@ class CheckReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+        return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
     def summary(self) -> str:
         lines = []
@@ -644,8 +637,7 @@ def _check_gradients(seed: int) -> CheckResult:
     return CheckResult("gradient_vs_finite_differences", worst <= 1e-5, worst, 1e-5, detail)
 
 
-# doubles of perturbed weights that one pass of _fd_ce_hessian may hold,
-# unless a single row of the Hessian needs more
+# doubles of perturbed weights that one pass of _fd_ce_hessian may hold
 _FD_HESSIAN_STACK = 16384
 
 
@@ -654,33 +646,26 @@ def _fd_ce_hessian(inst: SoftmaxInstance):
 
     Entry (i, j >= i) differences four points: +-step at i, then +-step at
     j, in that order, so the diagonal's point holds ``(w + s_i) + s_j``.
-    Whole rows i are stacked, as many as keep the stack's points within
-    _FD_HESSIAN_STACK doubles (at least one row), and each stack runs
-    through one ``@`` / ``np.max`` / ``np.exp`` / ``np.sum`` pass with
-    ``ce_value``'s arithmetic applied per point (``_fd_ce_entries``).
-    Every point's value is computed from its own weights alone, so each
-    entry equals the difference of four separately built instances
-    whatever the stacking.  The cap bounds the memory: one stack of every
-    row of a 6 x 8 instance would hold 4 x 1176 points of 48 weights,
-    about 1.8 MB.
+    The upper triangle's pairs (i, j), in ``np.triu_indices`` order, are
+    stacked as many as keep the stack's points within _FD_HESSIAN_STACK
+    doubles, and each stack runs through one ``@`` / ``np.max`` /
+    ``np.exp`` / ``np.sum`` pass with ``ce_value``'s arithmetic applied
+    per point (``_fd_ce_entries``).  Every point's value is computed from
+    its own weights alone, so each entry equals the difference of four
+    separately built instances whatever the stacking.  The cap bounds the
+    memory: one stack of every pair of a 6 x 8 instance would hold
+    4 x 1176 points of 48 weights, about 1.8 MB.  The Hessian itself is
+    allocated only after the last stack is freed.
     """
-    m, n = inst.w.shape
-    size = m * n
+    size = inst.w.size
     if not np.all(np.isfinite(inst.w)):
         raise ValueError("instance contains non-finite entries")
+    rows, cols = np.triu_indices(size)
+    chunk = _FD_HESSIAN_STACK // (4 * size)
+    entries = np.concatenate([_fd_ce_entries(inst, rows[i:i + chunk], cols[i:i + chunk], 1e-4)
+                              for i in range(0, len(rows), chunk)])
     hess = np.zeros((size, size))
-    step = 1e-4
-    start = 0
-    while start < size:
-        stop = start + 1
-        pairs = size - start
-        while stop < size and 4 * (pairs + size - stop) * size <= _FD_HESSIAN_STACK:
-            pairs += size - stop
-            stop += 1
-        rows = np.repeat(np.arange(start, stop), size - np.arange(start, stop))
-        cols = np.concatenate([np.arange(i, size) for i in range(start, stop)])
-        hess[rows, cols] = hess[cols, rows] = _fd_ce_entries(inst, rows, cols, step)
-        start = stop
+    hess[rows, cols] = hess[cols, rows] = entries
     return hess
 
 
@@ -691,13 +676,11 @@ def _fd_ce_entries(inst: SoftmaxInstance, rows: np.ndarray, cols: np.ndarray,
     at rows[p], then at cols[p].  Every array made here is freed on return,
     before the next stack is built."""
     m, n = inst.w.shape
-    count = 4 * len(rows)
-    points = np.tile(inst.w.reshape(-1), (count, 1))
-    signs = np.tile([[step, step], [step, -step], [-step, step], [-step, -step]], (len(rows), 1))
-    stacked = np.arange(count)
-    points[stacked, np.repeat(rows, 4)] += signs[:, 0]
-    points[stacked, np.repeat(cols, 4)] += signs[:, 1]
-    z = points.reshape(count, m, n) @ inst.x
+    pairs = np.arange(len(rows))
+    points = np.tile(inst.w.reshape(-1), (4 * len(rows), 1)).reshape(len(rows), 4, -1)
+    points[pairs, :, rows] += [step, step, -step, -step]
+    points[pairs, :, cols] += [step, -step, step, -step]
+    z = points.reshape(-1, m, n) @ inst.x
     del points  # so that the softmax temporaries below never sit beside it
     top = np.max(z, axis=1)
     values = (np.log(np.sum(np.exp(z - top[:, None]), axis=1)) + top
@@ -899,14 +882,17 @@ def convexity_statistics(seed: int = 0) -> dict:
     for _ in range(_CONVEXITY_INSTANCES):
         inst = _random_softmax_instance(rng)
         eigs.append(min_eigenvalue_symmetric(ce_hessian(inst)))
-    arr = np.array(eigs)
+    ordered = np.sort(eigs)
+    half = _CONVEXITY_INSTANCES // 2
     return {
         "instances": _CONVEXITY_INSTANCES,
-        "min": float(arr.min()),
-        "median": float(np.median(arr)),
-        "max": float(arr.max()),
+        "min": float(ordered[0]),
+        # np.median's bits for an even count, without the numpy.ma import
+        # that np.median costs a process
+        "median": float((ordered[half - 1] + ordered[half]) / 2),
+        "max": float(ordered[-1]),
         "all_above": -1e-10,
-        "passed": bool(arr.min() >= -1e-10),
+        "passed": bool(ordered[0] >= -1e-10),
     }
 
 

@@ -14,11 +14,13 @@ from typing import Any
 
 
 def format_float(x: float) -> str:
-    """Render a double as a decimal literal that parses back bit-exactly."""
+    """Render a double as a decimal literal that parses back bit-exactly;
+    negative zero is written ``-0.0``, as ``-0`` would parse as the integer 0."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"refusing to serialize non-finite value {x!r}")
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    return "-0.0" if text == "-0" else text
 
 
 def _render(obj: Any, indent: int | None, level: int) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -509,10 +509,7 @@ def replace_last_layer(net: Network, weights: Matrix, bias=None) -> Network:
 
 def layer_to_dict(layer: Layer) -> dict:
     return {
-        "input_dim": layer.spec.input_dim,
-        "output_dim": layer.spec.output_dim,
-        "activation": layer.spec.activation,
-        "has_bias": layer.spec.has_bias,
+        **asdict(layer.spec),
         "weights": layer.weights.tolist(),
         "bias": None if layer.bias is None else layer.bias.tolist(),
     }

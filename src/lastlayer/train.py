@@ -12,7 +12,7 @@ bit-identical to an uninterrupted one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -90,15 +90,6 @@ class MetricPoint:
     train_error: Optional[float] = None
     test_error: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "train_loss": self.train_loss,
-            "test_loss": self.test_loss,
-            "train_error": self.train_error,
-            "test_error": self.test_error,
-        }
-
 
 @dataclass
 class MetricsSeries:
@@ -119,7 +110,7 @@ class MetricsSeries:
         return [p.train_loss for p in self.points]
 
     def to_jsonl(self) -> str:
-        return "".join(jsonio.dumps(p.to_dict()) + "\n" for p in self.points)
+        return "".join(jsonio.dumps(asdict(p)) + "\n" for p in self.points)
 
     def to_csv(self) -> str:
         def cell(v):

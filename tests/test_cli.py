@@ -400,20 +400,41 @@ class TestProcessEntryPoint:
         skip_unless_made_here()
         assert got == (GOLDEN / "check_seed0.json").read_bytes()
 
+    def assert_never_imports(self, packages, args, cwd, flags=(), env=None):
+        """No module of ``packages`` is imported by ``python *flags -m
+        lastlayer.cli *args`` in a child; a package that such a child
+        importing numpy alone imports is not checked."""
+        def imports(*argv):
+            child = subprocess.run([sys.executable, *flags, "-X", "importtime", *argv], cwd=cwd,
+                                   env=env or _child_env(), capture_output=True, text=True,
+                                   timeout=300)
+            assert child.returncode == 0, child.stderr
+            names = {line.rpartition("|")[2].strip() for line in child.stderr.splitlines()}
+            return {p for p in packages if any(n == p or n.startswith(p + ".") for n in names)}
+
+        checked = set(packages) - imports("-c", "import numpy")
+        if not checked:
+            pytest.skip(f"this numpy imports {packages} itself")
+        assert imports("-m", "lastlayer.cli", *args) & checked == set()
+
     @pytest.mark.parametrize("args", [["check", "--seed", "0", "--out", "r.json"],
                                       ["check", "--convexity"]])
     def test_check_never_loads_numpy_random(self, tmp_path, args):
         # every draw comes from lastlayer.rng; importing numpy.random would
-        # raise each check process's peak memory by about 5.6 MB
-        def imports(*argv):
-            child = subprocess.run([sys.executable, "-X", "importtime", *argv], cwd=tmp_path,
-                                   env=_child_env(), capture_output=True, text=True, timeout=300)
-            assert child.returncode == 0, child.stderr
-            return child.stderr
+        # raise each check process's peak memory by about 5.6 MB, and
+        # numpy.ma, which np.median imports, by about 0.8 MB
+        self.assert_never_imports(("numpy.random", "numpy.ma"), args, tmp_path)
 
-        if "numpy.random" in imports("-c", "import numpy"):
-            pytest.skip("this numpy loads numpy.random on import")
-        assert "numpy.random" not in imports("-m", "lastlayer.cli", *args)
+    @pytest.mark.parametrize("args", [["train", "--config", "synthetic", "--out", "out"],
+                                      ["check", "--convexity"]])
+    def test_no_command_loads_importlib_resources(self, tmp_path, args):
+        # bundled configs are read through jsonio.load; importlib.resources
+        # would bring about 25 stdlib modules into the process.  Run without
+        # the site module, whose .pth hooks may import it first, and with
+        # this process's module path spelt out.
+        env = _child_env()
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [env["PYTHONPATH"], *sys.path]))
+        self.assert_never_imports(("importlib.resources",), args, tmp_path, ("-S",), env)
 
     def test_failing_command_exits_non_zero_with_its_error(self, tmp_path):
         child = self.run_module("compare", "--config", "missing.json", "--out", "out", cwd=tmp_path)

@@ -65,6 +65,17 @@ class TestLoadCsv:
         assert ds.feature_names == ["a", "b"]
         assert ds.target_names == ["c"]
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet exports start UTF-8 files with a byte-order mark
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfx0,y0\n1,2\n")
+        ds = load_csv(str(path), ["x0"], ["y0"])
+        assert ds.feature_names == ["x0"]
+        assert np.array_equal(ds.x, [[1.0]]) and np.array_equal(ds.y, [[2.0]])
+        path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+        ds = load_csv(str(path), [0], [1], has_header=False)
+        assert np.array_equal(ds.x, [[1.0], [3.0]]) and np.array_equal(ds.y, [[2.0], [4.0]])
+
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("a,b\n1,2\n3\n")

@@ -292,6 +292,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="increasing"):
             config_from_dict(tiny_config_doc(checkpoints=[20, 20]))
 
+    def test_checkpoints_not_negative(self):
+        with pytest.raises(ValueError, match=r"checkpoints must be >= 0, got -5"):
+            config_from_dict(tiny_config_doc(checkpoints=[-5, 10]))
+        assert config_from_dict(tiny_config_doc(checkpoints=[0, 10])).checkpoints == [0, 10]
+
     def test_checkpoints_within_budget(self):
         with pytest.raises(ValueError, match="exceed"):
             config_from_dict(tiny_config_doc(checkpoints=[20, 80]))
@@ -790,7 +795,7 @@ class TestFiniteDifferenceHessian:
 
     def test_matches_per_point_loop_on_every_size_bit_for_bit(self, monkeypatch):
         # sizes run from 2 (2 x 1) to 48 (6 x 8); a 6 x 8 instance needs
-        # several stacks of rows
+        # several stacks
         stacks = []
         real_entries = experiment._fd_ce_entries
 
@@ -908,3 +913,19 @@ class TestConvexityStatistics:
         stats = convexity_statistics(seed=0)
         assert stats["passed"]
         assert stats["min"] >= -1e-10
+
+    def test_median_is_np_median_bit_for_bit(self, monkeypatch):
+        # the median is taken from np.sort, which does not import numpy.ma
+        eigs = []
+        real = experiment.min_eigenvalue_symmetric
+
+        def recording(a):
+            eigs.append(real(a))
+            return eigs[-1]
+
+        monkeypatch.setattr(experiment, "min_eigenvalue_symmetric", recording)
+        for seed in range(60):
+            eigs.clear()
+            median = convexity_statistics(seed=seed)["median"]
+            assert len(eigs) == 100
+            assert np.float64(median).tobytes() == np.median(eigs).tobytes()

@@ -16,8 +16,14 @@ The bytes also depend on the machine: numpy's exp, log and tanh kernels,
 and the log1p and cos of ``Rng.normals``, may differ in the last bit
 between the SIMD extensions they dispatch to, and
 the synthetic data and the Cholesky solve run on BLAS.  So
-``environment.json`` records where the copies were made, and the cases
-are skipped, naming the difference, elsewhere.
+``environment.json`` lists where the copies were made, first, and every
+other machine where each case produced them byte for byte, and the cases
+are skipped, naming the difference from the first, elsewhere.  On a new
+machine
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
+runs every case and adds the machine to that list if no byte differs.
 """
 
 import json
@@ -179,10 +185,11 @@ CASES = {
 
 
 def skip_unless_made_here():
-    made = json.loads((GOLDEN / "environment.json").read_text())
+    checked = json.loads((GOLDEN / "environment.json").read_text())
     here = environment()
-    differ = sorted(key for key in made.keys() | here.keys() if made.get(key) != here.get(key))
-    if differ:
+    if here not in checked:
+        made = checked[0]
+        differ = sorted(key for key in made.keys() | here.keys() if made.get(key) != here.get(key))
         pytest.skip(f"golden bytes were made where {', '.join(differ)} differ from this machine's")
 
 
@@ -214,9 +221,21 @@ def test_compare_bytes_do_not_depend_on_the_cpus(name, tmp_path, capsys, monkeyp
 if __name__ == "__main__":
     import tempfile
 
+    check = sys.argv[1:] == ["--check"]
+    checked = json.loads((GOLDEN / "environment.json").read_text()) if check else []
     GOLDEN.mkdir(exist_ok=True)
-    (GOLDEN / "environment.json").write_text(json.dumps(environment(), indent=2) + "\n")
+    differ = []
     for name, produce in CASES.items():
         with tempfile.TemporaryDirectory() as work:
-            (GOLDEN / name).write_bytes(produce(Path(work)))
-        print(f"wrote {GOLDEN / name}", file=sys.stderr)
+            got = produce(Path(work))
+        if not check:
+            (GOLDEN / name).write_bytes(got)
+            print(f"wrote {GOLDEN / name}", file=sys.stderr)
+        elif got != (GOLDEN / name).read_bytes():
+            differ.append(name)
+            print(f"differs: {GOLDEN / name}", file=sys.stderr)
+    if differ:
+        sys.exit(1)
+    if environment() not in checked:
+        checked.append(environment())
+    (GOLDEN / "environment.json").write_text(json.dumps(checked, indent=2) + "\n")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lastlayer.jsonio import dumps, format_float, loads
+from lastlayer.network import LayerSpec, build_network, network_from_dict, network_to_dict
 
 
 def test_format_float_round_trips_exactly():
@@ -14,6 +15,19 @@ def test_format_float_round_trips_exactly():
     values = list(rng.standard_normal(1000)) + [0.1, 1e-300, 1e300, -0.0, 2.0**-1074]
     for v in values:
         assert float(format_float(float(v))) == float(v)
+        # as JSON, too, where "-0" would read back as the integer 0
+        assert np.float64(loads(format_float(float(v)))).tobytes() == np.float64(v).tobytes()
+
+
+def test_network_keeps_the_sign_of_a_zero_weight():
+    net = build_network([LayerSpec(2, 2, "tanh"), LayerSpec(2, 1, "identity", has_bias=False)],
+                        seed=0)
+    net.layers[0].weights[0, 1] = -0.0
+    net.layers[0].bias[1] = -0.0
+    again = network_from_dict(loads(dumps(network_to_dict(net))))
+    assert again.layers[0].weights.tobytes() == net.layers[0].weights.tobytes()
+    # the other bias entry starts at +0.0
+    assert again.layers[0].bias.tobytes() == net.layers[0].bias.tobytes()
 
 
 def test_format_float_rejects_non_finite():
