@@ -11,6 +11,7 @@ compares both against continued training on held-out data.
 
 import os
 import sys
+import types
 
 # Load OpenBLAS with one thread unless the caller chose a count or numpy is
 # already loaded.  `matmul` is its own loop and never calls BLAS, and the only
@@ -92,63 +93,7 @@ from .train import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComparisonRow",
-    "Dataset",
-    "DimensionMismatchError",
-    "ExperimentConfig",
-    "ForwardTrace",
-    "Gradients",
-    "KrrSolution",
-    "Layer",
-    "LayerSpec",
-    "Matrix",
-    "MetricPoint",
-    "MetricsSeries",
-    "Network",
-    "NotPositiveDefiniteError",
-    "NotSymmetricError",
-    "PostTrainConfig",
-    "SoftmaxInstance",
-    "Split",
-    "TrainConfig",
-    "TrainingDivergedError",
-    "backprop",
-    "build_network",
-    "ce_hessian",
-    "ce_value",
-    "check_suite",
-    "class_probs",
-    "config_from_dict",
-    "config_to_dict",
-    "effective_features",
-    "feature_map",
-    "forward",
-    "gen_synthetic",
-    "gram",
-    "krr_solve",
-    "load_csv",
-    "load_dataset",
-    "load_network",
-    "loss_eval",
-    "matmul",
-    "min_eigenvalue_symmetric",
-    "p_matrix",
-    "post_train",
-    "posttrain_objective",
-    "replace_last_layer",
-    "ridge_solve",
-    "rkhs_norm_bound",
-    "rmse",
-    "rows_to_csv",
-    "run_experiment",
-    "save_csv",
-    "save_dataset",
-    "save_network",
-    "sgd_train",
-    "solve_spd",
-    "split",
-    "sq_frobenius",
-    "standardize",
-    "with_effective_last_weights",
-]
+# every public name the imports above bind; the package's submodules, which
+# importing them binds too, are not part of it
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

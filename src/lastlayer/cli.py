@@ -109,12 +109,12 @@ def cmd_krr(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
     out = _ensure_out(args.out)
-    rows = run_experiment(cfg, jobs=_cpus())
+    text = rows_to_csv(run_experiment(cfg, jobs=_cpus()))
     csv_path = os.path.join(out, "comparison.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(rows_to_csv(rows))
+        fh.write(text)
     jsonio.dump(config_to_dict(cfg), os.path.join(out, "resolved_config.json"))
-    print(rows_to_csv(rows), end="")
+    print(text, end="")
     print(f"wrote {csv_path}")
     return 0
 

@@ -92,16 +92,12 @@ def ce_hessian(inst: SoftmaxInstance) -> Matrix:
     """Full Hessian of ce_value with respect to the flattened weight matrix.
 
     Index layout: weight entry (m, n) maps to flat index m * N + n, so the
-    Hessian block (m, p) equals P[m,p] * x x^T.
+    Hessian is the Kronecker product of P and x x^T: block (m, p) equals
+    P[m,p] * x x^T.
     """
-    m = inst.n_classes
-    n = inst.x.shape[0]
-    size = m * n
+    size = inst.w.size
     if size > MAX_HESSIAN_SIZE:
         raise ValueError(
             f"explicit Hessian guard: M*N = {size} exceeds {MAX_HESSIAN_SIZE}"
         )
-    coupling = p_matrix(inst)
-    outer = np.multiply.outer(inst.x, inst.x)
-    hess = coupling[:, None, :, None] * outer[None, :, None, :]
-    return hess.reshape(size, size)
+    return np.kron(p_matrix(inst), np.multiply.outer(inst.x, inst.x))

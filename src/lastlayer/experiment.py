@@ -461,11 +461,19 @@ def rows_to_csv(rows) -> str:
 
 @dataclass
 class CheckResult:
+    """One self-check's verdict: it passes when ``max_error <= tolerance``,
+    so a NaN error fails.  ``passed`` is declared second so that the
+    report's JSON keys keep the order name, passed, max_error, tolerance,
+    detail."""
+
     name: str
-    passed: bool
+    passed: bool = field(init=False)
     max_error: float
     tolerance: float
     detail: str = ""
+
+    def __post_init__(self):
+        self.passed = self.max_error <= self.tolerance
 
 
 @dataclass
@@ -634,7 +642,7 @@ def _check_gradients(seed: int) -> CheckResult:
         ) / scale
         worst = max(worst, err)
     detail = f"{redrawn} draw(s) replaced: a difference crossed a relu kink" if redrawn else ""
-    return CheckResult("gradient_vs_finite_differences", worst <= 1e-5, worst, 1e-5, detail)
+    return CheckResult("gradient_vs_finite_differences", worst, 1e-5, detail)
 
 
 # doubles of perturbed weights that one pass of _fd_ce_hessian may hold
@@ -715,9 +723,9 @@ def _check_softmax_curvature(seed: int):
         off = np.sum(np.abs(coupling), axis=1) - np.abs(np.diag(coupling))
         worst_dom = max(worst_dom, float(np.max(np.abs(off - np.diag(coupling)))))
     return [
-        CheckResult("softmax_hessian_vs_finite_differences", worst_fd <= 1e-4, worst_fd, 1e-4),
-        CheckResult("softmax_hessian_psd", worst_eig <= 1e-10, worst_eig, 1e-10),
-        CheckResult("softmax_coupling_diagonal_dominance", worst_dom <= 1e-12, worst_dom, 1e-12),
+        CheckResult("softmax_hessian_vs_finite_differences", worst_fd, 1e-4),
+        CheckResult("softmax_hessian_psd", worst_eig, 1e-10),
+        CheckResult("softmax_coupling_diagonal_dominance", worst_dom, 1e-12),
     ]
 
 
@@ -751,9 +759,9 @@ def _check_kernel_identities(seed: int) -> list:
             # negative spectrum relative to the mean diagonal, per the PSD contract
             worst_psd = max(worst_psd, max(0.0, -min_eig) / (float(np.trace(k)) / n))
     return [
-        CheckResult("primal_dual_push_through", worst_push <= 1e-8, worst_push, 1e-8),
-        CheckResult("representer_predictions_agree", worst_repr <= 1e-8, worst_repr, 1e-8),
-        CheckResult("gram_positive_semidefinite", worst_psd <= 1e-8, worst_psd, 1e-8),
+        CheckResult("primal_dual_push_through", worst_push, 1e-8),
+        CheckResult("representer_predictions_agree", worst_repr, 1e-8),
+        CheckResult("gram_positive_semidefinite", worst_psd, 1e-8),
     ]
 
 
@@ -772,7 +780,7 @@ def _check_norm_bound(seed: int) -> CheckResult:
         w = z[(n + rank) * d:]
         proj, full = rkhs_norm_bound(w, feats)
         worst = max(worst, proj - full)
-    return CheckResult("span_norm_never_exceeds_l2", worst <= 1e-10, worst, 1e-10)
+    return CheckResult("span_norm_never_exceeds_l2", worst, 1e-10)
 
 
 def _stacked_objectives(feats: np.ndarray, w: np.ndarray, y: np.ndarray,
@@ -832,9 +840,9 @@ def _check_posttrain(seed: int) -> list:
     ).reshape(3, 100)
     worst_midpoint = max(0.0, float(np.max(j_mid - (j_a + j_b) / 2.0)))
     return [
-        CheckResult("posttrain_objective_monotone", worst_increase <= 0.0, worst_increase, 0.0),
-        CheckResult("posttrain_frozen_layers_bit_identical", frozen_diff == 0.0, frozen_diff, 0.0),
-        CheckResult("posttrain_objective_midpoint_convex", worst_midpoint <= 1e-10, worst_midpoint, 1e-10),
+        CheckResult("posttrain_objective_monotone", worst_increase, 0.0),
+        CheckResult("posttrain_frozen_layers_bit_identical", frozen_diff, 0.0),
+        CheckResult("posttrain_objective_midpoint_convex", worst_midpoint, 1e-10),
     ]
 
 
@@ -851,7 +859,7 @@ def _check_solver(seed: int) -> CheckResult:
         x = solve_spd(a, b)
         residual = float(np.max(np.abs(a @ x - b)))
         worst = max(worst, residual / (1.0 + float(np.max(np.abs(b)))))
-    return CheckResult("spd_solve_residual", worst <= 1e-8, worst, 1e-8)
+    return CheckResult("spd_solve_residual", worst, 1e-8)
 
 
 def check_suite(seed: int = 0) -> CheckReport:

@@ -149,7 +149,7 @@ def sq_frobenius(a: Matrix) -> float:
 
 def max_abs(a: Matrix) -> float:
     a = np.asarray(a, dtype=np.float64)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.max(np.abs(a), initial=0.0))
 
 
 def _check_finite(a: Matrix, name: str) -> Matrix:
@@ -170,7 +170,7 @@ def check_symmetric(a: Matrix, name: str = "matrix") -> Matrix:
         raise DimensionMismatchError(f"{name} must be square, got {a.shape}")
     _check_finite(a, name)
     scale = max(max_abs(a), 1.0)
-    skew = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+    skew = max_abs(a - a.T)
     if skew > _SYMMETRY_RTOL * scale:
         raise NotSymmetricError(
             f"{name} is not symmetric: max|a - a.T| = {skew:.3e} exceeds "

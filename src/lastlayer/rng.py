@@ -130,10 +130,10 @@ class Rng:
     def uniform_matrix(self, rows: int, cols: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """rows x cols matrix of uniforms on [low, high), filled row-major."""
         u = self.uniforms(rows * cols).reshape(rows, cols)
-        if low != 0.0 or high != 1.0:
-            # low + (high - low) * u, in place: both operations commute exactly
-            u *= high - low
-            u += low
+        # low + (high - low) * u, in place: both operations commute exactly,
+        # and on [0, 1) they leave every bit of u as it is
+        u *= high - low
+        u += low
         return u
 
     def randbelow(self, bound: int) -> int:

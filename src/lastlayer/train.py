@@ -12,7 +12,7 @@ bit-identical to an uninterrupted one.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -113,15 +113,13 @@ class MetricsSeries:
         return "".join(jsonio.dumps(asdict(p)) + "\n" for p in self.points)
 
     def to_csv(self) -> str:
-        def cell(v):
-            return "" if v is None else jsonio.format_float(v)
-
-        lines = ["iteration,train_loss,test_loss,train_error,test_error"]
+        """One column per ``MetricPoint`` field, in declaration order; an
+        unset value is an empty cell."""
+        names = [f.name for f in fields(MetricPoint)]
+        lines = [",".join(names)]
         for p in self.points:
-            lines.append(
-                f"{p.iteration},{jsonio.format_float(p.train_loss)},"
-                f"{cell(p.test_loss)},{cell(p.train_error)},{cell(p.test_error)}"
-            )
+            values = (getattr(p, name) for name in names)
+            lines.append(",".join("" if v is None else jsonio.dumps(v) for v in values))
         return "\n".join(lines) + "\n"
 
     def write_jsonl(self, path: str) -> None:

@@ -182,6 +182,9 @@ class TestTrainCommands(object):
         assert frozen["checkpoints"] == [10, 30]
 
 
+# compare forks its workers from a process whose OpenBLAS may hold a thread
+# pool
+@pytest.mark.blas_threads
 class TestCompareWorkers:
     """compare forks as many workers as the CPUs it may use; ``_cpus`` is
     replaced here to run it with one and with two."""
@@ -314,6 +317,9 @@ def _blas_probe(modules, **variables):
     return probe["threads"]
 
 
+# numpy's bundled OpenBLAS must load with the one thread `import lastlayer`
+# asks for and honour a thread count the caller set
+@pytest.mark.numpy_floor
 class TestBlasThreadDefault:
     def test_import_loads_one_blas_thread(self):
         assert _blas_probe(["lastlayer"]) == 1

@@ -269,6 +269,9 @@ class TestPostTrain:
 class TestRunExperiment:
     @pytest.mark.parametrize("loss", LOSSES)
     @pytest.mark.parametrize("mode", MODES)
+    # the forked branches post-train with evaluate=False, in workers forked
+    # from a process whose OpenBLAS may hold a thread pool
+    @pytest.mark.blas_threads
     def test_rows_are_those_of_evaluate_true(self, loss, mode, tmp_path, monkeypatch):
         cfg = compare_config(loss, mode, tmp_path)
         rows = rows_to_csv(run_experiment(cfg, jobs=2))
@@ -304,6 +307,9 @@ class TestRunExperiment:
         assert len(seen) == 8
 
 
+# the three last layers are scored on one embedding of the test set, in a
+# worker or in process, and must keep the bits of forward on each network
+@pytest.mark.blas_threads
 class TestOneTestEmbedding:
     @pytest.mark.parametrize("loss", LOSSES)
     def test_the_test_rows_pass_the_lower_layers_once_per_branch(self, loss, tmp_path,

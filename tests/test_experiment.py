@@ -4,10 +4,12 @@ protocol, output determinism, and the self-check suite's sensitivity."""
 import functools
 import importlib.util
 import json
+import math
 import os
 import re
 import time
 import tracemalloc
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from lastlayer import experiment, jsonio
 from lastlayer.convexity import SoftmaxInstance, ce_value
 from lastlayer.data import CsvFormatError, Dataset
 from lastlayer.experiment import (
+    CheckResult,
     ComparisonRow,
     DatasetSpec,
     ExperimentConfig,
@@ -475,6 +478,9 @@ class InlineWorker:
             self.pid = None
 
 
+# compare forks its branch workers from a process whose OpenBLAS may hold a
+# thread pool
+@pytest.mark.blas_threads
 class TestParallelBranches:
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_rows_are_those_of_the_serial_loop(self, jobs):
@@ -668,6 +674,16 @@ class TestCheckSuite:
         assert lines[-1].startswith("overall:")
 
 
+class TestCheckResult:
+    @pytest.mark.parametrize("max_error, passed", [
+        (0.0, True), (1e-5, True), (math.nextafter(1e-5, 1.0), False), (float("nan"), False),
+    ])
+    def test_passes_when_the_error_is_within_tolerance(self, max_error, passed):
+        result = CheckResult("c", max_error, 1e-5)
+        assert result.passed is passed
+        assert list(asdict(result)) == ["name", "passed", "max_error", "tolerance", "detail"]
+
+
 def loop_fd_ce_hessian(inst, step=1e-4):
     """_fd_ce_hessian before its stacked evaluation: four separately built
     instances per entry; kept as its oracle."""
@@ -739,6 +755,9 @@ def params_bytes(net):
     return [a.tobytes() for layer in net.layers for a in (layer.weights, layer.bias) if a is not None]
 
 
+# the stacked finite-difference gradient rests on np.sum and np.mean along a
+# contiguous row of a stack adding as they add that row alone
+@pytest.mark.numpy_floor
 class TestFiniteDifferenceGradient:
     def assert_matches_loop(self, loss, net, x, y, want=None):
         before = params_bytes(net)
@@ -779,6 +798,10 @@ class TestFiniteDifferenceGradient:
         assert params_bytes(net) == before
 
 
+# the stacked Hessian rests on numpy's batched @ computing each stacked point
+# as it computes that point alone, and that @ may call BLAS
+@pytest.mark.numpy_floor
+@pytest.mark.blas_threads
 class TestFiniteDifferenceHessian:
     def test_matches_per_point_loop_bit_for_bit(self):
         rng = Rng(8)
@@ -880,6 +903,11 @@ def loop_midpoint_gap(seed):
     return worst
 
 
+# the stacked midpoint objectives rest on np.sum(axis=(1, 2)) adding each
+# stack item as a lone np.sum would, and run through a product that may
+# call BLAS
+@pytest.mark.numpy_floor
+@pytest.mark.blas_threads
 class TestMidpointCheck:
     def test_stacked_objectives_match_per_call_objective_bit_for_bit(self):
         rng = np.random.default_rng(12)
@@ -914,6 +942,8 @@ class TestConvexityStatistics:
         assert stats["passed"]
         assert stats["min"] >= -1e-10
 
+    # rests on the mean of np.sort's two middle values having np.median's bits
+    @pytest.mark.numpy_floor
     def test_median_is_np_median_bit_for_bit(self, monkeypatch):
         # the median is taken from np.sort, which does not import numpy.ma
         eigs = []

@@ -39,6 +39,9 @@ from lastlayer import cli
 from lastlayer.cli import main
 from lastlayer.data import Dataset, gen_synthetic, save_csv
 
+# output bytes must not depend on the number of BLAS threads
+pytestmark = pytest.mark.blas_threads
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 

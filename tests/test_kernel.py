@@ -8,7 +8,6 @@ optimality of the fine-tuning objective for the dual solve.
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import lastlayer.kernel as kernel_mod
 from lastlayer.kernel import (
@@ -215,6 +214,10 @@ class TestRkhsNormBound:
         assert full == pytest.approx(5.0, rel=1e-12)
 
     def test_rank_deficient_matches_min_norm_oracle(self):
+        # imported here, so that a run without scipy that deselects this
+        # test (the numpy_floor CI leg) still collects the module
+        import scipy.linalg
+
         rng = np.random.default_rng(14)
         for _ in range(10):
             rank = 2

@@ -20,6 +20,11 @@ from lastlayer.linalg import (
     sq_frobenius,
 )
 
+# matmul's bits rest on the order in which numpy's add.reduce and
+# add.accumulate add: its single-block reduce of a (k, m, n) array along
+# axis 0 from initial +0.0, and its block loop
+pytestmark = pytest.mark.numpy_floor
+
 
 def naive_matmul(a, b):
     m, k = a.shape

@@ -192,6 +192,10 @@ class TestBlockedFeatureMap:
     @pytest.mark.parametrize("has_bias", [True, False])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     @pytest.mark.parametrize("rows", ROWS)
+    # rests on matmul's reduce order being the same for a block of rows as
+    # for all of them, and on the bias and the activations acting on each row
+    # alone
+    @pytest.mark.numpy_floor
     def test_equals_one_pass_bit_for_bit(self, rows, activation, has_bias):
         net = blocked_case_net(activation, has_bias)
         x = np.random.default_rng(rows).standard_normal((rows, 10))
@@ -300,6 +304,9 @@ class TestLossEval:
             loss_eval("cross_entropy", np.array([[0.9, 0.3]]), targets)
 
 
+# the stacked losses rest on np.sum and np.mean along a contiguous row of a
+# stack adding as they add that row alone as a 1-D array
+@pytest.mark.numpy_floor
 class TestStackedLosses:
     """The stacked loss arithmetic against ``loss_eval`` on each batch of
     the stack alone, bit for bit: np.sum and np.mean add a contiguous row
@@ -475,6 +482,8 @@ def softmax_probabilities(width: int, n: int = 60):
     return probs, np.eye(width)[rng.integers(0, width, size=n)]
 
 
+# softmax_rows' bits rest on the order in which np.sum adds a narrow row
+@pytest.mark.numpy_floor
 class TestSoftmax:
     @pytest.mark.parametrize("width", range(1, 13))
     def test_bits_match_the_row_reductions(self, width):
@@ -611,6 +620,9 @@ class TestSerialization:
             load_network(str(path))
 
 
+# the flat label gather rests on np.mean of a 1-D array adding as it adds a
+# contiguous row
+@pytest.mark.numpy_floor
 class TestFlatLabelGather:
     @pytest.mark.parametrize("width", range(1, 13))
     @pytest.mark.parametrize("n", [60, 3500])

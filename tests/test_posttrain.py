@@ -428,6 +428,9 @@ class TestPostTrain:
             assert np.array_equal(before.weights, after.weights)
 
 
+# the class-major gradient rests on add.reduce of an (N, m d) array along
+# axis 0 from initial +0.0 adding row by row
+@pytest.mark.numpy_floor
 class TestClassMajorCrossEntropy:
     """The class-major objective, its trace and the tiled full-batch
     gradient against ``forward`` + ``mean_cross_entropy`` + ``backprop`` on

@@ -8,6 +8,11 @@ import pytest
 
 from lastlayer.rng import MASK64, Rng, derive, mix64
 
+# the stream rests on uint64 array arithmetic wrapping modulo 2**64 without a
+# warning, and on uint64 scalars keeping uint64 arrays uint64 under numpy
+# 1.24's value-based casting as under 2.x's NEP 50 promotion
+pytestmark = pytest.mark.numpy_floor
+
 _GAMMA = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB

@@ -15,6 +15,10 @@ from lastlayer.linalg import NotPositiveDefiniteError
 from lastlayer.train import TrainingDivergedError
 from lastlayer.workers import RemoteTraceback, Worker, WorkerDiedError
 
+# compare forks its workers from a process whose OpenBLAS may hold a thread
+# pool, and a worker forked while that pool holds a lock could hang
+pytestmark = pytest.mark.blas_threads
+
 
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
