@@ -19,6 +19,7 @@ from . import jsonio
 from .data import gen_synthetic, save_csv, save_dataset
 from .experiment import (
     check_suite,
+    closed_form_fit,
     config_from_dict,
     config_to_dict,
     convexity_statistics,
@@ -26,9 +27,9 @@ from .experiment import (
     rows_to_csv,
     run_experiment,
 )
-from .kernel import ridge_solve, save_solution
-from .network import check_loss_pairing, load_network, save_network
-from .posttrain import effective_features, post_train, with_effective_last_weights
+from .kernel import solution_to_dict
+from .network import check_loss_pairing, load_network, network_to_dict
+from .posttrain import post_train
 from .train import sgd_train
 
 
@@ -42,11 +43,6 @@ def _load_config(args):
     return cfg
 
 
-def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def cmd_gen_data(args) -> int:
     ds = gen_synthetic(args.n, args.seed)
     if args.out.endswith(".csv"):
@@ -57,66 +53,71 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    out = _ensure_out(args.out)
+def _config_command(run):
+    """A config command: ``run(cfg, args)`` returns its files, by name, and
+    its stdout message; only then are ``--out`` and every file written,
+    ``resolved_config.json`` last, so a failing command writes nothing.  A
+    ``str`` is written as UTF-8 text, anything else through ``jsonio.dump``."""
+
+    def command(args) -> int:
+        cfg = _load_config(args)
+        files, message = run(cfg, args)
+        files["resolved_config.json"] = config_to_dict(cfg)
+        os.makedirs(args.out, exist_ok=True)
+        for name, content in files.items():
+            path = os.path.join(args.out, name)
+            if isinstance(content, str):
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(content)
+            else:
+                jsonio.dump(content, path)
+        print(message)
+        return 0
+
+    return command
+
+
+@_config_command
+def cmd_train(cfg, args):
     train_ds, test_ds, net, train_cfg, _ = prepare_run(cfg, cfg.seeds[0])
     net, metrics = sgd_train(net, train_ds, train_cfg, cfg.loss, eval_data=test_ds)
-    save_network(net, os.path.join(out, "network.json"))
-    metrics.write_jsonl(os.path.join(out, "metrics.jsonl"))
-    metrics.write_csv(os.path.join(out, "metrics.csv"))
-    jsonio.dump(config_to_dict(cfg), os.path.join(out, "resolved_config.json"))
-    print(f"trained {train_cfg.iterations} iterations; outputs in {out}")
-    return 0
+    files = {"network.json": network_to_dict(net), "metrics.jsonl": metrics.to_jsonl(),
+             "metrics.csv": metrics.to_csv()}
+    return files, f"trained {train_cfg.iterations} iterations; outputs in {args.out}"
 
 
-def cmd_post_train(args) -> int:
-    cfg = _load_config(args)
-    out = _ensure_out(args.out)
+@_config_command
+def cmd_post_train(cfg, args):
     train_ds, test_ds, _, _, pt_cfg = prepare_run(cfg, cfg.seeds[0])
     net = load_network(args.network)
     tuned, metrics = post_train(net, train_ds, pt_cfg, cfg.loss, eval_data=test_ds)
-    save_network(tuned, os.path.join(out, "network_posttrained.json"))
-    metrics.write_jsonl(os.path.join(out, "posttrain_metrics.jsonl"))
-    metrics.write_csv(os.path.join(out, "posttrain_metrics.csv"))
-    jsonio.dump(config_to_dict(cfg), os.path.join(out, "resolved_config.json"))
+    files = {"network_posttrained.json": network_to_dict(tuned),
+             "posttrain_metrics.jsonl": metrics.to_jsonl(),
+             "posttrain_metrics.csv": metrics.to_csv()}
     stopped = f" ({metrics.termination})" if metrics.termination else ""
-    print(f"fine-tuned last layer for {metrics.points[-1].iteration} iterations{stopped}; "
-          f"outputs in {out}")
-    return 0
+    return files, (f"fine-tuned last layer for {metrics.points[-1].iteration} iterations"
+                   f"{stopped}; outputs in {args.out}")
 
 
-def cmd_krr(args) -> int:
-    cfg = _load_config(args)
+@_config_command
+def cmd_krr(cfg, args):
     if cfg.loss != "squared_error":
         raise ValueError(
             f"krr fits the squared-error last layer in closed form; the config's loss is {cfg.loss!r}"
         )
     net = load_network(args.network)
     check_loss_pairing(net, cfg.loss)
-    out = _ensure_out(args.out)
     train_ds, *_ = prepare_run(cfg, cfg.seeds[0])
-    feats = effective_features(net, train_ds.x)
-    solution = ridge_solve(feats, train_ds.y, cfg.posttrain.lam, cfg.krr_convention)
-    save_solution(solution, os.path.join(out, "krr_solution.json"))
-    best = with_effective_last_weights(net, solution.weights.T)
-    save_network(best, os.path.join(out, "network_optimal.json"))
-    jsonio.dump(config_to_dict(cfg), os.path.join(out, "resolved_config.json"))
-    print(f"closed-form solve done (N={train_ds.n}); outputs in {out}")
-    return 0
+    solution, best = closed_form_fit(cfg, net, train_ds)
+    files = {"krr_solution.json": solution_to_dict(solution),
+             "network_optimal.json": network_to_dict(best)}
+    return files, f"closed-form solve done (N={train_ds.n}); outputs in {args.out}"
 
 
-def cmd_compare(args) -> int:
-    cfg = _load_config(args)
-    out = _ensure_out(args.out)
+@_config_command
+def cmd_compare(cfg, args):
     text = rows_to_csv(run_experiment(cfg, jobs=_cpus()))
-    csv_path = os.path.join(out, "comparison.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    jsonio.dump(config_to_dict(cfg), os.path.join(out, "resolved_config.json"))
-    print(text, end="")
-    print(f"wrote {csv_path}")
-    return 0
+    return {"comparison.csv": text}, text + f"wrote {os.path.join(args.out, 'comparison.csv')}"
 
 
 def cmd_check(args) -> int:

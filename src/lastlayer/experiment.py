@@ -328,10 +328,16 @@ def prepare_run(cfg: ExperimentConfig, run_seed: int):
     return train_ds, test_ds, net, train_cfg, pt_cfg
 
 
-def _optimal_last_layer(cfg: ExperimentConfig, net: Network, train_ds: Dataset) -> Network:
+def closed_form_fit(cfg: ExperimentConfig, net: Network, train_ds: Dataset):
+    """``(solution, net with it as last layer)``: the squared-error ridge
+    solution for ``net``'s last layer on its frozen features of ``train_ds``."""
     feats = effective_features(net, train_ds.x)
     solution = ridge_solve(feats, train_ds.y, cfg.posttrain.lam, cfg.krr_convention)
-    return with_effective_last_weights(net, solution.weights.T)
+    return solution, with_effective_last_weights(net, solution.weights.T)
+
+
+def _optimal_last_layer(cfg: ExperimentConfig, net: Network, train_ds: Dataset) -> Network:
+    return closed_form_fit(cfg, net, train_ds)[1]
 
 
 def _branch(cfg: ExperimentConfig, net: Network, train_ds: Dataset, test_ds: Dataset,

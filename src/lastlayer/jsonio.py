@@ -67,10 +67,23 @@ def dump(obj: Any, path: str) -> None:
         fh.write("\n")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """An object's members; a repeated key, which ``json`` keeps the last of, raises."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def loads(text: str) -> Any:
-    return json.loads(text)
+    return _DECODER.decode(text)
 
 
 def load(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return loads(fh.read())

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jsonio
 from .linalg import DimensionMismatchError, Matrix, matmul, solve_spd, sq_frobenius
 from .network import Layer, LayerSpec, layer_to_dict
 
@@ -154,8 +153,10 @@ def rkhs_norm_bound(w_column: np.ndarray, features: Matrix) -> tuple:
 
 
 def solution_to_dict(sol: KrrSolution) -> dict:
-    """Serialize with the last layer in the network layer format, so the
-    solved weights can be substituted directly into a saved network; its
+    """Serialize with the last layer in the network layer format.  That layer
+    acts on the effective features, with a bias folded in as the last
+    column, so it is no drop-in last layer of a biased network: substitute
+    ``network_optimal.json``, which ``lastlayer krr`` writes beside it.  Its
     activation is "identity", the one output squared error pairs with."""
     d_feat, d_out = sol.weights.shape
     last = Layer(LayerSpec(d_feat, d_out, "identity", has_bias=False), sol.weights.T)
@@ -167,8 +168,3 @@ def solution_to_dict(sol: KrrSolution) -> dict:
         "last_layer": layer_to_dict(last),
         "dual_coef": sol.dual_coef.tolist(),
     }
-
-
-def save_solution(sol: KrrSolution, path: str) -> None:
-    """Write ``solution_to_dict(sol)`` to ``path`` as JSON."""
-    jsonio.dump(solution_to_dict(sol), path)

@@ -122,14 +122,6 @@ class MetricsSeries:
             lines.append(",".join("" if v is None else jsonio.dumps(v) for v in values))
         return "\n".join(lines) + "\n"
 
-    def write_jsonl(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
-
 
 class _Samples(NamedTuple):
     """Inputs and targets that a loss is taken on, and under cross_entropy

@@ -155,6 +155,29 @@ class TestTrainCommands(object):
                 main(["krr", "--config", config, "--network", str(net_path), "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "post-train", "krr", "compare"])
+    def test_missing_dataset_csv_names_it_and_writes_nothing(self, tmp_path, command):
+        # every config command computes before it writes, so a run that
+        # fails on its data leaves no --out behind
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        missing = str(tmp_path / "absent.csv")
+        doc["dataset"] = {"kind": "csv", "path": missing, "feature_columns": list(range(10)),
+                          "target_columns": [10]}
+        path = tmp_path / "csv.json"
+        path.write_text(json.dumps(doc))
+        net_path = tmp_path / "net.json"
+        save_network(build_network([LayerSpec(10, 5, "tanh"), LayerSpec(5, 1, "identity")], 3),
+                     str(net_path))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(path), "--out", str(out)]
+        if command in ("post-train", "krr"):
+            argv += ["--network", str(net_path)]
+        with pytest.raises(FileNotFoundError) as err:
+            main(argv)
+        assert missing in str(err.value)
+        assert "tabular datasets are not bundled" in str(err.value)
+        assert not out.exists()
+
     def test_compare_byte_identical_across_runs(self, tmp_path, config_path):
         dir_a = tmp_path / "a"
         dir_b = tmp_path / "b"
@@ -180,6 +203,21 @@ class TestTrainCommands(object):
         frozen = jsonio.load(str(out / "resolved_config.json"))
         assert frozen["train"]["lr0"] == 0.02
         assert frozen["checkpoints"] == [10, 30]
+
+    def test_one_layer_config_round_trips_its_empty_dropout_list(self, tmp_path):
+        # a network with no hidden layer takes no keep probability
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc["network"]["layers"] = [
+            {"input_dim": 10, "output_dim": 1, "activation": "identity", "has_bias": True}
+        ]
+        doc["train"]["dropout_keep"] = []
+        path = tmp_path / "linear.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "linear"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+        text = (out / "resolved_config.json").read_text()
+        assert '"dropout_keep": [],' in text
+        assert config_from_dict(jsonio.loads(text)) == config_from_dict(doc)
 
 
 # compare forks its workers from a process whose OpenBLAS may hold a thread

@@ -1,6 +1,7 @@
 """Dataset generation, CSV ingestion, splitting and standardization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -375,3 +376,20 @@ class TestDatasetJson:
     def test_rejects_row_mismatch(self):
         with pytest.raises(ValueError, match="rows"):
             Dataset(np.zeros((3, 2)), np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda path: Dataset(np.zeros(3), np.zeros((3, 1))), "dataset matrices must be 2-D"),
+    (lambda path: Dataset(np.zeros((0, 2)), np.zeros((0, 1))),
+     "dataset must contain at least one sample"),
+    (lambda path: gen_synthetic(0), "n must be >= 1"),
+    (lambda path: load_csv(path, [0, 5], [2], has_header=False),
+     "feature column index 5 out of range [0, 3)"),
+    (lambda path: load_csv(path, ["a"], [2], has_header=False),
+     "feature column 'a' requested by name but the file has no header"),
+])
+def test_refuses(tmp_path, make, message):
+    path = tmp_path / "plain.csv"
+    path.write_text("1,2,3\n4,5,6\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make(str(path))

@@ -9,7 +9,7 @@ import os
 import re
 import time
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
@@ -92,6 +92,21 @@ def tiny_config_doc(**overrides):
 
 
 class TestConfig:
+    @pytest.mark.parametrize("make, message", [
+        (lambda cfg: DatasetSpec(kind="parquet"),
+         "dataset kind must be 'synthetic' or 'csv', got 'parquet'"),
+        (lambda cfg: DatasetSpec(kind="csv"), "csv dataset requires a path"),
+        (lambda cfg: replace(cfg, metric="mae"),
+         "metric must be one of ('rmse', 'classification_error')"),
+        (lambda cfg: replace(cfg, checkpoints=[]), "at least one checkpoint is required"),
+        (lambda cfg: replace(cfg, metric="classification_error"),
+         "classification_error metric requires cross_entropy loss"),
+    ])
+    def test_refuses(self, make, message):
+        cfg = config_from_dict(tiny_config_doc())
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make(cfg)
+
     def test_round_trip(self):
         cfg = config_from_dict(tiny_config_doc())
         again = config_from_dict(config_to_dict(cfg))

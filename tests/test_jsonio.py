@@ -2,11 +2,13 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lastlayer.jsonio import dumps, format_float, loads
+import lastlayer
+from lastlayer.jsonio import dumps, format_float, load, loads
 from lastlayer.network import LayerSpec, build_network, network_from_dict, network_to_dict
 
 
@@ -58,3 +60,27 @@ def test_rejects_unserializable():
         dumps({"x": object()})
     with pytest.raises(TypeError):
         dumps({1: "non-string key"})
+
+
+def test_dumps_renders_empty_containers():
+    doc = {"list": [], "object": {}}
+    assert dumps(doc) == '{"list": [],"object": {}}'
+    assert dumps(doc, indent=2) == '{\n  "list": [],\n  "object": {}\n}'
+    assert loads(dumps(doc, indent=2)) == doc
+
+
+@pytest.mark.parametrize("text", ['{"a": 1, "a": 2}', '{"outer": [{"b": 1, "c": 2, "b": 3}]}'])
+def test_loads_refuses_a_repeated_key(text):
+    with pytest.raises(ValueError, match="repeated key '[ab]'"):
+        loads(text)
+
+
+def test_load_refuses_a_config_that_sets_a_key_twice(tmp_path):
+    # json alone would keep the last value and read checkpoints [250, 500, 750]
+    bundled = Path(lastlayer.__file__).parent / "configs" / "synthetic.json"
+    text = bundled.read_text(encoding="utf-8")
+    assert text.count('"checkpoints":') == 1
+    path = tmp_path / "twice.json"
+    path.write_text(text.replace('"checkpoints":', '"checkpoints": [10, 20],\n  "checkpoints":'))
+    with pytest.raises(ValueError, match="repeated key 'checkpoints'"):
+        load(str(path))

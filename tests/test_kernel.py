@@ -243,6 +243,11 @@ class TestRkhsNormBound:
             proj, full = rkhs_norm_bound(w, feats)
             assert proj <= full + 1e-10
 
+    def test_zero_features_project_nothing(self):
+        # rank 0: no sample spans a direction, so the projected norm is 0
+        w = np.array([3.0, -4.0])
+        assert rkhs_norm_bound(w, np.zeros((5, 2))) == (0.0, 5.0)
+
 
 class TestSerialization:
     def test_layer_block_matches_network_format(self):

@@ -7,6 +7,7 @@ nowhere else in the test.
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -578,6 +579,25 @@ class TestStructure:
         net = build_network(specs, 0)
         bound = math.sqrt(6.0 / 7.0)
         assert float(np.max(np.abs(net.layers[0].weights))) <= bound
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: LayerSpec(0, 2, "tanh"), ValueError, "layer dimensions must be >= 1"),
+        (lambda: LayerSpec(2, 0, "tanh"), ValueError, "layer dimensions must be >= 1"),
+        (lambda: LayerSpec(2, 2, "sigmoid"), ValueError,
+         "unknown activation 'sigmoid'; expected one of ('identity', 'tanh', 'relu', 'softmax')"),
+        (lambda: Layer(LayerSpec(2, 3, "tanh", has_bias=False), np.zeros((2, 3))),
+         DimensionMismatchError, "layer weights must be (3, 2), got (2, 3)"),
+        (lambda: Layer(LayerSpec(2, 3, "tanh"), np.zeros((3, 2))), ValueError,
+         "layer spec requires a bias vector"),
+        (lambda: Layer(LayerSpec(2, 3, "tanh"), np.zeros((3, 2)), np.zeros(2)),
+         DimensionMismatchError, "bias must have length 3, got (2,)"),
+        (lambda: Layer(LayerSpec(2, 3, "tanh", has_bias=False), np.zeros((3, 2)), np.zeros(3)),
+         ValueError, "layer spec has has_bias=False but a bias was given"),
+        (lambda: Network([]), ValueError, "a network needs at least one layer"),
+    ])
+    def test_refuses(self, make, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            make()
 
 
 class TestSerialization:

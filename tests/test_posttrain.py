@@ -2,6 +2,7 @@
 monotone descent and its early stops, divergence, convexity along
 segments, and agreement with the closed-form ridge optimum."""
 
+import re
 import warnings
 
 import numpy as np
@@ -627,6 +628,16 @@ class TestConfig:
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="mode"):
             PostTrainConfig(lam=1e-3, iterations=1, mode="sgd")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("grad_tol", -1e-9, "grad_tol must be nonnegative"),
+        ("iterations", -1, "iterations must be >= 0"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("lr", 0.0, "lr must be positive"),
+    ])
+    def test_refuses(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PostTrainConfig(**{"lam": 1e-3, field: value})
 
 
 class TestIterationCost:

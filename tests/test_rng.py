@@ -2,6 +2,7 @@
 independent scalar implementation and check the statistical basics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,3 +216,14 @@ def test_in_place_draws_equal_the_array_expressions(seed, n):
     low, high = -0.75, 2.5
     assert same_bits(Rng(seed).uniform_matrix(n // cols, cols, low, high),
                      low + (high - low) * grid)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: derive(0, True), TypeError, "bool is not a valid stream label"),
+    (lambda: derive(0, 1.5), TypeError, "stream label must be int or str, got float"),
+    (lambda: Rng(0).uints(-1), ValueError, "n must be nonnegative"),
+    (lambda: Rng(0).randbelow(0), ValueError, "bound must be positive"),
+])
+def test_refuses(make, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        make()

@@ -1,6 +1,8 @@
 """Minibatch SGD: determinism, resumability, the ridge closed form as a
 convergence oracle, dropout statistics, and the metrics series."""
 
+import re
+
 import numpy as np
 import pytest
 from conftest import networks_bit_identical
@@ -255,6 +257,35 @@ class TestDropout:
         mask = _dropout_masks(net, cfg, 3, 20)[0]
         assert set(np.unique(mask)).issubset({0.0, 2.0})
 
+    def test_a_kept_layer_draws_nothing_beside_a_dropped_one(self):
+        # the 1.0 layer's mask is None and takes no draw, so the other
+        # layer's mask is the one drawn first under [p, 1.0]
+        net = build_network([LayerSpec(4, 6, "tanh"), LayerSpec(6, 6, "relu"),
+                             LayerSpec(6, 1, "identity", has_bias=False)], 31)
+
+        def masks(keep):
+            cfg = TrainConfig(iterations=1, batch_size=5, lr0=0.1, dropout_keep=keep, seed=32)
+            return _dropout_masks(net, cfg, 2, 5)
+
+        late, early = masks([1.0, 0.5]), masks([0.5, 1.0])
+        assert late[0] is None and early[1] is None
+        assert np.array_equal(late[1], early[0])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("iterations", -1, "iterations must be >= 0"),
+    ("batch_size", 0, "batch_size must be >= 1"),
+    ("lr0", 0.0, "lr0 must be positive"),
+    ("lr_decay", 0.0, "lr_decay must lie in (0, 1]"),
+    ("weight_decay", -1e-3, "weight_decay must be nonnegative"),
+    ("eval_every", 0, "eval_every must be >= 1"),
+    ("dropout_keep", [1.0, 0.0], "dropout keep probabilities must lie in (0, 1]"),
+])
+def test_train_config_refuses(field, value, message):
+    args = {"iterations": 10, "batch_size": 5, "lr0": 0.1, field: value}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrainConfig(**args)
+
 
 class TestMetricsSeries:
     def test_strictly_increasing_iterations_enforced(self):
@@ -282,10 +313,3 @@ class TestMetricsSeries:
         assert text[0] == "iteration,train_loss,test_loss,train_error,test_error"
         assert text[1] == "5,1,,,"
 
-    def test_write_files(self, tmp_path):
-        series = MetricsSeries()
-        series.append(MetricPoint(1, 0.5, test_loss=0.7))
-        series.write_csv(str(tmp_path / "m.csv"))
-        series.write_jsonl(str(tmp_path / "m.jsonl"))
-        assert (tmp_path / "m.csv").read_text().startswith("iteration,")
-        assert (tmp_path / "m.jsonl").read_text().count("\n") == 1
