@@ -34,9 +34,7 @@ from .data import (
     Split,
     gen_synthetic,
     load_csv,
-    load_dataset,
     save_csv,
-    save_dataset,
     split,
     standardize,
 )

@@ -1,28 +1,34 @@
 """Command-line interface.
 
-Subcommands mirror the library surface: generate data, train, fine-tune
-the last layer, solve the closed form, run the three-way comparison, and
-run the self-check suite.  Commands that take a config read the same JSON
-document format; ``--seed`` overrides the run seeds and ``--out`` selects
-the output directory.
+Subcommands mirror the library surface: generate data (as CSV), train,
+fine-tune the last layer, solve the closed form, run the three-way
+comparison, and run the self-check suite.  Commands that take a config
+read the same JSON document format; ``--seed`` overrides the run seeds and
+``--out`` selects the output directory, where ``resolved_config.json``
+re-runs what ran: ``compare`` runs every seed, the other config commands
+the first one alone, and a ``--network`` must have the config's layers.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 from . import jsonio
-from .data import gen_synthetic, save_csv, save_dataset
+from .data import gen_synthetic, save_csv
 from .experiment import (
+    _materialize_data,
     check_suite,
     closed_form_fit,
     config_from_dict,
     config_to_dict,
     convexity_statistics,
+    for_run_seed,
     prepare_run,
     rows_to_csv,
     run_experiment,
@@ -44,23 +50,26 @@ def _load_config(args):
 
 
 def cmd_gen_data(args) -> int:
+    if not args.out.endswith(".csv"):
+        raise ValueError(f"gen-data writes CSV only; --out {args.out!r} does not end in .csv")
     ds = gen_synthetic(args.n, args.seed)
-    if args.out.endswith(".csv"):
-        save_csv(ds, args.out)
-    else:
-        save_dataset(ds, args.out)
+    save_csv(ds, args.out)
     print(f"wrote {ds.n} samples to {args.out}")
     return 0
 
 
-def _config_command(run):
+def _config_command(run, every_seed=False):
     """A config command: ``run(cfg, args)`` returns its files, by name, and
     its stdout message; only then are ``--out`` and every file written,
     ``resolved_config.json`` last, so a failing command writes nothing.  A
-    ``str`` is written as UTF-8 text, anything else through ``jsonio.dump``."""
+    ``str`` is written as UTF-8 text, anything else through ``jsonio.dump``.
+    Unless ``every_seed``, the command runs the config's first seed alone,
+    and the resolved config names that seed alone."""
 
     def command(args) -> int:
         cfg = _load_config(args)
+        if not every_seed:
+            cfg = replace(cfg, seeds=cfg.seeds[:1])
         files, message = run(cfg, args)
         files["resolved_config.json"] = config_to_dict(cfg)
         os.makedirs(args.out, exist_ok=True)
@@ -77,6 +86,17 @@ def _config_command(run):
     return command
 
 
+def _refuse_other_layers(cfg, net, path: str) -> None:
+    """ValueError naming the first layer where ``net``, read from ``path``,
+    differs from the config's ``network.layers``, which the resolved config
+    records as the network that ran."""
+    specs = [layer.spec for layer in net.layers]
+    for index, (spec, wanted) in enumerate(itertools.zip_longest(specs, cfg.layer_specs)):
+        if spec != wanted:
+            raise ValueError(f"--network {path!r} layer {index} is {spec or 'absent'}, "
+                             f"but the config's network.layers[{index}] is {wanted or 'absent'}")
+
+
 @_config_command
 def cmd_train(cfg, args):
     train_ds, test_ds, net, train_cfg, _ = prepare_run(cfg, cfg.seeds[0])
@@ -88,8 +108,10 @@ def cmd_train(cfg, args):
 
 @_config_command
 def cmd_post_train(cfg, args):
-    train_ds, test_ds, _, _, pt_cfg = prepare_run(cfg, cfg.seeds[0])
+    train_ds, test_ds = _materialize_data(cfg, cfg.seeds[0])
     net = load_network(args.network)
+    _refuse_other_layers(cfg, net, args.network)
+    pt_cfg = for_run_seed(cfg.posttrain, cfg.seeds[0])
     tuned, metrics = post_train(net, train_ds, pt_cfg, cfg.loss, eval_data=test_ds)
     files = {"network_posttrained.json": network_to_dict(tuned),
              "posttrain_metrics.jsonl": metrics.to_jsonl(),
@@ -107,14 +129,15 @@ def cmd_krr(cfg, args):
         )
     net = load_network(args.network)
     check_loss_pairing(net, cfg.loss)
-    train_ds, *_ = prepare_run(cfg, cfg.seeds[0])
+    train_ds, _ = _materialize_data(cfg, cfg.seeds[0])
+    _refuse_other_layers(cfg, net, args.network)
     solution, best = closed_form_fit(cfg, net, train_ds)
     files = {"krr_solution.json": solution_to_dict(solution),
              "network_optimal.json": network_to_dict(best)}
     return files, f"closed-form solve done (N={train_ds.n}); outputs in {args.out}"
 
 
-@_config_command
+@partial(_config_command, every_seed=True)
 def cmd_compare(cfg, args):
     text = rows_to_csv(run_experiment(cfg, jobs=_cpus()))
     return {"comparison.csv": text}, text + f"wrote {os.path.join(args.out, 'comparison.csv')}"
@@ -152,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate the synthetic regression dataset")
     p.add_argument("--n", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output path (.json or .csv)")
+    p.add_argument("--out", required=True, help="output CSV path, ending in .csv")
     p.set_defaults(func=cmd_gen_data)
 
     for name, func, needs_network in (

@@ -22,8 +22,6 @@ from . import jsonio
 from .linalg import Matrix, _check_finite
 from .rng import Rng, derive
 
-DATASET_FORMAT_VERSION = 1
-
 SYNTHETIC_INPUT_DIM = 10
 SYNTHETIC_HIDDEN_DIM = 5
 
@@ -309,35 +307,3 @@ def apply_standardization(ds: Dataset, params: StandardizeParams) -> Dataset:
         target_names=ds.target_names,
         provenance=ds.provenance + " | standardized",
     )
-
-
-def dataset_to_dict(ds: Dataset) -> dict:
-    return {
-        "format_version": DATASET_FORMAT_VERSION,
-        "provenance": ds.provenance,
-        "feature_names": ds.feature_names,
-        "target_names": ds.target_names,
-        "x": ds.x.tolist(),
-        "y": ds.y.tolist(),
-    }
-
-
-def dataset_from_dict(doc: dict) -> Dataset:
-    version = doc.get("format_version")
-    if version != DATASET_FORMAT_VERSION:
-        raise ValueError(f"unsupported dataset format_version {version!r}")
-    return Dataset(
-        np.array(doc["x"], dtype=np.float64),
-        np.array(doc["y"], dtype=np.float64),
-        feature_names=doc.get("feature_names"),
-        target_names=doc.get("target_names"),
-        provenance=doc.get("provenance", ""),
-    )
-
-
-def save_dataset(ds: Dataset, path: str) -> None:
-    jsonio.dump(dataset_to_dict(ds), path)
-
-
-def load_dataset(path: str) -> Dataset:
-    return dataset_from_dict(jsonio.load(path))

@@ -252,8 +252,12 @@ def _value_to_doc(value):
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Config from its JSON document; absent keys take the dataclass defaults.
-    Besides ``format_version``, a key that names no field raises ValueError,
-    so a misspelt key cannot silently leave a default in place."""
+    Besides ``format_version``, which may be absent but otherwise must be this
+    package's, a key that names no field raises ValueError, so a misspelt
+    key cannot silently leave a default in place."""
+    version = doc.get("format_version", CONFIG_FORMAT_VERSION)
+    if version != CONFIG_FORMAT_VERSION or isinstance(version, bool):
+        raise ValueError(f"unsupported config format_version {version!r}")
     return _from_doc(ExperimentConfig, {k: v for k, v in doc.items() if k != "format_version"})
 
 
@@ -317,15 +321,19 @@ def _materialize_data(cfg: ExperimentConfig, run_seed: int):
     return train_ds, test_ds
 
 
+def for_run_seed(section, run_seed: int):
+    """``section``, a config's ``train`` or ``posttrain``, seeded for ``run_seed``."""
+    return replace(section, seed=derive(section.seed, "run", run_seed))
+
+
 def prepare_run(cfg: ExperimentConfig, run_seed: int):
     """Everything one run seed starts from: ``(train, test, net, train_cfg,
     posttrain_cfg)``, with the initial network and both configs' seeds
     derived from ``run_seed``."""
     train_ds, test_ds = _materialize_data(cfg, run_seed)
     net = build_network(cfg.layer_specs, derive(cfg.init_seed, "run", run_seed))
-    train_cfg = replace(cfg.train, seed=derive(cfg.train.seed, "run", run_seed))
-    pt_cfg = replace(cfg.posttrain, seed=derive(cfg.posttrain.seed, "run", run_seed))
-    return train_ds, test_ds, net, train_cfg, pt_cfg
+    return (train_ds, test_ds, net, for_run_seed(cfg.train, run_seed),
+            for_run_seed(cfg.posttrain, run_seed))
 
 
 def closed_form_fit(cfg: ExperimentConfig, net: Network, train_ds: Dataset):

@@ -4,6 +4,7 @@ the comparison output."""
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 import lastlayer
 from lastlayer import cli, jsonio
 from lastlayer.cli import main
-from lastlayer.data import load_csv, load_dataset
+from lastlayer.data import load_csv
 from lastlayer.experiment import config_from_dict
 from lastlayer.network import LayerSpec, build_network, load_network, save_network
 from lastlayer.train import TrainingDivergedError
@@ -66,11 +67,11 @@ def config_path(tmp_path):
 
 
 class TestGenData:
-    def test_json_output(self, tmp_path):
+    def test_refuses_an_out_path_not_ending_in_csv(self, tmp_path):
         out = tmp_path / "ds.json"
-        assert main(["gen-data", "--n", "30", "--seed", "7", "--out", str(out)]) == 0
-        ds = load_dataset(str(out))
-        assert ds.n == 30
+        with pytest.raises(ValueError, match="CSV only"):
+            main(["gen-data", "--n", "5", "--out", str(out)])
+        assert not out.exists()
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "ds.csv"
@@ -154,6 +155,41 @@ class TestTrainCommands(object):
             with pytest.raises(ValueError, match=message):
                 main(["krr", "--config", config, "--network", str(net_path), "--out", str(out)])
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["post-train", "krr"])
+    @pytest.mark.parametrize("specs, message", [
+        ([LayerSpec(10, 3, "tanh"), LayerSpec(3, 1, "identity", has_bias=False)],
+         "layer 0 is LayerSpec(input_dim=10, output_dim=3, activation='tanh', has_bias=True), "
+         "but the config's network.layers[0] is LayerSpec(input_dim=10, output_dim=5, "),
+        ([LayerSpec(10, 5, "tanh"), LayerSpec(5, 1, "identity", has_bias=False),
+          LayerSpec(1, 1, "identity", has_bias=False)],
+         "layer 2 is LayerSpec(input_dim=1, output_dim=1, activation='identity', has_bias=False), "
+         "but the config's network.layers[2] is absent"),
+    ], ids=["narrower", "deeper"])
+    def test_network_with_other_layers_is_refused_and_writes_nothing(
+            self, tmp_path, config_path, command, specs, message):
+        # resolved_config.json records the config's layers as the network that ran
+        net_path = tmp_path / "other.json"
+        save_network(build_network(specs, 3), str(net_path))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            main([command, "--config", config_path, "--network", str(net_path), "--out", str(out)])
+        assert not out.exists()
+
+    def test_single_run_commands_record_the_one_seed_they_ran(self, tmp_path):
+        # the bundled config lists five seeds; train, post-train and krr run
+        # the first, and re-running train from its resolved config repeats it
+        train = tmp_path / "train"
+        assert main(["train", "--config", "synthetic", "--out", str(train)]) == 0
+        for command in ("post-train", "krr"):
+            assert main([command, "--config", "synthetic", "--network", str(train / "network.json"),
+                         "--out", str(tmp_path / command)]) == 0
+        for command in ("train", "post-train", "krr"):
+            assert jsonio.load(str(tmp_path / command / "resolved_config.json"))["seeds"] == [0]
+        again = tmp_path / "again"
+        assert main(["train", "--config", str(train / "resolved_config.json"),
+                     "--out", str(again)]) == 0
+        assert (again / "network.json").read_bytes() == (train / "network.json").read_bytes()
 
     @pytest.mark.parametrize("command", ["train", "post-train", "krr", "compare"])
     def test_missing_dataset_csv_names_it_and_writes_nothing(self, tmp_path, command):

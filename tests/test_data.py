@@ -1,6 +1,5 @@
 """Dataset generation, CSV ingestion, splitting and standardization."""
 
-import json
 import re
 
 import numpy as np
@@ -10,13 +9,9 @@ from lastlayer.data import (
     CsvFormatError,
     Dataset,
     apply_standardization,
-    dataset_from_dict,
-    dataset_to_dict,
     gen_synthetic,
     load_csv,
-    load_dataset,
     save_csv,
-    save_dataset,
     split,
     standardize,
 )
@@ -130,8 +125,9 @@ class TestLoadCsv:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        with pytest.raises(CsvFormatError, match="empty"):
+        with pytest.raises(CsvFormatError, match="empty") as err:
             load_csv(str(path), [0], [1], has_header=False)
+        assert err.value.line == 1
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "cols.csv"
@@ -285,6 +281,12 @@ class TestSplit:
             assert not np.shares_memory(sub.x, ds.x) and not np.shares_memory(sub.y, ds.y)
             assert np.array_equal(sub.x, ds.x[idx]) and np.array_equal(sub.y, ds.y[idx])
 
+    def test_two_rows_at_one_half_give_one_train_and_one_test_row(self):
+        ds = gen_synthetic(2, seed=12)
+        sp = split(ds, 0.5, seed=0)
+        assert sp.train.n == 1 and sp.test.n == 1
+        assert sorted(np.vstack([sp.train.x, sp.test.x]).tolist()) == sorted(ds.x.tolist())
+
     def test_degenerate_sizes_rejected(self):
         ds = gen_synthetic(3, seed=11)
         with pytest.raises(ValueError):
@@ -339,39 +341,21 @@ class TestStandardize:
         assert not np.shares_memory(out.x, test.x) and not np.shares_memory(out.y, test.y)
 
 
-class TestDatasetJson:
-    def test_round_trip_bit_identical(self, tmp_path):
-        ds = gen_synthetic(25, seed=16)
-        path = tmp_path / "ds.json"
-        save_dataset(ds, str(path))
-        loaded = load_dataset(str(path))
-        assert np.array_equal(ds.x, loaded.x)
-        assert np.array_equal(ds.y, loaded.y)
-        assert loaded.provenance == ds.provenance
-
-    def test_rejects_unknown_version(self):
-        doc = dataset_to_dict(gen_synthetic(5, seed=17))
-        doc["format_version"] = 999
-        with pytest.raises(ValueError, match="format_version"):
-            dataset_from_dict(doc)
-
+class TestDataset:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             Dataset(np.array([[np.nan]]), np.array([[1.0]]))
 
     @pytest.mark.parametrize("field, row, col, value, message", [
-        ("x", 1, 2, "NaN", r"^dataset input has a non-finite entry nan at \(1, 2\)$"),
-        ("y", 2, 0, "-Infinity", r"^dataset target has a non-finite entry -inf at \(2, 0\)$"),
+        ("x", 1, 2, np.nan, r"^dataset input has a non-finite entry nan at \(1, 2\)$"),
+        ("y", 2, 0, -np.inf, r"^dataset target has a non-finite entry -inf at \(2, 0\)$"),
     ], ids=["input", "target"])
-    def test_non_finite_json_entry_is_named_by_its_position(self, tmp_path, field, row, col,
-                                                             value, message):
-        # json.load accepts NaN and +-Infinity, so the Dataset is what refuses them
-        doc = dataset_to_dict(gen_synthetic(4, seed=18))
-        doc[field][row][col] = "@"
-        path = tmp_path / "ds.json"
-        path.write_text(json.dumps(doc).replace('"@"', value))
+    def test_non_finite_entry_is_named_by_its_position(self, field, row, col, value, message):
+        ds = gen_synthetic(4, seed=18)
+        arrays = {"x": ds.x.copy(), "y": ds.y.copy()}
+        arrays[field][row, col] = value
         with pytest.raises(ValueError, match=message):
-            load_dataset(str(path))
+            Dataset(arrays["x"], arrays["y"])
 
     def test_rejects_row_mismatch(self):
         with pytest.raises(ValueError, match="rows"):

@@ -133,6 +133,13 @@ class TestSgdTrain:
         assert [p.iteration for p in metrics.points] == [4, 8]
         assert all(p.test_loss is not None for p in metrics.points)
 
+    def test_eval_every_one_records_every_iteration(self):
+        ds = gen_synthetic(30, seed=22)
+        net = build_network([LayerSpec(10, 1, "identity", has_bias=False)], 23)
+        cfg = TrainConfig(iterations=5, batch_size=10, lr0=0.01, seed=24, eval_every=1)
+        _, metrics = sgd_train(net, ds, cfg, "squared_error")
+        assert [p.iteration for p in metrics.points] == [1, 2, 3, 4, 5]
+
 
 class TestRowArgmax:
     """The class ``_label_error`` scores for each row against np.argmax's
