@@ -256,8 +256,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     package's, a key that names no field raises ValueError, so a misspelt
     key cannot silently leave a default in place."""
     version = doc.get("format_version", CONFIG_FORMAT_VERSION)
-    if version != CONFIG_FORMAT_VERSION or isinstance(version, bool):
-        raise ValueError(f"unsupported config format_version {version!r}")
+    jsonio.check_format_version(version, CONFIG_FORMAT_VERSION, "config")
     return _from_doc(ExperimentConfig, {k: v for k, v in doc.items() if k != "format_version"})
 
 

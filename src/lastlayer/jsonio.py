@@ -67,6 +67,14 @@ def dump(obj: Any, path: str) -> None:
         fh.write("\n")
 
 
+def check_format_version(version: Any, expected: int, what: str) -> None:
+    """Refuse a document's ``format_version`` unless it is the integer
+    ``expected`` itself: ``true`` and ``1.0`` equal 1 in Python, but are not
+    a version this package writes."""
+    if type(version) is not int or version != expected:
+        raise ValueError(f"unsupported {what} format_version {version!r}")
+
+
 def _unique_keys(pairs: list) -> dict:
     """An object's members; a repeated key, which ``json`` keeps the last of, raises."""
     obj = {}

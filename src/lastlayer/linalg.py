@@ -5,16 +5,21 @@ Matrices are plain 2-D ``numpy.ndarray`` objects with dtype float64;
 here is ``matmul``: it accumulates strictly in index order over the shared
 dimension, so its output is bit-identical to a naive triple loop and
 therefore reproducible run to run regardless of BLAS threading.  Seeded
-experiments depend on that stability.  ``matmul`` has three paths, picked
-by size alone.  A product of at most ``_MATMUL_BLOCK`` scalar products with
-more than one output entry is one block: one ``np.multiply`` forms every
-product and one ``np.add.reduce`` along the block's outer axis sums them,
-which numpy does row by row.  Any other product is walked in blocks of
-``_MATMUL_BLOCK // (m n)`` indices summed the same way (by the sequential
-``np.add.accumulate`` where the output is a single entry), unless a block
-would hold a single index; then it adds one rank-one product per index.
-Above one block it works on the transposed output when that makes the
-longer output axis contiguous.  Every path performs the triple loop's
+experiments depend on that stability.  ``matmul`` has two routes to those
+bits.  The einsum route hands a product with more than one output entry to
+numpy's einsum loop, ``np.einsum("ji,jk->ik", X, Y, optimize=False)``
+over C-contiguous operands, which adds one rank-one product per shared
+index into a zero-filled output: it walks the shared index outermost,
+since that axis has the largest strides in both inputs and stride 0 in
+the output.  The numpy route forms the products with one broadcast
+``np.multiply`` and sums them along an outer axis with ``np.add.reduce``,
+which numpy does row by row, in blocks of ``_MATMUL_BLOCK`` products.
+When ``linalg`` is imported, ``_einsum_probe`` compares the two routes
+bit for bit on products crafted so that a fused multiply-add, another
+summation order or a running sum started from the first product would
+show; ``_EINSUM_ROUTE`` records whether einsum passed.  If it did not,
+every product takes the numpy route, which is also the einsum route's
+oracle in the tests.  Either way each entry gets the triple loop's
 additions in the triple loop's order: the shapes choose only the memory
 layout.
 
@@ -68,7 +73,16 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     the shared index, exactly as a scalar triple loop would compute it, so
     results are bit-reproducible and independent of BLAS.  Only the memory
     layout of the work depends on the shapes, never the additions or their
-    order.  Three paths, chosen by m, k and n alone:
+    order.  The result is C-contiguous.
+
+    When ``_EINSUM_ROUTE`` is set (the import-time probe passed) and the
+    output has more than one entry, the product is ``_einsum_matmul``'s:
+    numpy's einsum loop adds one rank-one product per shared index, in
+    increasing order, into an output it zero-filled.  A single entry
+    (m n = 1) would go to einsum's unrolled dot kernel, which adds in
+    another order, so it takes the numpy route, as every product does
+    when the probe failed.  The numpy route has three paths, chosen by m,
+    k and n alone:
 
     - **One block**, when m k n <= _MATMUL_BLOCK and m n > 1.  One
       ``np.multiply`` fills a (k, m, n) array whose row t holds
@@ -86,13 +100,11 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
       _MATMUL_BLOCK // 2): one rank-one product per index is added into
       the running sum.
 
-    The last two paths run on the output ``(m, n)`` or, when m > n > 1, on
-    its transpose ``b.T a.T``, so that the longer output axis is the
-    contiguous one (with n = 1 it already is), with the operand whose rows
-    run along that axis made C-contiguous; the result is C-contiguous
-    either way.
+    The last two paths, and the einsum route for every shape, run on the
+    output ``(m, n)`` or, when m > n, on its transpose ``b.T a.T``, so
+    that the longer output axis is the contiguous one.
 
-    Every path makes the triple loop's additions, signed zeros and
+    Every route makes the triple loop's additions, signed zeros and
     infinities included; only which payload survives where two NaNs meet
     is left to numpy's kernels.
     """
@@ -103,6 +115,23 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
             f"matmul: inner dimensions differ, {a.shape[0]}x{a.shape[1]} times "
             f"{b.shape[0]}x{b.shape[1]}"
         )
+    if _EINSUM_ROUTE and a.shape[0] * b.shape[1] > 1:
+        return _einsum_matmul(a, b)
+    return _numpy_matmul(a, b)
+
+
+def _einsum_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """``a b`` from numpy's einsum loop: ``out[i, j] = ((0 + a[i, 0] b[0, j])
+    + a[i, 1] b[1, j]) + ...`` when the probe passed and m n > 1."""
+    if a.shape[0] > b.shape[1]:
+        return np.ascontiguousarray(_einsum_matmul(b.T, a.T).T)
+    return np.einsum(
+        "ji,jk->ik", np.ascontiguousarray(a.T), np.ascontiguousarray(b), optimize=False
+    )
+
+
+def _numpy_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """``matmul``'s numpy route, over checked operands."""
     m, k = a.shape
     n = b.shape[1]
     if m * n > 1 and m * k * n <= _MATMUL_BLOCK:
@@ -139,6 +168,34 @@ def _ordered_outer_sum(rows: Matrix, cols: Matrix) -> Matrix:
         else:
             out[...] = np.add.accumulate(chunk, axis=0, out=chunk)[-1]
     return out
+
+
+def _einsum_probe() -> bool:
+    """True when ``_einsum_matmul`` gives the numpy route's bits on products
+    that a different kernel would get wrong.
+
+    Three rows of ``a`` meet ``b``'s columns ``(1, x, 1)`` with
+    x = 1 + 2**-27:
+
+    - ``-(1 + 2**-26) + x * x`` is 0 with a separate multiply and add;
+      a fused multiply-add keeps x²'s lost 2**-54;
+    - ``1, 2**53 x, -2**53`` sums to 2**26 in order only;
+    - three -0.0 products sum to +0.0 only from a +0.0 start.
+
+    Each is taken with 2 to 17 output columns, and transposed, so that
+    einsum's vector loop and its scalar tail both run in both
+    orientations."""
+    x = 1.0 + 2.0**-27
+    a = np.array([[-(1.0 + 2.0**-26), x, 0.0], [1.0, 2.0**53, -(2.0**53)], [-0.0, -0.0, -0.0]])
+    for width in range(2, 18):
+        b = np.tile([[1.0], [x], [1.0]], (1, width))
+        for left, right in ((a, b), (b.T, a.T)):
+            if _einsum_matmul(left, right).tobytes() != _numpy_matmul(left, right).tobytes():
+                return False
+    return True
+
+
+_EINSUM_ROUTE = _einsum_probe()
 
 
 def sq_frobenius(a: Matrix) -> float:

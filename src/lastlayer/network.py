@@ -535,9 +535,7 @@ def network_to_dict(net: Network) -> dict:
 
 
 def network_from_dict(doc: dict) -> Network:
-    version = doc.get("format_version")
-    if version != NETWORK_FORMAT_VERSION:
-        raise ValueError(f"unsupported network format_version {version!r}")
+    jsonio.check_format_version(doc.get("format_version"), NETWORK_FORMAT_VERSION, "network")
     layers = [layer_from_dict(item) for item in doc["layers"]]
     for index, layer in enumerate(layers):
         if not all(np.all(np.isfinite(a)) for a in (layer.weights, layer.bias) if a is not None):

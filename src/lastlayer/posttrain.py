@@ -8,19 +8,16 @@ error with an identity output the problem is a ridge-regularized least
 squares, and the full-batch path exploits that: it precomputes the
 feature Gram and cross terms and evaluates objective and gradient in the
 feature dimension, never touching the sample axis again.  Under
-softmax/cross-entropy the layouts of the features that every iteration
-reads are also built once: their transpose, over which the objective
-forms its logits class-major, and on the full batch the features tiled
-once per class, against which the gradient is one elementwise product and
-one ordered sum down the sample axis.  Both make the additions of the
-last layer's ``network.forward`` and ``network.backprop``, in their
-order, so the bits are theirs.  The gradient starts from the forward
+softmax/cross-entropy the transpose of the features is also built once,
+and the objective forms its logits class-major over it, with the
+additions of the last layer's ``network.forward`` in its order, so the
+bits are forward's.  Every other gradient runs ``network.backprop`` on
+the last layer as a bias-free one-layer ``Network`` over the cached
+features; on the full cross-entropy batch it starts from the forward
 trace the objective computed at the same point, so each iteration
-forwards only its trials.  Minibatch gradients run ``network.backprop``
-on the last layer as a bias-free one-layer ``Network`` over the cached
-features.  ``post_train`` holds the descent loop of both modes, a fixed
-step or the Armijo line search ``armijo_step``, scored with training's
-metrics.
+forwards only its trials.  ``post_train`` holds the descent loop of both
+modes, a fixed step or the Armijo line search ``armijo_step``, scored
+with training's metrics.
 
 The optimized objective is  mean_i loss(act(f_i @ W.T), y_i) + lam * |W|^2
 with |.| the Frobenius norm over the whole last-layer matrix.  When the
@@ -159,15 +156,9 @@ class _CachedProblem:
     ``matmul(W, F.T)`` over an F.T kept C-contiguous, which makes the
     additions of ``forward``'s ``matmul(F, W.T)`` without laying F out
     again on every call; softmax and loss then read its transposed view.
-    The full-batch cross-entropy gradient is ``delta.T F`` with ``delta =
-    (P - Y) / N``, formed as ``np.repeat(delta, d, axis=1)`` times F tiled
-    once per class (N x m d, built here), the product formed in place in
-    the repeated ``delta``, so each call allocates one N x m d array, and
-    summed down the sample axis by one ``np.add.reduce`` from +0.0: the
-    additions of ``matmul(delta.T, F)`` in its order.  A single column
-    (m d = 1) would be summed pairwise, so that case, and every minibatch
-    gradient, takes ``network.backprop``.
-    The regularizer adds ``2 lam W`` to each gradient.
+    Every cross-entropy gradient is ``network.backprop``'s ``matmul(delta.T,
+    F)`` with ``delta = (P - Y) / N``, on the full batch from the
+    objective's trace.  The regularizer adds ``2 lam W`` to each gradient.
 
     The held-out features ``eval.x`` are the transposed view of a
     C-contiguous array.  ``network.forward`` over them, at each metric
@@ -185,7 +176,7 @@ class _CachedProblem:
     column), at flat positions ``label * N + row`` built here."""
 
     def __init__(self, net: Network, data: Dataset, lam: float, loss: str,
-                 eval_data: Dataset | None, full_batch: bool):
+                 eval_data: Dataset | None):
         self.loss = loss
         self.lam = lam
         self.n = data.n
@@ -209,9 +200,6 @@ class _CachedProblem:
         else:
             self.feats_t = np.ascontiguousarray(feats.T)
             self.label_at = self.train.labels * self.n + np.arange(self.n)
-            classes = data.output_dim
-            tile = full_batch and classes * feats.shape[1] > 1
-            self.tiled = np.tile(feats, (1, classes)) if tile else None
 
     def forward(self, w_eff: Matrix) -> ForwardTrace:
         """``forward(_last_layer_net(net, w_eff), self.train.x)``, bit for
@@ -239,18 +227,13 @@ class _CachedProblem:
     def gradient(self, point: Network, idx: np.ndarray | None = None,
                  trace: ForwardTrace | None = None) -> Matrix:
         """Gradient of the objective, on the batch ``idx`` when given.  On
-        the full batch, the general path starts from ``trace``, the
+        the full cross-entropy batch, backprop starts from ``trace``, the
         objective's forward pass at ``point``."""
         w_eff = point.layers[0].weights
         if idx is not None:
             grad = backprop(point, self.train.x[idx], self.train.y[idx], self.loss).weights[0]
         elif self.quadratic:
             grad = (2.0 / self.n) * (matmul(w_eff, self.gram_feat) - self.cross.T)
-        elif self.tiled is not None:
-            delta = (trace.output - self.train.y) / self.n
-            prods = np.repeat(delta, w_eff.shape[1], axis=1)
-            prods *= self.tiled
-            grad = np.add.reduce(prods, axis=0, initial=0.0).reshape(w_eff.shape)
         else:
             grad = backprop(point, self.train.x, self.train.y, self.loss, trace=trace).weights[0]
         return grad + 2.0 * self.lam * w_eff
@@ -314,7 +297,7 @@ def post_train(
     """
     check_loss_pairing(net, loss)
     _check_evaluate(evaluate, eval_data)
-    problem = _CachedProblem(net, data, cfg.lam, loss, eval_data, cfg.mode != "minibatch")
+    problem = _CachedProblem(net, data, cfg.lam, loss, eval_data)
     stream = None
     if cfg.mode == "minibatch":
         if cfg.batch_size > data.n:

@@ -1,6 +1,22 @@
 """Shared test helpers."""
 
 import numpy as np
+import pytest
+
+from lastlayer import linalg
+
+# linalg.matmul's routes by the value of linalg._EINSUM_ROUTE: the numpy
+# route everywhere, and the einsum route where numpy's einsum passed the
+# import-time probe
+MATMUL_ROUTES = {"numpy": False, **({"einsum": True} if linalg._EINSUM_ROUTE else {})}
+
+
+@pytest.fixture(params=sorted(MATMUL_ROUTES))
+def matmul_route(request, monkeypatch):
+    """Run the test once on each of ``matmul``'s routes; the value is the
+    route's name."""
+    monkeypatch.setattr(linalg, "_EINSUM_ROUTE", MATMUL_ROUTES[request.param])
+    return request.param
 
 
 def networks_bit_identical(a, b) -> bool:

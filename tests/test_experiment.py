@@ -327,8 +327,8 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed"):
             config_from_dict(tiny_config_doc(seeds=[]))
 
-    # true equals 1 in Python, but is no version number
-    @pytest.mark.parametrize("version", [99, "x", None, True])
+    # true and 1.0 equal 1 in Python, but are no version number
+    @pytest.mark.parametrize("version", [99, "x", None, True, 1.0])
     def test_refuses_another_format_version(self, version):
         with pytest.raises(ValueError, match=re.escape(f"format_version {version!r}")):
             config_from_dict({"format_version": version, **tiny_config_doc()})

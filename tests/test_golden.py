@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lastlayer import cli
+from lastlayer import cli, linalg
 from lastlayer.cli import main
 from lastlayer.data import Dataset, gen_synthetic, save_csv
 
@@ -187,6 +187,14 @@ CASES = {
 }
 
 
+# the synthetic and cross-entropy cases, which test_output_matches_golden_bytes
+# runs on matmul's einsum route wherever the probe accepts it
+NUMPY_ROUTE_CASES = [
+    "synthetic_seed0_comparison.csv", "cross_entropy_comparison.csv",
+    "cross_entropy_posttrain_metrics.csv", "cross_entropy_minibatch_posttrain_metrics.csv",
+]
+
+
 def skip_unless_made_here():
     checked = json.loads((GOLDEN / "environment.json").read_text())
     here = environment()
@@ -199,6 +207,16 @@ def skip_unless_made_here():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden_bytes(name, tmp_path, capsys):
     skip_unless_made_here()
+    got = CASES[name](tmp_path)
+    capsys.readouterr()
+    assert got == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", NUMPY_ROUTE_CASES)
+def test_numpy_route_gives_the_golden_bytes(name, tmp_path, capsys, monkeypatch):
+    # the fallback where numpy's einsum fails matmul's probe
+    skip_unless_made_here()
+    monkeypatch.setattr(linalg, "_EINSUM_ROUTE", False)
     got = CASES[name](tmp_path)
     capsys.readouterr()
     assert got == (GOLDEN / name).read_bytes()

@@ -118,6 +118,21 @@ class TestKrrSolve:
         with pytest.raises(ValueError, match="desk-scale"):
             krr_solve(np.ones((11, 2)), np.ones((11, 1)), 1e-3)
 
+    def test_desk_scale_guard_refuses_the_first_row_past_twenty_thousand(self, monkeypatch):
+        # N = 20001 is refused before gram; N = 20000 reaches it, here a
+        # stand-in that raises, so nothing N x N is allocated
+        class ReachedGram(Exception):
+            pass
+
+        def reached(features):
+            raise ReachedGram
+
+        monkeypatch.setattr(kernel_mod, "gram", reached)
+        with pytest.raises(ValueError, match="N = 20001 exceeds the desk-scale limit 20000"):
+            krr_solve(np.ones((20001, 1)), np.ones((20001, 1)), 1e-3)
+        with pytest.raises(ReachedGram):
+            krr_solve(np.ones((20000, 1)), np.ones((20000, 1)), 1e-3)
+
     def test_representer_predictions_agree(self):
         rng = np.random.default_rng(9)
         f = rng.standard_normal((18, 5))

@@ -1,16 +1,23 @@
 """Linear algebra primitives against independent oracles.
 
 The matmul oracle is a literal scalar triple loop and the comparison is
-exact bit equality, which is the module's reproducibility contract.  The
-eigenvalue oracle is inverse power iteration through an LU solve, a path
-disjoint from the LAPACK symmetric eigensolver under test.
+exact bit equality, which is the module's reproducibility contract; the
+numpy route is the einsum route's oracle too.  The eigenvalue oracle is
+inverse power iteration through an LU solve, a path disjoint from the
+LAPACK symmetric eigensolver under test.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from lastlayer import linalg
 from lastlayer.linalg import (
     _MATMUL_BLOCK,
+    _einsum_matmul,
+    _einsum_probe,
+    _numpy_matmul,
     DimensionMismatchError,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -22,7 +29,8 @@ from lastlayer.linalg import (
 
 # matmul's bits rest on the order in which numpy's add.reduce and
 # add.accumulate add: its single-block reduce of a (k, m, n) array along
-# axis 0 from initial +0.0, and its block loop
+# axis 0 from initial +0.0, and its block loop; and on the order in which
+# einsum's loop adds, where the probe lets the einsum route run
 pytestmark = pytest.mark.numpy_floor
 
 
@@ -50,6 +58,12 @@ def rank_one_matmul(a, b):
         np.multiply(a[:, i : i + 1], b[i : i + 1, :], out=buf)
         np.add(out, buf, out=out)
     return out
+
+
+def numpy_route(a, b):
+    """``matmul``'s numpy route, which every product takes where numpy's
+    einsum fails the probe."""
+    return _numpy_matmul(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
 
 
 def with_extremes(rng, shape):
@@ -147,9 +161,9 @@ class TestMatmul:
             a = with_extremes(rng, (m, k))
             b = with_extremes(rng, (k, n))
             with np.errstate(over="ignore", invalid="ignore"):
-                got = matmul(a, b)
                 want = rank_one_matmul(a, b)
-            assert same_bits(got, want), (m, k, n)
+                for product in (matmul, numpy_route):
+                    assert same_bits(product(a, b), want), (product.__name__, m, k, n)
 
     @pytest.mark.parametrize("m, k, n", HOT_SHAPES)
     def test_hot_shapes_match_triple_loop_bit_for_bit(self, m, k, n):
@@ -205,14 +219,14 @@ class TestMatmul:
         k = _MATMUL_BLOCK // 2
         a = rng.standard_normal((1, k)) * np.exp(rng.uniform(-20.0, 20.0, size=(1, k)))
         b = rng.standard_normal((k, 2))
-        got = matmul(a, b)
-        for j in range(2):
-            products = a[0] * b[:, j]
-            in_order = 0.0
-            for p in products:
-                in_order += p
-            assert np.add.reduce(products) != in_order
-            assert got[0, j] == in_order
+        for got in (matmul(a, b), numpy_route(a, b)):
+            for j in range(2):
+                products = a[0] * b[:, j]
+                in_order = 0.0
+                for p in products:
+                    in_order += p
+                assert np.add.reduce(products) != in_order
+                assert got[0, j] == in_order
 
     def test_single_entry_sums_in_order_where_pairwise_would_not(self):
         # with one output entry a reduce would add the products pairwise;
@@ -235,8 +249,9 @@ class TestMatmul:
         for m, k, n in [(1, 3, 1), (2, 3, 2), (2, 0, 2)]:
             a = np.full((m, k), -0.0)
             b = np.ones((k, n))
-            assert same_bits(matmul(a, b), rank_one_matmul(a, b)), (m, k, n)
-            assert not np.signbit(matmul(a, b)).any(), (m, k, n)
+            for product in (matmul, numpy_route):
+                assert same_bits(product(a, b), rank_one_matmul(a, b)), (m, k, n)
+                assert not np.signbit(product(a, b)).any(), (m, k, n)
 
     def test_dimension_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionMismatchError, match="2x3.*4x2"):
@@ -252,6 +267,94 @@ class TestMatmul:
             right = matmul(a, matmul(b, c))
             scale = max(1.0, float(np.max(np.abs(left))))
             assert float(np.max(np.abs(left - right))) <= 1e-9 * scale
+
+
+EINSUM = np.einsum
+WORKLOAD_SHAPES = [(50, 10, 10), (10, 7000, 10), (3, 11, 3500), (3, 3500, 11), (3500, 11, 3)]
+
+
+def fused_einsum(subscripts, x, y, optimize):
+    """einsum's ``"ji,jk->ik"`` with each product added by an exact fused
+    multiply-add, one rounding per step."""
+    out = [[0.0] * y.shape[1] for _ in range(x.shape[1])]
+    for t in range(x.shape[0]):
+        for i in range(x.shape[1]):
+            for j in range(y.shape[1]):
+                exact = Fraction(out[i][j]) + Fraction(float(x[t, i])) * Fraction(float(y[t, j]))
+                out[i][j] = float(exact)
+    return np.array(out).reshape(x.shape[1], y.shape[1])
+
+
+def reordered_einsum(subscripts, x, y, optimize):
+    """einsum's ``"ji,jk->ik"`` summing the shared index in decreasing order."""
+    return EINSUM(subscripts, x[::-1].copy(), y[::-1].copy(), optimize=optimize)
+
+
+def first_product_einsum(subscripts, x, y, optimize):
+    """einsum's ``"ji,jk->ik"`` with each running sum started from the first
+    product instead of +0.0."""
+    out = np.multiply.outer(x[0], y[0])
+    for t in range(1, x.shape[0]):
+        out = out + np.multiply.outer(x[t], y[t])
+    return out
+
+
+class TestMatmulRoutes:
+    def test_routes_match_the_triple_loop_bit_for_bit(self, matmul_route):
+        rng = np.random.default_rng(11)
+        edge = [
+            (1, 7000, 1), (1, 5, 1), (1, 0, 1),  # m n = 1: the numpy route
+            (3, 0, 4), (4, 0, 3), (2, 0, 2),  # k = 0
+            (0, 5, 3), (3, 5, 0), (0, 0, 0), (0, 4, 1),  # empty sides
+            (2, 9, 1), (1, 9, 2), (17, 3, 16), (16, 3, 17),  # both orientations
+        ]
+        shapes = edge + WORKLOAD_SHAPES + HOT_SHAPES + SMALL_SHAPES + [
+            tuple(int(v) for v in rng.integers(0, 20, size=3)) for _ in range(150)
+        ]
+        names = list(layouts(np.zeros((1, 1))))
+        for m, k, n in shapes:
+            a = with_extremes(rng, (m, k))
+            b = with_extremes(rng, (k, n))
+            a_view = layouts(a)[names[rng.integers(len(names))]]
+            b_view = layouts(b)[names[rng.integers(len(names))]]
+            with np.errstate(over="ignore", invalid="ignore"):
+                # the triple loop's additions, vectorised across entries
+                # where a Python loop would take seconds
+                want = naive_matmul(a, b) if m * k * n <= 4000 else rank_one_matmul(a, b)
+                got = matmul(a_view, b_view)
+                assert same_bits(numpy_route(a_view, b_view), want), (m, k, n)
+            assert got.flags.c_contiguous, (m, k, n)
+            assert same_bits(got, want), (matmul_route, m, k, n)
+
+    def test_routes_are_taken_as_recorded(self, matmul_route, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape[1] * args[2].shape[1])
+            return EINSUM(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        rng = np.random.default_rng(12)
+        for m, k, n in [(2, 4, 3), (3, 4, 2), (1, 4, 2), (1, 4, 1), (1, 0, 1), (0, 4, 3)]:
+            matmul(rng.standard_normal((m, k)), rng.standard_normal((k, n)))
+        # einsum's unrolled dot kernel would sum a single entry in another
+        # order, so m n = 1 never reaches it
+        assert calls == ([6, 6, 2] if matmul_route == "einsum" else [])
+
+    @pytest.mark.parametrize("einsum", [fused_einsum, reordered_einsum, first_product_einsum])
+    def test_probe_rejects_another_kernel_and_matmul_takes_the_numpy_route(self, einsum,
+                                                                         monkeypatch):
+        x = 1.0 + 2.0**-27
+        a = np.array([[-(1.0 + 2.0**-26), x, 0.0], [1.0, 2.0**53, -(2.0**53)],
+                      [-0.0, -0.0, -0.0]])
+        b = np.tile([[1.0], [x], [1.0]], (1, 5))
+        monkeypatch.setattr(np, "einsum", einsum)
+        assert not same_bits(_einsum_matmul(a, b), numpy_route(a, b))
+        assert _einsum_probe() is False
+        monkeypatch.setattr(linalg, "_EINSUM_ROUTE", _einsum_probe())
+        for left, right in ((a, b), (b.T, a.T)):
+            assert same_bits(matmul(left, right), numpy_route(left, right))
+        assert same_bits(matmul(a, b), naive_matmul(a, b))
 
 
 class TestSolveSpd:

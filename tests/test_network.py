@@ -626,6 +626,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="format_version"):
             network_from_dict(doc)
 
+    # true and 1.0 equal 1 in Python, but are no version number
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_rejects_a_version_that_only_equals_one(self, version):
+        doc = network_to_dict(small_regression_net(seed=29))
+        doc["format_version"] = version
+        with pytest.raises(ValueError, match=re.escape(f"format_version {version!r}")):
+            network_from_dict(doc)
+
     @pytest.mark.parametrize("layer, field, value", [(1, "weights", "NaN"), (0, "bias", "Infinity")])
     def test_load_rejects_non_finite_parameters(self, tmp_path, layer, field, value):
         doc = network_to_dict(small_regression_net(seed=30))

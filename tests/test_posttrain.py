@@ -7,8 +7,9 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import networks_bit_identical
+from conftest import MATMUL_ROUTES, networks_bit_identical
 
+from lastlayer import linalg
 from lastlayer.data import Dataset, gen_synthetic
 from lastlayer.kernel import gram, krr_solve, ridge_solve
 from lastlayer.linalg import _MATMUL_BLOCK, matmul, sq_frobenius
@@ -429,14 +430,13 @@ class TestPostTrain:
             assert np.array_equal(before.weights, after.weights)
 
 
-# the class-major gradient rests on add.reduce of an (N, m d) array along
-# axis 0 from initial +0.0 adding row by row
+# the class-major objective rests on matmul adding in the same order for
+# any memory layout of its operands
 @pytest.mark.numpy_floor
 class TestClassMajorCrossEntropy:
-    """The class-major objective, its trace and the tiled full-batch
-    gradient against ``forward`` + ``mean_cross_entropy`` + ``backprop`` on
-    the one-layer network, bit for bit.  They rest on the order in which
-    np.add.reduce adds along axis 0 of a C-contiguous array."""
+    """The class-major objective, its trace and the full-batch gradient
+    against ``forward`` + ``mean_cross_entropy`` + ``backprop`` on the
+    one-layer network, bit for bit, on each of ``matmul``'s routes."""
 
     LAM = 1e-3
 
@@ -459,53 +459,50 @@ class TestClassMajorCrossEntropy:
                       rng.standard_normal(classes) if bias else None)
         net = Network([layer])
         problem = _CachedProblem(net, Dataset(x, np.eye(classes)[labels]), self.LAM,
-                                 "cross_entropy", None, full_batch=True)
+                                 "cross_entropy", None)
         return problem, _last_layer_net(net, effective_last_weights(net)), labels
 
-    def assert_matches_forward_and_backprop(self, problem, point, labels):
+    def assert_matches_forward_and_backprop(self, problem, point, labels, monkeypatch):
         w_eff = point.layers[0].weights
-        value, trace = problem.objective(point)
-        want = forward(point, problem.train.x)
-        for got, ref in ((trace.pre, want.pre), (trace.post, want.post)):
-            assert len(got) == len(ref) == 1
-            assert got[0].shape == ref[0].shape
-            assert got[0].tobytes() == ref[0].tobytes()
-        regularizer = self.LAM * sq_frobenius(w_eff)
-        assert value == mean_cross_entropy(want.output, labels) + regularizer
-        grad = problem.gradient(point, None, trace)
-        want_grad = backprop(point, problem.train.x, problem.train.y, "cross_entropy").weights[0]
-        want_grad = want_grad + 2.0 * self.LAM * w_eff
-        assert grad.shape == want_grad.shape
-        assert grad.tobytes() == want_grad.tobytes()
+        for einsum in MATMUL_ROUTES.values():
+            monkeypatch.setattr(linalg, "_EINSUM_ROUTE", einsum)
+            value, trace = problem.objective(point)
+            want = forward(point, problem.train.x)
+            for got, ref in ((trace.pre, want.pre), (trace.post, want.post)):
+                assert len(got) == len(ref) == 1
+                assert got[0].shape == ref[0].shape
+                assert got[0].tobytes() == ref[0].tobytes()
+            regularizer = self.LAM * sq_frobenius(w_eff)
+            assert value == mean_cross_entropy(want.output, labels) + regularizer
+            grad = problem.gradient(point, None, trace)
+            want_grad = backprop(point, problem.train.x, problem.train.y,
+                                 "cross_entropy").weights[0]
+            want_grad = want_grad + 2.0 * self.LAM * w_eff
+            assert grad.shape == want_grad.shape
+            assert grad.tobytes() == want_grad.tobytes()
 
     @pytest.mark.parametrize("path, n", [("one block", 10), ("blocks", 150),
                                          ("rank-one loop", 2100)])
     @pytest.mark.parametrize("bias", [False, True])
     @pytest.mark.parametrize("classes", [2, 3, 7, 8, 12])
-    def test_bits_match_forward_and_backprop(self, classes, bias, path, n):
+    def test_bits_match_forward_and_backprop(self, classes, bias, path, n, monkeypatch):
         problem, point, labels = self.problem(classes, n, bias, seed=classes * n)
         d_eff = point.layers[0].spec.input_dim
         assert self.matmul_path(classes, d_eff, n) == path
-        assert problem.tiled is not None
-        self.assert_matches_forward_and_backprop(problem, point, labels)
+        self.assert_matches_forward_and_backprop(problem, point, labels, monkeypatch)
 
-    def test_gradient_bits_match_matmuls_rank_one_loop(self):
+    def test_gradient_bits_match_matmuls_rank_one_loop(self, monkeypatch):
         # m d > _MATMUL_BLOCK / 2: backprop's delta.T @ F adds one rank-one
         # product per sample
         problem, point, labels = self.problem(12, 30, True, d=400, seed=5)
         assert self.matmul_path(12, 30, 401) == "rank-one loop"
-        self.assert_matches_forward_and_backprop(problem, point, labels)
+        self.assert_matches_forward_and_backprop(problem, point, labels, monkeypatch)
 
-    def test_single_column_keeps_backprop(self):
-        # np.add.reduce would sum an N x 1 product pairwise
+    def test_single_column_keeps_backprop(self, monkeypatch):
+        # one class and one feature: the gradient is a single entry, which
+        # matmul sums on its numpy route whatever the route
         problem, point, labels = self.problem(1, 50, False, d=1, seed=6)
-        assert problem.tiled is None
-        self.assert_matches_forward_and_backprop(problem, point, labels)
-
-    def test_minibatch_builds_no_tiled_features(self):
-        net, ds = classification_net(7), classification_data(8)
-        problem = _CachedProblem(net, ds, self.LAM, "cross_entropy", None, full_batch=False)
-        assert problem.tiled is None
+        self.assert_matches_forward_and_backprop(problem, point, labels, monkeypatch)
 
     @pytest.mark.parametrize("classes", [3, 8])
     def test_post_train_matches_the_forward_and_backprop_route(self, classes, monkeypatch):

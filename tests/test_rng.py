@@ -125,6 +125,20 @@ def test_permutation_rejection_branch_matches_scalar_fisher_yates():
         assert fast._state == slow._state == (seed + n * _GAMMA) & MASK64  # n - 1 draws + 1
 
 
+def test_randbelow_keeps_draws_below_its_limit_and_redraws_from_it():
+    # 2**64 % 7 == 2, so randbelow(7) keeps draws below 2**64 - 2 and redraws
+    # the two above; a seed is placed so that its first draw is z
+    limit = 2**64 - 2
+    for z, draws in ((limit - 1, 1), (limit, 2)):
+        seed = (unmix64(z) - _GAMMA) & MASK64
+        reference = Rng(seed)
+        kept = [reference.next_uint() for _ in range(draws)][-1]
+        assert (kept == z) == (draws == 1) and kept < limit
+        rng = Rng(seed)
+        assert rng.randbelow(7) == kept % 7
+        assert rng._state == reference._state
+
+
 def reference_normals(seed: int, n: int):
     """Box-Muller on plain floats from the scalar reference stream:
     deviate i from outputs 2i and 2i + 1."""
