@@ -2,9 +2,8 @@
 splitting and standardization.
 
 Datasets are immutable pairs of float64 matrices (inputs N x d_in, targets
-N x d_out) plus provenance text recording how they were made.  The
-synthetic generator draws a random two-layer tanh teacher and is fully
-determined by its seed.
+N x d_out) with optional column names.  The synthetic generator draws a
+random two-layer tanh teacher and is fully determined by its seed.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import jsonio
 from .linalg import Matrix, _check_finite
 from .rng import Rng, derive
 
@@ -47,7 +45,6 @@ class Dataset:
     y: Matrix
     feature_names: Optional[list] = None
     target_names: Optional[list] = None
-    provenance: str = ""
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -86,7 +83,6 @@ class Dataset:
             self.y[idx],
             feature_names=self.feature_names,
             target_names=self.target_names,
-            provenance=self.provenance,
         )
 
 
@@ -112,16 +108,7 @@ def gen_synthetic(n: int = 10000, seed: int = 0) -> Dataset:
     x = rng.uniform_matrix(n, SYNTHETIC_INPUT_DIM)
     w1 = rng.uniform_matrix(SYNTHETIC_INPUT_DIM, SYNTHETIC_HIDDEN_DIM, -1.0, 1.0)
     w2 = rng.uniform_matrix(SYNTHETIC_HIDDEN_DIM, 1, -1.0, 1.0)
-    y = np.tanh(x @ w1) @ w2
-    teacher = {
-        "w1": w1.tolist(),
-        "w2": w2.tolist(),
-    }
-    provenance = (
-        f"synthetic tanh teacher: n={n} seed={seed} "
-        f"x~U[0,1]^{SYNTHETIC_INPUT_DIM} teacher={jsonio.dumps(teacher)}"
-    )
-    return Dataset(x, y, provenance=provenance)
+    return Dataset(x, np.tanh(x @ w1) @ w2)
 
 
 def _parse_cell(cell: str, line: int, column: int) -> float:
@@ -221,13 +208,7 @@ def load_csv(path: str, feature_columns, target_columns, has_header: bool = True
 
     feature_names = [header[i] for i in f_idx] if header else None
     target_names = [header[i] for i in t_idx] if header else None
-    return Dataset(
-        x,
-        y,
-        feature_names=feature_names,
-        target_names=target_names,
-        provenance=f"csv: path={path} features={feature_columns} targets={target_columns}",
-    )
+    return Dataset(x, y, feature_names=feature_names, target_names=target_names)
 
 
 def save_csv(ds: Dataset, path: str) -> None:
@@ -305,5 +286,4 @@ def apply_standardization(ds: Dataset, params: StandardizeParams) -> Dataset:
         ds.y.copy(),
         feature_names=ds.feature_names,
         target_names=ds.target_names,
-        provenance=ds.provenance + " | standardized",
     )

@@ -193,18 +193,12 @@ def _expect(value, kind: type, where: str):
     return value
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 # what a scalar field accepts from the document, and how its error names it
 _SCALARS = {
-    bool: ("a boolean", lambda v: isinstance(v, bool)),
-    int: ("an integer", lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer())),
-    float: ("a number", _is_number),
-    str: ("a string", lambda v: isinstance(v, str)),
+    **jsonio.SCALARS,
     Column: ("a column name or a 0-based index",
-             lambda v: isinstance(v, str) or (_is_number(v) and isinstance(v, int) and v >= 0)),
+             lambda v: isinstance(v, str)
+             or (jsonio.is_number(v) and isinstance(v, int) and v >= 0)),
 }
 
 

@@ -75,6 +75,21 @@ def check_format_version(version: Any, expected: int, what: str) -> None:
         raise ValueError(f"unsupported {what} format_version {version!r}")
 
 
+def is_number(value: Any) -> bool:
+    """An int or a float, but not a bool, which Python counts as an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what a document's scalar of each type accepts, and how an error names it:
+# 3.0 is an integer, but 2.9, true and "3" are not, and "false" is no boolean
+SCALARS = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: is_number(v) and (isinstance(v, int) or v.is_integer())),
+    float: ("a number", is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
 def _unique_keys(pairs: list) -> dict:
     """An object's members; a repeated key, which ``json`` keeps the last of, raises."""
     obj = {}

@@ -6,22 +6,14 @@ here is ``matmul``: it accumulates strictly in index order over the shared
 dimension, so its output is bit-identical to a naive triple loop and
 therefore reproducible run to run regardless of BLAS threading.  Seeded
 experiments depend on that stability.  ``matmul`` has two routes to those
-bits.  The einsum route hands a product with more than one output entry to
-numpy's einsum loop, ``np.einsum("ji,jk->ik", X, Y, optimize=False)``
-over C-contiguous operands, which adds one rank-one product per shared
-index into a zero-filled output: it walks the shared index outermost,
-since that axis has the largest strides in both inputs and stride 0 in
-the output.  The numpy route forms the products with one broadcast
-``np.multiply`` and sums them along an outer axis with ``np.add.reduce``,
-which numpy does row by row, in blocks of ``_MATMUL_BLOCK`` products.
-When ``linalg`` is imported, ``_einsum_probe`` compares the two routes
-bit for bit on products crafted so that a fused multiply-add, another
+bits, both described in its docstring: numpy's einsum loop, for products
+with more than one output entry, and the numpy route for everything else.
+When ``linalg`` is imported, ``_einsum_probe`` compares the two routes bit
+for bit on products crafted so that a fused multiply-add, another
 summation order or a running sum started from the first product would
 show; ``_EINSUM_ROUTE`` records whether einsum passed.  If it did not,
 every product takes the numpy route, which is also the einsum route's
-oracle in the tests.  Either way each entry gets the triple loop's
-additions in the triple loop's order: the shapes choose only the memory
-layout.
+oracle in the tests.
 
 ``solve_spd`` and ``min_eigenvalue_symmetric`` delegate to numpy's LAPACK
 (Cholesky and symmetric eigensolver), which is deterministic for fixed
@@ -78,33 +70,26 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     When ``_EINSUM_ROUTE`` is set (the import-time probe passed) and the
     output has more than one entry, the product is ``_einsum_matmul``'s:
     numpy's einsum loop adds one rank-one product per shared index, in
-    increasing order, into an output it zero-filled.  A single entry
+    increasing order, into an output it zero-filled.  It runs on the
+    output ``(m, n)`` or, when m > n, on its transpose ``b.T a.T``, so
+    that the longer output axis is the contiguous one.  A single entry
     (m n = 1) would go to einsum's unrolled dot kernel, which adds in
     another order, so it takes the numpy route, as every product does
-    when the probe failed.  The numpy route has three paths, chosen by m,
-    k and n alone:
+    when the probe failed.
 
-    - **One block**, when m k n <= _MATMUL_BLOCK and m n > 1.  One
-      ``np.multiply`` fills a (k, m, n) array whose row t holds
-      ``a[:, t] ⊗ b[t, :]``, and one ``np.add.reduce`` along axis 0 with
-      initial value +0.0 sums it.  numpy adds along that outer axis row by
-      row, vectorised across entries, so each entry is
-      ``((0 + p_0) + p_1) + ...``.
-    - **Blocks**, otherwise, when a block of _MATMUL_BLOCK // (m n)
-      indices holds at least two.  Each block fills a C-contiguous
-      (1 + block, m, n) array whose row 0 is the running sum and sums it
-      the same way.  numpy sums pairwise only along the contiguous axis,
-      which is what a block of one column becomes, so with m n = 1 the
-      block is summed by the sequential ``np.add.accumulate`` instead.
-    - **Rank-one loop**, when a block would hold one index (m n >
-      _MATMUL_BLOCK // 2): one rank-one product per index is added into
-      the running sum.
+    The numpy route sums in blocks of max(1, _MATMUL_BLOCK // (m n))
+    shared indices.  Each block fills a C-contiguous (1 + block, m, n)
+    array whose row 0 is the running sum, which starts at +0.0, and whose
+    row 1 + t holds ``a[:, s + t] ⊗ b[s + t, :]``; ``np.add.reduce`` sums
+    it along axis 0 into the running sum.  numpy adds along that outer
+    axis row by row, vectorised across entries, so each entry is
+    ``((0 + p_0) + p_1) + ...``.  numpy sums pairwise only along the
+    contiguous axis, which axis 0 becomes when m n = 1, so a single entry
+    is summed by the sequential ``np.add.accumulate`` instead.  A block
+    holds at most _MATMUL_BLOCK products, or one rank-one product when
+    m n is larger, so the route's memory does not grow with k.
 
-    The last two paths, and the einsum route for every shape, run on the
-    output ``(m, n)`` or, when m > n, on its transpose ``b.T a.T``, so
-    that the longer output axis is the contiguous one.
-
-    Every route makes the triple loop's additions, signed zeros and
+    Both routes make the triple loop's additions, signed zeros and
     infinities included; only which payload survives where two NaNs meet
     is left to numpy's kernels.
     """
@@ -134,39 +119,18 @@ def _numpy_matmul(a: Matrix, b: Matrix) -> Matrix:
     """``matmul``'s numpy route, over checked operands."""
     m, k = a.shape
     n = b.shape[1]
-    if m * n > 1 and m * k * n <= _MATMUL_BLOCK:
-        # C order keeps k the outer axis, which numpy reduces row by row
-        prods = np.empty((k, m, n), dtype=np.float64)
-        np.multiply(a.T[:, :, None], b[:, None, :], out=prods)
-        return np.add.reduce(prods, axis=0, initial=0.0)
-    if m > n > 1:
-        return np.ascontiguousarray(_ordered_outer_sum(b, a.T).T)
-    return _ordered_outer_sum(a.T, b)
-
-
-def _ordered_outer_sum(rows: Matrix, cols: Matrix) -> Matrix:
-    """``out[i, j] = ((0 + rows[0, i] cols[0, j]) + rows[1, i] cols[1, j]) + ...``"""
-    k, p = rows.shape
-    q = cols.shape[1]
-    cols = np.ascontiguousarray(cols)
-    left, right = rows[:, :, None], cols[:, None, :]
-    out = np.zeros((p, q), dtype=np.float64)
-    block = _MATMUL_BLOCK // max(1, p * q)
-    if block <= 1:
-        buf = np.empty((p, q), dtype=np.float64)
-        for t in range(k):
-            np.multiply(left[t], right[t], out=buf)
-            np.add(out, buf, out=out)
-        return out
-    prods = np.empty((min(block, k) + 1, p, q), dtype=np.float64)
+    block = max(1, _MATMUL_BLOCK // max(1, m * n))
+    left, right = a.T[:, :, None], b[:, None, :]
+    out = np.zeros((m, n), dtype=np.float64)
+    prods = np.empty((min(block, k) + 1, m, n), dtype=np.float64)
     for s in range(0, k, block):
         chunk = prods[: min(block, k - s) + 1]
         np.multiply(left[s : s + block], right[s : s + block], out=chunk[1:])
         chunk[0] = out
-        if p * q > 1:
-            np.add.reduce(chunk, axis=0, out=out)
-        else:
+        if m * n == 1:
             out[...] = np.add.accumulate(chunk, axis=0, out=chunk)[-1]
+        else:
+            np.add.reduce(chunk, axis=0, out=out)
     return out
 
 

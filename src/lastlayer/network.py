@@ -515,13 +515,23 @@ def layer_to_dict(layer: Layer) -> dict:
     }
 
 
-def layer_from_dict(doc: dict) -> Layer:
-    spec = LayerSpec(
-        input_dim=int(doc["input_dim"]),
-        output_dim=int(doc["output_dim"]),
-        activation=doc["activation"],
-        has_bias=bool(doc["has_bias"]),
-    )
+_LAYER_SCALARS = {"input_dim": int, "output_dim": int, "activation": str, "has_bias": bool}
+
+
+def layer_from_dict(doc: dict, where: str = "layer") -> Layer:
+    """Layer from its JSON document.  A missing key, or a scalar that
+    ``jsonio.SCALARS`` refuses (a dimension of 2.9 or ``true``, a
+    ``has_bias`` of ``"false"``), raises ValueError naming ``where.key``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"network key {where!r} must be an object, got {doc!r}")
+    for key in (*_LAYER_SCALARS, "weights"):
+        if key not in doc:
+            raise ValueError(f"network key '{where}.{key}' is missing")
+    for key, kind in _LAYER_SCALARS.items():
+        noun, accepts = jsonio.SCALARS[kind]
+        if not accepts(doc[key]):
+            raise ValueError(f"network key '{where}.{key}' must be {noun}, got {doc[key]!r}")
+    spec = LayerSpec(**{key: kind(doc[key]) for key, kind in _LAYER_SCALARS.items()})
     weights = np.array(doc["weights"], dtype=np.float64)
     bias = None if doc.get("bias") is None else np.array(doc["bias"], dtype=np.float64)
     return Layer(spec, weights, bias)
@@ -536,7 +546,7 @@ def network_to_dict(net: Network) -> dict:
 
 def network_from_dict(doc: dict) -> Network:
     jsonio.check_format_version(doc.get("format_version"), NETWORK_FORMAT_VERSION, "network")
-    layers = [layer_from_dict(item) for item in doc["layers"]]
+    layers = [layer_from_dict(item, f"layers[{i}]") for i, item in enumerate(doc["layers"])]
     for index, layer in enumerate(layers):
         if not all(np.all(np.isfinite(a)) for a in (layer.weights, layer.bias) if a is not None):
             raise ValueError(f"layer {index} has non-finite weights or bias")

@@ -24,6 +24,8 @@ machine
     PYTHONPATH=src python tests/test_golden.py --check
 
 runs every case and adds the machine to that list if no byte differs.
+The cases that run on ``matmul``'s numpy route also compare its bytes with
+the einsum route's, on every machine where numpy's einsum passes the probe.
 """
 
 import json
@@ -34,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import MATMUL_ROUTES
 
 from lastlayer import cli, linalg
 from lastlayer.cli import main
@@ -195,10 +198,15 @@ NUMPY_ROUTE_CASES = [
 ]
 
 
+def made_here() -> bool:
+    """True where ``environment.json`` lists this machine."""
+    return environment() in json.loads((GOLDEN / "environment.json").read_text())
+
+
 def skip_unless_made_here():
-    checked = json.loads((GOLDEN / "environment.json").read_text())
-    here = environment()
-    if here not in checked:
+    if not made_here():
+        checked = json.loads((GOLDEN / "environment.json").read_text())
+        here = environment()
         made = checked[0]
         differ = sorted(key for key in made.keys() | here.keys() if made.get(key) != here.get(key))
         pytest.skip(f"golden bytes were made where {', '.join(differ)} differ from this machine's")
@@ -214,12 +222,20 @@ def test_output_matches_golden_bytes(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", NUMPY_ROUTE_CASES)
 def test_numpy_route_gives_the_golden_bytes(name, tmp_path, capsys, monkeypatch):
-    # the fallback where numpy's einsum fails matmul's probe
-    skip_unless_made_here()
-    monkeypatch.setattr(linalg, "_EINSUM_ROUTE", False)
-    got = CASES[name](tmp_path)
+    # the fallback where numpy's einsum fails matmul's probe: the einsum
+    # route's bytes on every machine, and the golden bytes where they were
+    # checked
+    routes = {}
+    for route in sorted(MATMUL_ROUTES):
+        monkeypatch.setattr(linalg, "_EINSUM_ROUTE", MATMUL_ROUTES[route])
+        (tmp_path / route).mkdir()
+        routes[route] = CASES[name](tmp_path / route)
     capsys.readouterr()
-    assert got == (GOLDEN / name).read_bytes()
+    if made_here():
+        assert routes["numpy"] == (GOLDEN / name).read_bytes()
+    if "einsum" not in routes:
+        pytest.skip("numpy's einsum fails matmul's probe, so there is no einsum route to compare")
+    assert routes["numpy"] == routes["einsum"]
 
 
 @pytest.mark.parametrize("name", sorted(COMPARISONS))

@@ -6,6 +6,8 @@ least-squares solve for the minimum-norm projection, and first-order
 optimality of the fine-tuning objective for the dual solve.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from lastlayer.kernel import (
     rkhs_norm_bound,
     solution_to_dict,
 )
-from lastlayer.linalg import matmul, min_eigenvalue_symmetric, sq_frobenius
+from lastlayer.linalg import DimensionMismatchError, matmul, min_eigenvalue_symmetric, sq_frobenius
 
 
 class TestGram:
@@ -258,6 +260,11 @@ class TestRkhsNormBound:
             proj, full = rkhs_norm_bound(w, feats)
             assert proj <= full + 1e-10
 
+    def test_rejects_features_of_another_width_naming_both(self):
+        message = "features must be N x 4, got (5, 3)"
+        with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+            rkhs_norm_bound(np.ones(4), np.ones((5, 3)))
+
     def test_zero_features_project_nothing(self):
         # rank 0: no sample spans a direction, so the projected norm is 0
         w = np.array([3.0, -4.0])
@@ -271,6 +278,7 @@ class TestSerialization:
         y = rng.standard_normal((10, 2))
         sol = krr_solve(f, y, 1e-2)
         doc = solution_to_dict(sol)
+        assert doc["format_version"] == 1
         block = doc["last_layer"]
         assert block["input_dim"] == 4 and block["output_dim"] == 2
         assert np.array_equal(np.array(block["weights"]), sol.weights.T)

@@ -7,6 +7,8 @@ inverse power iteration through an LU solve, a path disjoint from the
 LAPACK symmetric eigensolver under test.
 """
 
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,16 +23,17 @@ from lastlayer.linalg import (
     DimensionMismatchError,
     NotPositiveDefiniteError,
     NotSymmetricError,
+    check_symmetric,
     matmul,
     min_eigenvalue_symmetric,
     solve_spd,
     sq_frobenius,
 )
 
-# matmul's bits rest on the order in which numpy's add.reduce and
-# add.accumulate add: its single-block reduce of a (k, m, n) array along
-# axis 0 from initial +0.0, and its block loop; and on the order in which
-# einsum's loop adds, where the probe lets the einsum route run
+# matmul's bits rest on the order in which numpy's add.reduce adds a
+# (1 + block, m, n) array along axis 0 and add.accumulate adds a single
+# column, on the numpy route; and on the order in which einsum's loop
+# adds, where the probe lets the einsum route run
 pytestmark = pytest.mark.numpy_floor
 
 
@@ -48,8 +51,9 @@ def naive_matmul(a, b):
 
 
 def rank_one_matmul(a, b):
-    """matmul's loop before its block path: one rank-one update per shared
-    index, in increasing order; kept as the oracle of that path."""
+    """One rank-one update per shared index, in increasing order: the
+    triple loop's additions, vectorised across entries, as an oracle for
+    products too large for ``naive_matmul``."""
     m, k = a.shape
     n = b.shape[1]
     out = np.zeros((m, n))
@@ -129,26 +133,26 @@ class TestMatmul:
         assert np.array_equal(matmul(a.T, b), naive_matmul(a.T.copy(), b))
 
     def test_block_path_matches_rank_one_loop_bit_for_bit(self):
-        # one block when m k n <= _MATMUL_BLOCK and m n > 1; above that,
-        # blocks while a block holds two or more indices, else the loop
+        # the numpy route sums blocks of max(1, _MATMUL_BLOCK // (m n))
+        # indices; a single entry is accumulated, every other output reduced
         edge = [
-            (3, 0, 4), (5, 5, 5), (4, 6, 5),  # one block
-            (0, 0, 0), (1, 1, 1), (0, 1, 0), (2, 1, 0),  # m n <= 1: blocks
+            (3, 0, 4), (0, 0, 0), (2, 0, 1), (1, 0, 1),  # k = 0
+            (5, 5, 5), (4, 6, 5), (64, 8, 4), (63, 8, 4),  # one block
+            (0, 1, 0), (2, 1, 0), (0, 9000, 3),  # m n = 0
+            (1, 1, 1), (1, 9000, 1),  # m n = 1: accumulate, past one block
+            (1, 9000, 2), (2, 9000, 1),  # m n = 2: past one block
             (2, _MATMUL_BLOCK // 4 + 1, 2),  # one index past the first block
             (2, 2 * (_MATMUL_BLOCK // 4), 2),  # exactly two blocks
             (3, _MATMUL_BLOCK // 3 + 1, 1),
             (64, 3, 64), (4096, 3, 1),  # m n = _MATMUL_BLOCK // 2: blocks of two
-            (65, 3, 64), (64, 3, 65), (4097, 2, 1),  # one index per block: the loop
-            (91, 92, 91),  # m n > _MATMUL_BLOCK: the loop
-            (3, 3500, 10), (3500, 11, 3),
-            # the loop on large outputs: m > n runs on the transpose
-            (3500, 10, 3), (300, 12, 40), (40, 12, 300), (3, 10, 3500),
-            # one block with a long output axis
-            (700, 10, 1), (1, 10, 700), (64, 8, 4), (63, 8, 4),
-            # blocks on large problems, m > n and m < n
+            (65, 3, 64), (64, 3, 65), (4097, 2, 1),  # blocks of one index
+            (91, 92, 91),  # m n > _MATMUL_BLOCK: blocks of one index
+            (3, 3500, 10), (3500, 11, 3), (3500, 10, 3), (300, 12, 40), (40, 12, 300),
+            (3, 10, 3500),
+            # a long output axis, as rows and as columns
+            (700, 10, 1), (1, 10, 700),
+            # many blocks, m > n and m < n
             (10, 3500, 3), (7, 900, 2), (2, 900, 7), (4, 5000, 4),
-            # m n = 1 and 2: one block past _MATMUL_BLOCK
-            (1, 9000, 1), (1, 9000, 2), (2, 9000, 1),
         ]
         rng = np.random.default_rng(4)
         shapes = edge + [
@@ -162,8 +166,24 @@ class TestMatmul:
             b = with_extremes(rng, (k, n))
             with np.errstate(over="ignore", invalid="ignore"):
                 want = rank_one_matmul(a, b)
+                if m * k * n <= 4000:
+                    assert same_bits(want, naive_matmul(a, b)), (m, k, n)
                 for product in (matmul, numpy_route):
                     assert same_bits(product(a, b), want), (product.__name__, m, k, n)
+
+    def test_numpy_route_memory_does_not_grow_with_k(self):
+        # a (10, 7000, 10) product sums blocks of 81 indices, 65 KB each;
+        # all 7000 rank-one products at once would take 5.6 MB
+        a = np.random.default_rng(8).standard_normal((10, 7000))
+        b = np.ascontiguousarray(a.T)
+        numpy_route(a, b)
+        tracemalloc.start()
+        try:
+            numpy_route(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25e6
 
     @pytest.mark.parametrize("m, k, n", HOT_SHAPES)
     def test_hot_shapes_match_triple_loop_bit_for_bit(self, m, k, n):
@@ -193,9 +213,9 @@ class TestMatmul:
         "m, k, n",
         SMALL_SHAPES
         + [
-            (4, _MATMUL_BLOCK // 16, 4),  # m k n = _MATMUL_BLOCK: one block
+            (4, _MATMUL_BLOCK // 16, 4),  # m k n = _MATMUL_BLOCK: one full block
             (1, _MATMUL_BLOCK // 2, 2),
-            (3, _MATMUL_BLOCK // 3 + 1, 1),  # m k n = _MATMUL_BLOCK + 1: blocks
+            (3, _MATMUL_BLOCK // 3 + 1, 1),  # m k n = _MATMUL_BLOCK + 1: two blocks
             (1, _MATMUL_BLOCK // 3 + 1, 3),
             (1, 0, 2), (2, 0, 1), (1, 1, 2), (2, 1, 1), (1, 7, 2), (2, 7, 1),  # m n = 2
         ],
@@ -245,7 +265,7 @@ class TestMatmul:
             assert same_bits(matmul(a, b), naive_matmul(a, b)), k
 
     def test_block_path_sums_signed_zeros_like_the_loop(self):
-        # 0.0 + (-0.0) is +0.0: the running sum starts at +0.0 in every path
+        # 0.0 + (-0.0) is +0.0: the running sum starts at +0.0 on every route
         for m, k, n in [(1, 3, 1), (2, 3, 2), (2, 0, 2)]:
             a = np.full((m, k), -0.0)
             b = np.ones((k, n))
@@ -391,6 +411,17 @@ class TestSolveSpd:
         a = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(NotSymmetricError):
             solve_spd(a, np.eye(2))
+
+    def test_symmetry_tolerance_is_1e_10_of_the_scale(self):
+        # the skew is the off-diagonal entry exactly, and the scale is the
+        # largest entry, 1000
+        def skewed(skew):
+            return np.array([[1000.0, 0.0], [skew, 1000.0]])
+
+        assert check_symmetric(skewed(1e-10 * 1000.0)) is not None
+        with pytest.raises(NotSymmetricError, match=re.escape(
+                "max|a - a.T| = 2.000e-07 exceeds 1e-10 * 1.000e+03")):
+            check_symmetric(skewed(2e-10 * 1000.0))
 
     def test_non_positive_definite_reports_pivot(self):
         a = np.eye(4)

@@ -647,6 +647,37 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"layer {layer} "):
             load_network(str(path))
 
+    # bool("false") is True, int(2.9) is 2 and int(True) is 1: each would
+    # load as some other layer
+    @pytest.mark.parametrize("key, value, message", [
+        ("has_bias", "false", "'layers[2].has_bias' must be a boolean, got 'false'"),
+        ("has_bias", 0, "'layers[2].has_bias' must be a boolean, got 0"),
+        ("input_dim", 2.9, "'layers[2].input_dim' must be an integer, got 2.9"),
+        ("output_dim", True, "'layers[2].output_dim' must be an integer, got True"),
+        ("output_dim", "2", "'layers[2].output_dim' must be an integer, got '2'"),
+        ("activation", None, "'layers[2].activation' must be a string, got None"),
+        ("input_dim", KeyError, "'layers[2].input_dim' is missing"),
+        ("weights", KeyError, "'layers[2].weights' is missing"),
+        (None, [5, 2], "'layers[2]' must be an object, got [5, 2]"),
+    ])
+    def test_load_rejects_a_malformed_layer_naming_its_key(self, tmp_path, key, value, message):
+        doc = network_to_dict(small_regression_net(seed=31))
+        if key is None:
+            doc["layers"][2] = value
+        elif value is KeyError:
+            del doc["layers"][2][key]
+        else:
+            doc["layers"][2][key] = value
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_network(str(path))
+
+    def test_load_reads_an_integral_float_dimension(self):
+        doc = network_to_dict(small_regression_net(seed=31))
+        doc["layers"][2]["input_dim"] = 5.0
+        assert network_from_dict(doc).layers[2].spec.input_dim == 5
+
 
 # the flat label gather rests on np.mean of a 1-D array adding as it adds a
 # contiguous row

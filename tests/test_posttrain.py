@@ -12,7 +12,7 @@ from conftest import MATMUL_ROUTES, networks_bit_identical
 from lastlayer import linalg
 from lastlayer.data import Dataset, gen_synthetic
 from lastlayer.kernel import gram, krr_solve, ridge_solve
-from lastlayer.linalg import _MATMUL_BLOCK, matmul, sq_frobenius
+from lastlayer.linalg import matmul, sq_frobenius
 from lastlayer.network import (
     Layer,
     LayerSpec,
@@ -440,13 +440,6 @@ class TestClassMajorCrossEntropy:
 
     LAM = 1e-3
 
-    @staticmethod
-    def matmul_path(m, k, n):
-        """Which of ``linalg.matmul``'s paths a (m, k) @ (k, n) product takes."""
-        if m * n > 1 and m * k * n <= _MATMUL_BLOCK:
-            return "one block"
-        return "blocks" if _MATMUL_BLOCK // (m * n) > 1 else "rank-one loop"
-
     def problem(self, classes, n, bias, d=40, seed=0):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, d)) * 3.0
@@ -481,21 +474,20 @@ class TestClassMajorCrossEntropy:
             assert grad.shape == want_grad.shape
             assert grad.tobytes() == want_grad.tobytes()
 
-    @pytest.mark.parametrize("path, n", [("one block", 10), ("blocks", 150),
-                                         ("rank-one loop", 2100)])
+    # on the numpy route the (classes, 40 or 41 features) @ (features, n)
+    # logits take one block at n = 10, several at n = 150, and one feature
+    # per block at n = 2100
+    @pytest.mark.parametrize("n", [10, 150, 2100])
     @pytest.mark.parametrize("bias", [False, True])
     @pytest.mark.parametrize("classes", [2, 3, 7, 8, 12])
-    def test_bits_match_forward_and_backprop(self, classes, bias, path, n, monkeypatch):
+    def test_bits_match_forward_and_backprop(self, classes, bias, n, monkeypatch):
         problem, point, labels = self.problem(classes, n, bias, seed=classes * n)
-        d_eff = point.layers[0].spec.input_dim
-        assert self.matmul_path(classes, d_eff, n) == path
         self.assert_matches_forward_and_backprop(problem, point, labels, monkeypatch)
 
-    def test_gradient_bits_match_matmuls_rank_one_loop(self, monkeypatch):
-        # m d > _MATMUL_BLOCK / 2: backprop's delta.T @ F adds one rank-one
-        # product per sample
+    def test_gradient_bits_match_with_one_sample_per_block(self, monkeypatch):
+        # backprop's delta.T @ F is (12, 30) @ (30, 401): its 4812 entries
+        # exceed _MATMUL_BLOCK / 2, so the numpy route adds one sample per block
         problem, point, labels = self.problem(12, 30, True, d=400, seed=5)
-        assert self.matmul_path(12, 30, 401) == "rank-one loop"
         self.assert_matches_forward_and_backprop(problem, point, labels, monkeypatch)
 
     def test_single_column_keeps_backprop(self, monkeypatch):
