@@ -25,8 +25,8 @@ import math
 import os
 import sys
 from collections import deque
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from dataclasses import asdict, dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -65,10 +65,6 @@ METRICS = ("rmse", "classification_error")
 # configuration
 # ---------------------------------------------------------------------------
 
-# a CSV column, selected by header name or by 0-based index
-Column = Union[str, int]
-
-
 # the keys each dataset kind reads, with the value each takes when unset
 _DATASET_KEYS = {
     "synthetic": {"n": 10000, "seed": 0},
@@ -88,8 +84,8 @@ class DatasetSpec:
     n: Optional[int] = None
     seed: Optional[int] = None
     path: Optional[str] = None
-    feature_columns: Optional[list[Column]] = None
-    target_columns: Optional[list[Column]] = None
+    feature_columns: Optional[list[jsonio.Column]] = None
+    target_columns: Optional[list[jsonio.Column]] = None
     has_header: Optional[bool] = None
 
     def __post_init__(self):
@@ -159,104 +155,20 @@ _DOC_KEYS = {
 }
 
 
-def _from_doc(cls, doc: dict, prefix: str = ""):
-    """``cls`` read from ``doc``, whose keys have the dotted path ``prefix`` +
-    key; a key that no field reads raises ValueError naming that path."""
-    hints = get_type_hints(cls)
-    paths = {f.name: _DOC_KEYS.get(f.name, f.name) for f in fields(cls)}
-    sections = {path.split(".")[0] for path in paths.values() if "." in path}
-    for key, value in doc.items():
-        if key in sections:
-            keys = [f"{key}.{sub}" for sub in _expect(value, dict, prefix + key)]
-        else:
-            keys = [key]
-        for path in keys:
-            if path not in paths.values():
-                raise ValueError(f"unknown config key {prefix + path!r}")
-    kwargs = {}
-    for f in fields(cls):
-        section, _, key = paths[f.name].rpartition(".")
-        source = doc.get(section, {}) if section else doc
-        if key in source:
-            kwargs[f.name] = _value_from_doc(hints[f.name], source[key], prefix + paths[f.name])
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ValueError(f"missing config key {prefix + paths[f.name]!r}")
-    return cls(**kwargs)
-
-
-def _expect(value, kind: type, where: str):
-    """``value`` when it is a ``kind`` (dict or list), else ValueError naming
-    its dotted path ``where``."""
-    if not isinstance(value, kind):
-        noun = "an object" if kind is dict else "a list"
-        raise ValueError(f"config key {where!r} must be {noun}, got {value!r}")
-    return value
-
-
-# what a scalar field accepts from the document, and how its error names it
-_SCALARS = {
-    **jsonio.SCALARS,
-    Column: ("a column name or a 0-based index",
-             lambda v: isinstance(v, str)
-             or (jsonio.is_number(v) and isinstance(v, int) and v >= 0)),
-}
-
-
-def _value_from_doc(kind, value, where: str):
-    """``value`` read as a ``kind``; a scalar that ``_SCALARS`` refuses, or a
-    non-finite float, raises ValueError naming its dotted path ``where``.
-    An ``Optional`` kind takes None or a value of the kind it wraps."""
-    if get_origin(kind) is Union and type(None) in get_args(kind):
-        if value is None:
-            return None
-        (kind,) = [arg for arg in get_args(kind) if arg is not type(None)]
-    if is_dataclass(kind):
-        return _from_doc(kind, _expect(value, dict, where), where + ".")
-    if get_origin(kind) is list:
-        (item,) = get_args(kind)
-        items = enumerate(_expect(value, list, where))
-        return [_value_from_doc(item, v, f"{where}[{i}]") for i, v in items]
-    if kind in _SCALARS:
-        noun, accepts = _SCALARS[kind]
-        if not accepts(value):
-            raise ValueError(f"config key {where!r} must be {noun}, got {value!r}")
-        # NaN and +-inf fail this test, and so does an int too large for a float
-        if kind is float and not abs(value) <= sys.float_info.max:
-            raise ValueError(f"config key {where!r} must be finite, got {value!r}")
-        return kind(value) if isinstance(kind, type) else value
-    return value
-
-
-def _to_doc(obj) -> dict:
-    doc = {}
-    for f in fields(obj):
-        section, _, key = _DOC_KEYS.get(f.name, f.name).rpartition(".")
-        target = doc.setdefault(section, {}) if section else doc
-        target[key] = _value_to_doc(getattr(obj, f.name))
-    return doc
-
-
-def _value_to_doc(value):
-    if is_dataclass(value):
-        return _to_doc(value)
-    if isinstance(value, list):
-        return [_value_to_doc(v) for v in value]
-    return value
-
-
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Config from its JSON document; absent keys take the dataclass defaults.
     Besides ``format_version``, which may be absent but otherwise must be this
     package's, a key that names no field raises ValueError, so a misspelt
     key cannot silently leave a default in place."""
-    version = doc.get("format_version", CONFIG_FORMAT_VERSION)
+    doc = dict(jsonio.expect(doc, dict, "", "config"))
+    version = doc.pop("format_version", CONFIG_FORMAT_VERSION)
     jsonio.check_format_version(version, CONFIG_FORMAT_VERSION, "config")
-    return _from_doc(ExperimentConfig, {k: v for k, v in doc.items() if k != "format_version"})
+    return jsonio.from_doc(ExperimentConfig, doc, "", "config", _DOC_KEYS)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Fully resolved config document, written alongside every run."""
-    return {"format_version": CONFIG_FORMAT_VERSION, **_to_doc(cfg)}
+    return {"format_version": CONFIG_FORMAT_VERSION, **jsonio.to_doc(cfg, _DOC_KEYS)}
 
 
 # ---------------------------------------------------------------------------

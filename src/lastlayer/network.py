@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,34 +51,36 @@ class LayerSpec:
         if self.input_dim < 1 or self.output_dim < 1:
             raise ValueError(f"layer dimensions must be >= 1, got {self}")
         if self.activation not in ACTIVATIONS:
-            raise ValueError(
-                f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}"
-            )
+            raise jsonio.FieldError("activation", f"unknown activation {self.activation!r}; "
+                                                  f"expected one of {ACTIVATIONS}")
+
+
+class _ShapeError(DimensionMismatchError, jsonio.FieldError):
+    """Weights or a bias whose shape is not the one its layer's spec gives,
+    or layers whose dimensions do not chain."""
 
 
 @dataclass
 class Layer:
     spec: LayerSpec
-    weights: Matrix
-    bias: Optional[np.ndarray] = None
+    weights: jsonio.Matrix
+    bias: Optional[jsonio.Vector] = None
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
         expected = (self.spec.output_dim, self.spec.input_dim)
         if self.weights.shape != expected:
-            raise DimensionMismatchError(
-                f"layer weights must be {expected}, got {self.weights.shape}"
-            )
+            raise _ShapeError("weights",
+                              f"layer weights must be {expected}, got {self.weights.shape}")
         if self.spec.has_bias:
             if self.bias is None:
-                raise ValueError("layer spec requires a bias vector")
+                raise jsonio.FieldError("bias", "layer spec requires a bias vector")
             self.bias = np.asarray(self.bias, dtype=np.float64).reshape(-1)
             if self.bias.shape != (self.spec.output_dim,):
-                raise DimensionMismatchError(
-                    f"bias must have length {self.spec.output_dim}, got {self.bias.shape}"
-                )
+                raise _ShapeError("bias", f"bias must have length {self.spec.output_dim}, "
+                                          f"got {self.bias.shape}")
         elif self.bias is not None:
-            raise ValueError("layer spec has has_bias=False but a bias was given")
+            raise jsonio.FieldError("bias", "layer spec has has_bias=False but a bias was given")
 
     def copy(self) -> "Layer":
         return Layer(self.spec, self.weights.copy(), None if self.bias is None else self.bias.copy())
@@ -86,20 +88,20 @@ class Layer:
 
 @dataclass
 class Network:
-    layers: list
+    layers: list[Layer]
 
     def __post_init__(self):
         if not self.layers:
-            raise ValueError("a network needs at least one layer")
+            raise jsonio.FieldError("layers", "a network needs at least one layer")
         for lower, upper in zip(self.layers, self.layers[1:]):
             if lower.spec.output_dim != upper.spec.input_dim:
-                raise DimensionMismatchError(
-                    f"layer chain broken: output_dim {lower.spec.output_dim} feeds "
+                raise _ShapeError(
+                    "layers", f"layer chain broken: output_dim {lower.spec.output_dim} feeds "
                     f"input_dim {upper.spec.input_dim}"
                 )
         for layer in self.layers[:-1]:
             if layer.spec.activation == "softmax":
-                raise ValueError("softmax is only allowed on the last layer")
+                raise jsonio.FieldError("layers", "softmax is only allowed on the last layer")
 
     @property
     def depth(self) -> int:
@@ -507,50 +509,31 @@ def replace_last_layer(net: Network, weights: Matrix, bias=None) -> Network:
 # serialization
 # ---------------------------------------------------------------------------
 
+# a layer document puts its spec's fields beside its weights and bias
+_LAYER_KEYS = {"spec": ""}
+
+
 def layer_to_dict(layer: Layer) -> dict:
-    return {
-        **asdict(layer.spec),
-        "weights": layer.weights.tolist(),
-        "bias": None if layer.bias is None else layer.bias.tolist(),
-    }
-
-
-_LAYER_SCALARS = {"input_dim": int, "output_dim": int, "activation": str, "has_bias": bool}
+    return jsonio.to_doc(layer, _LAYER_KEYS)
 
 
 def layer_from_dict(doc: dict, where: str = "layer") -> Layer:
-    """Layer from its JSON document.  A missing key, or a scalar that
-    ``jsonio.SCALARS`` refuses (a dimension of 2.9 or ``true``, a
-    ``has_bias`` of ``"false"``), raises ValueError naming ``where.key``."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"network key {where!r} must be an object, got {doc!r}")
-    for key in (*_LAYER_SCALARS, "weights"):
-        if key not in doc:
-            raise ValueError(f"network key '{where}.{key}' is missing")
-    for key, kind in _LAYER_SCALARS.items():
-        noun, accepts = jsonio.SCALARS[kind]
-        if not accepts(doc[key]):
-            raise ValueError(f"network key '{where}.{key}' must be {noun}, got {doc[key]!r}")
-    spec = LayerSpec(**{key: kind(doc[key]) for key, kind in _LAYER_SCALARS.items()})
-    weights = np.array(doc["weights"], dtype=np.float64)
-    bias = None if doc.get("bias") is None else np.array(doc["bias"], dtype=np.float64)
-    return Layer(spec, weights, bias)
+    """Layer from its JSON document, at the path ``where`` in a network
+    document, read as ``jsonio.from_doc`` reads every document."""
+    return jsonio.from_doc(Layer, doc, where, "network", _LAYER_KEYS)
 
 
 def network_to_dict(net: Network) -> dict:
-    return {
-        "format_version": NETWORK_FORMAT_VERSION,
-        "layers": [layer_to_dict(layer) for layer in net.layers],
-    }
+    return {"format_version": NETWORK_FORMAT_VERSION, **jsonio.to_doc(net, _LAYER_KEYS)}
 
 
 def network_from_dict(doc: dict) -> Network:
-    jsonio.check_format_version(doc.get("format_version"), NETWORK_FORMAT_VERSION, "network")
-    layers = [layer_from_dict(item, f"layers[{i}]") for i, item in enumerate(doc["layers"])]
-    for index, layer in enumerate(layers):
-        if not all(np.all(np.isfinite(a)) for a in (layer.weights, layer.bias) if a is not None):
-            raise ValueError(f"layer {index} has non-finite weights or bias")
-    return Network(layers)
+    """Network from its JSON document, which must give this package's
+    ``format_version``; any other malformed input raises ValueError naming
+    its path, such as ``layers[1].weights[0][2]``."""
+    doc = dict(jsonio.expect(doc, dict, "", "network"))
+    jsonio.check_format_version(doc.pop("format_version", None), NETWORK_FORMAT_VERSION, "network")
+    return jsonio.from_doc(Network, doc, "", "network", _LAYER_KEYS)
 
 
 def save_network(net: Network, path: str) -> None:

@@ -176,6 +176,22 @@ class TestTrainCommands(object):
             main([command, "--config", config_path, "--network", str(net_path), "--out", str(out)])
         assert not out.exists()
 
+    def test_post_train_refuses_a_string_weight_and_writes_nothing(self, tmp_path, config_path):
+        # the network has the config's layers, but one weight is the string
+        # "1", which numpy alone would read as the number 1
+        net_path = tmp_path / "net.json"
+        specs = [LayerSpec(10, 5, "tanh"), LayerSpec(5, 1, "identity", has_bias=False)]
+        save_network(build_network(specs, 3), str(net_path))
+        doc = jsonio.load(str(net_path))
+        doc["layers"][1]["weights"][0][2] = "1"
+        net_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        message = "network key 'layers[1].weights[0][2]' must be a number, got '1'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            main(["post-train", "--config", config_path, "--network", str(net_path),
+                  "--out", str(out)])
+        assert not out.exists()
+
     def test_single_run_commands_record_the_one_seed_they_ran(self, tmp_path):
         # the bundled config lists five seeds; train, post-train and krr run
         # the first, and re-running train from its resolved config repeats it

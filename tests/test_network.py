@@ -638,13 +638,16 @@ class TestSerialization:
     def test_load_rejects_non_finite_parameters(self, tmp_path, layer, field, value):
         doc = network_to_dict(small_regression_net(seed=30))
         entries = doc["layers"][layer][field]
+        where = f"layers[{layer}].{field}[0]"
         if field == "weights":
             entries = entries[0]
+            where += "[0]"
         entries[0] = float(value)
         path = tmp_path / "net.json"
         path.write_text(json.dumps(doc))
         assert value in path.read_text()
-        with pytest.raises(ValueError, match=f"layer {layer} "):
+        message = f"network key {where!r} must be finite, got {float(value)!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_network(str(path))
 
     # bool("false") is True, int(2.9) is 2 and int(True) is 1: each would
@@ -672,6 +675,48 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=re.escape(message)):
             load_network(str(path))
+
+    # layer 1 is 6 -> 5 with a bias, layer 2 has none; each refusal names
+    # the first bad entry, row or field by its path
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: doc["layers"][1]["weights"][0].__setitem__(2, "1"),
+         "network key 'layers[1].weights[0][2]' must be a number, got '1'"),
+        (lambda doc: doc["layers"][1]["weights"][0].__setitem__(2, True),
+         "network key 'layers[1].weights[0][2]' must be a number, got True"),
+        (lambda doc: doc["layers"][1]["weights"][4].__setitem__(0, None),
+         "network key 'layers[1].weights[4][0]' must be a number, got None"),
+        (lambda doc: doc["layers"][0]["bias"].__setitem__(1, "0.5"),
+         "network key 'layers[0].bias[1]' must be a number, got '0.5'"),
+        (lambda doc: doc["layers"][1]["weights"][3].pop(),
+         "network key 'layers[1].weights[3]' must be a row of 6 entries, got ["),
+        (lambda doc: doc["layers"][1].update(weights=[0.5] * 30),
+         "network key 'layers[1].weights[0]' must be a list, got 0.5"),
+        (lambda doc: doc["layers"][1]["weights"].pop(),
+         "network key 'layers[1].weights': layer weights must be (5, 6), got (4, 6)"),
+        (lambda doc: doc["layers"][1]["bias"].pop(),
+         "network key 'layers[1].bias': bias must have length 5, got (4,)"),
+        (lambda doc: doc["layers"][1].update(bias=None),
+         "network key 'layers[1].bias': layer spec requires a bias vector"),
+        (lambda doc: doc["layers"][2].update(bias=[0.0, 0.0]),
+         "network key 'layers[2].bias': layer spec has has_bias=False but a bias was given"),
+        (lambda doc: doc["layers"][1].update(activation="sigmoid"),
+         "network key 'layers[1].activation': unknown activation 'sigmoid'"),
+        (lambda doc: doc["layers"][1].update(scale=2.0), "unknown network key 'layers[1].scale'"),
+        # the key table spells the layer's spec as "", but no document may
+        (lambda doc: doc["layers"][1].update({"": 1}), "unknown network key 'layers[1]'"),
+        (lambda doc: doc.update(name="net"), "unknown network key 'name'"),
+        (lambda doc: doc.pop("layers"), "network key 'layers' is missing"),
+        (lambda doc: doc.update(layers=None), "network key 'layers' must be a list, got None"),
+        (lambda doc: doc.update(layers=[]),
+         "network key 'layers': a network needs at least one layer"),
+        (lambda doc: doc["layers"].pop(1),
+         "network key 'layers': layer chain broken: output_dim 6 feeds input_dim 5"),
+    ])
+    def test_load_refuses_malformed_input_naming_its_path(self, corrupt, message):
+        doc = network_to_dict(small_regression_net(seed=32))
+        corrupt(doc)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            network_from_dict(doc)
 
     def test_load_reads_an_integral_float_dimension(self):
         doc = network_to_dict(small_regression_net(seed=31))
