@@ -128,7 +128,7 @@ def cmd_krr(cfg, args):
             f"krr fits the squared-error last layer in closed form; the config's loss is {cfg.loss!r}"
         )
     net = load_network(args.network)
-    check_loss_pairing(net, cfg.loss)
+    check_loss_pairing(net.layers[-1].spec, cfg.loss)
     train_ds, _ = _materialize_data(cfg, cfg.seeds[0])
     _refuse_other_layers(cfg, net, args.network)
     solution, best = closed_form_fit(cfg, net, train_ds)

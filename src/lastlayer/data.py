@@ -225,14 +225,19 @@ def save_csv(ds: Dataset, path: str) -> None:
                    header=",".join(list(feature_names) + list(target_names)))
 
 
+def check_fraction(fraction: float) -> None:
+    """Refuse a training share outside (0, 1)."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError("fraction must lie strictly between 0 and 1")
+
+
 def split(ds: Dataset, fraction: float, seed: int) -> Split:
     """Seeded permutation, then prefix/suffix partition.
 
     Train gets floor(fraction * N) samples; the index sets are disjoint and
     cover the source exactly.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must lie strictly between 0 and 1")
+    check_fraction(fraction)
     n_train = int(math.floor(fraction * ds.n))
     if n_train < 1 or ds.n - n_train < 1:
         raise ValueError(

@@ -32,8 +32,10 @@ import numpy as np
 
 from . import jsonio
 from .convexity import SoftmaxInstance, ce_hessian, p_matrix
-from .data import Dataset, apply_standardization, gen_synthetic, load_csv, split, standardize
-from .kernel import gram, krr_solve, ridge_solve, rkhs_norm_bound
+from .data import (Dataset, apply_standardization, check_fraction, gen_synthetic, load_csv, split,
+                   standardize)
+from .jsonio import FieldError, refused_as
+from .kernel import CONVENTIONS, gram, krr_solve, ridge_solve, rkhs_norm_bound
 from .linalg import DimensionMismatchError, matmul, min_eigenvalue_symmetric, solve_spd
 from .network import (
     LOSSES,
@@ -46,6 +48,8 @@ from .network import (
     _squared_errors,
     backprop,
     build_network,
+    check_layer_specs,
+    check_loss_pairing,
     forward,
     loss_eval,
     one_hot_labels,
@@ -53,7 +57,7 @@ from .network import (
 from .posttrain import (PostTrainConfig, _last_layer_net, effective_features,
                         effective_last_weights, post_train, with_effective_last_weights)
 from .rng import Rng, derive
-from .train import TrainConfig, classification_error, sgd_train
+from .train import TrainConfig, check_dropout_keep, classification_error, sgd_train
 from .workers import Worker
 
 CONFIG_FORMAT_VERSION = 1
@@ -90,17 +94,18 @@ class DatasetSpec:
 
     def __post_init__(self):
         if self.kind not in _DATASET_KEYS:
-            raise ValueError(f"dataset kind must be 'synthetic' or 'csv', got {self.kind!r}")
+            raise FieldError("kind", f"dataset kind must be 'synthetic' or 'csv', got {self.kind!r}")
         for kind, keys in _DATASET_KEYS.items():
             for key, default in keys.items():
                 if kind != self.kind and getattr(self, key) is not None:
-                    raise ValueError(f"dataset.{key} applies only to a {kind} dataset")
+                    raise FieldError(key, f"dataset.{key} applies only to a {kind} dataset")
                 if kind == self.kind and getattr(self, key) is None:
                     setattr(self, key, default)
         if self.kind == "csv" and not self.path:
-            raise ValueError("csv dataset requires a path")
+            raise FieldError("path", "csv dataset requires a path")
         if self.kind == "csv" and (self.feature_columns is None or self.target_columns is None):
-            raise ValueError("csv dataset requires feature_columns and target_columns")
+            missing = "feature_columns" if self.feature_columns is None else "target_columns"
+            raise FieldError(missing, "csv dataset requires feature_columns and target_columns")
 
 
 @dataclass(kw_only=True)
@@ -124,23 +129,37 @@ class ExperimentConfig:
     krr_convention: str = "objective_consistent"
 
     def __post_init__(self):
+        """Each refusal is a FieldError of the field it names.  Besides each
+        field's own rules, the fields must fit one another: the layers
+        chain, their last activation pairs with ``loss`` (which the metric
+        fixes), and ``train.dropout_keep`` has one entry per hidden layer."""
         if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}")
+            raise FieldError("metric", f"metric must be one of {METRICS}")
         if not self.checkpoints:
-            raise ValueError("at least one checkpoint is required")
+            raise FieldError("checkpoints", "at least one checkpoint is required")
         if self.checkpoints[0] < 0:
-            raise ValueError(f"checkpoints must be >= 0, got {self.checkpoints[0]}")
+            raise FieldError("checkpoints", f"checkpoints must be >= 0, got {self.checkpoints[0]}")
         for a, b in zip(self.checkpoints, self.checkpoints[1:]):
             if b <= a:
-                raise ValueError("checkpoints must be strictly increasing")
+                raise FieldError("checkpoints", "checkpoints must be strictly increasing")
         if self.checkpoints[-1] > self.train.iterations:
-            raise ValueError("checkpoints cannot exceed train.iterations")
+            raise FieldError("checkpoints", "checkpoints cannot exceed train.iterations")
         if not self.seeds:
-            raise ValueError("at least one run seed is required")
+            raise FieldError("seeds", "at least one run seed is required")
         if self.metric == "rmse" and self.loss != "squared_error":
-            raise ValueError("rmse metric requires squared_error loss")
+            raise FieldError("loss", "rmse metric requires squared_error loss")
         if self.metric == "classification_error" and self.loss != "cross_entropy":
-            raise ValueError("classification_error metric requires cross_entropy loss")
+            raise FieldError("loss", "classification_error metric requires cross_entropy loss")
+        with refused_as("split_fraction"):
+            check_fraction(self.split_fraction)
+        if self.krr_convention not in CONVENTIONS:
+            raise FieldError("krr_convention", f"krr_convention must be one of {CONVENTIONS}, "
+                                               f"got {self.krr_convention!r}")
+        with refused_as("layer_specs"):
+            check_layer_specs(self.layer_specs)
+            check_loss_pairing(self.layer_specs[-1], self.loss)
+        with refused_as("train"):
+            check_dropout_keep(self.train, len(self.layer_specs) - 1)
 
 
 # The config document spells every field of ExperimentConfig and of the

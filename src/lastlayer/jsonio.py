@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, fields, is_dataclass
 from typing import Annotated, Any, Union, get_args, get_origin, get_type_hints
 
@@ -112,6 +113,16 @@ class FieldError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(message)
         self.field = field
+
+
+@contextmanager
+def refused_as(field: str):
+    """Re-raise a ValueError raised inside the ``with`` block as a
+    ``FieldError`` of ``field``, with the same message."""
+    try:
+        yield
+    except ValueError as err:
+        raise FieldError(field, str(err)) from None
 
 
 def _key(what: str, where: str) -> str:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,7 +48,8 @@ class LayerSpec:
 
     def __post_init__(self):
         if self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError(f"layer dimensions must be >= 1, got {self}")
+            raise jsonio.FieldError("input_dim" if self.input_dim < 1 else "output_dim",
+                                    f"layer dimensions must be >= 1, got {self}")
         if self.activation not in ACTIVATIONS:
             raise jsonio.FieldError("activation", f"unknown activation {self.activation!r}; "
                                                   f"expected one of {ACTIVATIONS}")
@@ -86,22 +86,26 @@ class Layer:
         return Layer(self.spec, self.weights.copy(), None if self.bias is None else self.bias.copy())
 
 
+def check_layer_specs(specs) -> None:
+    """Refuse, as a FieldError of ``layers``, layer specs that make no
+    network: none at all, dimensions that do not chain, or a softmax below
+    the last layer."""
+    if not specs:
+        raise jsonio.FieldError("layers", "a network needs at least one layer")
+    for lower, upper in zip(specs, specs[1:]):
+        if lower.output_dim != upper.input_dim:
+            raise _ShapeError("layers", f"layer chain broken: output_dim {lower.output_dim} "
+                                        f"feeds input_dim {upper.input_dim}")
+    if any(spec.activation == "softmax" for spec in specs[:-1]):
+        raise jsonio.FieldError("layers", "softmax is only allowed on the last layer")
+
+
 @dataclass
 class Network:
     layers: list[Layer]
 
     def __post_init__(self):
-        if not self.layers:
-            raise jsonio.FieldError("layers", "a network needs at least one layer")
-        for lower, upper in zip(self.layers, self.layers[1:]):
-            if lower.spec.output_dim != upper.spec.input_dim:
-                raise _ShapeError(
-                    "layers", f"layer chain broken: output_dim {lower.spec.output_dim} feeds "
-                    f"input_dim {upper.spec.input_dim}"
-                )
-        for layer in self.layers[:-1]:
-            if layer.spec.activation == "softmax":
-                raise jsonio.FieldError("layers", "softmax is only allowed on the last layer")
+        check_layer_specs([layer.spec for layer in self.layers])
 
     @property
     def depth(self) -> int:
@@ -141,35 +145,6 @@ class Gradients:
 
     weights: list
     biases: list  # None entries where the layer has no bias
-
-
-# ---------------------------------------------------------------------------
-# structural probe: counts matrix products attributable to non-final layers,
-# used to verify that last-layer fine-tuning never re-runs the feature stack
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OpProbe:
-    lower_layer_products: int = 0
-
-
-_ACTIVE_PROBES: list = []
-
-
-@contextmanager
-def probe_lower_layer_products():
-    probe = OpProbe()
-    _ACTIVE_PROBES.append(probe)
-    try:
-        yield probe
-    finally:
-        _ACTIVE_PROBES.remove(probe)
-
-
-def _tally_lower_products(count: int) -> None:
-    if count and _ACTIVE_PROBES:
-        for probe in _ACTIVE_PROBES:
-            probe.lower_layer_products += count
 
 
 def softmax_rows(z: Matrix) -> Matrix:
@@ -288,7 +263,6 @@ def forward(net: Network, x: Matrix, dropout_masks=None) -> ForwardTrace:
     for z, a in _layer_passes(net.layers, x, masks):
         pre.append(z)
         post.append(a)
-    _tally_lower_products(net.depth - 1)
     return ForwardTrace(pre, post)
 
 
@@ -305,7 +279,7 @@ def feature_map(net: Network, x: Matrix) -> Matrix:
     passes' temporaries are one block's, not N rows'.  The bits are those
     of one pass over all rows: ``matmul`` makes the same additions in the
     same order for any number of rows, and the bias and the activations act
-    on each row alone.  The lower-layer products are tallied once per call.
+    on each row alone.
     """
     x = _check_input(net, x)
     if net.depth == 1:
@@ -316,7 +290,6 @@ def feature_map(net: Network, x: Matrix) -> Matrix:
         for _, current in _layer_passes(lower, x[start : start + _FEATURE_BLOCK]):
             pass
         out[start : start + _FEATURE_BLOCK] = current
-    _tally_lower_products(net.depth - 1)
     return out
 
 
@@ -409,12 +382,12 @@ def loss_eval(loss: str, output: Matrix, targets: Matrix) -> float:
     raise ValueError(f"unknown loss {loss!r}; expected one of {LOSSES}")
 
 
-def check_loss_pairing(net: Network, loss: str) -> None:
-    """squared_error pairs with identity output, cross_entropy with softmax."""
-    last = net.layers[-1].spec.activation
-    if loss == "squared_error" and last != "identity":
+def check_loss_pairing(last: LayerSpec, loss: str) -> None:
+    """squared_error pairs with an identity last layer ``last``, cross_entropy
+    with a softmax one."""
+    if loss == "squared_error" and last.activation != "identity":
         raise ValueError("squared_error requires an identity last activation")
-    if loss == "cross_entropy" and last != "softmax":
+    if loss == "cross_entropy" and last.activation != "softmax":
         raise ValueError("cross_entropy requires a softmax last activation")
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss!r}")
@@ -433,7 +406,7 @@ def backprop(
     The softmax/cross-entropy pairing uses the standard simplification:
     the output-layer error is (probabilities - one_hot) / batch.
     """
-    check_loss_pairing(net, loss)
+    check_loss_pairing(net.layers[-1].spec, loss)
     x = _check_input(net, x)
     y = np.asarray(y, dtype=np.float64)
     masks = _check_masks(net, dropout_masks)
@@ -468,7 +441,6 @@ def backprop(
                 net.layers[index - 1].spec.activation, trace.pre[index - 1]
             )
             delta = upstream if deriv is None else upstream * deriv
-    _tally_lower_products(2 * (depth - 1))  # lower weight gradients, upstream products
     return Gradients(weight_grads, bias_grads)
 
 
@@ -492,16 +464,11 @@ def loss_and_gradients(net: Network, x: Matrix, y: Matrix, loss: str, dropout_ma
 
 
 def replace_last_layer(net: Network, weights: Matrix, bias=None) -> Network:
-    """New network sharing bit-identical lower layers with a new last layer."""
-    weights = np.asarray(weights, dtype=np.float64)
-    last_spec = net.layers[-1].spec
-    if weights.shape != (last_spec.output_dim, last_spec.input_dim):
-        raise DimensionMismatchError(
-            f"replacement weights must be {(last_spec.output_dim, last_spec.input_dim)}, "
-            f"got {weights.shape}"
-        )
+    """New network sharing bit-identical lower layers with a new last layer;
+    ``Layer`` refuses weights or a bias that do not fit the last layer's spec."""
     layers = [layer.copy() for layer in net.layers[:-1]]
-    layers.append(Layer(last_spec, weights.copy(), None if bias is None else np.asarray(bias, dtype=np.float64).copy()))
+    layers.append(Layer(net.layers[-1].spec, np.array(weights, dtype=np.float64),
+                        None if bias is None else np.array(bias, dtype=np.float64)))
     return Network(layers)
 
 

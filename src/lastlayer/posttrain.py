@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonio
 from .data import Dataset
 from .linalg import Matrix, matmul, sq_frobenius
 from .network import (
@@ -80,22 +81,22 @@ class PostTrainConfig:
 
     def __post_init__(self):
         if self.lam <= 0.0:
-            raise ValueError("lam must be positive")
+            raise jsonio.FieldError("lam", "lam must be positive")
         if self.grad_tol < 0.0:
-            raise ValueError("grad_tol must be nonnegative")
+            raise jsonio.FieldError("grad_tol", "grad_tol must be nonnegative")
         low, high = RECOMMENDED_LAMBDA
         if not low <= self.lam <= high:
             warnings.warn(
                 f"lam = {self.lam:g} is outside the recommended range [{low:g}, {high:g}]"
             )
         if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+            raise jsonio.FieldError("iterations", "iterations must be >= 0")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise jsonio.FieldError("mode", f"mode must be one of {MODES}, got {self.mode!r}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise jsonio.FieldError("batch_size", "batch_size must be >= 1")
         if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
+            raise jsonio.FieldError("lr", "lr must be positive")
 
 
 def effective_features(net: Network, x: Matrix) -> Matrix:
@@ -141,7 +142,7 @@ def posttrain_objective(net: Network, data: Dataset, lam: float, loss: str) -> f
     """
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
-    check_loss_pairing(net, loss)
+    check_loss_pairing(net.layers[-1].spec, loss)
     w_eff = effective_last_weights(net)
     out = forward(_last_layer_net(net, w_eff), effective_features(net, data.x)).output
     return loss_eval(loss, out, data.y) + lam * sq_frobenius(w_eff)
@@ -295,7 +296,7 @@ def post_train(
     but no training-set error is computed, and eval_data must be None.  The
     weights, objectives and termination are the same either way.
     """
-    check_loss_pairing(net, loss)
+    check_loss_pairing(net.layers[-1].spec, loss)
     _check_evaluate(evaluate, eval_data)
     problem = _CachedProblem(net, data, cfg.lam, loss, eval_data)
     stream = None

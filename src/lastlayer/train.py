@@ -65,21 +65,19 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+            raise jsonio.FieldError("iterations", "iterations must be >= 0")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise jsonio.FieldError("batch_size", "batch_size must be >= 1")
         if self.lr0 <= 0.0:
-            raise ValueError("lr0 must be positive")
+            raise jsonio.FieldError("lr0", "lr0 must be positive")
         if not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError("lr_decay must lie in (0, 1]")
+            raise jsonio.FieldError("lr_decay", "lr_decay must lie in (0, 1]")
         if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be nonnegative")
+            raise jsonio.FieldError("weight_decay", "weight_decay must be nonnegative")
         if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if self.dropout_keep is not None:
-            for keep in self.dropout_keep:
-                if not 0.0 < keep <= 1.0:
-                    raise ValueError("dropout keep probabilities must lie in (0, 1]")
+            raise jsonio.FieldError("eval_every", "eval_every must be >= 1")
+        if not all(0.0 < keep <= 1.0 for keep in self.dropout_keep or ()):
+            raise jsonio.FieldError("dropout_keep", "dropout keep probabilities must lie in (0, 1]")
 
 
 @dataclass
@@ -229,6 +227,15 @@ def _dropout_masks(net: Network, cfg: TrainConfig, iteration: int, batch: int):
     return masks
 
 
+def check_dropout_keep(cfg: TrainConfig, n_hidden: int) -> None:
+    """Refuse a ``dropout_keep`` that does not list one probability for each
+    of ``n_hidden`` hidden layers."""
+    if cfg.dropout_keep is not None and len(cfg.dropout_keep) != n_hidden:
+        raise ValueError(
+            f"dropout_keep must list {n_hidden} probabilities, got {len(cfg.dropout_keep)}"
+        )
+
+
 def _check_evaluate(evaluate: bool, eval_data: Optional[Dataset]) -> None:
     if not evaluate and eval_data is not None:
         raise ValueError("eval_data is read only by metric points; pass evaluate=True")
@@ -261,15 +268,11 @@ def sgd_train(
     training set is made, and eval_data must be None.  The weights are the
     same either way.
     """
-    check_loss_pairing(net, loss)
+    check_loss_pairing(net.layers[-1].spec, loss)
     _check_evaluate(evaluate, eval_data)
     if cfg.batch_size > data.n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {data.n}")
-    n_hidden = net.depth - 1
-    if cfg.dropout_keep is not None and len(cfg.dropout_keep) != n_hidden:
-        raise ValueError(
-            f"dropout_keep must list {n_hidden} probabilities, got {len(cfg.dropout_keep)}"
-        )
+    check_dropout_keep(cfg, net.depth - 1)
 
     train_set = _samples(data, loss)
     eval_set = None if eval_data is None else _samples(eval_data, loss)

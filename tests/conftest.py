@@ -1,9 +1,12 @@
 """Shared test helpers."""
 
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from lastlayer import linalg
+from lastlayer import linalg, network
 
 # linalg.matmul's routes by the value of linalg._EINSUM_ROUTE: the numpy
 # route everywhere, and the einsum route where numpy's einsum passed the
@@ -33,3 +36,26 @@ def networks_bit_identical(a, b) -> bool:
         if la.bias is not None and not np.array_equal(la.bias, lb.bias):
             return False
     return True
+
+
+@contextmanager
+def lower_layer_passes(net):
+    """Count, in the ``count`` of the value yielded, the passes made inside
+    the ``with`` block through the layers below ``net``'s last or through
+    their copies: ``network.forward`` and ``network.feature_map`` run every
+    layer through ``network._layer_passes``, and a copy of a layer keeps its
+    spec object, by which the layer is known."""
+    lower = {id(layer.spec) for layer in net.layers[:-1]}
+    passes = SimpleNamespace(count=0)
+    layer_passes = network._layer_passes
+
+    def counted(layers, x, masks=()):
+        for layer, pair in zip(layers, layer_passes(layers, x, masks)):
+            passes.count += id(layer.spec) in lower
+            yield pair
+
+    network._layer_passes = counted
+    try:
+        yield passes
+    finally:
+        network._layer_passes = layer_passes

@@ -11,7 +11,7 @@ import time
 from dataclasses import replace as dc_replace
 
 import numpy as np
-from conftest import networks_bit_identical
+from conftest import lower_layer_passes, networks_bit_identical
 
 from lastlayer.convexity import SoftmaxInstance, ce_hessian, ce_value, p_matrix
 from lastlayer.data import Dataset, gen_synthetic
@@ -28,7 +28,6 @@ from lastlayer.network import (
     forward,
     loss_and_gradients,
     loss_eval,
-    probe_lower_layer_products,
     replace_last_layer,
 )
 from lastlayer.posttrain import (
@@ -501,16 +500,16 @@ def test_criterion_10_iteration_cost_structure():
     net = build_network(specs, 15)
     counts = {}
     for iters in (1, 5, 50):
-        with probe_lower_layer_products() as probe:
+        with lower_layer_passes(net) as passes:
             post_train(net, ds, PostTrainConfig(lam=1e-3, iterations=iters), "squared_error")
-        counts[iters] = probe.lower_layer_products
+        counts[iters] = passes.count
     constant_cost = counts[1] == counts[5] == counts[50]
     cache_only = counts[1] == net.depth - 1
     passed = constant_cost and cache_only
     report(
         "criterion 10",
         passed,
-        f"lower-layer products by iteration count {counts} (constant: {constant_cost}, "
+        f"lower-layer passes by iteration count {counts} (constant: {constant_cost}, "
         f"equals one embedding pass: {cache_only})",
     )
     assert constant_cost

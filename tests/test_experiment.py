@@ -247,6 +247,28 @@ class TestConfig:
                            f"{re.escape(repr(path))}"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("path, corrupt, message", [
+        ("split.fraction", lambda doc: doc["split"].update(fraction=2.5),
+         "fraction must lie strictly between 0 and 1"),
+        ("krr_convention", lambda doc: doc.update(krr_convention="x"),
+         "krr_convention must be one of ('paper_literal', 'objective_consistent'), got 'x'"),
+        ("network.layers", lambda doc: doc["network"]["layers"][-1].update(activation="softmax"),
+         "squared_error requires an identity last activation"),
+        ("network.layers", lambda doc: doc["network"]["layers"][1].update(input_dim=7),
+         "layer chain broken: output_dim 10 feeds input_dim 7"),
+        ("train", lambda doc: doc["train"].update(dropout_keep=[1.0, 1.0, 1.0]),
+         "dropout_keep must list 2 probabilities, got 3"),
+    ], ids=["fraction", "convention", "softmax_last", "chain", "dropout_length"])
+    def test_fields_that_do_not_fit_are_refused_naming_the_key(self, path, corrupt, message):
+        # each is refused as the config is read, not once compare has built
+        # the data, or after the first checkpoint's training in a worker
+        doc = jsonio.loads(
+            resources.files("lastlayer.configs").joinpath("synthetic.json").read_text()
+        )
+        corrupt(doc)
+        with pytest.raises(ValueError, match=re.escape(f"config key {path!r}: {message}")):
+            config_from_dict(doc)
+
     def test_csv_columns_are_names_or_indices_and_both_lists_are_required(self):
         text = resources.files("lastlayer.configs").joinpath("synthetic.json").read_text()
         doc = jsonio.loads(text)

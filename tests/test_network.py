@@ -35,7 +35,6 @@ from lastlayer.network import (
     network_from_dict,
     network_to_dict,
     one_hot_labels,
-    probe_lower_layer_products,
     replace_last_layer,
     save_network,
     softmax_rows,
@@ -205,13 +204,6 @@ class TestBlockedFeatureMap:
         want = one_pass_features(net, x)
         assert got.shape == want.shape and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
-
-    def test_one_tally_per_call(self):
-        net = blocked_case_net("tanh", True)
-        x = np.zeros((2 * _FEATURE_BLOCK + 3, 10))
-        with probe_lower_layer_products() as probe:
-            feature_map(net, x)
-        assert probe.lower_layer_products == net.depth - 1
 
     def test_peak_memory_is_the_output_and_one_block(self):
         # one block's working set: the block's output of the layer below,
@@ -568,6 +560,16 @@ class TestStructure:
             if old_layer.bias is not None:
                 assert np.array_equal(old_layer.bias, new_layer.bias)
         assert np.all(new.layers[-1].weights == 0.0)
+
+    @pytest.mark.parametrize("weights, bias, error, message", [
+        (np.zeros((5, 2)), None, DimensionMismatchError, "layer weights must be (2, 5), got (5, 2)"),
+        (np.zeros((2, 5)), np.zeros(2), ValueError, "has_bias=False but a bias was given"),
+    ])
+    def test_replace_last_layer_refuses_what_the_last_spec_does_not_fit(self, weights, bias, error,
+                                                                        message):
+        net = small_regression_net(seed=25)
+        with pytest.raises(error, match=re.escape(message)):
+            replace_last_layer(net, weights, bias)
 
     def test_build_network_is_seeded(self):
         specs = [LayerSpec(3, 4, "tanh"), LayerSpec(4, 2, "identity", has_bias=False)]

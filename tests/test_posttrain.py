@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import MATMUL_ROUTES, networks_bit_identical
+from conftest import MATMUL_ROUTES, lower_layer_passes, networks_bit_identical
 
 from lastlayer import linalg
 from lastlayer.data import Dataset, gen_synthetic
@@ -23,7 +23,6 @@ from lastlayer.network import (
     forward,
     loss_eval,
     mean_cross_entropy,
-    probe_lower_layer_products,
     replace_last_layer,
     softmax_rows,
 )
@@ -636,9 +635,9 @@ class TestIterationCost:
         ds = regression_data(seed=46)
         counts = {}
         for iters in (2, 60):
-            with probe_lower_layer_products() as probe:
+            with lower_layer_passes(net) as passes:
                 post_train(net, ds, PostTrainConfig(lam=1e-3, iterations=iters), "squared_error")
-            counts[iters] = probe.lower_layer_products
+            counts[iters] = passes.count
         assert counts[2] == counts[60]
         assert counts[2] == net.depth - 1  # exactly one embedding pass
 
@@ -648,9 +647,9 @@ class TestIterationCost:
         counts = {}
         for iters in (2, 40):
             cfg = PostTrainConfig(lam=1e-3, iterations=iters, mode="minibatch", batch_size=10)
-            with probe_lower_layer_products() as probe:
+            with lower_layer_passes(net) as passes:
                 post_train(net, ds, cfg, "squared_error")
-            counts[iters] = probe.lower_layer_products
+            counts[iters] = passes.count
         assert counts[2] == counts[40]
 
     def test_sgd_train_does_run_lower_layers_each_iteration(self):
@@ -661,7 +660,7 @@ class TestIterationCost:
         counts = {}
         for iters in (2, 10):
             cfg = TrainConfig(iterations=iters, batch_size=10, lr0=0.05, seed=51)
-            with probe_lower_layer_products() as probe:
+            with lower_layer_passes(net) as passes:
                 sgd_train(net, ds, cfg, "squared_error")
-            counts[iters] = probe.lower_layer_products
+            counts[iters] = passes.count
         assert counts[10] > counts[2]
