@@ -31,7 +31,6 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_
 from .convexity import SoftmaxInstance, ce_hessian, ce_value, class_probs, p_matrix
 from .data import (
     Dataset,
-    Split,
     gen_synthetic,
     load_csv,
     save_csv,

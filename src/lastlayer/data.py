@@ -86,14 +86,6 @@ class Dataset:
         )
 
 
-@dataclass
-class Split:
-    train: Dataset
-    test: Dataset
-    fraction: float
-    seed: int
-
-
 def gen_synthetic(n: int = 10000, seed: int = 0) -> Dataset:
     """Teacher-generated regression data.
 
@@ -231,25 +223,26 @@ def check_fraction(fraction: float) -> None:
         raise ValueError("fraction must lie strictly between 0 and 1")
 
 
-def split(ds: Dataset, fraction: float, seed: int) -> Split:
-    """Seeded permutation, then prefix/suffix partition.
-
-    Train gets floor(fraction * N) samples; the index sets are disjoint and
-    cover the source exactly.
-    """
+def split_size(n: int, fraction: float) -> int:
+    """The training rows of a split of ``n`` samples, floor(fraction * n);
+    the rest are held out.  A fraction outside (0, 1), or a split that
+    leaves either side empty, raises ValueError."""
     check_fraction(fraction)
-    n_train = int(math.floor(fraction * ds.n))
-    if n_train < 1 or ds.n - n_train < 1:
-        raise ValueError(
-            f"degenerate split: {n_train} train / {ds.n - n_train} test from {ds.n} samples"
-        )
+    n_train = int(math.floor(fraction * n))
+    if n_train < 1 or n - n_train < 1:
+        raise ValueError(f"degenerate split: {n_train} train / {n - n_train} test from {n} samples")
+    return n_train
+
+
+def split(ds: Dataset, fraction: float, seed: int) -> tuple:
+    """``(train, test)``: a seeded permutation, then its prefix of
+    ``split_size`` rows and the suffix.
+
+    The index sets are disjoint and cover the source exactly.
+    """
+    n_train = split_size(ds.n, fraction)
     perm = Rng(derive(seed, "split")).permutation(ds.n)
-    return Split(
-        train=ds.subset(perm[:n_train]),
-        test=ds.subset(perm[n_train:]),
-        fraction=fraction,
-        seed=seed,
-    )
+    return ds.subset(perm[:n_train]), ds.subset(perm[n_train:])
 
 
 @dataclass

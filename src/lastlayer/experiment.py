@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from collections import deque
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -33,7 +33,7 @@ import numpy as np
 from . import jsonio
 from .convexity import SoftmaxInstance, ce_hessian, p_matrix
 from .data import (Dataset, apply_standardization, check_fraction, gen_synthetic, load_csv, split,
-                   standardize)
+                   split_size, standardize)
 from .jsonio import FieldError, refused_as
 from .kernel import CONVENTIONS, gram, krr_solve, ridge_solve, rkhs_norm_bound
 from .linalg import DimensionMismatchError, matmul, min_eigenvalue_symmetric, solve_spd
@@ -57,7 +57,8 @@ from .network import (
 from .posttrain import (PostTrainConfig, _last_layer_net, effective_features,
                         effective_last_weights, post_train, with_effective_last_weights)
 from .rng import Rng, derive
-from .train import TrainConfig, check_dropout_keep, classification_error, sgd_train
+from .train import (TrainConfig, check_batch_size, check_dropout_keep, classification_error,
+                    sgd_train)
 from .workers import Worker
 
 CONFIG_FORMAT_VERSION = 1
@@ -101,6 +102,8 @@ class DatasetSpec:
                     raise FieldError(key, f"dataset.{key} applies only to a {kind} dataset")
                 if kind == self.kind and getattr(self, key) is None:
                     setattr(self, key, default)
+        if self.kind == "synthetic" and self.n < 1:
+            raise FieldError("n", "n must be >= 1")
         if self.kind == "csv" and not self.path:
             raise FieldError("path", "csv dataset requires a path")
         if self.kind == "csv" and (self.feature_columns is None or self.target_columns is None):
@@ -132,7 +135,11 @@ class ExperimentConfig:
         """Each refusal is a FieldError of the field it names.  Besides each
         field's own rules, the fields must fit one another: the layers
         chain, their last activation pairs with ``loss`` (which the metric
-        fixes), and ``train.dropout_keep`` has one entry per hidden layer."""
+        fixes), and ``train.dropout_keep`` has one entry per hidden layer.
+        A synthetic dataset's row count is known here, so the size rules
+        the run would apply to it are applied now: the split leaves rows on
+        both sides, and SGD's batch, and in minibatch mode post-training's,
+        fits in the training rows."""
         if self.metric not in METRICS:
             raise FieldError("metric", f"metric must be one of {METRICS}")
         if not self.checkpoints:
@@ -160,6 +167,15 @@ class ExperimentConfig:
             check_loss_pairing(self.layer_specs[-1], self.loss)
         with refused_as("train"):
             check_dropout_keep(self.train, len(self.layer_specs) - 1)
+        if self.dataset.kind != "synthetic":
+            return
+        with refused_as("split_fraction"):
+            n_train = split_size(self.dataset.n, self.split_fraction)
+        with refused_as("train"):
+            check_batch_size(self.train.batch_size, n_train)
+        if self.posttrain.mode == "minibatch":
+            with refused_as("posttrain"):
+                check_batch_size(self.posttrain.batch_size, n_train)
 
 
 # The config document spells every field of ExperimentConfig and of the
@@ -234,11 +250,10 @@ def _materialize_data(cfg: ExperimentConfig, run_seed: int):
             ) from None
     if cfg.loss == "cross_entropy":
         one_hot_labels(ds.y)
-    parts = split(ds, cfg.split_fraction, derive(cfg.split_seed, "run", run_seed))
-    # the split copied every row: drop the source and the split's own
-    # references, so standardization holds no more than the two parts
-    train_ds, test_ds = parts.train, parts.test
-    del ds, parts
+    train_ds, test_ds = split(ds, cfg.split_fraction, derive(cfg.split_seed, "run", run_seed))
+    # the split copied every row: drop the source, so standardization holds
+    # no more than the two parts
+    del ds
     if cfg.standardize:
         train_ds, params = standardize(train_ds)
         test_ds = apply_standardization(test_ds, params)
@@ -383,14 +398,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list:
 
 
 def rows_to_csv(rows) -> str:
-    lines = ["iterations,classic,posttrain,optimal,seed"]
-    for row in rows:
-        optimal = "NA" if row.optimal is None else jsonio.format_float(row.optimal)
-        lines.append(
-            f"{row.iterations},{jsonio.format_float(row.classic)},"
-            f"{jsonio.format_float(row.posttrained)},{optimal},{row.seed}"
-        )
-    return "\n".join(lines) + "\n"
+    """One line per ``ComparisonRow``, its fields in declaration order; a
+    run without a closed form writes ``NA`` as its optimum."""
+    return jsonio.csv_table(["iterations", "classic", "posttrain", "optimal", "seed"],
+                            map(astuple, rows), "NA")
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,16 @@ def dump(obj: Any, path: str) -> None:
         fh.write("\n")
 
 
+def csv_table(header: list, rows, missing: str) -> str:
+    """CSV text of a header line and one line per row of ``rows``, each line
+    ending in ``\\n``: every value is written as ``dumps`` writes it, and
+    None as ``missing``."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(missing if v is None else dumps(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def check_format_version(version: Any, expected: int, what: str) -> None:
     """Refuse a document's ``format_version`` unless it is the integer
     ``expected`` itself: ``true`` and ``1.0`` equal 1 in Python, but are not

@@ -382,6 +382,20 @@ def loss_eval(loss: str, output: Matrix, targets: Matrix) -> float:
     raise ValueError(f"unknown loss {loss!r}; expected one of {LOSSES}")
 
 
+def labelled_loss(loss: str, output: Matrix, targets: Matrix,
+                  labels: Optional[np.ndarray]) -> float:
+    """Batch-mean loss of ``output``: ``loss_eval``'s, which checks the
+    targets and, under cross_entropy, the output rows; or, under
+    cross_entropy with the checked class ``labels`` of ``targets``
+    (``one_hot_labels(targets)``) given, ``mean_cross_entropy`` against
+    them, unchecked.  The value is the same: a softmax output row either
+    sums to 1 within rounding or, when it has no largest finite logit, is
+    NaN throughout, and both losses are then NaN."""
+    if labels is not None and loss == "cross_entropy":
+        return mean_cross_entropy(output, labels)
+    return loss_eval(loss, output, targets)
+
+
 def check_loss_pairing(last: LayerSpec, loss: str) -> None:
     """squared_error pairs with an identity last layer ``last``, cross_entropy
     with a softmax one."""
@@ -447,20 +461,12 @@ def backprop(
 def loss_and_gradients(net: Network, x: Matrix, y: Matrix, loss: str, dropout_masks=None,
                        labels: Optional[np.ndarray] = None):
     """``(loss, gradients)`` of the batch-mean loss from one forward pass,
-    which ``backprop`` and the loss share.
-
-    The loss is ``loss_eval``'s, which checks the targets and, under
-    cross_entropy, the output rows.  A caller that already holds the checked
-    class ``labels`` of ``y`` (``one_hot_labels(y)``) passes them instead,
-    and the cross-entropy loss is ``mean_cross_entropy`` against them,
-    unchecked.  The value is the same: a softmax output row either sums to
-    1 within rounding or, when it has no largest finite logit, is NaN
-    throughout, and both losses are then NaN."""
+    which ``backprop`` and the loss share.  The loss is ``labelled_loss``'s:
+    a caller that already holds the checked class ``labels`` of ``y`` passes
+    them, and the targets are then not checked again."""
     trace = forward(net, x, dropout_masks=dropout_masks)
     grads = backprop(net, x, y, loss, dropout_masks, trace=trace)
-    if labels is not None and loss == "cross_entropy":
-        return mean_cross_entropy(trace.output, labels), grads
-    return loss_eval(loss, trace.output, y), grads
+    return labelled_loss(loss, trace.output, y, labels), grads
 
 
 def replace_last_layer(net: Network, weights: Matrix, bias=None) -> Network:

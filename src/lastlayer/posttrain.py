@@ -58,6 +58,7 @@ from .train import (
     _check_evaluate,
     _evaluate,
     _samples,
+    check_batch_size,
     check_finite,
 )
 
@@ -301,8 +302,7 @@ def post_train(
     problem = _CachedProblem(net, data, cfg.lam, loss, eval_data)
     stream = None
     if cfg.mode == "minibatch":
-        if cfg.batch_size > data.n:
-            raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {data.n}")
+        check_batch_size(cfg.batch_size, data.n)
         stream = _BatchStream(data.n, cfg.batch_size, derive(cfg.seed, "posttrain"))
     grad_tol = max(cfg.grad_tol, 1e-14)
     train, held_out = problem.train, problem.eval

@@ -12,7 +12,7 @@ bit-identical to an uninterrupted one.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -25,9 +25,8 @@ from .network import (
     Network,
     check_loss_pairing,
     forward,
+    labelled_loss,
     loss_and_gradients,
-    loss_eval,
-    mean_cross_entropy,
     one_hot_labels,
 )
 from .rng import Rng, derive
@@ -95,9 +94,9 @@ class MetricsSeries:
     termination: Optional[str] = None  # why post-training stopped; None for SGD
 
     def __post_init__(self):
-        for prev, cur in zip(self.points, self.points[1:]):
-            if cur.iteration <= prev.iteration:
-                raise ValueError("metric iterations must be strictly increasing")
+        points, self.points = self.points, []
+        for point in points:
+            self.append(point)
 
     def append(self, point: MetricPoint) -> None:
         if self.points and point.iteration <= self.points[-1].iteration:
@@ -113,12 +112,8 @@ class MetricsSeries:
     def to_csv(self) -> str:
         """One column per ``MetricPoint`` field, in declaration order; an
         unset value is an empty cell."""
-        names = [f.name for f in fields(MetricPoint)]
-        lines = [",".join(names)]
-        for p in self.points:
-            values = (getattr(p, name) for name in names)
-            lines.append(",".join("" if v is None else jsonio.dumps(v) for v in values))
-        return "\n".join(lines) + "\n"
+        return jsonio.csv_table([f.name for f in fields(MetricPoint)],
+                                map(astuple, self.points), "")
 
 
 class _Samples(NamedTuple):
@@ -135,12 +130,6 @@ class _Samples(NamedTuple):
 def _samples(data: Dataset, loss: str) -> _Samples:
     labels = one_hot_labels(data.y) if loss == "cross_entropy" else None
     return _Samples(data.x, data.y, labels)
-
-
-def _sample_loss(loss: str, output: Matrix, samples: _Samples) -> float:
-    if loss == "cross_entropy":
-        return mean_cross_entropy(output, samples.labels)
-    return loss_eval(loss, output, samples.y)
 
 
 def _label_error(output: Matrix, labels: np.ndarray) -> float:
@@ -165,12 +154,12 @@ def _evaluate(net: Network, loss: str, data: _Samples, eval_data: Optional[_Samp
     if train_loss is None or loss == "cross_entropy":
         out = (forward(net, data.x) if train_trace is None else train_trace).output
         if train_loss is None:
-            point.train_loss = _sample_loss(loss, out, data)
+            point.train_loss = labelled_loss(loss, out, data.y, data.labels)
         if loss == "cross_entropy":
             point.train_error = _label_error(out, data.labels)
     if eval_data is not None:
         test_out = forward(net, eval_data.x).output
-        point.test_loss = _sample_loss(loss, test_out, eval_data)
+        point.test_loss = labelled_loss(loss, test_out, eval_data.y, eval_data.labels)
         if loss == "cross_entropy":
             point.test_error = _label_error(test_out, eval_data.labels)
     return point
@@ -236,6 +225,12 @@ def check_dropout_keep(cfg: TrainConfig, n_hidden: int) -> None:
         )
 
 
+def check_batch_size(batch_size: int, n: int) -> None:
+    """Refuse a batch of more than the ``n`` rows it is drawn from."""
+    if batch_size > n:
+        raise ValueError(f"batch_size {batch_size} exceeds dataset size {n}")
+
+
 def _check_evaluate(evaluate: bool, eval_data: Optional[Dataset]) -> None:
     if not evaluate and eval_data is not None:
         raise ValueError("eval_data is read only by metric points; pass evaluate=True")
@@ -270,8 +265,7 @@ def sgd_train(
     """
     check_loss_pairing(net.layers[-1].spec, loss)
     _check_evaluate(evaluate, eval_data)
-    if cfg.batch_size > data.n:
-        raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {data.n}")
+    check_batch_size(cfg.batch_size, data.n)
     check_dropout_keep(cfg, net.depth - 1)
 
     train_set = _samples(data, loss)

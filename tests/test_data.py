@@ -247,31 +247,31 @@ class TestSaveCsv:
 class TestSplit:
     def test_sizes(self):
         ds = gen_synthetic(10, seed=8)
-        sp = split(ds, 0.7, seed=1)
-        assert sp.train.n == 7 and sp.test.n == 3
+        train, test = split(ds, 0.7, seed=1)
+        assert train.n == 7 and test.n == 3
 
     def test_partition_property(self):
         ds = gen_synthetic(50, seed=9)
-        sp = split(ds, 0.6, seed=2)
-        combined = np.vstack([sp.train.x, sp.test.x])
+        train, test = split(ds, 0.6, seed=2)
+        combined = np.vstack([train.x, test.x])
         assert np.array_equal(
             np.sort(combined, axis=0), np.sort(ds.x, axis=0)
         )
 
     def test_same_seed_identical(self):
         ds = gen_synthetic(30, seed=10)
-        a = split(ds, 0.7, seed=3)
-        b = split(ds, 0.7, seed=3)
-        assert np.array_equal(a.train.x, b.train.x)
-        assert np.array_equal(a.test.y, b.test.y)
+        a_train, a_test = split(ds, 0.7, seed=3)
+        b_train, b_test = split(ds, 0.7, seed=3)
+        assert np.array_equal(a_train.x, b_train.x)
+        assert np.array_equal(a_test.y, b_test.y)
 
     def test_fixed_seed_snapshot(self):
         ds = gen_synthetic(20, seed=5)
-        sp = split(ds, 0.7, seed=42)
+        train, test = split(ds, 0.7, seed=42)
         perm = np.array(SPLIT_PERM_20_SEED42)
         assert not np.array_equal(perm, np.arange(20))
-        assert np.array_equal(sp.train.x, ds.x[perm[:14]])
-        assert np.array_equal(sp.test.y, ds.y[perm[14:]])
+        assert np.array_equal(train.x, ds.x[perm[:14]])
+        assert np.array_equal(test.y, ds.y[perm[14:]])
 
     def test_subset_shares_no_memory_with_the_source(self):
         ds = gen_synthetic(30, seed=4)
@@ -282,9 +282,9 @@ class TestSplit:
 
     def test_two_rows_at_one_half_give_one_train_and_one_test_row(self):
         ds = gen_synthetic(2, seed=12)
-        sp = split(ds, 0.5, seed=0)
-        assert sp.train.n == 1 and sp.test.n == 1
-        assert sorted(np.vstack([sp.train.x, sp.test.x]).tolist()) == sorted(ds.x.tolist())
+        train, test = split(ds, 0.5, seed=0)
+        assert train.n == 1 and test.n == 1
+        assert sorted(np.vstack([train.x, test.x]).tolist()) == sorted(ds.x.tolist())
 
     def test_degenerate_sizes_rejected(self):
         ds = gen_synthetic(3, seed=11)

@@ -258,7 +258,17 @@ class TestConfig:
          "layer chain broken: output_dim 10 feeds input_dim 7"),
         ("train", lambda doc: doc["train"].update(dropout_keep=[1.0, 1.0, 1.0]),
          "dropout_keep must list 2 probabilities, got 3"),
-    ], ids=["fraction", "convention", "softmax_last", "chain", "dropout_length"])
+        ("dataset.n", lambda doc: doc["dataset"].update(n=0), "n must be >= 1"),
+        ("dataset.n", lambda doc: doc["dataset"].update(n=-5), "n must be >= 1"),
+        ("split.fraction", lambda doc: doc["dataset"].update(n=1),
+         "degenerate split: 0 train / 1 test from 1 samples"),
+        ("train", lambda doc: doc["dataset"].update(n=60),
+         "batch_size 50 exceeds dataset size 42"),
+        ("posttrain", lambda doc: (doc["dataset"].update(n=100),
+                                   doc["posttrain"].update(batch_size=80)),
+         "batch_size 80 exceeds dataset size 70"),
+    ], ids=["fraction", "convention", "softmax_last", "chain", "dropout_length", "n_zero",
+            "n_negative", "empty_split_side", "train_batch", "posttrain_batch"])
     def test_fields_that_do_not_fit_are_refused_naming_the_key(self, path, corrupt, message):
         # each is refused as the config is read, not once compare has built
         # the data, or after the first checkpoint's training in a worker
@@ -268,6 +278,21 @@ class TestConfig:
         corrupt(doc)
         with pytest.raises(ValueError, match=re.escape(f"config key {path!r}: {message}")):
             config_from_dict(doc)
+
+    def test_size_rules_refuse_only_what_the_run_would(self):
+        # 50 of 72 rows train, so a batch of 50 fits; full-batch post-training
+        # reads no batch size; and a CSV's rows are known only once it is
+        # loaded, so the run refuses its sizes there
+        text = resources.files("lastlayer.configs").joinpath("synthetic.json").read_text()
+        doc = jsonio.loads(text)
+        doc["dataset"]["n"] = 72
+        config_from_dict(doc)
+        doc["posttrain"].update(mode="full_batch_backtracking", batch_size=51)
+        config_from_dict(doc)
+        doc = jsonio.loads(text)
+        csv_dataset()(doc)
+        doc["train"]["batch_size"] = 10**6
+        config_from_dict(doc)
 
     def test_csv_columns_are_names_or_indices_and_both_lists_are_required(self):
         text = resources.files("lastlayer.configs").joinpath("synthetic.json").read_text()
@@ -485,7 +510,7 @@ class TestRunExperiment:
         )
         doc["network"]["layers"][-1].update(output_dim=3, activation="softmax")
         cfg = config_from_dict(doc)
-        held_out = split(Dataset(x, targets), 0.7, derive(2, "run", 0)).test
+        _, held_out = split(Dataset(x, targets), 0.7, derive(2, "run", 0))
         assert any(np.array_equal(row, x[125]) for row in held_out.x)
         with pytest.raises(ValueError, match=re.escape("row 125 is [0.5, 0.5, 0.0]")):
             run_experiment(cfg)

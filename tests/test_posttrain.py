@@ -627,6 +627,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             PostTrainConfig(**{"lam": 1e-3, field: value})
 
+    def test_a_batch_larger_than_the_data_is_refused_by_both_descents(self):
+        net, ds = regression_net(seed=3), regression_data(seed=4, n=20)
+        message = re.escape("batch_size 21 exceeds dataset size 20")
+        with pytest.raises(ValueError, match=message):
+            sgd_train(net, ds, TrainConfig(iterations=1, batch_size=21, lr0=0.01), "squared_error")
+        with pytest.raises(ValueError, match=message):
+            post_train(net, ds, PostTrainConfig(lam=1e-3, mode="minibatch", batch_size=21),
+                       "squared_error")
+        # a batch of every row fits; full-batch post-training reads no batch size
+        sgd_train(net, ds, TrainConfig(iterations=1, batch_size=20, lr0=0.01), "squared_error")
+        post_train(net, ds, PostTrainConfig(lam=1e-3, iterations=1, batch_size=21), "squared_error")
+
 
 class TestIterationCost:
     def test_lower_layer_work_independent_of_iteration_count(self):

@@ -300,6 +300,11 @@ class TestMetricsSeries:
         series.append(MetricPoint(1, 0.5))
         with pytest.raises(ValueError, match="increasing"):
             series.append(MetricPoint(1, 0.4))
+        # points given at construction are held to the same rule
+        ordered = MetricsSeries([MetricPoint(1, 0.5), MetricPoint(2, 0.4)])
+        assert ordered.train_losses() == [0.5, 0.4]
+        with pytest.raises(ValueError, match="increasing"):
+            MetricsSeries([MetricPoint(2, 0.5), MetricPoint(1, 0.4)])
 
     def test_jsonl_round_trip_values(self):
         import json
