@@ -219,9 +219,15 @@ def run() -> int:
     ``gc.freeze()``.  The interpreter's collections at exit then skip the
     objects alive when ``main()`` returned, most of them made by the
     imports, which shortens every command's exit.  The exit still runs
-    atexit hooks and flushes the streams.  A ``main()`` called in process
-    freezes nothing."""
-    status = main()
+    atexit hooks and flushes the streams.  A refused command, one whose
+    ``main()`` raises ValueError or OSError, prints the one stderr line
+    ``lastlayer: <ExceptionType>: <message>`` and returns 2.  A ``main()``
+    called in process freezes nothing and raises what it raises."""
+    try:
+        status = main()
+    except (ValueError, OSError) as err:
+        print(f"lastlayer: {type(err).__name__}: {err}", file=sys.stderr)
+        return 2
     gc.freeze()
     return status
 

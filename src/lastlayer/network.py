@@ -490,12 +490,6 @@ def layer_to_dict(layer: Layer) -> dict:
     return jsonio.to_doc(layer, _LAYER_KEYS)
 
 
-def layer_from_dict(doc: dict, where: str = "layer") -> Layer:
-    """Layer from its JSON document, at the path ``where`` in a network
-    document, read as ``jsonio.from_doc`` reads every document."""
-    return jsonio.from_doc(Layer, doc, where, "network", _LAYER_KEYS)
-
-
 def network_to_dict(net: Network) -> dict:
     return {"format_version": NETWORK_FORMAT_VERSION, **jsonio.to_doc(net, _LAYER_KEYS)}
 

@@ -13,11 +13,12 @@ and the objective forms its logits class-major over it, with the
 additions of the last layer's ``network.forward`` in its order, so the
 bits are forward's.  Every other gradient runs ``network.backprop`` on
 the last layer as a bias-free one-layer ``Network`` over the cached
-features; on the full cross-entropy batch it starts from the forward
-trace the objective computed at the same point, so each iteration
-forwards only its trials.  ``post_train`` holds the descent loop of both
-modes, a fixed step or the Armijo line search ``armijo_step``, scored
-with training's metrics.
+features, built for that gradient alone; on the full cross-entropy batch
+it starts from the forward trace the objective computed at the same
+point, so each iteration forwards only its trials.  ``post_train`` holds
+the descent loop of both modes on the last-layer matrix itself, a fixed
+step or a backtracking Armijo line search, scored with training's
+metrics.
 
 The optimized objective is  mean_i loss(act(f_i @ W.T), y_i) + lam * |W|^2
 with |.| the Frobenius norm over the whole last-layer matrix.  When the
@@ -179,6 +180,7 @@ class _CachedProblem:
 
     def __init__(self, net: Network, data: Dataset, lam: float, loss: str,
                  eval_data: Dataset | None):
+        self.net = net
         self.loss = loss
         self.lam = lam
         self.n = data.n
@@ -203,62 +205,38 @@ class _CachedProblem:
             self.feats_t = np.ascontiguousarray(feats.T)
             self.label_at = self.train.labels * self.n + np.arange(self.n)
 
-    def forward(self, w_eff: Matrix) -> ForwardTrace:
-        """``forward(_last_layer_net(net, w_eff), self.train.x)``, bit for
-        bit, computed class-major."""
-        logits = matmul(w_eff, self.feats_t).T
-        return ForwardTrace([logits], [softmax_rows(logits)])
-
-    def objective(self, point: Network) -> tuple[float, ForwardTrace | None]:
-        """``(objective, trace)``: the objective at ``point`` and the forward
-        trace over the training features it was computed from, which the
-        gradient and the metric points reuse (None on the quadratic path,
-        which never forms the output)."""
-        w_eff = point.layers[0].weights
+    def objective(self, w: Matrix) -> tuple[float, ForwardTrace | None]:
+        """``(objective, trace)``: the objective at the weight matrix ``w``
+        and the forward trace over the training features it was computed
+        from, ``forward(_last_layer_net(net, w), self.train.x)`` bit for bit,
+        which the gradient and the metric points reuse (None on the
+        quadratic path, which never forms the output)."""
         if self.quadratic:
             fit = (
-                float(np.sum(matmul(w_eff, self.gram_feat) * w_eff))
-                - 2.0 * float(np.sum(w_eff * self.cross.T))
+                float(np.sum(matmul(w, self.gram_feat) * w))
+                - 2.0 * float(np.sum(w * self.cross.T))
                 + self.targets_sq
             )
-            return fit / self.n + self.lam * sq_frobenius(w_eff), None
-        trace = self.forward(w_eff)
+            return fit / self.n + self.lam * sq_frobenius(w), None
+        logits = matmul(w, self.feats_t).T
+        trace = ForwardTrace([logits], [softmax_rows(logits)])
         value = mean_cross_entropy(trace.output.T.reshape(-1), self.label_at)
-        return value + self.lam * sq_frobenius(w_eff), trace
+        return value + self.lam * sq_frobenius(w), trace
 
-    def gradient(self, point: Network, idx: np.ndarray | None = None,
+    def gradient(self, w: Matrix, idx: np.ndarray | None = None,
                  trace: ForwardTrace | None = None) -> Matrix:
-        """Gradient of the objective, on the batch ``idx`` when given.  On
-        the full cross-entropy batch, backprop starts from ``trace``, the
-        objective's forward pass at ``point``."""
-        w_eff = point.layers[0].weights
-        if idx is not None:
-            grad = backprop(point, self.train.x[idx], self.train.y[idx], self.loss).weights[0]
-        elif self.quadratic:
-            grad = (2.0 / self.n) * (matmul(w_eff, self.gram_feat) - self.cross.T)
+        """Gradient of the objective at ``w``, on the batch ``idx`` when
+        given.  On the full cross-entropy batch, backprop starts from
+        ``trace``, the objective's forward pass at ``w``."""
+        if idx is None and self.quadratic:
+            grad = (2.0 / self.n) * (matmul(w, self.gram_feat) - self.cross.T)
+        elif idx is None:
+            grad = backprop(_last_layer_net(self.net, w), self.train.x, self.train.y, self.loss,
+                            trace=trace).weights[0]
         else:
-            grad = backprop(point, self.train.x, self.train.y, self.loss, trace=trace).weights[0]
-        return grad + 2.0 * self.lam * w_eff
-
-
-def armijo_step(trial, objective: float, grad_sq: float, step: float):
-    """Backtracking line search with the Armijo condition (Nocedal & Wright,
-    *Numerical Optimization*, Ch. 3).
-
-    ``trial(s)`` returns ``(point, objective)`` after a step of size s along
-    the negative gradient.  The search starts from twice ``step`` and halves
-    at most MAX_HALVINGS times until the objective falls by at least
-    ARMIJO_SLOPE * s * grad_sq.  Returns ``(point, objective, s)`` of the
-    accepted step, or None when no step is accepted.  A NaN trial objective
-    never satisfies the condition.
-    """
-    step *= 2.0
-    for _ in range(MAX_HALVINGS + 1):
-        point, value = trial(step)
-        if value <= objective - ARMIJO_SLOPE * step * grad_sq:
-            return point, value, step
-        step *= 0.5
-    return None
+            grad = backprop(_last_layer_net(self.net, w), self.train.x[idx], self.train.y[idx],
+                            self.loss).weights[0]
+        return grad + 2.0 * self.lam * w
 
 
 def post_train(
@@ -273,17 +251,23 @@ def post_train(
     """Optimize the last layer on frozen features; lower layers are returned
     bit-identical.  Returns ``(tuned, metrics)``.
 
-    The descent runs on the last layer as a bias-free one-layer network over
-    the cached features.  Iteration ``it``'s MetricPoint (0: the start, whose
+    The descent runs on the last layer's weight matrix W over the cached
+    features, a bias folded in as its last column; a one-layer network is
+    built only for a gradient that backprop takes and for each metric
+    point.  Iteration ``it``'s MetricPoint (0: the start, whose
     objective must be finite) records the regularized objective on the full
     training set as the train loss and the plain loss on eval_data as the
     test loss; it reuses the forward trace the objective was computed from.
     Step ``it`` moves the weights W to W - s * g, with g the objective's
     gradient at W, on the full batch or on minibatch ``it``.  In minibatch
     mode s = ``lr``, and a non-finite objective raises
-    TrainingDivergedError(it).  In full_batch_backtracking mode s is what
-    ``armijo_step`` accepts, starting from twice the last accepted step, so
-    the objective never rises; the loop stops as "converged" before a step
+    TrainingDivergedError(it).  In full_batch_backtracking mode s comes from
+    a backtracking line search with the Armijo condition (Nocedal & Wright,
+    *Numerical Optimization*, Ch. 3): it starts from twice the last
+    accepted step (from 2 at the first step) and halves at most
+    MAX_HALVINGS times until the objective J falls to at most
+    J - ARMIJO_SLOPE * s * |g|^2, which a NaN objective never does, so the
+    objective never rises.  The loop stops as "converged" before a step
     with |g| <= max(grad_tol, 1e-14) * (1 + |W|), and as "stalled" when no
     step is accepted.  A descent in either mode that takes all
     ``cfg.iterations`` steps stops as "iteration_cap".  The reason lands in
@@ -305,43 +289,42 @@ def post_train(
         check_batch_size(cfg.batch_size, data.n)
         stream = _BatchStream(data.n, cfg.batch_size, derive(cfg.seed, "posttrain"))
     grad_tol = max(cfg.grad_tol, 1e-14)
-    train, held_out = problem.train, problem.eval
     metrics = MetricsSeries()
-    point = _last_layer_net(net, effective_last_weights(net))
+    w = effective_last_weights(net)
 
-    def record(it: int, at: Network, value: float, trace: ForwardTrace | None) -> None:
+    def record(it: int, at: Matrix, value: float, trace: ForwardTrace | None) -> None:
         if evaluate:
-            metrics.append(_evaluate(at, loss, train, held_out, it, value, trace))
+            at_net = _last_layer_net(net, at)
+            metrics.append(_evaluate(at_net, loss, problem.train, problem.eval, it, value, trace))
         else:
             metrics.append(MetricPoint(it, value))
 
-    value, trace = problem.objective(point)
-    record(0, point, check_finite(value, 0), trace)
-    spec = point.layers[0].spec
+    value, trace = problem.objective(w)
+    record(0, w, check_finite(value, 0), trace)
     step = 1.0
     for it in range(1, cfg.iterations + 1):
-        weights = point.layers[0].weights
-        grad = problem.gradient(point, None if stream is None else stream.batch(it - 1), trace)
-
-        def trial(s: float):
-            moved = Network([Layer(spec, weights - s * grad)])
-            value_s, trace_s = problem.objective(moved)
-            return (moved, trace_s), value_s
-
+        grad = problem.gradient(w, None if stream is None else stream.batch(it - 1), trace)
         if stream is not None:
-            (point, trace), value = trial(cfg.lr)
+            w = w - cfg.lr * grad
+            value, trace = problem.objective(w)
             check_finite(value, it)
         else:
             grad_sq = sq_frobenius(grad)
-            if math.sqrt(grad_sq) <= grad_tol * (1.0 + math.sqrt(sq_frobenius(weights))):
+            if math.sqrt(grad_sq) <= grad_tol * (1.0 + math.sqrt(sq_frobenius(w))):
                 metrics.termination = "converged"
                 break
-            accepted = armijo_step(trial, value, grad_sq, step)
-            if accepted is None:
+            step *= 2.0
+            for _ in range(MAX_HALVINGS + 1):
+                moved = w - step * grad
+                value_s, trace_s = problem.objective(moved)
+                if value_s <= value - ARMIJO_SLOPE * step * grad_sq:
+                    break
+                step *= 0.5
+            else:
                 metrics.termination = "stalled"
                 break
-            (point, trace), value, step = accepted
-        record(it, point, value, trace)
+            w, value, trace = moved, value_s, trace_s
+        record(it, w, value, trace)
     else:
         metrics.termination = "iteration_cap"
-    return with_effective_last_weights(net, point.layers[0].weights), metrics
+    return with_effective_last_weights(net, w), metrics

@@ -538,6 +538,22 @@ class TestProcessEntryPoint:
         assert "FileNotFoundError" in child.stderr
         assert "missing.json" in child.stderr
 
+    def test_refused_config_prints_one_line_and_writes_nothing(self, tmp_path):
+        bundled = Path(lastlayer.__file__).parent / "configs" / "synthetic.json"
+        doc = json.loads(bundled.read_text())
+        doc["dataset"]["n"] = 60  # 42 training rows, fewer than train.batch_size
+        (tmp_path / "small_n.json").write_text(json.dumps(doc))
+        child = self.run_module("compare", "--config", "small_n.json", "--out", "out",
+                                cwd=tmp_path)
+        assert child.returncode != 0
+        assert "config key 'train'" in child.stderr
+        assert "Traceback" not in child.stderr
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ValueError, match="config key 'train'"):
+            main(["compare", "--config", str(tmp_path / "small_n.json"),
+                  "--out", str(tmp_path / "in_process")])
+        assert not (tmp_path / "in_process").exists()
+
     def test_run_freezes_after_main_returns(self):
         code = ("import gc, sys; from lastlayer import cli; "
                 "sys.argv = ['lastlayer', 'check', '--convexity', '--seed', '1']; "

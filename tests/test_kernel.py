@@ -282,7 +282,7 @@ class TestSerialization:
         block = doc["last_layer"]
         assert block["input_dim"] == 4 and block["output_dim"] == 2
         assert np.array_equal(np.array(block["weights"]), sol.weights.T)
-        from lastlayer.network import layer_from_dict
+        from lastlayer.network import network_from_dict
 
-        layer = layer_from_dict(block)
+        layer = network_from_dict({"format_version": 1, "layers": [block]}).layers[0]
         assert np.array_equal(layer.weights, sol.weights.T)

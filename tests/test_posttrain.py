@@ -237,16 +237,16 @@ class TestPostTrain:
         ds, test = classification_data(8, n=600), classification_data(9)
         forwards, class_major, objectives = [], [], []
         real_forward, real_loss = network_module.forward, posttrain_module.mean_cross_entropy
-        real_class_major = posttrain_module._CachedProblem.forward
+        real_objective = posttrain_module._CachedProblem.objective
 
         def counting_forward(net_, x, dropout_masks=None):
             forwards.append(x.shape[0])
             return real_forward(net_, x, dropout_masks)
 
         def counting_class_major(problem, w_eff):
-            trace = real_class_major(problem, w_eff)
+            value, trace = real_objective(problem, w_eff)
             class_major.append(trace.output.shape[0])
-            return trace
+            return value, trace
 
         def counting_loss(probs, labels):
             objectives.append(labels.shape[0])
@@ -254,7 +254,7 @@ class TestPostTrain:
 
         for module in (network_module, posttrain_module, train_module):
             monkeypatch.setattr(module, "forward", counting_forward)
-        monkeypatch.setattr(posttrain_module._CachedProblem, "forward", counting_class_major)
+        monkeypatch.setattr(posttrain_module._CachedProblem, "objective", counting_class_major)
         monkeypatch.setattr(posttrain_module, "mean_cross_entropy", counting_loss)
         cfg = PostTrainConfig(lam=1e-3, iterations=12)
         _, metrics = post_train(net, ds, cfg, "cross_entropy", eval_data=test)
@@ -311,10 +311,10 @@ class TestPostTrain:
         import lastlayer.posttrain as posttrain_module
         from lastlayer.network import loss_and_gradients
 
-        def forwarding_gradient(problem, point, idx=None, out=None):
-            feats, targets = problem.train.x, problem.train.y
+        def forwarding_gradient(problem, w_eff, idx=None, trace=None):
+            feats, targets, point = problem.train.x, problem.train.y, _last_layer_net(net, w_eff)
             grad = loss_and_gradients(point, feats, targets, problem.loss)[1].weights[0]
-            return grad + 2.0 * problem.lam * point.layers[0].weights
+            return grad + 2.0 * problem.lam * w_eff
 
         net = build_network([LayerSpec(4, 6, "tanh"), LayerSpec(6, 3, "softmax")], 10)
         ds, test = classification_data(11, n=600), classification_data(12)
@@ -452,13 +452,13 @@ class TestClassMajorCrossEntropy:
         net = Network([layer])
         problem = _CachedProblem(net, Dataset(x, np.eye(classes)[labels]), self.LAM,
                                  "cross_entropy", None)
-        return problem, _last_layer_net(net, effective_last_weights(net)), labels
+        return problem, effective_last_weights(net), labels
 
-    def assert_matches_forward_and_backprop(self, problem, point, labels, monkeypatch):
-        w_eff = point.layers[0].weights
+    def assert_matches_forward_and_backprop(self, problem, w_eff, labels, monkeypatch):
+        point = _last_layer_net(problem.net, w_eff)
         for einsum in MATMUL_ROUTES.values():
             monkeypatch.setattr(linalg, "_EINSUM_ROUTE", einsum)
-            value, trace = problem.objective(point)
+            value, trace = problem.objective(w_eff)
             want = forward(point, problem.train.x)
             for got, ref in ((trace.pre, want.pre), (trace.post, want.post)):
                 assert len(got) == len(ref) == 1
@@ -466,7 +466,7 @@ class TestClassMajorCrossEntropy:
                 assert got[0].tobytes() == ref[0].tobytes()
             regularizer = self.LAM * sq_frobenius(w_eff)
             assert value == mean_cross_entropy(want.output, labels) + regularizer
-            grad = problem.gradient(point, None, trace)
+            grad = problem.gradient(w_eff, None, trace)
             want_grad = backprop(point, problem.train.x, problem.train.y,
                                  "cross_entropy").weights[0]
             want_grad = want_grad + 2.0 * self.LAM * w_eff
@@ -480,31 +480,34 @@ class TestClassMajorCrossEntropy:
     @pytest.mark.parametrize("bias", [False, True])
     @pytest.mark.parametrize("classes", [2, 3, 7, 8, 12])
     def test_bits_match_forward_and_backprop(self, classes, bias, n, monkeypatch):
-        problem, point, labels = self.problem(classes, n, bias, seed=classes * n)
-        self.assert_matches_forward_and_backprop(problem, point, labels, monkeypatch)
+        problem, w_eff, labels = self.problem(classes, n, bias, seed=classes * n)
+        self.assert_matches_forward_and_backprop(problem, w_eff, labels, monkeypatch)
 
     def test_gradient_bits_match_with_one_sample_per_block(self, monkeypatch):
         # backprop's delta.T @ F is (12, 30) @ (30, 401): its 4812 entries
         # exceed _MATMUL_BLOCK / 2, so the numpy route adds one sample per block
-        problem, point, labels = self.problem(12, 30, True, d=400, seed=5)
-        self.assert_matches_forward_and_backprop(problem, point, labels, monkeypatch)
+        problem, w_eff, labels = self.problem(12, 30, True, d=400, seed=5)
+        self.assert_matches_forward_and_backprop(problem, w_eff, labels, monkeypatch)
 
     def test_single_column_keeps_backprop(self, monkeypatch):
         # one class and one feature: the gradient is a single entry, which
         # matmul sums on its numpy route whatever the route
-        problem, point, labels = self.problem(1, 50, False, d=1, seed=6)
-        self.assert_matches_forward_and_backprop(problem, point, labels, monkeypatch)
+        problem, w_eff, labels = self.problem(1, 50, False, d=1, seed=6)
+        self.assert_matches_forward_and_backprop(problem, w_eff, labels, monkeypatch)
 
     @pytest.mark.parametrize("classes", [3, 8])
     def test_post_train_matches_the_forward_and_backprop_route(self, classes, monkeypatch):
         import lastlayer.posttrain as posttrain_module
 
         def forwarding(problem, w_eff):
-            return forward(_last_layer_net(net, w_eff), problem.train.x)
+            trace = forward(_last_layer_net(net, w_eff), problem.train.x)
+            value = mean_cross_entropy(trace.output, problem.train.labels)
+            return value + problem.lam * sq_frobenius(w_eff), trace
 
-        def backprop_gradient(problem, point, idx=None, trace=None):
+        def backprop_gradient(problem, w_eff, idx=None, trace=None):
+            point = _last_layer_net(net, w_eff)
             grad = backprop(point, problem.train.x, problem.train.y, problem.loss, trace=trace)
-            return grad.weights[0] + 2.0 * problem.lam * point.layers[0].weights
+            return grad.weights[0] + 2.0 * problem.lam * w_eff
 
         net = build_network([LayerSpec(5, 9, "tanh"), LayerSpec(9, classes, "softmax")], 13)
         ds, test = classification_data(14, n=300, d=5, classes=classes), classification_data(
@@ -512,7 +515,7 @@ class TestClassMajorCrossEntropy:
         cfg = PostTrainConfig(lam=self.LAM, iterations=25)
         tuned, metrics = post_train(net, ds, cfg, "cross_entropy", eval_data=test)
         with monkeypatch.context() as patch:
-            patch.setattr(posttrain_module._CachedProblem, "forward", forwarding)
+            patch.setattr(posttrain_module._CachedProblem, "objective", forwarding)
             patch.setattr(posttrain_module._CachedProblem, "gradient", backprop_gradient)
             want, want_metrics = post_train(net, ds, cfg, "cross_entropy", eval_data=test)
         for a, b in zip(tuned.layers, want.layers):
@@ -663,6 +666,34 @@ class TestIterationCost:
                 post_train(net, ds, cfg, "squared_error")
             counts[iters] = passes.count
         assert counts[2] == counts[40]
+
+    def test_full_batch_descent_builds_no_layer(self, monkeypatch):
+        # Armijo trials and steps move the weight matrix itself; with the
+        # squared-error gradient in the feature space and no metric point to
+        # evaluate, no one-layer network is built
+        import lastlayer.posttrain as posttrain_module
+
+        layers, objectives = [], []
+        real_layer = posttrain_module.Layer
+        real_objective = posttrain_module._CachedProblem.objective
+
+        def counting_layer(*args, **kwargs):
+            layers.append(args)
+            return real_layer(*args, **kwargs)
+
+        def counting_objective(problem, w_eff):
+            objectives.append(w_eff)
+            return real_objective(problem, w_eff)
+
+        monkeypatch.setattr(posttrain_module, "Layer", counting_layer)
+        monkeypatch.setattr(posttrain_module._CachedProblem, "objective", counting_objective)
+        cfg = PostTrainConfig(lam=1e-3, iterations=10)
+        _, metrics = post_train(regression_net(seed=60), regression_data(seed=61), cfg,
+                                "squared_error", evaluate=False)
+        steps = len(metrics.points) - 1
+        assert steps > 0
+        assert len(objectives) > steps + 1  # at least one trial step was halved
+        assert layers == []
 
     def test_sgd_train_does_run_lower_layers_each_iteration(self):
         # contrast case: regular training cost scales with iterations
