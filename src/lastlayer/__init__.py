@@ -77,7 +77,6 @@ from .posttrain import (
     PostTrainConfig,
     effective_features,
     post_train,
-    posttrain_objective,
     with_effective_last_weights,
 )
 from .train import (

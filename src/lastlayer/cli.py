@@ -36,7 +36,7 @@ from .experiment import (
 from .kernel import solution_to_dict
 from .network import check_loss_pairing, load_network, network_to_dict
 from .posttrain import post_train
-from .train import sgd_train
+from .train import TrainingDivergedError, sgd_train
 
 
 def _load_config(args):
@@ -221,13 +221,15 @@ def run() -> int:
     imports, which shortens every command's exit.  The exit still runs
     atexit hooks and flushes the streams.  A refused command, one whose
     ``main()`` raises ValueError or OSError, prints the one stderr line
-    ``lastlayer: <ExceptionType>: <message>`` and returns 2.  A ``main()``
-    called in process freezes nothing and raises what it raises."""
+    ``lastlayer: <ExceptionType>: <message>`` and returns 2.  A diverging
+    run, one whose ``main()`` raises TrainingDivergedError, prints the same
+    line, which names the iteration, and returns 1.  A ``main()`` called in
+    process freezes nothing and raises what it raises."""
     try:
         status = main()
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, TrainingDivergedError) as err:
         print(f"lastlayer: {type(err).__name__}: {err}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(err, TrainingDivergedError) else 2
     gc.freeze()
     return status
 

@@ -54,7 +54,7 @@ from .network import (
     loss_eval,
     one_hot_labels,
 )
-from .posttrain import (PostTrainConfig, _last_layer_net, effective_features,
+from .posttrain import (PostTrainConfig, _CachedProblem, _last_layer_net, effective_features,
                         effective_last_weights, post_train, with_effective_last_weights)
 from .rng import Rng, derive
 from .train import (TrainConfig, check_batch_size, check_dropout_keep, classification_error,
@@ -732,67 +732,62 @@ def _check_norm_bound(seed: int) -> CheckResult:
     return CheckResult("span_norm_never_exceeds_l2", worst, 1e-10)
 
 
-def _stacked_objectives(feats: np.ndarray, w: np.ndarray, y: np.ndarray,
-                        lam: float) -> np.ndarray:
-    """``posttrain_objective`` under squared error of a bias-free identity
-    last layer at each weight matrix ``w[s]`` of a stack (stack x outputs x
-    features) over the effective features ``feats``, bit for bit.
-
-    One ``matmul`` forms every output, ``_squared_errors`` sums each one's
-    batch and ``np.sum(w * w, axis=(1, 2))`` each one's regularizer.
-    ``matmul``'s additions do not depend on the shapes, and each stack item
-    is summed as ``np.sum`` sums it alone, so each value has the bits of
-    its own ``forward``, ``loss_eval`` and ``sq_frobenius`` calls."""
-    stack, outs, width = w.shape
-    outputs = matmul(feats, w.reshape(-1, width).T).reshape(len(feats), stack, outs)
-    return (_squared_errors(np.ascontiguousarray(outputs.transpose(1, 0, 2)), y)
-            + lam * np.sum(w * w, axis=(1, 2)))
-
-
 def _check_posttrain(seed: int) -> list:
-    """Post-training on a small squared-error problem: the objective never
-    rises, the frozen layers keep their bits, and the objective is
+    """Post-training on a small problem under each loss: the objective never
+    rises, the frozen layers keep their bits, and the objective that
+    ``post_train`` minimises, ``_CachedProblem.objective``, is
     midpoint-convex in the last layer.
 
-    The inputs are uniform on [0, 1), the targets normal.  The midpoint test
-    draws 100 random pairs (wa, wb), each of normal (2, 5) matrices, in the
-    same ``normals`` call as the targets, and scores the pairs and their
-    midpoints as one stack of 300 last layers (``_stacked_objectives``)."""
-    rng = Rng(derive(seed, "posttrain"))
-    specs = [
-        LayerSpec(4, 6, "tanh"),
-        LayerSpec(6, 5, "relu"),
-        LayerSpec(5, 2, "identity", has_bias=False),
-    ]
-    net = build_network(specs, derive(seed, "ptnet"))
-    x = rng.uniform_matrix(40, 4)
-    z = rng.normals(80 + 100 * 2 * 2 * 5)
-    y = z[:80].reshape(40, 2)
-    ds = Dataset(x, y)
-    cfg = PostTrainConfig(lam=1e-3, iterations=40)
-    tuned, metrics = post_train(net, ds, cfg, "squared_error")
+    Each loss draws from its own stream: squared error from
+    ``derive(seed, "posttrain")``, cross-entropy from
+    ``derive(seed, "posttrain_cross_entropy")``, and its checks' names end
+    in ``_cross_entropy``.  Squared error fits normal targets over inputs
+    uniform on [0, 1) through an identity last layer; cross-entropy fits
+    uniform labels of 3 classes over normal inputs through a softmax last
+    layer, both without bias.  The midpoint test draws 100 random pairs
+    (wa, wb) of normal last-layer matrices in the same ``normals`` call as
+    the targets (squared error) or the inputs (cross-entropy), after them,
+    and scores each pair and its midpoint."""
+    checks = []
+    for loss, suffix in (("squared_error", ""), ("cross_entropy", "_cross_entropy")):
+        rng = Rng(derive(seed, "posttrain" + suffix))
+        outputs, last = (2, "identity") if loss == "squared_error" else (3, "softmax")
+        specs = [LayerSpec(4, 6, "tanh"), LayerSpec(6, 5, "relu"),
+                 LayerSpec(5, outputs, last, has_bias=False)]
+        net = build_network(specs, derive(seed, "ptnet" + suffix))
+        pair_draws = 100 * 2 * outputs * 5
+        if loss == "squared_error":
+            x = rng.uniform_matrix(40, 4)
+            z = rng.normals(80 + pair_draws)
+            y = z[:80].reshape(40, 2)
+        else:
+            y = np.eye(outputs)[[rng.randbelow(outputs) for _ in range(40)]]
+            z = rng.normals(160 + pair_draws)
+            x = z[:160].reshape(40, 4)
+        ds = Dataset(x, y)
+        cfg = PostTrainConfig(lam=1e-3, iterations=40)
+        tuned, metrics = post_train(net, ds, cfg, loss)
 
-    series = metrics.train_losses()
-    worst_increase = max(
-        [b - a for a, b in zip(series, series[1:])], default=0.0
-    )
-    frozen_diff = 0.0
-    for before, after in zip(net.layers[:-1], tuned.layers[:-1]):
-        frozen_diff = max(frozen_diff, float(np.max(np.abs(before.weights - after.weights))))
-        if before.bias is not None:
-            frozen_diff = max(frozen_diff, float(np.max(np.abs(before.bias - after.bias))))
+        series = metrics.train_losses()
+        worst_increase = max([b - a for a, b in zip(series, series[1:])], default=0.0)
+        frozen_diff = 0.0
+        for before, after in zip(net.layers[:-1], tuned.layers[:-1]):
+            frozen_diff = max(frozen_diff, float(np.max(np.abs(before.weights - after.weights))))
+            if before.bias is not None:
+                frozen_diff = max(frozen_diff, float(np.max(np.abs(before.bias - after.bias))))
 
-    pairs = z[80:].reshape(100, 2, 2, 5)
-    wa, wb = pairs[:, 0], pairs[:, 1]
-    j_mid, j_a, j_b = _stacked_objectives(
-        effective_features(net, x), np.concatenate([(wa + wb) / 2.0, wa, wb]), y, cfg.lam
-    ).reshape(3, 100)
-    worst_midpoint = max(0.0, float(np.max(j_mid - (j_a + j_b) / 2.0)))
-    return [
-        CheckResult("posttrain_objective_monotone", worst_increase, 0.0),
-        CheckResult("posttrain_frozen_layers_bit_identical", frozen_diff, 0.0),
-        CheckResult("posttrain_objective_midpoint_convex", worst_midpoint, 1e-10),
-    ]
+        objective = _CachedProblem(net, ds, cfg.lam, loss, None).objective
+        worst_midpoint = 0.0
+        for wa, wb in z[-pair_draws:].reshape(100, 2, outputs, 5):
+            j_mid = objective((wa + wb) / 2.0)[0]
+            worst_midpoint = max(worst_midpoint,
+                                 j_mid - (objective(wa)[0] + objective(wb)[0]) / 2.0)
+        checks += [
+            CheckResult("posttrain_objective_monotone" + suffix, worst_increase, 0.0),
+            CheckResult("posttrain_frozen_layers_bit_identical" + suffix, frozen_diff, 0.0),
+            CheckResult("posttrain_objective_midpoint_convex" + suffix, worst_midpoint, 1e-10),
+        ]
+    return checks
 
 
 def _check_solver(seed: int) -> CheckResult:

@@ -45,8 +45,6 @@ from .network import (
     backprop,
     check_loss_pairing,
     feature_map,
-    forward,
-    loss_eval,
     mean_cross_entropy,
     replace_last_layer,
     softmax_rows,
@@ -134,20 +132,6 @@ def _last_layer_net(net: Network, w_eff: Matrix) -> Network:
     features, with weights ``w_eff``."""
     spec = LayerSpec(w_eff.shape[1], w_eff.shape[0], net.layers[-1].spec.activation, has_bias=False)
     return Network([Layer(spec, w_eff)])
-
-
-def posttrain_objective(net: Network, data: Dataset, lam: float, loss: str) -> float:
-    """Regularized last-layer objective at the network's current weights.
-
-    lam = 0 is accepted for diagnostics (plain empirical loss); negative
-    values are rejected.
-    """
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
-    check_loss_pairing(net.layers[-1].spec, loss)
-    w_eff = effective_last_weights(net)
-    out = forward(_last_layer_net(net, w_eff), effective_features(net, data.x)).output
-    return loss_eval(loss, out, data.y) + lam * sq_frobenius(w_eff)
 
 
 class _CachedProblem:

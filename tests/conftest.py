@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lastlayer import linalg, network
+from lastlayer import linalg, network, posttrain
 
 # linalg.matmul's routes by the value of linalg._EINSUM_ROUTE: the numpy
 # route everywhere, and the einsum route where numpy's einsum passed the
@@ -36,6 +36,22 @@ def networks_bit_identical(a, b) -> bool:
         if la.bias is not None and not np.array_equal(la.bias, lb.bias):
             return False
     return True
+
+
+def forward_objective(net, data, lam, loss) -> float:
+    """The post-training objective at ``net``'s last layer, from the whole
+    network's ``forward`` and ``loss_eval``: arithmetic that shares no code
+    with ``posttrain._CachedProblem.objective``, the objective that
+    ``post_train`` minimises."""
+    return (network.loss_eval(loss, network.forward(net, data.x).output, data.y)
+            + lam * linalg.sq_frobenius(posttrain.effective_last_weights(net)))
+
+
+def cached_objective(net, data, lam, loss) -> float:
+    """``posttrain._CachedProblem.objective``, the objective that
+    ``post_train`` minimises, at ``net``'s last layer."""
+    problem = posttrain._CachedProblem(net, data, lam, loss, None)
+    return problem.objective(posttrain.effective_last_weights(net))[0]
 
 
 @contextmanager

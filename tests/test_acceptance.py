@@ -11,7 +11,7 @@ import time
 from dataclasses import replace as dc_replace
 
 import numpy as np
-from conftest import lower_layer_passes, networks_bit_identical
+from conftest import forward_objective, lower_layer_passes, networks_bit_identical
 
 from lastlayer.convexity import SoftmaxInstance, ce_hessian, ce_value, p_matrix
 from lastlayer.data import Dataset, gen_synthetic
@@ -32,9 +32,9 @@ from lastlayer.network import (
 )
 from lastlayer.posttrain import (
     PostTrainConfig,
+    _CachedProblem,
     effective_features,
     post_train,
-    posttrain_objective,
 )
 from lastlayer.train import TrainConfig, sgd_train
 
@@ -196,8 +196,8 @@ def test_criterion_3_closed_form_equivalence():
     feats = effective_features(net, ds.x)
     solution = krr_solve(feats, ds.y, lam, "objective_consistent")
     best = replace_last_layer(net, solution.weights.T)
-    obj_opt = posttrain_objective(best, ds, lam, "squared_error")
-    obj_tuned = posttrain_objective(tuned, ds, lam, "squared_error")
+    obj_opt = forward_objective(best, ds, lam, "squared_error")
+    obj_tuned = forward_objective(tuned, ds, lam, "squared_error")
     rel_gap = (obj_tuned - obj_opt) / abs(obj_opt)
 
     w_star = solution.weights.T
@@ -370,24 +370,15 @@ def test_criterion_7_monotonicity_and_convexity():
     net_reg = build_network(
         [LayerSpec(6, 7, "tanh"), LayerSpec(7, 5, "relu"), LayerSpec(5, 2, "identity", has_bias=False)], 5
     )
-    for _ in range(100):
-        wa = rng.normal(size=(2, 5))
-        wb = rng.normal(size=(2, 5))
-        mid = posttrain_objective(replace_last_layer(net_reg, (wa + wb) / 2), ds_reg, 1e-3, "squared_error")
-        avg = (
-            posttrain_objective(replace_last_layer(net_reg, wa), ds_reg, 1e-3, "squared_error")
-            + posttrain_objective(replace_last_layer(net_reg, wb), ds_reg, 1e-3, "squared_error")
-        ) / 2
-        worst_midpoint = max(worst_midpoint, mid - avg)
-    for _ in range(100):
-        wa = rng.normal(size=(3, 6))
-        wb = rng.normal(size=(3, 6))
-        mid = posttrain_objective(replace_last_layer(net_cls, (wa + wb) / 2), ds_cls, 1e-3, "cross_entropy")
-        avg = (
-            posttrain_objective(replace_last_layer(net_cls, wa), ds_cls, 1e-3, "cross_entropy")
-            + posttrain_objective(replace_last_layer(net_cls, wb), ds_cls, 1e-3, "cross_entropy")
-        ) / 2
-        worst_midpoint = max(worst_midpoint, mid - avg)
+    for net, ds, loss, shape in ((net_reg, ds_reg, "squared_error", (2, 5)),
+                                 (net_cls, ds_cls, "cross_entropy", (3, 6))):
+        objective = _CachedProblem(net, ds, 1e-3, loss, None).objective
+        for _ in range(100):
+            wa = rng.normal(size=shape)
+            wb = rng.normal(size=shape)
+            mid = objective((wa + wb) / 2)[0]
+            avg = (objective(wa)[0] + objective(wb)[0]) / 2
+            worst_midpoint = max(worst_midpoint, mid - avg)
 
     passed = worst_increase <= 0.0 and worst_midpoint <= 1e-10
     report(

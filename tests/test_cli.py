@@ -554,6 +554,24 @@ class TestProcessEntryPoint:
                   "--out", str(tmp_path / "in_process")])
         assert not (tmp_path / "in_process").exists()
 
+    def test_diverging_run_prints_one_line_and_writes_nothing(self, tmp_path):
+        bundled = Path(lastlayer.__file__).parent / "configs" / "synthetic.json"
+        cfg = config_from_dict(json.loads(bundled.read_text()))
+        net = build_network(cfg.layer_specs, 0)
+        net.layers[1].weights[:] = 1e306  # relu features near 1e306 overflow the objective
+        save_network(net, str(tmp_path / "huge.json"))
+        argv = ["post-train", "--config", "synthetic", "--network", "huge.json", "--out", "out"]
+        child = self.run_module(*argv, cwd=tmp_path)
+        assert child.returncode == 1
+        assert "Traceback" not in child.stderr
+        assert child.stderr.splitlines()[-1] == (
+            "lastlayer: TrainingDivergedError: training diverged: non-finite loss at iteration 0")
+        assert not (tmp_path / "out").exists()
+        argv[-3:] = [str(tmp_path / "huge.json"), "--out", str(tmp_path / "in_process")]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError):
+            main(argv)
+        assert not (tmp_path / "in_process").exists()
+
     def test_run_freezes_after_main_returns(self):
         code = ("import gc, sys; from lastlayer import cli; "
                 "sys.argv = ['lastlayer', 'check', '--convexity', '--seed', '1']; "

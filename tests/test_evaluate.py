@@ -256,7 +256,7 @@ class TestPostTrain:
             inputs.append(x)
             return real(net_, np.ascontiguousarray(x), dropout_masks)
 
-        for module in (network_module, posttrain_module, train_module):
+        for module in (network_module, train_module):
             monkeypatch.setattr(module, "forward", recording)
         reference = post_train(net, ds, cfg, loss, eval_data=test)[1].to_csv()
         monkeypatch.undo()
@@ -284,7 +284,7 @@ class TestRunExperiment:
     def test_no_pass_over_the_full_training_set(self, loss, mode, tmp_path, monkeypatch):
         cfg = compare_config(loss, mode, tmp_path)
         train_rows = prepare_run(cfg, 0)[0].n
-        modules = [network_module, train_module, posttrain_module, experiment_module]
+        modules = [network_module, train_module, experiment_module]
         forwards = counting_rows(monkeypatch, modules, "forward", 1)
         errors = counting_rows(monkeypatch, [train_module], "_label_error")
         run_experiment(cfg)
@@ -319,7 +319,7 @@ class TestOneTestEmbedding:
         cfg = compare_config(loss, "full_batch_backtracking", tmp_path)
         test_rows = prepare_run(cfg, 0)[1].n
         maps = counting_rows(monkeypatch, [network_module, posttrain_module], "feature_map", 1)
-        modules = [network_module, train_module, posttrain_module, experiment_module]
+        modules = [network_module, train_module, experiment_module]
         forwards = counting_rows(monkeypatch, modules, "forward", 1,
                                  when=lambda net, *args: net.depth == len(cfg.layer_specs))
         run_experiment(cfg)

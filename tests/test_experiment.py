@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import forward_objective
 
 from lastlayer import experiment, jsonio
 from lastlayer.convexity import SoftmaxInstance, ce_value
@@ -37,9 +38,9 @@ from lastlayer.experiment import (
     rows_to_csv,
     run_experiment,
 )
-from lastlayer.linalg import DimensionMismatchError
-from lastlayer.network import LayerSpec, build_network, forward, loss_eval, replace_last_layer
-from lastlayer.posttrain import PostTrainConfig, effective_features, posttrain_objective
+from lastlayer.linalg import DimensionMismatchError, sq_frobenius
+from lastlayer.network import LayerSpec, build_network, forward, loss_eval
+from lastlayer.posttrain import PostTrainConfig, _CachedProblem
 from lastlayer.rng import Rng, derive
 from lastlayer.train import TrainConfig, TrainingDivergedError
 from lastlayer.workers import RemoteTraceback, WorkerDiedError
@@ -417,9 +418,9 @@ class TestRunExperiment:
         tuned, _ = post_train(net, train_ds, cfg.posttrain, cfg.loss)
         best = _optimal_last_layer(cfg, net, train_ds)
         lam = cfg.posttrain.lam
-        obj_best = posttrain_objective(best, train_ds, lam, cfg.loss)
-        obj_tuned = posttrain_objective(tuned, train_ds, lam, cfg.loss)
-        obj_classic = posttrain_objective(net, train_ds, lam, cfg.loss)
+        obj_best = forward_objective(best, train_ds, lam, cfg.loss)
+        obj_tuned = forward_objective(tuned, train_ds, lam, cfg.loss)
+        obj_classic = forward_objective(net, train_ds, lam, cfg.loss)
         assert obj_best <= obj_tuned + 1e-12
         assert obj_best <= obj_classic + 1e-12
 
@@ -949,46 +950,37 @@ def row_fd_ce_hessian(inst, step=1e-4):
     return hess
 
 
-def loop_midpoint_gap(seed):
+def loop_midpoint_gap(seed, loss):
     """The midpoint-convexity gap of ``check_suite(seed)``'s post-training
-    check as it was computed before its pairs were stacked: 200 draws of
-    10 normals, taken after the targets', and three ``posttrain_objective``
-    calls per pair."""
-    rng = Rng(derive(seed, "posttrain"))
+    check under ``loss``, with each pair drawn by its own two ``normals``
+    calls, taken after the targets' (squared error) or the inputs'
+    (cross-entropy), and scored by three ``_CachedProblem.objective``
+    calls."""
+    suffix = "" if loss == "squared_error" else "_cross_entropy"
+    rng = Rng(derive(seed, "posttrain" + suffix))
+    outputs, last = (2, "identity") if loss == "squared_error" else (3, "softmax")
     specs = [LayerSpec(4, 6, "tanh"), LayerSpec(6, 5, "relu"),
-             LayerSpec(5, 2, "identity", has_bias=False)]
-    net = build_network(specs, derive(seed, "ptnet"))
-    ds = Dataset(rng.uniform_matrix(40, 4), rng.normals(80).reshape(40, 2))
+             LayerSpec(5, outputs, last, has_bias=False)]
+    net = build_network(specs, derive(seed, "ptnet" + suffix))
+    if loss == "squared_error":
+        ds = Dataset(rng.uniform_matrix(40, 4), rng.normals(80).reshape(40, 2))
+    else:
+        y = np.eye(3)[[rng.randbelow(3) for _ in range(40)]]
+        ds = Dataset(rng.normals(160).reshape(40, 4), y)
+    problem = _CachedProblem(net, ds, 1e-3, loss, None)
 
     def objective(w):
-        return posttrain_objective(replace_last_layer(net, w), ds, 1e-3, "squared_error")
+        return problem.objective(w)[0]
 
     worst = 0.0
     for _ in range(100):
-        wa = rng.normals(10).reshape(2, 5)
-        wb = rng.normals(10).reshape(2, 5)
+        wa = rng.normals(outputs * 5).reshape(outputs, 5)
+        wb = rng.normals(outputs * 5).reshape(outputs, 5)
         worst = max(worst, objective((wa + wb) / 2.0) - (objective(wa) + objective(wb)) / 2.0)
     return worst
 
 
-# the stacked midpoint objectives rest on np.sum(axis=(1, 2)) adding each
-# stack item as a lone np.sum would, and run through a product that may
-# call BLAS
-@pytest.mark.numpy_floor
-@pytest.mark.blas_threads
 class TestMidpointCheck:
-    def test_stacked_objectives_match_per_call_objective_bit_for_bit(self):
-        rng = np.random.default_rng(12)
-        for outputs, width, rows in ((2, 5, 40), (1, 3, 7), (3, 9, 64)):
-            specs = [LayerSpec(4, width, "tanh"), LayerSpec(width, outputs, "identity", has_bias=False)]
-            net = build_network(specs, int(rng.integers(2**31)))
-            ds = Dataset(rng.uniform(size=(rows, 4)), rng.normal(size=(rows, outputs)))
-            w = rng.normal(size=(300, outputs, width))
-            got = experiment._stacked_objectives(effective_features(net, ds.x), w, ds.y, 1e-3)
-            want = [posttrain_objective(replace_last_layer(net, ws), ds, 1e-3, "squared_error")
-                    for ws in w]
-            assert got.tobytes() == np.array(want).tobytes()
-
     def test_one_draw_is_the_stream_of_200_pair_draws(self):
         stacked = Rng(derive(3, "posttrain")).normals(2000).reshape(100, 2, 2, 5)
         rng = Rng(derive(3, "posttrain"))
@@ -996,12 +988,30 @@ class TestMidpointCheck:
                           for _ in range(100)])
         assert stacked.tobytes() == draws.tobytes()
 
+    @pytest.mark.parametrize("loss", ["squared_error", "cross_entropy"])
     @pytest.mark.parametrize("seed", [0, 1, 47])
-    def test_check_reports_the_per_call_gap(self, seed):
+    def test_check_reports_the_per_call_gap(self, seed, loss):
+        suffix = "" if loss == "squared_error" else "_cross_entropy"
         (check,) = [c for c in experiment._check_posttrain(seed)
-                    if c.name == "posttrain_objective_midpoint_convex"]
+                    if c.name == "posttrain_objective_midpoint_convex" + suffix]
         assert check.passed
-        assert np.float64(check.max_error).tobytes() == np.float64(loop_midpoint_gap(seed)).tobytes()
+        want = loop_midpoint_gap(seed, loss)
+        assert np.float64(check.max_error).tobytes() == np.float64(want).tobytes()
+
+    def test_a_concave_objective_fails_both_midpoint_checks(self, monkeypatch):
+        # the checks score the objective that post_train minimises, so a
+        # concave term added to it must show in both of them
+        real = _CachedProblem.objective
+
+        def concave(problem, w):
+            value, trace = real(problem, w)
+            return value - 10.0 * sq_frobenius(w), trace
+
+        monkeypatch.setattr(_CachedProblem, "objective", concave)
+        report = check_suite(0)
+        midpoint = {c.name: c.passed for c in report.checks if "midpoint" in c.name}
+        assert midpoint == {"posttrain_objective_midpoint_convex": False,
+                            "posttrain_objective_midpoint_convex_cross_entropy": False}
 
 
 class TestConvexityStatistics:

@@ -8,7 +8,8 @@ the minibatch and converged post-training cases before the descent loop
 moved into ``post_train``; all three changes promise the same bytes.
 The two ``check`` reports were made again when the self-checks' random
 instances moved from numpy's Generator onto the package's SplitMix64
-stream.  An intended change of output bytes regenerates them with
+stream, and when the post-training check gained its cross-entropy
+instance, which added three entries and left every other byte alone.  An intended change of output bytes regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 

@@ -7,7 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import MATMUL_ROUTES, lower_layer_passes, networks_bit_identical
+from conftest import (MATMUL_ROUTES, cached_objective, forward_objective, lower_layer_passes,
+                      networks_bit_identical)
 
 from lastlayer import linalg
 from lastlayer.data import Dataset, gen_synthetic
@@ -24,7 +25,6 @@ from lastlayer.network import (
     loss_eval,
     mean_cross_entropy,
     replace_last_layer,
-    softmax_rows,
 )
 from lastlayer.posttrain import (
     MODES,
@@ -34,7 +34,6 @@ from lastlayer.posttrain import (
     effective_features,
     effective_last_weights,
     post_train,
-    posttrain_objective,
     with_effective_last_weights,
 )
 from lastlayer.train import TrainConfig, TrainingDivergedError, classification_error, sgd_train
@@ -73,7 +72,7 @@ class TestObjective:
         ds = regression_data(seed=2)
         zeroed = replace_last_layer(net, np.zeros((2, 5)))
         expected = float(np.sum(ds.y * ds.y)) / ds.n
-        assert posttrain_objective(zeroed, ds, 1e-3, "squared_error") == pytest.approx(
+        assert cached_objective(zeroed, ds, 1e-3, "squared_error") == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -82,7 +81,7 @@ class TestObjective:
         ds = regression_data(seed=4)
         feats = feature_map(net, ds.x)
         out = matmul(feats, net.layers[-1].weights.T)
-        assert posttrain_objective(net, ds, 0.0, "squared_error") == pytest.approx(
+        assert cached_objective(net, ds, 0.0, "squared_error") == pytest.approx(
             loss_eval("squared_error", out, ds.y), rel=1e-14
         )
 
@@ -97,13 +96,26 @@ class TestObjective:
             pred = feats[i] @ w.T
             total += float(np.sum((pred - ds.y[i]) ** 2))
         expected = total / ds.n + lam * float(np.sum(w * w))
-        assert posttrain_objective(net, ds, lam, "squared_error") == pytest.approx(
+        assert cached_objective(net, ds, lam, "squared_error") == pytest.approx(
             expected, rel=1e-12
         )
 
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            posttrain_objective(regression_net(), regression_data(), -1.0, "squared_error")
+    def test_cross_entropy_matches_per_sample_oracle(self):
+        net = classification_net(seed=56)
+        ds = classification_data(seed=57, n=17)
+        lam = 2e-3
+        feats = feature_map(net, ds.x)
+        w = net.layers[-1].weights
+        total = 0.0
+        for i in range(ds.n):
+            logits = feats[i] @ w.T
+            top = float(np.max(logits))
+            log_norm = top + float(np.log(np.sum(np.exp(logits - top))))
+            total += log_norm - float(logits[np.argmax(ds.y[i])])
+        expected = total / ds.n + lam * float(np.sum(w * w))
+        assert cached_objective(net, ds, lam, "cross_entropy") == pytest.approx(
+            expected, rel=1e-12
+        )
 
 
 class TestPostTrain:
@@ -123,7 +135,7 @@ class TestPostTrain:
             cfg = PostTrainConfig(lam=lam, iterations=200)
         out, _ = post_train(net, ds, cfg, "squared_error")
         zeroed = replace_last_layer(net, np.zeros((2, 5)))
-        bound = posttrain_objective(zeroed, ds, lam, "squared_error") / lam
+        bound = forward_objective(zeroed, ds, lam, "squared_error") / lam
         assert sq_frobenius(out.layers[-1].weights) <= bound
 
     def test_reaches_closed_form_optimum(self):
@@ -135,9 +147,10 @@ class TestPostTrain:
         feats = effective_features(net, ds.x)
         solution = krr_solve(feats, ds.y, lam, "objective_consistent")
         best = replace_last_layer(net, solution.weights.T)
-        opt = posttrain_objective(best, ds, lam, "squared_error")
-        got = posttrain_objective(tuned, ds, lam, "squared_error")
+        opt = forward_objective(best, ds, lam, "squared_error")
+        got = forward_objective(tuned, ds, lam, "squared_error")
         assert (got - opt) / abs(opt) <= 1e-6
+        assert metrics.train_losses()[-1] == pytest.approx(got, rel=1e-10)
         assert metrics.termination == "converged"
 
     @pytest.mark.parametrize("termination", ["converged", "stalled"])
@@ -195,13 +208,13 @@ class TestPostTrain:
             losses = metrics.train_losses()
             assert all(b <= a for a, b in zip(losses, losses[1:]))
 
-    def test_recorded_objective_matches_public_objective(self):
+    def test_recorded_objective_matches_forward_and_loss_eval(self):
         net = regression_net(seed=17)
         ds = regression_data(seed=18)
         lam = 1e-3
         tuned, metrics = post_train(net, ds, PostTrainConfig(lam=lam, iterations=10), "squared_error")
-        public = posttrain_objective(tuned, ds, lam, "squared_error")
-        assert metrics.train_losses()[-1] == pytest.approx(public, rel=1e-10)
+        oracle = forward_objective(tuned, ds, lam, "squared_error")
+        assert metrics.train_losses()[-1] == pytest.approx(oracle, rel=1e-10)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_cross_entropy_metrics_reuse_the_objective_output(self, mode, monkeypatch):
@@ -252,7 +265,7 @@ class TestPostTrain:
             objectives.append(labels.shape[0])
             return real_loss(probs, labels)
 
-        for module in (network_module, posttrain_module, train_module):
+        for module in (network_module, train_module):
             monkeypatch.setattr(module, "forward", counting_forward)
         monkeypatch.setattr(posttrain_module._CachedProblem, "objective", counting_class_major)
         monkeypatch.setattr(posttrain_module, "mean_cross_entropy", counting_loss)
@@ -277,7 +290,7 @@ class TestPostTrain:
         def counting(net_, x, dropout_masks=None):
             forwards.append(x.shape[0])
 
-        for module in (network_module, posttrain_module, train_module):
+        for module in (network_module, train_module):
             monkeypatch.setattr(module, "forward", counting)
         cfg = PostTrainConfig(lam=1e-3, iterations=5)
         with pytest.raises(ValueError, match=r"one-hot rows; row 7 is \[0\.5, 0\.5, 0\.0\]"):
@@ -546,14 +559,12 @@ class TestMidpointConvexity:
         ds = regression_data(seed=33)
         rng = np.random.default_rng(34)
         lam = 1e-3
+        objective = _CachedProblem(net, ds, lam, "squared_error", None).objective
         for _ in range(100):
             wa = rng.normal(size=(2, 5))
             wb = rng.normal(size=(2, 5))
-            j_mid = posttrain_objective(replace_last_layer(net, (wa + wb) / 2), ds, lam, "squared_error")
-            j_avg = (
-                posttrain_objective(replace_last_layer(net, wa), ds, lam, "squared_error")
-                + posttrain_objective(replace_last_layer(net, wb), ds, lam, "squared_error")
-            ) / 2
+            j_mid = objective((wa + wb) / 2)[0]
+            j_avg = (objective(wa)[0] + objective(wb)[0]) / 2
             assert j_mid <= j_avg + 1e-10
 
     def test_cross_entropy_softmax(self):
@@ -561,14 +572,12 @@ class TestMidpointConvexity:
         ds = classification_data(seed=36)
         rng = np.random.default_rng(37)
         lam = 1e-3
+        objective = _CachedProblem(net, ds, lam, "cross_entropy", None).objective
         for _ in range(100):
             wa = rng.normal(size=(3, 6))
             wb = rng.normal(size=(3, 6))
-            j_mid = posttrain_objective(replace_last_layer(net, (wa + wb) / 2), ds, lam, "cross_entropy")
-            j_avg = (
-                posttrain_objective(replace_last_layer(net, wa), ds, lam, "cross_entropy")
-                + posttrain_objective(replace_last_layer(net, wb), ds, lam, "cross_entropy")
-            ) / 2
+            j_mid = objective((wa + wb) / 2)[0]
+            j_avg = (objective(wa)[0] + objective(wb)[0]) / 2
             assert j_mid <= j_avg + 1e-10
 
 
