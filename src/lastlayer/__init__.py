@@ -82,6 +82,7 @@ from .posttrain import (
 from .train import (
     MetricPoint,
     MetricsSeries,
+    PostTrainingDivergedError,
     TrainConfig,
     TrainingDivergedError,
     sgd_train,

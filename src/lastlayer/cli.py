@@ -223,7 +223,7 @@ def run() -> int:
     ``main()`` raises ValueError or OSError, prints the one stderr line
     ``lastlayer: <ExceptionType>: <message>`` and returns 2.  A diverging
     run, one whose ``main()`` raises TrainingDivergedError, prints the same
-    line, which names the iteration, and returns 1.  A ``main()`` called in
+    line, which names the phase and the iteration, and returns 1.  A ``main()`` called in
     process freezes nothing and raises what it raises."""
     try:
         status = main()

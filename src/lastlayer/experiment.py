@@ -50,11 +50,10 @@ from .network import (
     build_network,
     check_layer_specs,
     check_loss_pairing,
-    forward,
     loss_eval,
     one_hot_labels,
 )
-from .posttrain import (PostTrainConfig, _CachedProblem, _last_layer_net, effective_features,
+from .posttrain import (PostTrainConfig, _CachedProblem, _last_layer_output, effective_features,
                         effective_last_weights, post_train, with_effective_last_weights)
 from .rng import Rng, derive
 from .train import (TrainConfig, check_batch_size, check_dropout_keep, classification_error,
@@ -301,7 +300,7 @@ def _branch(cfg: ExperimentConfig, net: Network, train_ds: Dataset, test_ds: Dat
     feats = effective_features(net, test_ds.x)
 
     def metric(arm: Network) -> float:
-        out = forward(_last_layer_net(arm, effective_last_weights(arm)), feats).output
+        out = _last_layer_output(arm.layers[-1].spec.activation, effective_last_weights(arm), feats)
         return (rmse if cfg.metric == "rmse" else classification_error)(out, test_ds.y)
 
     return ComparisonRow(iterations=checkpoint, classic=metric(net), posttrained=metric(tuned),

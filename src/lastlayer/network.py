@@ -407,6 +407,16 @@ def check_loss_pairing(last: LayerSpec, loss: str) -> None:
         raise ValueError(f"unknown loss {loss!r}")
 
 
+def _output_error(loss: str, out: Matrix, y: Matrix) -> Matrix:
+    """Gradient of the batch-mean loss with respect to the last layer's
+    pre-activations, from the outputs ``out`` against the targets ``y``:
+    ``(2/B)(out - y)`` for squared error, and under softmax/cross-entropy the
+    standard simplification ``(out - y)/B``.  Nothing is checked."""
+    if loss == "squared_error":
+        return (2.0 / len(out)) * (out - y)
+    return (out - y) / len(out)
+
+
 def backprop(
     net: Network, x: Matrix, y: Matrix, loss: str, dropout_masks=None,
     trace: Optional[ForwardTrace] = None,
@@ -431,12 +441,7 @@ def backprop(
         raise DimensionMismatchError(
             f"network output shape {out.shape} != target shape {y.shape}"
         )
-    batch = x.shape[0]
-
-    if loss == "squared_error":
-        delta = (2.0 / batch) * (out - y)
-    else:
-        delta = (out - y) / batch
+    delta = _output_error(loss, out, y)
 
     depth = net.depth
     weight_grads = [None] * depth

@@ -11,14 +11,15 @@ feature dimension, never touching the sample axis again.  Under
 softmax/cross-entropy the transpose of the features is also built once,
 and the objective forms its logits class-major over it, with the
 additions of the last layer's ``network.forward`` in its order, so the
-bits are forward's.  Every other gradient runs ``network.backprop`` on
-the last layer as a bias-free one-layer ``Network`` over the cached
-features, built for that gradient alone; on the full cross-entropy batch
-it starts from the forward trace the objective computed at the same
-point, so each iteration forwards only its trials.  ``post_train`` holds
-the descent loop of both modes on the last-layer matrix itself, a fixed
-step or a backtracking Armijo line search, scored with training's
-metrics.
+bits are forward's.  Every other gradient makes ``network.backprop``'s
+arithmetic on the last layer, ``matmul(E.T, F)`` with E the output error
+of ``network._output_error``, over the cached features F; on the full
+cross-entropy batch E starts from the probabilities the objective
+computed at the same point, so each iteration passes only its trials
+through the last layer.  No ``Network`` is built until ``post_train``
+returns its own.  ``post_train`` holds the descent loop of both modes on
+the last-layer matrix itself, a fixed step or a backtracking Armijo line
+search, scored with training's metrics.
 
 The optimized objective is  mean_i loss(act(f_i @ W.T), y_i) + lam * |W|^2
 with |.| the Frobenius norm over the whole last-layer matrix.  When the
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,11 +40,9 @@ from . import jsonio
 from .data import Dataset
 from .linalg import Matrix, matmul, sq_frobenius
 from .network import (
-    ForwardTrace,
-    Layer,
-    LayerSpec,
     Network,
-    backprop,
+    _apply_activation,
+    _output_error,
     check_loss_pairing,
     feature_map,
     mean_cross_entropy,
@@ -53,12 +53,12 @@ from .rng import derive
 from .train import (
     MetricPoint,
     MetricsSeries,
+    PostTrainingDivergedError,
     _BatchStream,
     _check_evaluate,
     _evaluate,
     _samples,
     check_batch_size,
-    check_finite,
 )
 
 ARMIJO_SLOPE = 1e-4
@@ -127,11 +127,11 @@ def with_effective_last_weights(net: Network, w_eff: Matrix) -> Network:
     return replace_last_layer(net, w_eff)
 
 
-def _last_layer_net(net: Network, w_eff: Matrix) -> Network:
-    """The last layer as a bias-free one-layer network over the effective
-    features, with weights ``w_eff``."""
-    spec = LayerSpec(w_eff.shape[1], w_eff.shape[0], net.layers[-1].spec.activation, has_bias=False)
-    return Network([Layer(spec, w_eff)])
+def _last_layer_output(activation: str, w_eff: Matrix, feats: Matrix) -> Matrix:
+    """Output of a last layer with activation ``activation`` and the matrix
+    ``w_eff``, a bias folded in, on the effective features ``feats``: the
+    arithmetic of ``network.forward`` over a bias-free layer, bit for bit."""
+    return _apply_activation(activation, matmul(feats, w_eff.T))
 
 
 class _CachedProblem:
@@ -143,13 +143,14 @@ class _CachedProblem:
     ``matmul(W, F.T)`` over an F.T kept C-contiguous, which makes the
     additions of ``forward``'s ``matmul(F, W.T)`` without laying F out
     again on every call; softmax and loss then read its transposed view.
-    Every cross-entropy gradient is ``network.backprop``'s ``matmul(delta.T,
-    F)`` with ``delta = (P - Y) / N``, on the full batch from the
-    objective's trace.  The regularizer adds ``2 lam W`` to each gradient.
+    Every other gradient is ``backprop``'s ``matmul(E.T, F)`` over the
+    batch's features F, with E the ``_output_error`` of the outputs at W,
+    which on the full cross-entropy batch are the objective's
+    probabilities.  The regularizer adds ``2 lam W`` to each gradient.
 
     The held-out features ``eval.x`` are the transposed view of a
-    C-contiguous array.  ``network.forward`` over them, at each metric
-    point, therefore runs class-major too: ``matmul`` forms a product with
+    C-contiguous array.  ``output`` over them, at each metric point,
+    therefore runs class-major too: ``matmul`` forms a product with
     more rows than columns as the transposed product, over the transposed
     features, which it then reads in place instead of copying them.
 
@@ -164,7 +165,9 @@ class _CachedProblem:
 
     def __init__(self, net: Network, data: Dataset, lam: float, loss: str,
                  eval_data: Dataset | None):
-        self.net = net
+        # output(w, x): the last layer's output with the matrix w on the
+        # effective features x
+        self.output = partial(_last_layer_output, net.layers[-1].spec.activation)
         self.loss = loss
         self.lam = lam
         self.n = data.n
@@ -189,11 +192,11 @@ class _CachedProblem:
             self.feats_t = np.ascontiguousarray(feats.T)
             self.label_at = self.train.labels * self.n + np.arange(self.n)
 
-    def objective(self, w: Matrix) -> tuple[float, ForwardTrace | None]:
-        """``(objective, trace)``: the objective at the weight matrix ``w``
-        and the forward trace over the training features it was computed
-        from, ``forward(_last_layer_net(net, w), self.train.x)`` bit for bit,
-        which the gradient and the metric points reuse (None on the
+    def objective(self, w: Matrix) -> tuple[float, Matrix | None]:
+        """``(objective, probabilities)``: the objective at the weight matrix
+        ``w`` and, under cross_entropy, the output over the training
+        features it was computed from, ``output(w, self.train.x)`` bit for
+        bit, which the gradient and the metric points reuse (None on the
         quadratic path, which never forms the output)."""
         if self.quadratic:
             fit = (
@@ -202,24 +205,25 @@ class _CachedProblem:
                 + self.targets_sq
             )
             return fit / self.n + self.lam * sq_frobenius(w), None
-        logits = matmul(w, self.feats_t).T
-        trace = ForwardTrace([logits], [softmax_rows(logits)])
-        value = mean_cross_entropy(trace.output.T.reshape(-1), self.label_at)
-        return value + self.lam * sq_frobenius(w), trace
+        probs = softmax_rows(matmul(w, self.feats_t).T)
+        value = mean_cross_entropy(probs.T.reshape(-1), self.label_at)
+        return value + self.lam * sq_frobenius(w), probs
 
     def gradient(self, w: Matrix, idx: np.ndarray | None = None,
-                 trace: ForwardTrace | None = None) -> Matrix:
+                 out: Matrix | None = None) -> Matrix:
         """Gradient of the objective at ``w``, on the batch ``idx`` when
-        given.  On the full cross-entropy batch, backprop starts from
-        ``trace``, the objective's forward pass at ``w``."""
+        given.  ``out``, the objective's probabilities at ``w``, spares the
+        output on the full cross-entropy batch; a batch ``idx`` never reads
+        it."""
         if idx is None and self.quadratic:
             grad = (2.0 / self.n) * (matmul(w, self.gram_feat) - self.cross.T)
-        elif idx is None:
-            grad = backprop(_last_layer_net(self.net, w), self.train.x, self.train.y, self.loss,
-                            trace=trace).weights[0]
         else:
-            grad = backprop(_last_layer_net(self.net, w), self.train.x[idx], self.train.y[idx],
-                            self.loss).weights[0]
+            x, y = self.train.x, self.train.y
+            if idx is not None:
+                x, y, out = x[idx], y[idx], None
+            if out is None:
+                out = self.output(w, x)
+            grad = matmul(_output_error(self.loss, out, y).T, x)
         return grad + 2.0 * self.lam * w
 
 
@@ -236,19 +240,20 @@ def post_train(
     bit-identical.  Returns ``(tuned, metrics)``.
 
     The descent runs on the last layer's weight matrix W over the cached
-    features, a bias folded in as its last column; a one-layer network is
-    built only for a gradient that backprop takes and for each metric
-    point.  Iteration ``it``'s MetricPoint (0: the start, whose
-    objective must be finite) records the regularized objective on the full
-    training set as the train loss and the plain loss on eval_data as the
-    test loss; it reuses the forward trace the objective was computed from.
+    features, a bias folded in as its last column; the only network built
+    is the one returned.  Iteration ``it``'s MetricPoint (0: the start,
+    whose objective must be finite) records the regularized objective on
+    the full training set as the train loss and the plain loss on eval_data
+    as the test loss; it reuses the output the objective was computed from.
     Step ``it`` moves the weights W to W - s * g, with g the objective's
     gradient at W, on the full batch or on minibatch ``it``.  In minibatch
     mode s = ``lr``, and a non-finite objective raises
-    TrainingDivergedError(it).  In full_batch_backtracking mode s comes from
-    a backtracking line search with the Armijo condition (Nocedal & Wright,
-    *Numerical Optimization*, Ch. 3): it starts from twice the last
-    accepted step (from 2 at the first step) and halves at most
+    PostTrainingDivergedError(it), which reports it, so the descent raises
+    no numpy warning about overflow or invalid values.  In
+    full_batch_backtracking mode s comes from a backtracking line search
+    with the Armijo condition (Nocedal & Wright, *Numerical Optimization*,
+    Ch. 3): it starts from twice the last accepted step (from 2 at the
+    first step) and halves at most
     MAX_HALVINGS times until the objective J falls to at most
     J - ARMIJO_SLOPE * s * |g|^2, which a NaN objective never does, so the
     objective never rises.  The loop stops as "converged" before a step
@@ -267,48 +272,47 @@ def post_train(
     """
     check_loss_pairing(net.layers[-1].spec, loss)
     _check_evaluate(evaluate, eval_data)
-    problem = _CachedProblem(net, data, cfg.lam, loss, eval_data)
-    stream = None
-    if cfg.mode == "minibatch":
-        check_batch_size(cfg.batch_size, data.n)
-        stream = _BatchStream(data.n, cfg.batch_size, derive(cfg.seed, "posttrain"))
-    grad_tol = max(cfg.grad_tol, 1e-14)
-    metrics = MetricsSeries()
-    w = effective_last_weights(net)
+    with np.errstate(over="ignore", invalid="ignore"):
+        problem = _CachedProblem(net, data, cfg.lam, loss, eval_data)
+        stream = None
+        if cfg.mode == "minibatch":
+            check_batch_size(cfg.batch_size, data.n)
+            stream = _BatchStream(data.n, cfg.batch_size, derive(cfg.seed, "posttrain"))
+        grad_tol = max(cfg.grad_tol, 1e-14)
+        metrics = MetricsSeries()
+        w = effective_last_weights(net)
 
-    def record(it: int, at: Matrix, value: float, trace: ForwardTrace | None) -> None:
-        if evaluate:
-            at_net = _last_layer_net(net, at)
-            metrics.append(_evaluate(at_net, loss, problem.train, problem.eval, it, value, trace))
-        else:
-            metrics.append(MetricPoint(it, value))
+        def record(it: int, at: Matrix, value: float, probs: Matrix | None) -> None:
+            if not math.isfinite(value):
+                raise PostTrainingDivergedError(it)
+            metrics.append(_evaluate(partial(problem.output, at), loss, problem.train, problem.eval,
+                                     it, value, probs) if evaluate else MetricPoint(it, value))
 
-    value, trace = problem.objective(w)
-    record(0, w, check_finite(value, 0), trace)
-    step = 1.0
-    for it in range(1, cfg.iterations + 1):
-        grad = problem.gradient(w, None if stream is None else stream.batch(it - 1), trace)
-        if stream is not None:
-            w = w - cfg.lr * grad
-            value, trace = problem.objective(w)
-            check_finite(value, it)
-        else:
-            grad_sq = sq_frobenius(grad)
-            if math.sqrt(grad_sq) <= grad_tol * (1.0 + math.sqrt(sq_frobenius(w))):
-                metrics.termination = "converged"
-                break
-            step *= 2.0
-            for _ in range(MAX_HALVINGS + 1):
-                moved = w - step * grad
-                value_s, trace_s = problem.objective(moved)
-                if value_s <= value - ARMIJO_SLOPE * step * grad_sq:
-                    break
-                step *= 0.5
+        value, probs = problem.objective(w)
+        record(0, w, value, probs)
+        step = 1.0
+        for it in range(1, cfg.iterations + 1):
+            grad = problem.gradient(w, None if stream is None else stream.batch(it - 1), probs)
+            if stream is not None:
+                w = w - cfg.lr * grad
+                value, probs = problem.objective(w)
             else:
-                metrics.termination = "stalled"
-                break
-            w, value, trace = moved, value_s, trace_s
-        record(it, w, value, trace)
-    else:
-        metrics.termination = "iteration_cap"
+                grad_sq = sq_frobenius(grad)
+                if math.sqrt(grad_sq) <= grad_tol * (1.0 + math.sqrt(sq_frobenius(w))):
+                    metrics.termination = "converged"
+                    break
+                step *= 2.0
+                for _ in range(MAX_HALVINGS + 1):
+                    moved = w - step * grad
+                    value_s, probs_s = problem.objective(moved)
+                    if value_s <= value - ARMIJO_SLOPE * step * grad_sq:
+                        break
+                    step *= 0.5
+                else:
+                    metrics.termination = "stalled"
+                    break
+                w, value, probs = moved, value_s, probs_s
+            record(it, w, value, probs)
+        else:
+            metrics.termination = "iteration_cap"
     return with_effective_last_weights(net, w), metrics

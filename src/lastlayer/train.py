@@ -1,4 +1,4 @@
-"""Minibatch SGD training, and the metrics and divergence check that
+"""Minibatch SGD training, and the metrics and divergence errors that
 last-layer post-training shares with it.
 
 Batches come from a counter-based stream: epoch e is a seeded permutation
@@ -21,7 +21,6 @@ from . import jsonio
 from .data import Dataset
 from .linalg import Matrix
 from .network import (
-    ForwardTrace,
     Network,
     check_loss_pairing,
     forward,
@@ -33,22 +32,23 @@ from .rng import Rng, derive
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became NaN or infinite; carries the iteration at which it happened."""
+    """SGD's loss became NaN or infinite; carries the iteration at which it
+    happened.  ``diverged`` names the phase and what diverged."""
+
+    diverged = "training diverged: non-finite loss"
 
     def __init__(self, iteration: int):
         self.iteration = iteration
-        super().__init__(f"training diverged: non-finite loss at iteration {iteration}")
+        super().__init__(f"{self.diverged} at iteration {iteration}")
 
     def __reduce__(self):
         return type(self), (self.iteration,)
 
 
-def check_finite(value: float, iteration: int) -> float:
-    """Return a loss or objective, raising TrainingDivergedError(iteration)
-    when it is NaN or infinite."""
-    if not math.isfinite(value):
-        raise TrainingDivergedError(iteration)
-    return value
+class PostTrainingDivergedError(TrainingDivergedError):
+    """Post-training's objective became NaN or infinite."""
+
+    diverged = "post-training diverged: non-finite objective"
 
 
 @dataclass
@@ -120,7 +120,7 @@ class _Samples(NamedTuple):
     """Inputs and targets that a loss is taken on, and under cross_entropy
     the targets' class labels, checked once when made (else None).  Not a
     ``Dataset``, so that non-finite post-training features raise
-    TrainingDivergedError through the objective."""
+    PostTrainingDivergedError through the objective."""
 
     x: Matrix
     y: Matrix
@@ -141,24 +141,23 @@ def classification_error(output: Matrix, targets: Matrix) -> float:
     return _label_error(output, np.argmax(targets, axis=1))
 
 
-def _evaluate(net: Network, loss: str, data: _Samples, eval_data: Optional[_Samples],
-              iteration: int, train_loss=None,
-              train_trace: Optional[ForwardTrace] = None) -> MetricPoint:
-    """Metrics of ``net`` on ``data`` and, when given, ``eval_data``; their
-    checked labels stand in for the targets under cross_entropy.  A
-    ``train_loss`` the caller already has, such as a regularized objective,
-    is recorded in place of the loss on ``data``; a ``train_trace`` it
-    already has, ``forward(net, data.x)``, spares the forward pass over
-    ``data``."""
+def _evaluate(output, loss: str, data: _Samples, eval_data: Optional[_Samples],
+              iteration: int, train_loss=None, train_out: Optional[Matrix] = None) -> MetricPoint:
+    """Metrics of the model whose outputs on inputs ``x`` are ``output(x)``,
+    on ``data`` and, when given, ``eval_data``; their checked labels stand in
+    for the targets under cross_entropy.  A ``train_loss`` the caller
+    already has, such as a regularized objective, is recorded in place of
+    the loss on ``data``; a ``train_out`` it already has, ``output(data.x)``,
+    spares that pass."""
     point = MetricPoint(iteration=iteration, train_loss=train_loss)
     if train_loss is None or loss == "cross_entropy":
-        out = (forward(net, data.x) if train_trace is None else train_trace).output
+        out = output(data.x) if train_out is None else train_out
         if train_loss is None:
             point.train_loss = labelled_loss(loss, out, data.y, data.labels)
         if loss == "cross_entropy":
             point.train_error = _label_error(out, data.labels)
     if eval_data is not None:
-        test_out = forward(net, eval_data.x).output
+        test_out = output(eval_data.x)
         point.test_loss = labelled_loss(loss, test_out, eval_data.y, eval_data.labels)
         if loss == "cross_entropy":
             point.test_error = _label_error(test_out, eval_data.labels)
@@ -252,9 +251,11 @@ def sgd_train(
     The update is W <- W - lr_t * (grad + 2 * weight_decay * W) with
     lr_t = lr0 * lr_decay^t and t the global iteration index (so a resumed
     run continues the same schedule).  Weight decay does not touch biases.
-    Each step's batch loss, checked for divergence, comes from the step's
-    one ``loss_and_gradients`` call; under cross_entropy it takes the batch's
-    rows of the training labels, checked once before the first step.
+    Each step's batch loss comes from the step's one ``loss_and_gradients``
+    call; under cross_entropy it takes the batch's rows of the training
+    labels, checked once before the first step.  A non-finite batch loss
+    raises TrainingDivergedError(t), so the steps raise no numpy warning
+    about overflow or invalid values.
     Metrics are recorded every cfg.eval_every iterations on the full
     training set (and on eval_data when given), with dropout off.
 
@@ -275,24 +276,27 @@ def sgd_train(
     metrics = MetricsSeries()
     stream = _BatchStream(data.n, cfg.batch_size, cfg.seed)
 
-    for t in range(start_iteration, start_iteration + cfg.iterations):
-        idx = stream.batch(t)
-        xb = data.x[idx]
-        yb = data.y[idx]
-        masks = _dropout_masks(current, cfg, t, cfg.batch_size)
-        batch_loss, grads = loss_and_gradients(
-            current, xb, yb, loss, dropout_masks=masks,
-            labels=None if labels is None else labels[idx],
-        )
-        check_finite(batch_loss, t)
-        lr_t = cfg.lr0 * cfg.lr_decay**t
-        for layer, gw, gb in zip(current.layers, grads.weights, grads.biases):
-            if cfg.weight_decay > 0.0:
-                layer.weights -= lr_t * (gw + 2.0 * cfg.weight_decay * layer.weights)
-            else:
-                layer.weights -= lr_t * gw
-            if gb is not None:
-                layer.bias -= lr_t * gb
-        if evaluate and (t + 1) % cfg.eval_every == 0:
-            metrics.append(_evaluate(current, loss, train_set, eval_set, t + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(start_iteration, start_iteration + cfg.iterations):
+            idx = stream.batch(t)
+            xb = data.x[idx]
+            yb = data.y[idx]
+            masks = _dropout_masks(current, cfg, t, cfg.batch_size)
+            batch_loss, grads = loss_and_gradients(
+                current, xb, yb, loss, dropout_masks=masks,
+                labels=None if labels is None else labels[idx],
+            )
+            if not math.isfinite(batch_loss):
+                raise TrainingDivergedError(t)
+            lr_t = cfg.lr0 * cfg.lr_decay**t
+            for layer, gw, gb in zip(current.layers, grads.weights, grads.biases):
+                if cfg.weight_decay > 0.0:
+                    layer.weights -= lr_t * (gw + 2.0 * cfg.weight_decay * layer.weights)
+                else:
+                    layer.weights -= lr_t * gw
+                if gb is not None:
+                    layer.bias -= lr_t * gb
+            if evaluate and (t + 1) % cfg.eval_every == 0:
+                metrics.append(_evaluate(lambda x: forward(current, x).output, loss, train_set,
+                                         eval_set, t + 1))
     return current, metrics

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from lastlayer.cli import main
 from lastlayer.data import load_csv
 from lastlayer.experiment import config_from_dict
 from lastlayer.network import LayerSpec, build_network, load_network, save_network
-from lastlayer.train import TrainingDivergedError
+from lastlayer.train import PostTrainingDivergedError, TrainingDivergedError
 from lastlayer.workers import RemoteTraceback
 
 
@@ -293,6 +294,7 @@ class TestCompareWorkers:
             errors.append((err.value.iteration, str(err.value)))
         # the first checkpoint's branch, the one a worker ran with two CPUs
         assert isinstance(err.value.__cause__, RemoteTraceback)
+        assert type(err.value) is PostTrainingDivergedError
         assert errors[0] == errors[1]
         assert 0 < errors[0][0] < doc["posttrain"]["iterations"]
 
@@ -554,23 +556,45 @@ class TestProcessEntryPoint:
                   "--out", str(tmp_path / "in_process")])
         assert not (tmp_path / "in_process").exists()
 
-    def test_diverging_run_prints_one_line_and_writes_nothing(self, tmp_path):
+    def assert_diverges_in_one_line(self, argv, tmp_path, error, line):
+        """``argv``, whose last two words are ``--out out``, exits 1 in a
+        child process with the one stderr line ``line`` and no ``--out``;
+        in process it raises ``error`` and no numpy warning."""
+        child = self.run_module(*argv, cwd=tmp_path)
+        assert child.returncode == 1
+        assert child.stderr.splitlines() == [line]
+        assert not (tmp_path / "out").exists()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as err:
+                main([*argv[:-1], str(tmp_path / "in_process")])
+        assert type(err.value) is error
+        assert line.endswith(str(err.value))
+        assert not (tmp_path / "in_process").exists()
+
+    def test_diverging_post_training_prints_one_line_and_writes_nothing(self, tmp_path):
         bundled = Path(lastlayer.__file__).parent / "configs" / "synthetic.json"
         cfg = config_from_dict(json.loads(bundled.read_text()))
         net = build_network(cfg.layer_specs, 0)
         net.layers[1].weights[:] = 1e306  # relu features near 1e306 overflow the objective
         save_network(net, str(tmp_path / "huge.json"))
-        argv = ["post-train", "--config", "synthetic", "--network", "huge.json", "--out", "out"]
-        child = self.run_module(*argv, cwd=tmp_path)
-        assert child.returncode == 1
-        assert "Traceback" not in child.stderr
-        assert child.stderr.splitlines()[-1] == (
-            "lastlayer: TrainingDivergedError: training diverged: non-finite loss at iteration 0")
-        assert not (tmp_path / "out").exists()
-        argv[-3:] = [str(tmp_path / "huge.json"), "--out", str(tmp_path / "in_process")]
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError):
-            main(argv)
-        assert not (tmp_path / "in_process").exists()
+        argv = ["post-train", "--config", "synthetic", "--network", str(tmp_path / "huge.json"),
+                "--out", "out"]
+        self.assert_diverges_in_one_line(
+            argv, tmp_path, PostTrainingDivergedError,
+            "lastlayer: PostTrainingDivergedError: post-training diverged: "
+            "non-finite objective at iteration 0")
+
+    def test_diverging_training_prints_one_line_and_writes_nothing(self, tmp_path):
+        bundled = Path(lastlayer.__file__).parent / "configs" / "synthetic.json"
+        doc = json.loads(bundled.read_text())
+        doc["train"]["lr0"] = 1e6  # SGD overflows at its fourth step
+        doc["dataset"]["n"] = 2000
+        (tmp_path / "lr.json").write_text(json.dumps(doc))
+        argv = ["compare", "--config", str(tmp_path / "lr.json"), "--out", "out"]
+        self.assert_diverges_in_one_line(
+            argv, tmp_path, TrainingDivergedError,
+            "lastlayer: TrainingDivergedError: training diverged: non-finite loss at iteration 3")
 
     def test_run_freezes_after_main_returns(self):
         code = ("import gc, sys; from lastlayer import cli; "

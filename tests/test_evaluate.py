@@ -243,21 +243,20 @@ class TestPostTrain:
 
     @pytest.mark.parametrize("loss", LOSSES)
     @pytest.mark.parametrize("mode", MODES)
-    def test_held_out_points_forward_the_cached_features_in_place(self, loss, mode, monkeypatch):
+    def test_held_out_points_read_the_cached_features_in_place(self, loss, mode, monkeypatch):
         # the held-out features are a transposed view, so matmul reads the
         # C-contiguous transpose instead of copying one at every point; the
-        # metrics are those of network.forward over C-ordered features
+        # metrics are those of the last layer's output over C-ordered features
         net, ds, test = problem(loss, seed=12, n=600)
         cfg = PostTrainConfig(lam=1e-3, iterations=8, mode=mode, batch_size=32)
         inputs = []
-        real = network_module.forward
+        real = posttrain_module._last_layer_output
 
-        def recording(net_, x, dropout_masks=None):
-            inputs.append(x)
-            return real(net_, np.ascontiguousarray(x), dropout_masks)
+        def recording(activation, w_eff, feats):
+            inputs.append(feats)
+            return real(activation, w_eff, np.ascontiguousarray(feats))
 
-        for module in (network_module, train_module):
-            monkeypatch.setattr(module, "forward", recording)
+        monkeypatch.setattr(posttrain_module, "_last_layer_output", recording)
         reference = post_train(net, ds, cfg, loss, eval_data=test)[1].to_csv()
         monkeypatch.undo()
         assert post_train(net, ds, cfg, loss, eval_data=test)[1].to_csv() == reference
@@ -284,11 +283,13 @@ class TestRunExperiment:
     def test_no_pass_over_the_full_training_set(self, loss, mode, tmp_path, monkeypatch):
         cfg = compare_config(loss, mode, tmp_path)
         train_rows = prepare_run(cfg, 0)[0].n
-        modules = [network_module, train_module, experiment_module]
-        forwards = counting_rows(monkeypatch, modules, "forward", 1)
+        forwards = counting_rows(monkeypatch, [network_module, train_module], "forward", 1)
+        outputs = counting_rows(monkeypatch, [posttrain_module, experiment_module],
+                                "_last_layer_output", 2)
         errors = counting_rows(monkeypatch, [train_module], "_label_error")
         run_experiment(cfg)
         assert forwards and train_rows not in forwards
+        assert outputs and train_rows not in outputs
         assert train_rows not in errors
         # the same counts see the passes the switch leaves out
         evaluating(monkeypatch)
@@ -315,12 +316,12 @@ class TestOneTestEmbedding:
     def test_the_test_rows_pass_the_lower_layers_once_per_branch(self, loss, tmp_path,
                                                                   monkeypatch):
         # a pass is a feature_map call or a forward call on the whole
-        # network; scoring an arm forwards its last layer alone
+        # network; scoring an arm passes the embedding through its last
+        # layer alone
         cfg = compare_config(loss, "full_batch_backtracking", tmp_path)
         test_rows = prepare_run(cfg, 0)[1].n
         maps = counting_rows(monkeypatch, [network_module, posttrain_module], "feature_map", 1)
-        modules = [network_module, train_module, experiment_module]
-        forwards = counting_rows(monkeypatch, modules, "forward", 1,
+        forwards = counting_rows(monkeypatch, [network_module, train_module], "forward", 1,
                                  when=lambda net, *args: net.depth == len(cfg.layer_specs))
         run_experiment(cfg)
         branches = len(cfg.seeds) * len(cfg.checkpoints)

@@ -9,9 +9,14 @@ moved into ``post_train``; all three changes promise the same bytes.
 The two ``check`` reports were made again when the self-checks' random
 instances moved from numpy's Generator onto the package's SplitMix64
 stream, and when the post-training check gained its cross-entropy
-instance, which added three entries and left every other byte alone.  An intended change of output bytes regenerates them with
+instance, which added three entries and left every other byte alone.  An
+intended change of output bytes regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each file whose bytes changed.  When none did, the machines
+``environment.json`` lists stay listed; when some did, it lists this
+machine alone.
 
 The bytes also depend on the machine: numpy's exp, log and tanh kernels,
 and the log1p and cos of ``Rng.normals``, may differ in the last bit
@@ -32,6 +37,7 @@ the einsum route's, on every machine where numpy's einsum passes the probe.
 import json
 import platform
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -256,24 +262,74 @@ def test_compare_bytes_do_not_depend_on_the_cpus(name, tmp_path, capsys, monkeyp
     assert "jobs" not in json.loads(resolved)
 
 
-if __name__ == "__main__":
-    import tempfile
-
-    check = sys.argv[1:] == ["--check"]
-    checked = json.loads((GOLDEN / "environment.json").read_text()) if check else []
-    GOLDEN.mkdir(exist_ok=True)
-    differ = []
-    for name, produce in CASES.items():
+def update_golden(cases: dict, golden: Path, check: bool) -> list:
+    """Run every case of ``cases`` and return the names whose bytes differ
+    from their copies under ``golden``, or that have none.  Unless
+    ``check``, write those copies anew.  Then, unless ``check`` found a
+    difference, ``environment.json`` lists this machine: after the machines
+    it listed when no byte changed, and alone when some did, since the
+    other machines made the old bytes."""
+    listed = golden / "environment.json"
+    checked = json.loads(listed.read_text()) if listed.exists() else []
+    changed = []
+    for name, produce in cases.items():
         with tempfile.TemporaryDirectory() as work:
             got = produce(Path(work))
-        if not check:
-            (GOLDEN / name).write_bytes(got)
-            print(f"wrote {GOLDEN / name}", file=sys.stderr)
-        elif got != (GOLDEN / name).read_bytes():
-            differ.append(name)
-            print(f"differs: {GOLDEN / name}", file=sys.stderr)
-    if differ:
-        sys.exit(1)
+        path = golden / name
+        if not path.exists() or got != path.read_bytes():
+            changed.append(name)
+            if not check:
+                path.write_bytes(got)
+    if changed and check:
+        return changed
+    if changed:
+        checked = []
     if environment() not in checked:
         checked.append(environment())
-    (GOLDEN / "environment.json").write_text(json.dumps(checked, indent=2) + "\n")
+    listed.write_text(json.dumps(checked, indent=2) + "\n")
+    return changed
+
+
+class TestUpdateGolden:
+    OTHER = {"numpy": "0", "cpu": "another machine"}
+
+    def golden(self, tmp_path) -> Path:
+        (tmp_path / "a.csv").write_bytes(b"a")
+        (tmp_path / "b.csv").write_bytes(b"b")
+        (tmp_path / "environment.json").write_text(json.dumps([self.OTHER]))
+        return tmp_path
+
+    @staticmethod
+    def cases(b: bytes) -> dict:
+        return {"a.csv": lambda directory: b"a", "b.csv": lambda directory: b}
+
+    def listed(self, golden: Path) -> list:
+        return json.loads((golden / "environment.json").read_text())
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_unchanged_bytes_keep_the_listed_machines(self, tmp_path, check):
+        golden = self.golden(tmp_path)
+        assert update_golden(self.cases(b"b"), golden, check) == []
+        assert self.listed(golden) == [self.OTHER, environment()]
+
+    def test_changed_bytes_list_this_machine_alone(self, tmp_path):
+        golden = self.golden(tmp_path)
+        assert update_golden(self.cases(b"c"), golden, check=False) == ["b.csv"]
+        assert (golden / "b.csv").read_bytes() == b"c"
+        assert self.listed(golden) == [environment()]
+
+    def test_check_writes_nothing_when_a_byte_differs(self, tmp_path):
+        golden = self.golden(tmp_path)
+        assert update_golden(self.cases(b"c"), golden, check=True) == ["b.csv"]
+        assert (golden / "b.csv").read_bytes() == b"b"
+        assert self.listed(golden) == [self.OTHER]
+
+
+if __name__ == "__main__":
+    check = sys.argv[1:] == ["--check"]
+    GOLDEN.mkdir(exist_ok=True)
+    changed = update_golden(CASES, GOLDEN, check)
+    for name in changed:
+        print(f"{'differs' if check else 'changed'}: {GOLDEN / name}", file=sys.stderr)
+    if changed and check:
+        sys.exit(1)

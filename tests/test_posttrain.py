@@ -30,13 +30,13 @@ from lastlayer.posttrain import (
     MODES,
     PostTrainConfig,
     _CachedProblem,
-    _last_layer_net,
     effective_features,
     effective_last_weights,
     post_train,
     with_effective_last_weights,
 )
-from lastlayer.train import TrainConfig, TrainingDivergedError, classification_error, sgd_train
+from lastlayer.train import (PostTrainingDivergedError, TrainConfig, TrainingDivergedError,
+                             classification_error, sgd_train)
 
 
 def regression_net(seed=0, bias_last=False):
@@ -56,6 +56,29 @@ def regression_data(seed=0, n=50, d=6, m=2):
 def classification_net(seed=0):
     specs = [LayerSpec(4, 6, "tanh"), LayerSpec(6, 3, "softmax", has_bias=False)]
     return build_network(specs, seed)
+
+
+def one_layer(w_eff, activation):
+    """The last layer as a bias-free one-layer network over the effective
+    features, with the matrix ``w_eff``: the oracle that ``network.forward``
+    and ``network.backprop`` give the last-layer problem."""
+    spec = LayerSpec(w_eff.shape[1], w_eff.shape[0], activation, has_bias=False)
+    return Network([Layer(spec, w_eff)])
+
+
+def counting_outputs(monkeypatch):
+    """Row counts of the features that each last-layer output is taken on,
+    in call order."""
+    import lastlayer.posttrain as posttrain_module
+
+    rows, real = [], posttrain_module._last_layer_output
+
+    def counting(activation, w_eff, feats):
+        rows.append(feats.shape[0])
+        return real(activation, w_eff, feats)
+
+    monkeypatch.setattr(posttrain_module, "_last_layer_output", counting)
+    return rows
 
 
 def classification_data(seed=0, n=40, d=4, classes=3):
@@ -218,84 +241,67 @@ class TestPostTrain:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_cross_entropy_metrics_reuse_the_objective_output(self, mode, monkeypatch):
-        # the objective already forwarded the training set, so the metric
-        # points forward only the eval set
-        import lastlayer.train as train_module
-
-        net, ds, test = classification_net(4), classification_data(5), classification_data(6)
+        # the objective already passed the training set through the last
+        # layer, so the metric points pass only the eval set; a minibatch
+        # gradient passes its batch
+        net, ds, test = classification_net(4), classification_data(5), classification_data(6, n=30)
         cfg = PostTrainConfig(lam=1e-3, iterations=6, mode=mode, batch_size=8)
-        calls = []
-        real = train_module.forward
-
-        def counting(net_, x):
-            calls.append(x.shape[0])
-            return real(net_, x)
-
-        monkeypatch.setattr(train_module, "forward", counting)
+        outputs = counting_outputs(monkeypatch)
         tuned, metrics = post_train(net, ds, cfg, "cross_entropy", eval_data=test)
-        assert calls == [test.n] * len(metrics.points)
+        batches = cfg.iterations if mode == "minibatch" else 0
+        assert sorted(outputs) == [cfg.batch_size] * batches + [test.n] * len(metrics.points)
         assert metrics.points[-1].train_error == classification_error(
-            real(tuned, ds.x).output, ds.y
+            forward(tuned, ds.x).output, ds.y
         )
 
-    def test_full_batch_cross_entropy_forwards_once_per_objective(self, monkeypatch):
+    def test_full_batch_cross_entropy_passes_the_training_set_once_per_objective(
+            self, monkeypatch):
         # the gradient starts from the output of the objective at the
-        # accepted point, so training-set forwards, which run class-major,
-        # and training-set objective evaluations pair up one to one
-        import lastlayer.network as network_module
+        # accepted point, so training-set passes through the last layer,
+        # which run class-major, and training-set objective evaluations pair
+        # up one to one, and the metric points pass only the eval set
         import lastlayer.posttrain as posttrain_module
-        import lastlayer.train as train_module
 
         net = build_network([LayerSpec(4, 6, "tanh"), LayerSpec(6, 3, "softmax")], 7)
         ds, test = classification_data(8, n=600), classification_data(9)
-        forwards, class_major, objectives = [], [], []
-        real_forward, real_loss = network_module.forward, posttrain_module.mean_cross_entropy
+        class_major, objectives = [], []
+        real_loss = posttrain_module.mean_cross_entropy
         real_objective = posttrain_module._CachedProblem.objective
 
-        def counting_forward(net_, x, dropout_masks=None):
-            forwards.append(x.shape[0])
-            return real_forward(net_, x, dropout_masks)
-
         def counting_class_major(problem, w_eff):
-            value, trace = real_objective(problem, w_eff)
-            class_major.append(trace.output.shape[0])
-            return value, trace
+            value, probs = real_objective(problem, w_eff)
+            class_major.append(probs.shape[0])
+            return value, probs
 
         def counting_loss(probs, labels):
             objectives.append(labels.shape[0])
             return real_loss(probs, labels)
 
-        for module in (network_module, train_module):
-            monkeypatch.setattr(module, "forward", counting_forward)
+        outputs = counting_outputs(monkeypatch)
         monkeypatch.setattr(posttrain_module._CachedProblem, "objective", counting_class_major)
         monkeypatch.setattr(posttrain_module, "mean_cross_entropy", counting_loss)
         cfg = PostTrainConfig(lam=1e-3, iterations=12)
         _, metrics = post_train(net, ds, cfg, "cross_entropy", eval_data=test)
         assert len(metrics.points) == 13
         assert class_major.count(ds.n) == objectives.count(ds.n) > len(metrics.points)
-        assert forwards == [test.n] * len(metrics.points)
+        assert outputs == [test.n] * len(metrics.points)
 
     @pytest.mark.parametrize("bad", ["train", "eval"])
-    def test_non_one_hot_target_raises_naming_its_row_before_any_forward(self, bad,
-                                                                          monkeypatch):
-        import lastlayer.network as network_module
+    def test_non_one_hot_target_raises_naming_its_row_before_any_output(self, bad,
+                                                                         monkeypatch):
         import lastlayer.posttrain as posttrain_module
-        import lastlayer.train as train_module
 
         net, ds, test = classification_net(40), classification_data(41), classification_data(42)
         broken = ds if bad == "train" else test
         broken.y[7] = [0.5, 0.5, 0.0]
-        forwards = []
-
-        def counting(net_, x, dropout_masks=None):
-            forwards.append(x.shape[0])
-
-        for module in (network_module, train_module):
-            monkeypatch.setattr(module, "forward", counting)
+        objectives = []
+        outputs = counting_outputs(monkeypatch)
+        monkeypatch.setattr(posttrain_module._CachedProblem, "objective",
+                            lambda problem, w_eff: objectives.append(w_eff))
         cfg = PostTrainConfig(lam=1e-3, iterations=5)
         with pytest.raises(ValueError, match=r"one-hot rows; row 7 is \[0\.5, 0\.5, 0\.0\]"):
             post_train(net, ds, cfg, "cross_entropy", eval_data=test)
-        assert forwards == []
+        assert (outputs, objectives) == ([], [])
 
     @pytest.mark.parametrize("mode", MODES)
     def test_cross_entropy_targets_are_checked_once_per_dataset(self, mode, monkeypatch):
@@ -318,14 +324,15 @@ class TestPostTrain:
         assert checked == [ds.n, test.n]
 
     def test_full_batch_cross_entropy_gradient_matches_loss_and_gradients(self, monkeypatch):
-        # the gradient from the objective's output against the route it
-        # replaced: loss_and_gradients on the one-layer network, forwarding
-        # the cached features again
+        # the gradient from the objective's output against
+        # loss_and_gradients on the last layer as a one-layer network,
+        # forwarding the cached features again
         import lastlayer.posttrain as posttrain_module
         from lastlayer.network import loss_and_gradients
 
-        def forwarding_gradient(problem, w_eff, idx=None, trace=None):
-            feats, targets, point = problem.train.x, problem.train.y, _last_layer_net(net, w_eff)
+        def forwarding_gradient(problem, w_eff, idx=None, out=None):
+            feats, targets = problem.train.x, problem.train.y
+            point = one_layer(w_eff, "softmax")
             grad = loss_and_gradients(point, feats, targets, problem.loss)[1].weights[0]
             return grad + 2.0 * problem.lam * w_eff
 
@@ -420,10 +427,10 @@ class TestPostTrain:
         ])
         ds = Dataset(np.ones((8, 3)), np.ones((8, 1)))
         cfg = PostTrainConfig(lam=1e-3, iterations=3, mode=mode, batch_size=4)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDivergedError) as err:
-                post_train(net, ds, cfg, "squared_error")
+        with pytest.raises(PostTrainingDivergedError) as err:
+            post_train(net, ds, cfg, "squared_error")
         assert err.value.iteration == 0
+        assert str(err.value) == "post-training diverged: non-finite objective at iteration 0"
 
     def test_minibatch_divergence_reports_iteration(self):
         net, ds = regression_net(seed=51), regression_data(seed=52, n=20)
@@ -446,9 +453,10 @@ class TestPostTrain:
 # any memory layout of its operands
 @pytest.mark.numpy_floor
 class TestClassMajorCrossEntropy:
-    """The class-major objective, its trace and the full-batch gradient
-    against ``forward`` + ``mean_cross_entropy`` + ``backprop`` on the
-    one-layer network, bit for bit, on each of ``matmul``'s routes."""
+    """The class-major objective, its probabilities and the full-batch
+    gradient against ``forward`` + ``mean_cross_entropy`` + ``backprop`` on
+    the last layer as a one-layer network, bit for bit, on each of
+    ``matmul``'s routes."""
 
     LAM = 1e-3
 
@@ -468,23 +476,22 @@ class TestClassMajorCrossEntropy:
         return problem, effective_last_weights(net), labels
 
     def assert_matches_forward_and_backprop(self, problem, w_eff, labels, monkeypatch):
-        point = _last_layer_net(problem.net, w_eff)
+        point = one_layer(w_eff, "softmax")
         for einsum in MATMUL_ROUTES.values():
             monkeypatch.setattr(linalg, "_EINSUM_ROUTE", einsum)
-            value, trace = problem.objective(w_eff)
-            want = forward(point, problem.train.x)
-            for got, ref in ((trace.pre, want.pre), (trace.post, want.post)):
-                assert len(got) == len(ref) == 1
-                assert got[0].shape == ref[0].shape
-                assert got[0].tobytes() == ref[0].tobytes()
+            value, probs = problem.objective(w_eff)
+            want = forward(point, problem.train.x).output
+            for got in (probs, problem.output(w_eff, problem.train.x)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
             regularizer = self.LAM * sq_frobenius(w_eff)
-            assert value == mean_cross_entropy(want.output, labels) + regularizer
-            grad = problem.gradient(w_eff, None, trace)
+            assert value == mean_cross_entropy(want, labels) + regularizer
             want_grad = backprop(point, problem.train.x, problem.train.y,
                                  "cross_entropy").weights[0]
             want_grad = want_grad + 2.0 * self.LAM * w_eff
-            assert grad.shape == want_grad.shape
-            assert grad.tobytes() == want_grad.tobytes()
+            for grad in (problem.gradient(w_eff, None, probs), problem.gradient(w_eff)):
+                assert grad.shape == want_grad.shape
+                assert grad.tobytes() == want_grad.tobytes()
 
     # on the numpy route the (classes, 40 or 41 features) @ (features, n)
     # logits take one block at n = 10, several at n = 150, and one feature
@@ -513,13 +520,13 @@ class TestClassMajorCrossEntropy:
         import lastlayer.posttrain as posttrain_module
 
         def forwarding(problem, w_eff):
-            trace = forward(_last_layer_net(net, w_eff), problem.train.x)
-            value = mean_cross_entropy(trace.output, problem.train.labels)
-            return value + problem.lam * sq_frobenius(w_eff), trace
+            out = forward(one_layer(w_eff, "softmax"), problem.train.x).output
+            value = mean_cross_entropy(out, problem.train.labels)
+            return value + problem.lam * sq_frobenius(w_eff), out
 
-        def backprop_gradient(problem, w_eff, idx=None, trace=None):
-            point = _last_layer_net(net, w_eff)
-            grad = backprop(point, problem.train.x, problem.train.y, problem.loss, trace=trace)
+        def backprop_gradient(problem, w_eff, idx=None, out=None):
+            point = one_layer(w_eff, "softmax")
+            grad = backprop(point, problem.train.x, problem.train.y, problem.loss)
             return grad.weights[0] + 2.0 * problem.lam * w_eff
 
         net = build_network([LayerSpec(5, 9, "tanh"), LayerSpec(9, classes, "softmax")], 13)
@@ -551,6 +558,49 @@ class TestClassMajorCrossEntropy:
             with pytest.raises(TrainingDivergedError) as err:
                 post_train(net, ds, cfg, "cross_entropy")
         assert err.value.iteration == 0
+
+
+# the full cross-entropy batch rests on the class-major probabilities
+# matching forward's
+@pytest.mark.numpy_floor
+class TestLastLayerGradient:
+    """``_CachedProblem.output`` and ``gradient`` against ``forward`` and
+    ``backprop`` of the last layer as a one-layer network built here, bit for
+    bit, on each of ``matmul``'s routes; the squared-error full-batch
+    gradient, which is formed in the feature space, to rounding."""
+
+    LAM = 1e-3
+
+    @pytest.mark.parametrize("batch", ["full", "minibatch"])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("loss", ["squared_error", "cross_entropy"])
+    def test_gradient_matches_backprop(self, loss, bias, batch, matmul_route):
+        if loss == "squared_error":
+            net, ds = regression_net(seed=70, bias_last=bias), regression_data(seed=71, n=60)
+        else:
+            specs = [LayerSpec(4, 6, "tanh"), LayerSpec(6, 3, "softmax", has_bias=bias)]
+            net, ds = build_network(specs, 70), classification_data(seed=71, n=60)
+        problem = _CachedProblem(net, ds, self.LAM, loss, None)
+        rng = np.random.default_rng(72)
+        w_eff = effective_last_weights(net)
+        w_eff = w_eff + 0.3 * rng.standard_normal(w_eff.shape)
+        idx = None if batch == "full" else rng.permutation(ds.n)[:13]
+        rows = slice(None) if idx is None else idx
+        feats, targets = problem.train.x[rows], problem.train.y[rows]
+        point = one_layer(w_eff, net.layers[-1].spec.activation)
+        assert problem.output(w_eff, feats).tobytes() == forward(point, feats).output.tobytes()
+        want = backprop(point, feats, targets, loss).weights[0] + 2.0 * self.LAM * w_eff
+        # the objective's probabilities serve the full batch; a batch never
+        # reads the output it is given
+        probs = problem.objective(w_eff)[1]
+        given = probs if idx is None else np.full((ds.n, w_eff.shape[0]), np.nan)
+        for grad in (problem.gradient(w_eff, idx), problem.gradient(w_eff, idx, given)):
+            assert grad.shape == want.shape
+            if loss == "squared_error" and idx is None:
+                np.testing.assert_allclose(grad, want, rtol=1e-12,
+                                           atol=1e-13 * np.max(np.abs(want)))
+            else:
+                assert grad.tobytes() == want.tobytes()
 
 
 class TestMidpointConvexity:
@@ -676,33 +726,41 @@ class TestIterationCost:
             counts[iters] = passes.count
         assert counts[2] == counts[40]
 
-    def test_full_batch_descent_builds_no_layer(self, monkeypatch):
-        # Armijo trials and steps move the weight matrix itself; with the
-        # squared-error gradient in the feature space and no metric point to
-        # evaluate, no one-layer network is built
+    @pytest.mark.parametrize("iterations", [0, 1, 12])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("loss", ["squared_error", "cross_entropy"])
+    def test_builds_no_network_but_the_one_it_returns(self, loss, mode, iterations,
+                                                      monkeypatch):
+        # Armijo trials, steps, gradients and metric points all work on the
+        # weight matrix itself, whatever the number of iterations
+        import lastlayer.network as network_module
         import lastlayer.posttrain as posttrain_module
 
-        layers, objectives = [], []
-        real_layer = posttrain_module.Layer
+        if loss == "squared_error":
+            net, ds, test = regression_net(60), regression_data(61), regression_data(62, n=20)
+        else:
+            net, ds = classification_net(60), classification_data(61)
+            test = classification_data(62, n=20)
+        built, objectives = [], []
+        real_init = network_module.Network.__post_init__
         real_objective = posttrain_module._CachedProblem.objective
 
-        def counting_layer(*args, **kwargs):
-            layers.append(args)
-            return real_layer(*args, **kwargs)
+        def counting_init(network):
+            built.append(network)
+            real_init(network)
 
         def counting_objective(problem, w_eff):
             objectives.append(w_eff)
             return real_objective(problem, w_eff)
 
-        monkeypatch.setattr(posttrain_module, "Layer", counting_layer)
+        monkeypatch.setattr(network_module.Network, "__post_init__", counting_init)
         monkeypatch.setattr(posttrain_module._CachedProblem, "objective", counting_objective)
-        cfg = PostTrainConfig(lam=1e-3, iterations=10)
-        _, metrics = post_train(regression_net(seed=60), regression_data(seed=61), cfg,
-                                "squared_error", evaluate=False)
-        steps = len(metrics.points) - 1
-        assert steps > 0
-        assert len(objectives) > steps + 1  # at least one trial step was halved
-        assert layers == []
+        cfg = PostTrainConfig(lam=1e-3, iterations=iterations, mode=mode, batch_size=10)
+        tuned, metrics = post_train(net, ds, cfg, loss, eval_data=test)
+        assert len(metrics.points) == iterations + 1
+        assert len(built) == 1 and built[0] is tuned
+        if mode != "minibatch" and iterations > 1:
+            assert len(objectives) > iterations + 1  # at least one trial step was halved
 
     def test_sgd_train_does_run_lower_layers_each_iteration(self):
         # contrast case: regular training cost scales with iterations

@@ -12,7 +12,7 @@ import pytest
 
 from lastlayer.data import CsvFormatError
 from lastlayer.linalg import NotPositiveDefiniteError
-from lastlayer.train import TrainingDivergedError
+from lastlayer.train import PostTrainingDivergedError, TrainingDivergedError
 from lastlayer.workers import RemoteTraceback, Worker, WorkerDiedError
 
 # compare forks its workers from a process whose OpenBLAS may hold a thread
@@ -43,6 +43,7 @@ class Unpicklable(Exception):
     (CsvFormatError("bad", 4, 2), {"message": "bad", "line": 4, "column": 2}),
     (CsvFormatError("empty file", 1), {"message": "empty file", "line": 1, "column": None}),
     (TrainingDivergedError(7), {"iteration": 7}),
+    (PostTrainingDivergedError(7), {"iteration": 7}),
     (NotPositiveDefiniteError(3), {"pivot_index": 3}),
 ])
 def test_errors_survive_a_pickle_round_trip(exc, attributes):
