@@ -34,7 +34,7 @@ from .experiment import (
     run_experiment,
 )
 from .kernel import solution_to_dict
-from .network import check_loss_pairing, load_network, network_to_dict
+from .network import load_network, network_to_dict
 from .posttrain import post_train
 from .train import TrainingDivergedError, sgd_train
 
@@ -108,9 +108,9 @@ def cmd_train(cfg, args):
 
 @_config_command
 def cmd_post_train(cfg, args):
-    train_ds, test_ds = _materialize_data(cfg, cfg.seeds[0])
     net = load_network(args.network)
     _refuse_other_layers(cfg, net, args.network)
+    train_ds, test_ds = _materialize_data(cfg, cfg.seeds[0])
     pt_cfg = for_run_seed(cfg.posttrain, cfg.seeds[0])
     tuned, metrics = post_train(net, train_ds, pt_cfg, cfg.loss, eval_data=test_ds)
     files = {"network_posttrained.json": network_to_dict(tuned),
@@ -128,9 +128,8 @@ def cmd_krr(cfg, args):
             f"krr fits the squared-error last layer in closed form; the config's loss is {cfg.loss!r}"
         )
     net = load_network(args.network)
-    check_loss_pairing(net.layers[-1].spec, cfg.loss)
-    train_ds, _ = _materialize_data(cfg, cfg.seeds[0])
     _refuse_other_layers(cfg, net, args.network)
+    train_ds, _ = _materialize_data(cfg, cfg.seeds[0])
     solution, best = closed_form_fit(cfg, net, train_ds)
     files = {"krr_solution.json": solution_to_dict(solution),
              "network_optimal.json": network_to_dict(best)}
@@ -139,7 +138,7 @@ def cmd_krr(cfg, args):
 
 @partial(_config_command, every_seed=True)
 def cmd_compare(cfg, args):
-    text = rows_to_csv(run_experiment(cfg, jobs=_cpus()))
+    text = rows_to_csv(run_experiment(cfg, jobs=args.jobs))
     return {"comparison.csv": text}, text + f"wrote {os.path.join(args.out, 'comparison.csv')}"
 
 
@@ -208,14 +207,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def main(argv=None, *, jobs: int = 1) -> int:
+    """Run the command ``argv`` names (``sys.argv[1:]`` when None) and
+    return its exit status; ``compare`` hands its branches to at most
+    ``jobs`` forked workers."""
     args = build_parser().parse_args(argv)
+    args.jobs = jobs
     return args.func(args)
 
 
 def run() -> int:
     """Process entry point, for ``python -m lastlayer.cli`` and the
-    ``lastlayer`` console script: ``main()`` on ``sys.argv``, then
+    ``lastlayer`` console script: ``main()`` on ``sys.argv``, with as many
+    ``compare`` workers as the CPUs this process may use, then
     ``gc.freeze()``.  The interpreter's collections at exit then skip the
     objects alive when ``main()`` returned, most of them made by the
     imports, which shortens every command's exit.  The exit still runs
@@ -223,10 +227,14 @@ def run() -> int:
     ``main()`` raises ValueError or OSError, prints the one stderr line
     ``lastlayer: <ExceptionType>: <message>`` and returns 2.  A diverging
     run, one whose ``main()`` raises TrainingDivergedError, prints the same
-    line, which names the phase and the iteration, and returns 1.  A ``main()`` called in
-    process freezes nothing and raises what it raises."""
+    line, which names the phase and the iteration, and returns 1.
+
+    Only the process forks.  A ``main()`` called in process runs every
+    ``compare`` branch in the caller's process unless given ``jobs``, so
+    a wrapper put on a function there sees every call; it freezes nothing
+    and raises what it raises."""
     try:
-        status = main()
+        status = main(jobs=_cpus())
     except (ValueError, OSError, TrainingDivergedError) as err:
         print(f"lastlayer: {type(err).__name__}: {err}", file=sys.stderr)
         return 1 if isinstance(err, TrainingDivergedError) else 2

@@ -20,11 +20,10 @@ a machine-readable report.
 
 from __future__ import annotations
 
-import inspect
 import math
 import os
-import sys
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, replace
 from typing import Optional
 
@@ -56,8 +55,8 @@ from .network import (
 from .posttrain import (PostTrainConfig, _CachedProblem, _last_layer_output, effective_features,
                         effective_last_weights, post_train, with_effective_last_weights)
 from .rng import Rng, derive
-from .train import (TrainConfig, check_batch_size, check_dropout_keep, classification_error,
-                    sgd_train)
+from .train import (TrainConfig, TrainingDivergedError, check_batch_size, check_dropout_keep,
+                    classification_error, sgd_train)
 from .workers import Worker
 
 CONFIG_FORMAT_VERSION = 1
@@ -286,6 +285,17 @@ def _optimal_last_layer(cfg: ExperimentConfig, net: Network, train_ds: Dataset) 
     return closed_form_fit(cfg, net, train_ds)[1]
 
 
+@contextmanager
+def _diverging_in(where: str):
+    """Raise a TrainingDivergedError of the block again, with its type,
+    iteration and traceback, naming ``where`` in ``run_experiment``: a
+    seed's SGD chain or one seed's branch at one checkpoint."""
+    try:
+        yield
+    except TrainingDivergedError as err:
+        raise type(err)(err.iteration, where).with_traceback(err.__traceback__) from None
+
+
 def _branch(cfg: ExperimentConfig, net: Network, train_ds: Dataset, test_ds: Dataset,
             pt_cfg: PostTrainConfig, run_seed: int, checkpoint: int) -> ComparisonRow:
     """The comparison row of the snapshot ``net`` taken at ``checkpoint``:
@@ -294,8 +304,10 @@ def _branch(cfg: ExperimentConfig, net: Network, train_ds: Dataset, test_ds: Dat
     the test set with the bits of ``forward``: ``matmul`` adds in index
     order whatever the shapes, and the folded bias column adds ``1.0 * b``
     last, as ``forward`` adds ``+ b`` after its product.  It reads nothing
-    but its arguments, so it can run in a worker while SGD goes on."""
-    tuned, _ = post_train(net, train_ds, pt_cfg, cfg.loss, evaluate=False)
+    but its arguments, so it can run in a worker while SGD goes on.  A
+    diverging post-training names ``run_seed`` and ``checkpoint``."""
+    with _diverging_in(f"seed {run_seed}, checkpoint {checkpoint}"):
+        tuned, _ = post_train(net, train_ds, pt_cfg, cfg.loss, evaluate=False)
     best = _optimal_last_layer(cfg, net, train_ds) if cfg.loss == "squared_error" else None
     feats = effective_features(net, test_ds.x)
 
@@ -305,28 +317,6 @@ def _branch(cfg: ExperimentConfig, net: Network, train_ds: Dataset, test_ds: Dat
 
     return ComparisonRow(iterations=checkpoint, classic=metric(net), posttrained=metric(tuned),
                          optimal=None if best is None else metric(best), seed=run_seed)
-
-
-def _package_functions() -> dict:
-    """Each loaded module of this package, mapped to the functions it binds."""
-    prefix = __package__ + "."
-    return {
-        module: {value for value in vars(module).values() if inspect.isfunction(value)}
-        for name, module in list(sys.modules.items()) if name.startswith(prefix)
-    }
-
-
-def _wrapped_in_this_process() -> bool:
-    """True when a function of this package has been replaced by a wrapper
-    of it since this module was imported, as a tracer or profiler does to
-    count its calls (``functools.wraps`` leaves ``__wrapped__`` on the
-    wrapper).  What such a wrapper records in a forked worker would stay in
-    the worker."""
-    return any(
-        value not in functions and hasattr(value, "__wrapped__")
-        for module, functions in _AS_IMPORTED.items()
-        for value in vars(module).values() if inspect.isfunction(value)
-    )
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list:
@@ -342,16 +332,15 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list:
     each checkpoint's branch to a forked worker and trains on, keeping at
     most ``jobs`` workers alive and waiting for the oldest at that bound;
     the last branch runs here.  So at most ``min(jobs, branches - 1)``
-    workers are alive at once.  Every branch runs here when ``jobs`` is 1,
-    when ``os.fork`` is missing, and when a function of the package is
-    wrapped in this process, so that the wrapper sees every call.  The
-    rows and any error are those of the serial loop: a failing branch
-    raises, once the branches before it have been taken, the exception it
-    would raise here.
+    workers are alive at once.  Every branch runs here when ``jobs`` is 1
+    and when ``os.fork`` is missing.  The rows and any error are those of
+    the serial loop: a failing branch raises, once the branches before it
+    have been taken, the exception it would raise here.  A diverging SGD
+    chain names its seed, a diverging branch its seed and checkpoint.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if not hasattr(os, "fork") or _wrapped_in_this_process():
+    if not hasattr(os, "fork"):
         jobs = 1
     branches = len(cfg.seeds) * len(cfg.checkpoints)
     rows, live = [], deque()  # live: (row index, worker), oldest first
@@ -367,9 +356,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list:
             completed = 0
             for checkpoint in cfg.checkpoints:
                 chunk = replace(train_cfg, iterations=checkpoint - completed)
-                net, _ = sgd_train(
-                    net, train_ds, chunk, cfg.loss, start_iteration=completed, evaluate=False
-                )
+                with _diverging_in(f"seed {run_seed}"):
+                    net, _ = sgd_train(
+                        net, train_ds, chunk, cfg.loss, start_iteration=completed, evaluate=False
+                    )
                 completed = checkpoint
                 args = (cfg, net, train_ds, test_ds, pt_cfg, run_seed, checkpoint)
                 if jobs == 1 or len(rows) == branches - 1:
@@ -845,7 +835,3 @@ def convexity_statistics(seed: int = 0) -> dict:
         "all_above": -1e-10,
         "passed": bool(ordered[0] >= -1e-10),
     }
-
-
-# the package's functions before anything could wrap them
-_AS_IMPORTED = _package_functions()

@@ -343,14 +343,7 @@ def _mean_floored_nll(p_true: np.ndarray) -> np.ndarray:
 def mean_cross_entropy(probs: Matrix, labels: np.ndarray) -> float:
     """Batch-mean cross-entropy against the class ``labels``: -log of each
     row's probability of its label, floored at PROB_FLOOR.  Nothing is
-    checked; ``loss_eval`` is the checked entry point.
-
-    ``probs`` may also be the batch's probabilities flattened to 1-D, with
-    ``labels`` the flat position of each row's label probability in it: a
-    caller that scores many outputs against fixed labels builds those
-    positions once, and the gather is one flat take, in row order."""
-    if probs.ndim == 1:
-        return float(_mean_floored_nll(probs[labels]))
+    checked; ``loss_eval`` is the checked entry point."""
     return float(_mean_cross_entropies(probs[None], labels)[0])
 
 

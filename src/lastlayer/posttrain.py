@@ -42,10 +42,10 @@ from .linalg import Matrix, matmul, sq_frobenius
 from .network import (
     Network,
     _apply_activation,
+    _mean_floored_nll,
     _output_error,
     check_loss_pairing,
     feature_map,
-    mean_cross_entropy,
     replace_last_layer,
     softmax_rows,
 )
@@ -157,11 +157,13 @@ class _CachedProblem:
     The targets of ``train`` and ``eval`` are checked once, here, each set's
     before its features are computed.  Under cross_entropy their class
     labels are kept, and the objective and the metric points take the loss
-    and the error from those labels unchecked.  The objective's
-    ``mean_cross_entropy`` gathers each training row's label probability
-    from the class-major probabilities ``P.T`` flattened (a view when there
-    are fewer than 8 classes, which ``softmax_rows`` reduces column by
-    column), at flat positions ``label * N + row`` built here."""
+    and the error from those labels unchecked.  The objective gathers each
+    training row's label probability from the class-major probabilities
+    ``P.T`` flattened (a view when there are fewer than 8 classes, which
+    ``softmax_rows`` reduces column by column), at flat positions
+    ``label * N + row`` built here, in row order, and averages them with
+    ``_mean_floored_nll``, as ``mean_cross_entropy`` does, so the value
+    has its bits."""
 
     def __init__(self, net: Network, data: Dataset, lam: float, loss: str,
                  eval_data: Dataset | None):
@@ -206,7 +208,7 @@ class _CachedProblem:
             )
             return fit / self.n + self.lam * sq_frobenius(w), None
         probs = softmax_rows(matmul(w, self.feats_t).T)
-        value = mean_cross_entropy(probs.T.reshape(-1), self.label_at)
+        value = float(_mean_floored_nll(probs.T.reshape(-1)[self.label_at]))
         return value + self.lam * sq_frobenius(w), probs
 
     def gradient(self, w: Matrix, idx: np.ndarray | None = None,

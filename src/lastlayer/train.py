@@ -33,16 +33,20 @@ from .rng import Rng, derive
 
 class TrainingDivergedError(RuntimeError):
     """SGD's loss became NaN or infinite; carries the iteration at which it
-    happened.  ``diverged`` names the phase and what diverged."""
+    happened and, when given, ``where``: the run it happened in, such as
+    ``seed 0``, appended to the message in parentheses.  ``diverged``
+    names the phase and what diverged."""
 
     diverged = "training diverged: non-finite loss"
 
-    def __init__(self, iteration: int):
+    def __init__(self, iteration: int, where: Optional[str] = None):
         self.iteration = iteration
-        super().__init__(f"{self.diverged} at iteration {iteration}")
+        self.where = where
+        suffix = f" ({where})" if where else ""
+        super().__init__(f"{self.diverged} at iteration {iteration}{suffix}")
 
     def __reduce__(self):
-        return type(self), (self.iteration,)
+        return type(self), (self.iteration, self.where)
 
 
 class PostTrainingDivergedError(TrainingDivergedError):

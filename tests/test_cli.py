@@ -67,6 +67,18 @@ def config_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def missing_csv_config(tmp_path):
+    """TINY_CONFIG reading its dataset from ``absent.csv``, which is not
+    there, so a command that reads the data raises FileNotFoundError."""
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc["dataset"] = {"kind": "csv", "path": str(tmp_path / "absent.csv"),
+                      "feature_columns": list(range(10)), "target_columns": [10]}
+    path = tmp_path / "csv.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestGenData:
     def test_refuses_an_out_path_not_ending_in_csv(self, tmp_path):
         out = tmp_path / "ds.json"
@@ -139,7 +151,8 @@ class TestTrainCommands(object):
 
     def test_krr_refuses_cross_entropy_and_mispaired_networks(self, tmp_path, config_path):
         # the closed form minimises the squared-error objective only, so a
-        # cross-entropy config or a softmax network must not yield a network
+        # cross-entropy config or a softmax network must not yield a network;
+        # the softmax layer is not the config's identity one
         doc = json.loads(json.dumps(TINY_CONFIG))
         doc.update(loss="cross_entropy", metric="classification_error")
         doc["network"]["layers"][-1]["activation"] = "softmax"
@@ -151,8 +164,11 @@ class TestTrainCommands(object):
         net_path = tmp_path / "softmax.json"
         save_network(softmax_net, str(net_path))
         out = tmp_path / "krr"
+        softmax_layer = ("layer 1 is LayerSpec(input_dim=5, output_dim=1, activation='softmax', "
+                         "has_bias=False), but the config's network.layers[1] is LayerSpec("
+                         "input_dim=5, output_dim=1, activation='identity', has_bias=False)")
         for config, message in ((str(ce_path), "cross_entropy"),
-                                (config_path, "requires an identity last activation")):
+                                (config_path, re.escape(softmax_layer))):
             with pytest.raises(ValueError, match=message):
                 main(["krr", "--config", config, "--network", str(net_path), "--out", str(out)])
         assert not out.exists()
@@ -168,13 +184,16 @@ class TestTrainCommands(object):
          "but the config's network.layers[2] is absent"),
     ], ids=["narrower", "deeper"])
     def test_network_with_other_layers_is_refused_and_writes_nothing(
-            self, tmp_path, config_path, command, specs, message):
-        # resolved_config.json records the config's layers as the network that ran
+            self, tmp_path, config_path, missing_csv_config, command, specs, message):
+        # resolved_config.json records the config's layers as the network
+        # that ran; the network is refused before the data are read, so
+        # before a missing dataset CSV is found
         net_path = tmp_path / "other.json"
         save_network(build_network(specs, 3), str(net_path))
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            main([command, "--config", config_path, "--network", str(net_path), "--out", str(out)])
+        for config in (config_path, missing_csv_config):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                main([command, "--config", config, "--network", str(net_path), "--out", str(out)])
         assert not out.exists()
 
     def test_post_train_refuses_a_string_weight_and_writes_nothing(self, tmp_path, config_path):
@@ -209,25 +228,20 @@ class TestTrainCommands(object):
         assert (again / "network.json").read_bytes() == (train / "network.json").read_bytes()
 
     @pytest.mark.parametrize("command", ["train", "post-train", "krr", "compare"])
-    def test_missing_dataset_csv_names_it_and_writes_nothing(self, tmp_path, command):
+    def test_missing_dataset_csv_names_it_and_writes_nothing(
+            self, tmp_path, missing_csv_config, command):
         # every config command computes before it writes, so a run that
         # fails on its data leaves no --out behind
-        doc = json.loads(json.dumps(TINY_CONFIG))
-        missing = str(tmp_path / "absent.csv")
-        doc["dataset"] = {"kind": "csv", "path": missing, "feature_columns": list(range(10)),
-                          "target_columns": [10]}
-        path = tmp_path / "csv.json"
-        path.write_text(json.dumps(doc))
         net_path = tmp_path / "net.json"
-        save_network(build_network([LayerSpec(10, 5, "tanh"), LayerSpec(5, 1, "identity")], 3),
-                     str(net_path))
+        specs = [LayerSpec(10, 5, "tanh"), LayerSpec(5, 1, "identity", has_bias=False)]
+        save_network(build_network(specs, 3), str(net_path))
         out = tmp_path / "out"
-        argv = [command, "--config", str(path), "--out", str(out)]
+        argv = [command, "--config", missing_csv_config, "--out", str(out)]
         if command in ("post-train", "krr"):
             argv += ["--network", str(net_path)]
         with pytest.raises(FileNotFoundError) as err:
             main(argv)
-        assert missing in str(err.value)
+        assert str(tmp_path / "absent.csv") in str(err.value)
         assert "tabular datasets are not bundled" in str(err.value)
         assert not out.exists()
 
@@ -277,30 +291,31 @@ class TestTrainCommands(object):
 # pool
 @pytest.mark.blas_threads
 class TestCompareWorkers:
-    """compare forks as many workers as the CPUs it may use; ``_cpus`` is
-    replaced here to run it with one and with two."""
+    """The process forks as many compare workers as the CPUs it may use;
+    ``main`` is given ``jobs`` here to run with one worker and with two."""
 
-    def test_diverging_post_training_raises_the_same_error_for_any_cpus(self, tmp_path, monkeypatch):
+    def test_diverging_post_training_raises_the_same_error_for_any_cpus(self, tmp_path):
         doc = json.loads(json.dumps(TINY_CONFIG))
         doc["posttrain"]["lr"] = 1e8
         path = tmp_path / "diverging.json"
         path.write_text(json.dumps(doc))
         errors = []
         for jobs in (1, 2):
-            monkeypatch.setattr(cli, "_cpus", lambda jobs=jobs: jobs)
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(TrainingDivergedError) as err:
-                    main(["compare", "--config", str(path), "--out", str(tmp_path / str(jobs))])
+                    main(["compare", "--config", str(path), "--out", str(tmp_path / str(jobs))],
+                         jobs=jobs)
             errors.append((err.value.iteration, str(err.value)))
         # the first checkpoint's branch, the one a worker ran with two CPUs
         assert isinstance(err.value.__cause__, RemoteTraceback)
         assert type(err.value) is PostTrainingDivergedError
         assert errors[0] == errors[1]
         assert 0 < errors[0][0] < doc["posttrain"]["iterations"]
+        assert errors[0][1].endswith(f"at iteration {errors[0][0]} (seed 0, checkpoint 10)")
 
-    def test_no_worker_outlives_the_command(self, tmp_path, config_path, monkeypatch):
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
-        assert main(["compare", "--config", config_path, "--out", str(tmp_path / "ok")]) == 0
+    def test_no_worker_outlives_the_command(self, tmp_path, config_path):
+        assert main(["compare", "--config", config_path, "--out", str(tmp_path / "ok")],
+                    jobs=2) == 0
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         doc = json.loads(json.dumps(TINY_CONFIG))
@@ -309,7 +324,7 @@ class TestCompareWorkers:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError):
                 main(["compare", "--config", str(tmp_path / "diverging.json"),
-                      "--out", str(tmp_path / "diverged")])
+                      "--out", str(tmp_path / "diverged")], jobs=2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -317,9 +332,9 @@ class TestCompareWorkers:
         assert cli._cpus() == len(os.sched_getaffinity(0))
 
     def test_without_fork_compare_runs_serially(self, tmp_path, config_path, monkeypatch):
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
         monkeypatch.delattr(os, "fork")
-        assert main(["compare", "--config", config_path, "--out", str(tmp_path / "serial")]) == 0
+        assert main(["compare", "--config", config_path, "--out", str(tmp_path / "serial")],
+                    jobs=2) == 0
         assert len((tmp_path / "serial" / "comparison.csv").read_text().splitlines()) == 3
 
 
@@ -594,7 +609,8 @@ class TestProcessEntryPoint:
         argv = ["compare", "--config", str(tmp_path / "lr.json"), "--out", "out"]
         self.assert_diverges_in_one_line(
             argv, tmp_path, TrainingDivergedError,
-            "lastlayer: TrainingDivergedError: training diverged: non-finite loss at iteration 3")
+            "lastlayer: TrainingDivergedError: training diverged: non-finite loss at iteration 3 "
+            "(seed 0)")
 
     def test_run_freezes_after_main_returns(self):
         code = ("import gc, sys; from lastlayer import cli; "
@@ -603,6 +619,23 @@ class TestProcessEntryPoint:
         child = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
                                capture_output=True, text=True, timeout=120)
         assert child.stdout.splitlines()[-1] == "0 True"
+
+    def test_run_gives_main_the_cpus_of_this_process(self, monkeypatch):
+        # only the process entry point forks compare's branches; an
+        # in-process main() runs them here unless given jobs
+        calls = []
+
+        def fake_main(argv=None, *, jobs=1):
+            calls.append((sys.argv[1:] if argv is None else argv, jobs))
+            return 0
+
+        argv = ["compare", "--config", "synthetic", "--out", "unused"]
+        monkeypatch.setattr(sys, "argv", ["lastlayer", *argv])
+        monkeypatch.setattr(cli, "main", fake_main)
+        monkeypatch.setattr(cli, "_cpus", lambda: 3)
+        monkeypatch.setattr(cli.gc, "freeze", lambda: None)  # not in the test process
+        assert cli.run() == 0
+        assert calls == [(argv, 3)]
 
     def test_in_process_main_freezes_nothing(self, capsys):
         assert main(["check", "--convexity", "--seed", "1"]) == 0

@@ -85,8 +85,7 @@ def compare_config(loss, mode, tmp_path):
 
 def evaluating(monkeypatch):
     """Make ``run_experiment`` call ``sgd_train`` and ``post_train`` with
-    ``evaluate=True``.  The wrappers carry no ``__wrapped__``, so the
-    branches still fork."""
+    ``evaluate=True``."""
     for name, real in (("sgd_train", sgd_train), ("post_train", post_train)):
         monkeypatch.setattr(experiment_module, name,
                             lambda *a, _real=real, **k: _real(*a, **{**k, "evaluate": True}))

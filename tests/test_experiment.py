@@ -1,7 +1,6 @@
 """Experiment harness: config validation, the three-way comparison
 protocol, output determinism, and the self-check suite's sensitivity."""
 
-import functools
 import importlib.util
 import json
 import math
@@ -17,7 +16,7 @@ import numpy as np
 import pytest
 from conftest import forward_objective
 
-from lastlayer import experiment, jsonio
+from lastlayer import cli, experiment, jsonio
 from lastlayer.convexity import SoftmaxInstance, ce_value
 from lastlayer.data import CsvFormatError, Dataset
 from lastlayer.experiment import (
@@ -42,7 +41,7 @@ from lastlayer.linalg import DimensionMismatchError, sq_frobenius
 from lastlayer.network import LayerSpec, build_network, forward, loss_eval
 from lastlayer.posttrain import PostTrainConfig, _CachedProblem
 from lastlayer.rng import Rng, derive
-from lastlayer.train import TrainConfig, TrainingDivergedError
+from lastlayer.train import PostTrainingDivergedError, TrainConfig, TrainingDivergedError
 from lastlayer.workers import RemoteTraceback, WorkerDiedError
 
 
@@ -576,21 +575,51 @@ class TestParallelBranches:
         cfg = config_from_dict(tiny_config_doc())
         assert len(run_experiment(cfg, 2)) == 4
 
-    def test_a_wrapped_function_sees_every_branch(self, monkeypatch):
-        # a tracer's wrapper counts in its own process, so no branch forks
-        cfg = config_from_dict(tiny_config_doc())
-        serial = rows_to_csv(run_experiment(cfg))
+    def test_an_in_process_main_runs_every_branch_here(self, tmp_path, capsys, monkeypatch):
+        # only the process entry point forks, so a tracer that calls main()
+        # in process counts every call in its own process; the wrapper is
+        # no functools.wraps one, so nothing can tell it from the function
+        doc = tiny_config_doc()
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps(doc))
         post_train = experiment.post_train
         callers = []
 
-        @functools.wraps(post_train)
         def counting(*args, **kwargs):
             callers.append(os.getpid())
             return post_train(*args, **kwargs)
 
         monkeypatch.setattr(experiment, "post_train", counting)
-        assert rows_to_csv(run_experiment(cfg, 2)) == serial
+        assert cli.main(["compare", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
         assert callers == [os.getpid()] * 4
+        serial = rows_to_csv(run_experiment(config_from_dict(doc)))
+        assert (tmp_path / "out" / "comparison.csv").read_text() == serial
+
+    def test_diverging_sgd_names_its_seed(self):
+        doc = tiny_config_doc()
+        doc["train"]["lr0"] = 1e6
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError) as err:
+                run_experiment(config_from_dict(doc))
+        assert type(err.value) is TrainingDivergedError
+        assert err.value.where == "seed 0"
+        assert str(err.value) == (f"training diverged: non-finite loss at iteration "
+                                  f"{err.value.iteration} (seed 0)")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_diverging_branch_names_its_seed_and_checkpoint(self, jobs):
+        # with two jobs a worker runs the first checkpoint's branch
+        doc = tiny_config_doc()
+        doc["posttrain"]["lr"] = 1e8
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PostTrainingDivergedError) as err:
+                run_experiment(config_from_dict(doc), jobs)
+        assert err.value.where == "seed 0, checkpoint 20"
+        assert str(err.value) == (f"post-training diverged: non-finite objective at iteration "
+                                  f"{err.value.iteration} (seed 0, checkpoint 20)")
+        assert isinstance(err.value.__cause__, RemoteTraceback) == (jobs > 1)
+        assert_no_child_left()
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError, match="jobs must be at least 1"):

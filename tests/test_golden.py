@@ -45,7 +45,7 @@ import numpy as np
 import pytest
 from conftest import MATMUL_ROUTES
 
-from lastlayer import cli, linalg
+from lastlayer import linalg
 from lastlayer.cli import main
 from lastlayer.data import Dataset, gen_synthetic, save_csv
 
@@ -125,21 +125,22 @@ def squared_error_config(directory: Path) -> str:
     return str(config_path)
 
 
-def compare(directory: Path, config: str, *options: str) -> Path:
-    """Output directory of ``compare --config`` ``config`` with ``options``."""
+def compare(directory: Path, config: str, *options: str, jobs: int = 1) -> Path:
+    """Output directory of ``compare --config`` ``config`` with ``options``,
+    run by ``main`` with at most ``jobs`` forked workers."""
     out = directory / "compare"
-    assert main(["compare", "--config", config, *options, "--out", str(out)]) == 0
+    assert main(["compare", "--config", config, *options, "--out", str(out)], jobs=jobs) == 0
     return out
 
 
-def synthetic_comparison(directory: Path) -> Path:
+def synthetic_comparison(directory: Path, jobs: int = 1) -> Path:
     """``compare --config synthetic --seed 0``."""
-    return compare(directory, "synthetic", "--seed", "0")
+    return compare(directory, "synthetic", "--seed", "0", jobs=jobs)
 
 
-def cross_entropy_comparison(directory: Path) -> Path:
+def cross_entropy_comparison(directory: Path, jobs: int = 1) -> Path:
     """``compare`` on the tiny cross-entropy config."""
-    return compare(directory, cross_entropy_config(directory))
+    return compare(directory, cross_entropy_config(directory), jobs=jobs)
 
 
 def posttrain_metrics(directory: Path, config: str) -> bytes:
@@ -246,14 +247,13 @@ def test_numpy_route_gives_the_golden_bytes(name, tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("name", sorted(COMPARISONS))
-def test_compare_bytes_do_not_depend_on_the_cpus(name, tmp_path, capsys, monkeypatch):
-    # with two CPUs a forked worker runs every checkpoint's branch but the
+def test_compare_bytes_do_not_depend_on_the_cpus(name, tmp_path, capsys):
+    # with two jobs a forked worker runs every checkpoint's branch but the
     # last, with one compare forks none; the worker count is no config key
     skip_unless_made_here()
     outs = []
     for jobs in (1, 2):
-        monkeypatch.setattr(cli, "_cpus", lambda jobs=jobs: jobs)
-        outs.append(COMPARISONS[name](tmp_path).rename(tmp_path / f"cpus{jobs}"))
+        outs.append(COMPARISONS[name](tmp_path, jobs).rename(tmp_path / f"cpus{jobs}"))
     capsys.readouterr()
     for out in outs:
         assert (out / "comparison.csv").read_bytes() == (GOLDEN / name).read_bytes()

@@ -23,6 +23,7 @@ from lastlayer.network import (
     Network,
     _layer_passes,
     _mean_cross_entropies,
+    _mean_floored_nll,
     _squared_errors,
     backprop,
     build_network,
@@ -733,16 +734,17 @@ class TestFlatLabelGather:
     @pytest.mark.parametrize("width", range(1, 13))
     @pytest.mark.parametrize("n", [60, 3500])
     def test_flat_positions_give_the_row_form_bit_for_bit(self, width, n):
-        # class-major positions label * N + row into P.T flattened, as
-        # post-training's objective builds them once, and row-major ones
-        # row * classes + label into P flattened
+        # post-training's objective takes _mean_floored_nll of P.T flattened
+        # at the class-major positions label * N + row, which it builds
+        # once; row-major positions row * classes + label into P flattened
+        # add the same way
         rng = np.random.default_rng(500 + width)
         probs = softmax_rows(20 * rng.standard_normal((n, width)))
         labels = rng.integers(0, width, size=n)
         want = mean_cross_entropy(probs, labels)
-        class_major = np.ascontiguousarray(probs.T)
-        assert mean_cross_entropy(class_major.reshape(-1), labels * n + np.arange(n)) == want
-        assert mean_cross_entropy(probs.reshape(-1), np.arange(n) * width + labels) == want
+        class_major = labels * n + np.arange(n)
+        assert float(_mean_floored_nll(probs.T.reshape(-1)[class_major])) == want
+        assert float(_mean_floored_nll(probs.reshape(-1)[np.arange(n) * width + labels])) == want
         with np.errstate(invalid="ignore"):
             probs[3] = softmax_rows(np.full((1, width), np.nan))
-        assert math.isnan(mean_cross_entropy(probs.T.reshape(-1), labels * n + np.arange(n)))
+        assert math.isnan(_mean_floored_nll(probs.T.reshape(-1)[class_major]))

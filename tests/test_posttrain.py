@@ -265,7 +265,7 @@ class TestPostTrain:
         net = build_network([LayerSpec(4, 6, "tanh"), LayerSpec(6, 3, "softmax")], 7)
         ds, test = classification_data(8, n=600), classification_data(9)
         class_major, objectives = [], []
-        real_loss = posttrain_module.mean_cross_entropy
+        real_loss = posttrain_module._mean_floored_nll
         real_objective = posttrain_module._CachedProblem.objective
 
         def counting_class_major(problem, w_eff):
@@ -273,13 +273,13 @@ class TestPostTrain:
             class_major.append(probs.shape[0])
             return value, probs
 
-        def counting_loss(probs, labels):
-            objectives.append(labels.shape[0])
-            return real_loss(probs, labels)
+        def counting_loss(p_true):
+            objectives.append(p_true.shape[0])
+            return real_loss(p_true)
 
         outputs = counting_outputs(monkeypatch)
         monkeypatch.setattr(posttrain_module._CachedProblem, "objective", counting_class_major)
-        monkeypatch.setattr(posttrain_module, "mean_cross_entropy", counting_loss)
+        monkeypatch.setattr(posttrain_module, "_mean_floored_nll", counting_loss)
         cfg = PostTrainConfig(lam=1e-3, iterations=12)
         _, metrics = post_train(net, ds, cfg, "cross_entropy", eval_data=test)
         assert len(metrics.points) == 13

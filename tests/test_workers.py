@@ -44,6 +44,9 @@ class Unpicklable(Exception):
     (CsvFormatError("empty file", 1), {"message": "empty file", "line": 1, "column": None}),
     (TrainingDivergedError(7), {"iteration": 7}),
     (PostTrainingDivergedError(7), {"iteration": 7}),
+    (TrainingDivergedError(7, "seed 0"), {"iteration": 7, "where": "seed 0"}),
+    (PostTrainingDivergedError(7, "seed 0, checkpoint 20"),
+     {"iteration": 7, "where": "seed 0, checkpoint 20"}),
     (NotPositiveDefiniteError(3), {"pivot_index": 3}),
 ])
 def test_errors_survive_a_pickle_round_trip(exc, attributes):
