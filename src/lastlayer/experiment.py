@@ -765,7 +765,7 @@ def _check_posttrain(seed: int) -> list:
             if before.bias is not None:
                 frozen_diff = max(frozen_diff, float(np.max(np.abs(before.bias - after.bias))))
 
-        objective = _CachedProblem(net, ds, cfg.lam, loss, None).objective
+        objective = _CachedProblem(net, ds, cfg.lam, loss).objective
         worst_midpoint = 0.0
         for wa, wb in z[-pair_draws:].reshape(100, 2, outputs, 5):
             j_mid = objective((wa + wb) / 2.0)[0]

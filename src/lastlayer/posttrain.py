@@ -54,7 +54,7 @@ from .train import (
     MetricPoint,
     MetricsSeries,
     PostTrainingDivergedError,
-    _BatchStream,
+    _batches,
     _check_evaluate,
     _evaluate,
     _samples,
@@ -134,9 +134,15 @@ def _last_layer_output(activation: str, w_eff: Matrix, feats: Matrix) -> Matrix:
     return _apply_activation(activation, matmul(feats, w_eff.T))
 
 
+def _embedded(net: Network, data: Dataset, loss: str):
+    """``data``'s samples, targets checked first, with the effective
+    features in place of the inputs."""
+    return _samples(data, loss)._replace(x=effective_features(net, data.x))
+
+
 class _CachedProblem:
-    """Last-layer problem over cached features F (N x d); all sizes are
-    desk-scale.
+    """Last-layer problem over the cached training features F (N x d); all
+    sizes are desk-scale.
 
     Full-batch squared error works in the d x d feature space.  Under
     cross_entropy the objective's forward pass runs class-major, as
@@ -148,40 +154,24 @@ class _CachedProblem:
     which on the full cross-entropy batch are the objective's
     probabilities.  The regularizer adds ``2 lam W`` to each gradient.
 
-    The held-out features ``eval.x`` are the transposed view of a
-    C-contiguous array.  ``output`` over them, at each metric point,
-    therefore runs class-major too: ``matmul`` forms a product with
-    more rows than columns as the transposed product, over the transposed
-    features, which it then reads in place instead of copying them.
+    The targets of ``train`` are checked once, here, before its features
+    are computed.  Under cross_entropy its class labels are kept, and the
+    objective and the metric points take the loss and the error from those
+    labels unchecked.  The objective gathers each training row's label
+    probability from the class-major probabilities ``P.T`` flattened (a
+    view when there are fewer than 8 classes, which ``softmax_rows``
+    reduces column by column), at flat positions ``label * N + row`` built
+    here, in row order, and averages them with ``_mean_floored_nll``, as
+    ``mean_cross_entropy`` does, so the value has its bits."""
 
-    The targets of ``train`` and ``eval`` are checked once, here, each set's
-    before its features are computed.  Under cross_entropy their class
-    labels are kept, and the objective and the metric points take the loss
-    and the error from those labels unchecked.  The objective gathers each
-    training row's label probability from the class-major probabilities
-    ``P.T`` flattened (a view when there are fewer than 8 classes, which
-    ``softmax_rows`` reduces column by column), at flat positions
-    ``label * N + row`` built here, in row order, and averages them with
-    ``_mean_floored_nll``, as ``mean_cross_entropy`` does, so the value
-    has its bits."""
-
-    def __init__(self, net: Network, data: Dataset, lam: float, loss: str,
-                 eval_data: Dataset | None):
+    def __init__(self, net: Network, data: Dataset, lam: float, loss: str):
         # output(w, x): the last layer's output with the matrix w on the
         # effective features x
         self.output = partial(_last_layer_output, net.layers[-1].spec.activation)
         self.loss = loss
         self.lam = lam
         self.n = data.n
-
-        def cached(d: Dataset):
-            return _samples(d, loss)._replace(x=effective_features(net, d.x))
-
-        self.train = cached(data)
-        self.eval = None
-        if eval_data is not None:
-            held_out = cached(eval_data)
-            self.eval = held_out._replace(x=np.ascontiguousarray(held_out.x.T).T)
+        self.train = _embedded(net, data, loss)
         self.quadratic = loss == "squared_error"
         feats = self.train.x
         if self.quadratic:
@@ -247,6 +237,8 @@ def post_train(
     whose objective must be finite) records the regularized objective on
     the full training set as the train loss and the plain loss on eval_data
     as the test loss; it reuses the output the objective was computed from.
+    eval_data, like the training set, has its targets checked and then its
+    features cached once, before the descent.
     Step ``it`` moves the weights W to W - s * g, with g the objective's
     gradient at W, on the full batch or on minibatch ``it``.  In minibatch
     mode s = ``lr``, and a non-finite objective raises
@@ -275,11 +267,12 @@ def post_train(
     check_loss_pairing(net.layers[-1].spec, loss)
     _check_evaluate(evaluate, eval_data)
     with np.errstate(over="ignore", invalid="ignore"):
-        problem = _CachedProblem(net, data, cfg.lam, loss, eval_data)
-        stream = None
+        problem = _CachedProblem(net, data, cfg.lam, loss)
+        eval_set = None if eval_data is None else _embedded(net, eval_data, loss)
+        batches = None
         if cfg.mode == "minibatch":
             check_batch_size(cfg.batch_size, data.n)
-            stream = _BatchStream(data.n, cfg.batch_size, derive(cfg.seed, "posttrain"))
+            batches = _batches(data.n, cfg.batch_size, derive(cfg.seed, "posttrain"))
         grad_tol = max(cfg.grad_tol, 1e-14)
         metrics = MetricsSeries()
         w = effective_last_weights(net)
@@ -287,15 +280,15 @@ def post_train(
         def record(it: int, at: Matrix, value: float, probs: Matrix | None) -> None:
             if not math.isfinite(value):
                 raise PostTrainingDivergedError(it)
-            metrics.append(_evaluate(partial(problem.output, at), loss, problem.train, problem.eval,
+            metrics.append(_evaluate(partial(problem.output, at), loss, problem.train, eval_set,
                                      it, value, probs) if evaluate else MetricPoint(it, value))
 
         value, probs = problem.objective(w)
         record(0, w, value, probs)
         step = 1.0
         for it in range(1, cfg.iterations + 1):
-            grad = problem.gradient(w, None if stream is None else stream.batch(it - 1), probs)
-            if stream is not None:
+            grad = problem.gradient(w, None if batches is None else next(batches), probs)
+            if batches is not None:
                 w = w - cfg.lr * grad
                 value, probs = problem.objective(w)
             else:

@@ -168,35 +168,19 @@ def _evaluate(output, loss: str, data: _Samples, eval_data: Optional[_Samples],
     return point
 
 
-class _BatchStream:
-    """Deterministic index stream: seeded shuffle per epoch, wraparound.
-    Batches are read in order, so epochs before the current batch's leave the cache."""
-
-    def __init__(self, n: int, batch_size: int, seed: int):
-        self.n = n
-        self.batch_size = batch_size
-        self.seed = seed
-        self._perms: dict = {}
-
-    def _perm(self, epoch: int) -> np.ndarray:
-        if epoch not in self._perms:
-            self._perms[epoch] = Rng(derive(self.seed, "shuffle", epoch)).permutation(self.n)
-        return self._perms[epoch]
-
-    def batch(self, iteration: int) -> np.ndarray:
-        """Positions iteration*B .. iteration*B+B-1 of the concatenated epoch
-        permutations: with B <= n, a tail of one epoch and a head of the next."""
-        pos = iteration * self.batch_size
-        end = pos + self.batch_size
-        for stale in [e for e in self._perms if e < pos // self.n]:
-            del self._perms[stale]
-        pieces = []
-        while pos < end:
-            epoch, offset = divmod(pos, self.n)
-            take = min(end - pos, self.n - offset)
-            pieces.append(self._perm(epoch)[offset : offset + take])
-            pos += take
-        return np.concatenate(pieces)
+def _batches(n: int, batch_size: int, seed: int, start: int = 0):
+    """Batches ``start``, ``start + 1``, ... of a seeded shuffle per epoch:
+    batch t holds positions t*B .. t*B+B-1 of the concatenated epoch
+    permutations, with B <= n a tail of one epoch and a head of the next.
+    An epoch is drawn when its first position is read."""
+    epoch, offset = divmod(start * batch_size, n)
+    order = Rng(derive(seed, "shuffle", epoch)).permutation(n)[offset:]
+    while True:
+        while len(order) < batch_size:
+            epoch += 1
+            order = np.concatenate([order, Rng(derive(seed, "shuffle", epoch)).permutation(n)])
+        yield order[:batch_size]
+        order = order[batch_size:]
 
 
 def _dropout_masks(net: Network, cfg: TrainConfig, iteration: int, batch: int):
@@ -253,8 +237,9 @@ def sgd_train(
     and its metrics.
 
     The update is W <- W - lr_t * (grad + 2 * weight_decay * W) with
-    lr_t = lr0 * lr_decay^t and t the global iteration index (so a resumed
-    run continues the same schedule).  Weight decay does not touch biases.
+    lr_t = lr0 * lr_decay^t and t the global iteration index, from
+    ``start_iteration`` >= 0 on (so a resumed run continues the same
+    schedule and the same batches).  Weight decay does not touch biases.
     Each step's batch loss comes from the step's one ``loss_and_gradients``
     call; under cross_entropy it takes the batch's rows of the training
     labels, checked once before the first step.  A non-finite batch loss
@@ -270,6 +255,8 @@ def sgd_train(
     """
     check_loss_pairing(net.layers[-1].spec, loss)
     _check_evaluate(evaluate, eval_data)
+    if start_iteration < 0:
+        raise ValueError(f"start_iteration must be >= 0, got {start_iteration}")
     check_batch_size(cfg.batch_size, data.n)
     check_dropout_keep(cfg, net.depth - 1)
 
@@ -278,11 +265,11 @@ def sgd_train(
     labels = train_set.labels
     current = net.copy()
     metrics = MetricsSeries()
-    stream = _BatchStream(data.n, cfg.batch_size, cfg.seed)
+    batches = _batches(data.n, cfg.batch_size, cfg.seed, start_iteration)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(start_iteration, start_iteration + cfg.iterations):
-            idx = stream.batch(t)
+            idx = next(batches)
             xb = data.x[idx]
             yb = data.y[idx]
             masks = _dropout_masks(current, cfg, t, cfg.batch_size)

@@ -50,7 +50,7 @@ def forward_objective(net, data, lam, loss) -> float:
 def cached_objective(net, data, lam, loss) -> float:
     """``posttrain._CachedProblem.objective``, the objective that
     ``post_train`` minimises, at ``net``'s last layer."""
-    problem = posttrain._CachedProblem(net, data, lam, loss, None)
+    problem = posttrain._CachedProblem(net, data, lam, loss)
     return problem.objective(posttrain.effective_last_weights(net))[0]
 
 

@@ -372,7 +372,7 @@ def test_criterion_7_monotonicity_and_convexity():
     )
     for net, ds, loss, shape in ((net_reg, ds_reg, "squared_error", (2, 5)),
                                  (net_cls, ds_cls, "cross_entropy", (3, 6))):
-        objective = _CachedProblem(net, ds, 1e-3, loss, None).objective
+        objective = _CachedProblem(net, ds, 1e-3, loss).objective
         for _ in range(100):
             wa = rng.normal(size=shape)
             wb = rng.normal(size=shape)

@@ -28,7 +28,7 @@ from lastlayer.experiment import (
 )
 from lastlayer.network import LayerSpec, build_network, forward, loss_and_gradients, one_hot_labels
 from lastlayer.posttrain import MODES, PostTrainConfig, post_train
-from lastlayer.train import TrainConfig, TrainingDivergedError, _BatchStream, sgd_train
+from lastlayer.train import TrainConfig, TrainingDivergedError, _batches, sgd_train
 
 LOSSES = ("squared_error", "cross_entropy")
 
@@ -164,8 +164,8 @@ class TestSgdTrain:
         # times the input makes the next step's weights NaN
         net, ds, _ = problem(loss, seed=7, n=120)
         cfg = TrainConfig(iterations=40, batch_size=10, lr0=0.1, seed=8)
-        stream = _BatchStream(ds.n, cfg.batch_size, cfg.seed)
-        drawn = next(t for t in range(cfg.iterations) if 57 in stream.batch(t))
+        drawn = next(t for t, idx in zip(range(cfg.iterations),
+                                         _batches(ds.n, cfg.batch_size, cfg.seed)) if 57 in idx)
         if cause == "overflow":
             cfg.lr0, want = 1e307, None
         else:
@@ -239,29 +239,6 @@ class TestPostTrain:
         with pytest.raises(ValueError, match="eval_data is read only by metric points"):
             post_train(net, ds, PostTrainConfig(lam=1e-3), "cross_entropy", eval_data=test,
                        evaluate=False)
-
-    @pytest.mark.parametrize("loss", LOSSES)
-    @pytest.mark.parametrize("mode", MODES)
-    def test_held_out_points_read_the_cached_features_in_place(self, loss, mode, monkeypatch):
-        # the held-out features are a transposed view, so matmul reads the
-        # C-contiguous transpose instead of copying one at every point; the
-        # metrics are those of the last layer's output over C-ordered features
-        net, ds, test = problem(loss, seed=12, n=600)
-        cfg = PostTrainConfig(lam=1e-3, iterations=8, mode=mode, batch_size=32)
-        inputs = []
-        real = posttrain_module._last_layer_output
-
-        def recording(activation, w_eff, feats):
-            inputs.append(feats)
-            return real(activation, w_eff, np.ascontiguousarray(feats))
-
-        monkeypatch.setattr(posttrain_module, "_last_layer_output", recording)
-        reference = post_train(net, ds, cfg, loss, eval_data=test)[1].to_csv()
-        monkeypatch.undo()
-        assert post_train(net, ds, cfg, loss, eval_data=test)[1].to_csv() == reference
-        held_out = [x for x in inputs if x.shape[0] == test.n]
-        assert len(held_out) == cfg.iterations + 1
-        assert all(x.T.flags.c_contiguous for x in held_out)
 
 
 class TestRunExperiment:

@@ -996,7 +996,7 @@ def loop_midpoint_gap(seed, loss):
     else:
         y = np.eye(3)[[rng.randbelow(3) for _ in range(40)]]
         ds = Dataset(rng.normals(160).reshape(40, 4), y)
-    problem = _CachedProblem(net, ds, 1e-3, loss, None)
+    problem = _CachedProblem(net, ds, 1e-3, loss)
 
     def objective(w):
         return problem.objective(w)[0]

@@ -472,7 +472,7 @@ class TestClassMajorCrossEntropy:
                       rng.standard_normal(classes) if bias else None)
         net = Network([layer])
         problem = _CachedProblem(net, Dataset(x, np.eye(classes)[labels]), self.LAM,
-                                 "cross_entropy", None)
+                                 "cross_entropy")
         return problem, effective_last_weights(net), labels
 
     def assert_matches_forward_and_backprop(self, problem, w_eff, labels, monkeypatch):
@@ -580,7 +580,7 @@ class TestLastLayerGradient:
         else:
             specs = [LayerSpec(4, 6, "tanh"), LayerSpec(6, 3, "softmax", has_bias=bias)]
             net, ds = build_network(specs, 70), classification_data(seed=71, n=60)
-        problem = _CachedProblem(net, ds, self.LAM, loss, None)
+        problem = _CachedProblem(net, ds, self.LAM, loss)
         rng = np.random.default_rng(72)
         w_eff = effective_last_weights(net)
         w_eff = w_eff + 0.3 * rng.standard_normal(w_eff.shape)
@@ -609,7 +609,7 @@ class TestMidpointConvexity:
         ds = regression_data(seed=33)
         rng = np.random.default_rng(34)
         lam = 1e-3
-        objective = _CachedProblem(net, ds, lam, "squared_error", None).objective
+        objective = _CachedProblem(net, ds, lam, "squared_error").objective
         for _ in range(100):
             wa = rng.normal(size=(2, 5))
             wb = rng.normal(size=(2, 5))
@@ -622,13 +622,63 @@ class TestMidpointConvexity:
         ds = classification_data(seed=36)
         rng = np.random.default_rng(37)
         lam = 1e-3
-        objective = _CachedProblem(net, ds, lam, "cross_entropy", None).objective
+        objective = _CachedProblem(net, ds, lam, "cross_entropy").objective
         for _ in range(100):
             wa = rng.normal(size=(3, 6))
             wb = rng.normal(size=(3, 6))
             j_mid = objective((wa + wb) / 2)[0]
             j_avg = (objective(wa)[0] + objective(wb)[0]) / 2
             assert j_mid <= j_avg + 1e-10
+
+
+class TestMetamorphicRelations:
+    """Relations of the paper's kernel view, on a one-layer network whose
+    input is the features F: the last-layer problem sees F only through
+    F W.T and W only through that product and |W|, so a rotation of the
+    features carries over to the result, and under cross_entropy a
+    relabelling of the classes permutes W's rows.
+
+    F has column scales from 1 to 1e-2, so 200 full-batch steps still move
+    W and do not wander on the objective's rounding floor.  Each tolerance
+    is at least ten times the worst relative error over seeds 0-199: 1.2e-13 for
+    the rotation of the full squared-error batch, whose objective takes the
+    Gram route, and at most 8.7e-15 for every other relation."""
+
+    ACTIVATION = {"squared_error": "identity", "cross_entropy": "softmax"}
+
+    @staticmethod
+    def features(seed, loss, n=400, d=8, m=4):
+        rng = np.random.default_rng(seed)
+        f = rng.normal(size=(n, d)) * np.logspace(0.0, -2.0, d)
+        if loss == "cross_entropy":
+            y = np.eye(m)[rng.integers(m, size=n)]
+        else:
+            y = rng.normal(size=(n, m))
+        return rng, f, y, 0.1 * rng.normal(size=(m, d))
+
+    def tuned(self, f, y, w0, loss, mode, seed):
+        cfg = PostTrainConfig(lam=1e-3, iterations=200, mode=mode, batch_size=32, seed=seed)
+        net = one_layer(w0.copy(), self.ACTIVATION[loss])
+        return post_train(net, Dataset(f, y), cfg, loss, evaluate=False)[0].layers[0].weights
+
+    @pytest.mark.parametrize("loss", ["squared_error", "cross_entropy"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rotating_the_features_rotates_the_result(self, loss, mode, seed):
+        rng, f, y, w0 = self.features(seed, loss)
+        q = np.linalg.qr(rng.normal(size=(f.shape[1], f.shape[1])))[0]
+        want = self.tuned(f, y, w0, loss, mode, seed) @ q
+        got = self.tuned(f @ q, y, w0 @ q, loss, mode, seed)
+        tol = 2e-12 if (loss, mode) == ("squared_error", MODES[0]) else 1e-13
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_permuting_the_classes_permutes_the_rows(self, seed):
+        rng, f, y, w0 = self.features(seed, "cross_entropy")
+        perm = np.array([2, 0, 3, 1])  # moves every class
+        want = self.tuned(f, y, w0, "cross_entropy", MODES[0], seed)[perm]
+        got = self.tuned(f, y[:, perm], w0[perm], "cross_entropy", MODES[0], seed)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestBiasFolding:

@@ -10,12 +10,13 @@ from conftest import networks_bit_identical
 from lastlayer.data import Dataset, gen_synthetic
 from lastlayer.kernel import krr_solve
 from lastlayer.network import Layer, LayerSpec, Network, build_network
+from lastlayer.rng import Rng, derive
 from lastlayer.train import (
     MetricPoint,
     MetricsSeries,
     TrainConfig,
     TrainingDivergedError,
-    _BatchStream,
+    _batches,
     _dropout_masks,
     _label_error,
     sgd_train,
@@ -116,6 +117,14 @@ class TestSgdTrain:
         with pytest.raises(ValueError, match="batch_size"):
             sgd_train(net, ds, cfg, "squared_error")
 
+    def test_negative_start_iteration_refused(self):
+        # a negative start would run lr0 * lr_decay**t at t < 0 on batches
+        # of an epoch before the first
+        net, ds = linear_problem(seed=17)
+        cfg = TrainConfig(iterations=3, batch_size=8, lr0=0.1, seed=18)
+        with pytest.raises(ValueError, match="start_iteration"):
+            sgd_train(net, ds, cfg, "squared_error", start_iteration=-5)
+
     def test_dropout_keep_length_guard(self):
         ds = gen_synthetic(20, seed=19)
         net = build_network(
@@ -190,48 +199,57 @@ class TestRowArgmax:
                 assert _label_error(laid_out, (picked + 1) % width) == 1.0
 
 
-class TestBatchStream:
-    def test_wraparound_crosses_epochs(self):
-        stream = _BatchStream(n=10, batch_size=4, seed=0)
-        from lastlayer.rng import Rng, derive
+def shuffle(seed, epoch, n):
+    return Rng(derive(seed, "shuffle", epoch)).permutation(n)
 
-        perm0 = Rng(derive(0, "shuffle", 0)).permutation(10)
-        perm1 = Rng(derive(0, "shuffle", 1)).permutation(10)
-        batch2 = stream.batch(2)  # positions 8..11 span the epoch boundary
-        expected = np.concatenate([perm0[8:10], perm1[0:2]])
+
+class TestBatches:
+    def test_wraparound_crosses_epochs(self):
+        batches = _batches(n=10, batch_size=4, seed=0)
+        next(batches), next(batches)
+        batch2 = next(batches)  # positions 8..11 span the epoch boundary
+        expected = np.concatenate([shuffle(0, 0, 10)[8:10], shuffle(0, 1, 10)[0:2]])
         assert np.array_equal(batch2, expected)
 
-    def test_batches_match_the_per_index_formula(self):
-        from lastlayer.rng import Rng, derive
-
-        for n, batch_size in ((10, 4), (12, 5), (7, 7), (1, 1), (9, 2)):
-            stream = _BatchStream(n=n, batch_size=batch_size, seed=3)
-            perms = [Rng(derive(3, "shuffle", e)).permutation(n) for e in range(3 * batch_size + 2)]
-            for t in range(3 * n):
-                positions = range(t * batch_size, (t + 1) * batch_size)
-                want = np.array([perms[pos // n][pos % n] for pos in positions], dtype=np.int64)
-                got = stream.batch(t)
-                assert got.dtype == np.int64
-                assert np.array_equal(got, want), (n, batch_size, t)
-
-    def test_cache_keeps_at_most_two_epochs(self):
-        from lastlayer.rng import Rng, derive
-
-        n, batch_size = 7, 5
-        stream = _BatchStream(n=n, batch_size=batch_size, seed=4)
+    @pytest.mark.parametrize("n, batch_size",
+                             [(10, 4), (12, 5), (7, 7), (1, 1), (9, 2), (7, 5), (6, 3)])
+    @pytest.mark.parametrize("start", [0, 1, 2, 5])
+    def test_batches_match_the_per_index_formula(self, n, batch_size, start):
+        # batch t holds positions t*B .. t*B+B-1 of the concatenated epoch
+        # permutations, from batch start on; a start with t*B not a multiple
+        # of n begins mid-epoch
+        batches = _batches(n, batch_size, 3, start)
         perms = {}
-        for t in range(300):
+        for t in range(start, start + 3 * n + 2):
             positions = range(t * batch_size, (t + 1) * batch_size)
-            for e in {pos // n for pos in positions}:
-                if e not in perms:
-                    perms[e] = Rng(derive(4, "shuffle", e)).permutation(n)
+            for pos in positions:
+                if pos // n not in perms:
+                    perms[pos // n] = shuffle(3, pos // n, n)
             want = np.array([perms[pos // n][pos % n] for pos in positions], dtype=np.int64)
-            assert np.array_equal(stream.batch(t), want), t
-            assert len(stream._perms) <= 2
+            got = next(batches)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (n, batch_size, t)
+
+    @pytest.mark.parametrize("start", [0, 3])
+    def test_each_epoch_is_drawn_once_when_first_read(self, start, monkeypatch):
+        n, batch_size = 7, 5
+        drawn, real = [], Rng.permutation
+
+        def counting(self, size):
+            drawn.append(size)
+            return real(self, size)
+
+        monkeypatch.setattr(Rng, "permutation", counting)
+        batches = _batches(n, batch_size, 4, start)
+        assert drawn == []
+        for t in range(start, start + 300):
+            next(batches)
+            first, last = start * batch_size // n, ((t + 1) * batch_size - 1) // n
+            assert len(drawn) == last - first + 1, t
 
     def test_epoch_coverage(self):
-        stream = _BatchStream(n=12, batch_size=4, seed=1)
-        seen = np.concatenate([stream.batch(t) for t in range(3)])
+        batches = _batches(n=12, batch_size=4, seed=1)
+        seen = np.concatenate([next(batches) for _ in range(3)])
         assert np.array_equal(np.sort(seen), np.arange(12))
 
 
