@@ -1,6 +1,7 @@
 """Minibatch SGD: determinism, resumability, the ridge closed form as a
 convergence oracle, dropout statistics, and the metrics series."""
 
+import inspect
 import re
 
 import numpy as np
@@ -232,6 +233,8 @@ class TestBatches:
 
     @pytest.mark.parametrize("start", [0, 3])
     def test_each_epoch_is_drawn_once_when_first_read(self, start, monkeypatch):
+        # and the generator holds fewer than n + B indices: the array under
+        # its pending order, a leftover of under B and one epoch
         n, batch_size = 7, 5
         drawn, real = [], Rng.permutation
 
@@ -246,6 +249,10 @@ class TestBatches:
             next(batches)
             first, last = start * batch_size // n, ((t + 1) * batch_size - 1) // n
             assert len(drawn) == last - first + 1, t
+            held = inspect.getgeneratorlocals(batches)["order"]
+            while held.base is not None:
+                held = held.base
+            assert held.size < n + batch_size, t
 
     def test_epoch_coverage(self):
         batches = _batches(n=12, batch_size=4, seed=1)

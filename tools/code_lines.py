@@ -4,15 +4,11 @@ docstring is the first statement of a module, class or function when that
 statement is a string literal.  A string that spans lines counts each of
 its lines.
 
-Usage: python tools/code_lines.py [FILE ...]
-
-With no FILE it counts src/lastlayer/*.py beside this script and prints
-the total; with files it prints each file's count, then the total.
+Usage: python tools/code_lines.py
 """
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -42,18 +38,10 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def main(argv) -> int:
-    paths = [Path(a) for a in argv] or sorted(
-        (Path(__file__).resolve().parent.parent / "src" / "lastlayer").glob("*.py"))
-    total = 0
-    for path in paths:
-        count = code_lines(path.read_text())
-        total += count
-        if argv:
-            print(f"{count:6d} {path}")
-    print(total)
-    return 0
+def main() -> None:
+    package = Path(__file__).resolve().parent.parent / "src" / "lastlayer"
+    print(sum(code_lines(path.read_text()) for path in sorted(package.glob("*.py"))))
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
